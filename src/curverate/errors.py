@@ -2,8 +2,9 @@
 
 Two top-level classes matter for the CLI exit-code contract: domain or
 validation problems (exit code 1) and numerical-accuracy failures (exit
-code 2). Accuracy errors always carry both the coarse and the fine
-estimate so callers can decide to accept degraded accuracy explicitly.
+code 2). Accuracy errors carry both the coarse and the fine estimate
+whenever the node-doubling self-check is on, so callers can decide to
+accept degraded accuracy explicitly.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict, replace
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,7 @@ from .maximal import (
     maximal_field,
     window_grid,
 )
-from .propagator import QuadratureSpec
+from .propagator import QuadratureSpec, pool_map
 
 SLOPE_TOLERANCE = 0.15
 
@@ -296,14 +296,8 @@ def _numerators(plan: ExperimentPlan, c: float) -> List[dict]:
         return hit
     rows: List[dict] = []
     try:
-        if plan.workers > 1:
-            with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-                futures = [pool.submit(_numerator_one_R, plan, c, R) for R in plan.R_sequence]
-                for f in futures:
-                    rows.append(f.result())
-        else:
-            for R in plan.R_sequence:
-                rows.append(_numerator_one_R(plan, c, R))
+        for row in pool_map(partial(_numerator_one_R, plan, c), plan.R_sequence, plan.workers):
+            rows.append(row)
     except CurverateError as exc:
         # abort, but keep the completed per-R diagnostics on the error
         exc.partial_diagnostics = tuple(rows)

@@ -279,14 +279,26 @@ def critical_time(
 # rate-weighted suprema
 
 
-def _golden_refine(score, lo: float, hi: float, iterations: int = GOLDEN_ITERATIONS):
-    """Deterministic golden-section maximization of score on [lo, hi]."""
+def _refine(profile, curve, m, delta, x, f0, quad, ts, pos, sup, arg):
+    """Golden-section refinement between the grid neighbours of ts[pos].
 
-    a, b = lo, hi
+    Maximizes |U f(x, t) - f0| / t^delta (deterministic, GOLDEN_ITERATIONS
+    steps) and returns (sup, arg) raised to the refined maximum if larger.
+    """
+
+    a = float(ts[max(0, pos - 1)])
+    b = float(ts[min(len(ts) - 1, pos + 1)])
+    if b <= a:
+        return sup, arg
+
+    def score(t):
+        value, _ = certified_value(profile, curve, m, x, float(t), quad)
+        return abs(value - f0) / t ** delta
+
     c = b - (b - a) / _GOLDEN_RATIO
     d = a + (b - a) / _GOLDEN_RATIO
     fc, fd = score(c), score(d)
-    for _ in range(iterations):
+    for _ in range(GOLDEN_ITERATIONS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) / _GOLDEN_RATIO
@@ -295,8 +307,8 @@ def _golden_refine(score, lo: float, hi: float, iterations: int = GOLDEN_ITERATI
             a, c, fc = c, d, fd
             d = a + (b - a) / _GOLDEN_RATIO
             fd = score(d)
-    t_best = c if fc > fd else d
-    return t_best, max(fc, fd)
+    t_best, s_best = (c, fc) if fc > fd else (d, fd)
+    return (float(s_best), float(t_best)) if s_best > sup else (sup, arg)
 
 
 def rate_weighted_sup(
@@ -332,16 +344,7 @@ def rate_weighted_sup(
     sup, arg = float(scores[best]), float(ts[best])
 
     if grid.local_refinement and len(ts) >= 3:
-        lo = float(ts[max(0, best - 1)])
-        hi = float(ts[min(len(ts) - 1, best + 1)])
-        if hi > lo:
-            def score(t):
-                value, _ = certified_value(profile, curve, m, x, float(t), quad)
-                return abs(value - f0) / t ** delta
-
-            t_ref, s_ref = _golden_refine(score, lo, hi)
-            if s_ref > sup:
-                sup, arg = float(s_ref), float(t_ref)
+        sup, arg = _refine(profile, curve, m, delta, x, f0, quad, ts, best, sup, arg)
     return sup, arg
 
 
@@ -377,7 +380,6 @@ def maximal_field(
     node_max = 0
 
     has_octaves = grid.j_min is not None or len(grid.injected) > 0
-    initial = None
     if has_octaves:
         ts = grid.times()
         values, initial, node_counts = batch_values(profile, curve, m, xs, ts, quad)
@@ -396,31 +398,16 @@ def maximal_field(
             vals, init, counts = batch_values(profile, curve, m, xs[mask], [float(tc)], quad)
             sc = np.abs(vals[:, 0] - init) / tc ** delta
             better = sc > sup[mask]
-            sup_mask = sup[mask]
-            arg_mask = arg[mask]
-            sup_mask[better] = sc[better]
-            arg_mask[better] = tc
-            sup[mask] = sup_mask
-            arg[mask] = arg_mask
+            sup[mask] = np.where(better, sc, sup[mask])
+            arg[mask] = np.where(better, tc, arg[mask])
             node_max = max(node_max, int(counts.max()))
 
-    if grid.local_refinement and has_octaves and len(ts := grid.times()) >= 3:
-        f_all = initial if initial is not None else None
+    if grid.local_refinement and has_octaves and len(ts) >= 3:
         for i, x in enumerate(xs):
             pos = int(np.searchsorted(ts, arg[i]))
-            lo = float(ts[max(0, pos - 1)])
-            hi = float(ts[min(len(ts) - 1, pos + 1)])
-            if hi <= lo:
-                continue
-            f0 = complex(f_all[i])
-
-            def score(t, _x=float(x), _f0=f0):
-                value, _ = certified_value(profile, curve, m, _x, float(t), quad)
-                return abs(value - _f0) / t ** delta
-
-            t_ref, s_ref = _golden_refine(score, lo, hi)
-            if s_ref > sup[i]:
-                sup[i], arg[i] = float(s_ref), float(t_ref)
+            sup[i], arg[i] = _refine(
+                profile, curve, m, delta, float(x), complex(initial[i]), quad, ts, pos, sup[i], arg[i]
+            )
 
     return MaximalField(
         xs=xs,

@@ -3,16 +3,21 @@
 U f(x, t) = (2*pi)^{-d} * integral over the profile's support box of
 e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 
-Composite Gauss-Legendre panels with oscillation-aware node budgeting: the
-node count scales with the estimated total phase variation, and every
-evaluation can re-run itself at doubled nodes and demand agreement
-(relative to the profile's L^1 mass scale) before reporting a value.
+Every path runs one kernel, _quadrature: composite Gauss-Legendre panels
+summing w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j, t_j).
+A single point (certified_value) folds x into the shift and sums one row;
+a window (batch_values, and batch_initial for f(x)) multiplies the column
+weights by an exp(i x xi) table. The node count follows the estimated
+total phase variation, and one self-check, _certify, re-runs the kernel at
+doubled nodes and demands agreement relative to the profile's L^1 mass
+scale (computed on the same rule) before reporting a value.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
 a single complex scalar. This keeps the quadrature phases small and makes
 the node-doubling comparison immune to the rounding of astronomically
-large phases (modulated profiles reach t*C^2 ~ 1e7 radians).
+large phases (modulated profiles reach t*C^2 ~ 1e7 radians). For
+non-integer m, segments ending at 0 are graded geometrically toward it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .quadrature import panel_nodes
 
 TWO_PI = 2.0 * math.pi
 SELF_CHECK_TOL = 1e-9
+X_CHUNK = 96          # window points per exp(i x xi) table block
+NODE_BLOCK = 8192     # nodes per exp(i x xi) table block
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,12 @@ def _node_budget(V: float, quad: QuadratureSpec) -> int:
     return panels * quad.panel_order
 
 
+def _bucket(n: int, order: int) -> int:
+    """Round a node count up to order * 2^k so nearby times share a rule."""
+    panels = max(1, -(-n // order))
+    return order * (1 << max(0, (panels - 1).bit_length()))
+
+
 def _graded_rule(lo: float, hi: float, min_nodes: int, order: int, depth: int = 40):
     """Composite rule with geometric grading into an endpoint at 0.
 
@@ -106,10 +119,7 @@ def _graded_rule(lo: float, hi: float, min_nodes: int, order: int, depth: int = 
     accuracy at logarithmic extra cost.
     """
 
-    if lo != 0.0 and hi != 0.0:
-        return panel_nodes(lo, hi, min_nodes, order)
     width = hi - lo
-    inner = width * 0.5 ** depth
     ratios = [0.0] + [0.5 ** k for k in range(depth, -1, -1)]
     edges = [r * width for r in ratios] if lo == 0.0 else [-r * width for r in reversed(ratios)]
     offset = lo if lo == 0.0 else hi
@@ -122,14 +132,17 @@ def _graded_rule(lo: float, hi: float, min_nodes: int, order: int, depth: int = 
     return np.concatenate(xs_all), np.concatenate(ws_all)
 
 
-def _segment_rule(factor, total_nodes: int, order: int, grade_zero: bool = False):
-    """Distribute a coordinate's node budget over its segments by width."""
+def _segment_rule(factor, total_nodes: int, order: int, m: float):
+    """Distribute a coordinate's node budget over its segments by width.
+
+    Segments ending at 0 are graded toward it when m is not an integer.
+    """
 
     width = _segment_width(factor)
     rules = []
     for lo, hi in factor.segments:
         share = max(order, int(math.ceil(total_nodes * (hi - lo) / width)))
-        if grade_zero and (lo == 0.0 or hi == 0.0):
+        if m != int(m) and (lo == 0.0 or hi == 0.0):
             xs, ws = _graded_rule(lo, hi, share, order)
         else:
             xs, ws = panel_nodes(lo, hi, share, order)
@@ -137,45 +150,73 @@ def _segment_rule(factor, total_nodes: int, order: int, grade_zero: bool = False
     return rules
 
 
-def _needs_zero_grading(m: float) -> bool:
-    return m != int(m)
+def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
+    """The one quadrature kernel, on factor's n-node rule.
 
-
-def _coordinate_integral(factor, gamma_j, t, m, total_nodes, order):
-    """Integral of e^{i(gamma_j*xi + t|xi|^m)} * factor(xi) over the segments.
-
-    Returns (integral, l1_mass); l1_mass = integral of |factor| on the same
-    rule, the conditioning scale for accuracy comparisons.
+    Column j is sum w f^(xi) e^{i((x + shifts[j]) xi + ts[j] |xi|^m)}.
+    shifts and ts are equal-length 1-d arrays, or scalars for a single
+    column. xs=None gives the x = 0 row, of shape (ncols,) or a scalar; a
+    window xs gives shape (len(xs), ncols). Returns (values, l1_mass),
+    l1_mass being the integral of |f^| on the same rule, the self-check's
+    scale.
     """
 
-    total = 0.0 + 0.0j
+    out = 0j if xs is None else np.zeros((len(xs), len(shifts)), dtype=np.complex128)
     mass = 0.0
-    grade = _needs_zero_grading(m)
-    for lo, hi, xs, ws in _segment_rule(factor, total_nodes, order, grade_zero=grade):
-        fv = np.asarray(factor.func(xs), dtype=np.complex128)
+    s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
+    for lo, hi, nodes, weights in _segment_rule(factor, n, order, m):
+        fv = np.asarray(factor.func(nodes), dtype=np.complex128)
         C = 0.5 * (lo + hi)
-        u = xs - C
+        u = nodes - C
         if m == 2.0:
-            scalar = np.exp(1j * (gamma_j * C + t * C * C))
-            phase = (gamma_j + 2.0 * t * C) * u + t * u * u
+            scalars = np.exp(1j * (shifts * C + ts * C * C))
+            phase = (s_col + 2.0 * t_col * C) * u + t_col * u * u
         else:
-            scalar = np.exp(1j * gamma_j * C)
-            phase = gamma_j * u + t * np.abs(xs) ** m
-        total += scalar * np.sum(ws * fv * np.exp(1j * phase))
-        mass += float(np.sum(ws * np.abs(fv)))
-    return total, mass
+            scalars = np.exp(1j * shifts * C)
+            phase = s_col * u + t_col * np.abs(nodes) ** m
+        rows = weights * fv * np.exp(1j * phase)
+        if xs is None:
+            out = out + scalars * rows.sum(axis=-1)
+        else:
+            for i0 in range(0, len(xs), X_CHUNK):
+                block = slice(i0, i0 + X_CHUNK)
+                acc = 0.0
+                for b0 in range(0, len(nodes), NODE_BLOCK):
+                    sl = slice(b0, b0 + NODE_BLOCK)
+                    acc = acc + np.exp(1j * np.multiply.outer(xs[block], nodes[sl])) @ rows[:, sl].T
+                out[block] += scalars * acc
+        mass += float(np.sum(weights * np.abs(fv)))
+    return out, mass
 
 
-def _evaluate_once(profile, curve, m, x, t, quad, factor_nodes):
-    gam = np.atleast_1d(np.asarray(curve_gamma(curve, x, t), dtype=float))
-    value = 1.0 + 0.0j
-    mass = 1.0
-    for j, (factor, nodes) in enumerate(factor_nodes):
-        integral, l1 = _coordinate_integral(factor, float(gam[j]), t, m, nodes, quad.panel_order)
-        value *= integral
-        mass *= l1
-    scale = (TWO_PI) ** (-profile.d)
-    return value * scale, mass * scale
+def _certify(run, quad: QuadratureSpec, context: str, axes=(), over_cap: str = ""):
+    """Node-doubling self-check shared by every evaluation path.
+
+    run(doubling) returns (values, mass) on the rules with doubling times
+    the budgeted nodes. Returns the run(2) values once every entry agrees
+    with run(1) to SELF_CHECK_TOL * max(|coarse|, |fine|, mass); with
+    quad.self_check off, returns run(1) unchecked. over_cap is the message
+    for a budget past quad.max_nodes, with run clamped to the cap: the
+    pair still runs so the AccuracyError carries both estimates (of the
+    first entry). axes holds (name, labels) per axis of values, naming
+    the failing entry in the error context.
+    """
+
+    if quad.self_check:
+        coarse, _ = run(1)
+        fine, mass = run(2)
+        bad = abs(fine - coarse) > SELF_CHECK_TOL * np.maximum(np.maximum(abs(coarse), abs(fine)), mass)
+        if not (over_cap or bad.any()):
+            return fine
+    elif not over_cap:
+        return run(1)[0]
+    idx = (0,) * len(axes) if over_cap else tuple(np.argwhere(bad)[0])
+    where = "".join(f", {name}={labels[i]}" for (name, labels), i in zip(axes, idx))
+    if quad.self_check:
+        coarse, fine = complex(np.asarray(coarse)[idx]), complex(np.asarray(fine)[idx])
+    else:
+        coarse = fine = None
+    raise AccuracyError(over_cap or "node-doubling self-check failed", coarse, fine, context + where)
 
 
 def certified_value(
@@ -203,46 +244,24 @@ def certified_value(
 
     factors = coordinate_factors(profile)
     gam = np.atleast_1d(np.asarray(curve_gamma(curve, x, t), dtype=float))
-    budgets = [
-        _node_budget(phase_variation(float(gam[j]), t, m, f), quad)
-        for j, f in enumerate(factors)
-    ]
+    budgets = [_node_budget(phase_variation(float(g), t, m, f), quad) for g, f in zip(gam, factors)]
     total = sum(budgets)
-    if quad.self_check:
-        if 2 * total > quad.max_nodes:
-            cap_budgets = [max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in budgets]
-            coarse, _ = _evaluate_once(profile, curve, m, x, t, quad, list(zip(factors, cap_budgets)))
-            fine, _ = _evaluate_once(
-                profile, curve, m, x, t, quad, [(f, 2 * b) for f, b in zip(factors, cap_budgets)]
-            )
-            raise AccuracyError(
-                f"node budget {2 * total} exceeds cap {quad.max_nodes}",
-                coarse=coarse,
-                fine=fine,
-                context=f"kind={profile.kind}, t={t}",
-            )
-        coarse, _ = _evaluate_once(profile, curve, m, x, t, quad, list(zip(factors, budgets)))
-        fine, mass = _evaluate_once(
-            profile, curve, m, x, t, quad, [(f, 2 * b) for f, b in zip(factors, budgets)]
-        )
-        tol = SELF_CHECK_TOL * max(abs(coarse), abs(fine), mass)
-        if abs(fine - coarse) > tol:
-            raise AccuracyError(
-                "node-doubling self-check failed",
-                coarse=coarse,
-                fine=fine,
-                context=f"kind={profile.kind}, t={t}",
-            )
-        value = fine
-        used = 2 * total
-    else:
-        if total > quad.max_nodes:
-            raise AccuracyError(
-                f"node budget {total} exceeds cap {quad.max_nodes}",
-                context=f"kind={profile.kind}, t={t}",
-            )
-        value, _ = _evaluate_once(profile, curve, m, x, t, quad, list(zip(factors, budgets)))
-        used = total
+    used = 2 * total if quad.self_check else total
+    over_cap = ""
+    if used > quad.max_nodes:
+        over_cap = f"node budget {used} exceeds cap {quad.max_nodes}"
+        budgets = [max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in budgets]
+    scale = TWO_PI ** (-profile.d)
+
+    def run(doubling):
+        value, mass = 1.0 + 0.0j, 1.0
+        for g, factor, n in zip(gam, factors, budgets):
+            integral, l1 = _quadrature(factor, n * doubling, quad.panel_order, m, g, t)
+            value *= integral
+            mass *= l1
+        return value * scale, mass * scale
+
+    value = _certify(run, quad, f"kind={profile.kind}, t={t}", over_cap=over_cap)
     return complex(value), used
 
 
@@ -266,6 +285,20 @@ def evaluate(
     else:
         initial, _ = certified_value(profile, curve, m, x, 0.0, quad)
     return FieldSample(x=x, t=t, value=complex(value), initial=complex(initial), node_count=used)
+
+
+def pool_map(fn, items, workers: int, chunksize: int = 1):
+    """Yield fn(item) for each item in order, on a process pool when workers > 1.
+
+    Results arrive in item order whatever the worker count, so a caller
+    that stops at an exception keeps every earlier result.
+    """
+
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items, chunksize=chunksize)
 
 
 def _grid_task(args):
@@ -293,25 +326,16 @@ def evaluate_grid(
 
     quad = quad or DEFAULT_QUAD
     tasks = [(profile, curve, m, x, t, quad) for x in x_grid for t in t_list]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        results = [_grid_task(task) for task in tasks]
+    chunksize = max(1, len(tasks) // (4 * workers))
+    results = list(pool_map(_grid_task, tasks, workers, chunksize))
     samples = [payload for tag, payload in results if tag == "ok"]
     failures = [payload for tag, payload in results if tag == "err"]
     return samples, failures
 
 
 # ---------------------------------------------------------------------------
-# vectorized window evaluation (internal; used by maximal fields and lemma
-# checks, where thousands of (x, t) pairs share one spatial window)
-
-
-def _bucket(n: int, order: int) -> int:
-    """Round a node count up to order * 2^k so nearby times share a rule."""
-    panels = max(1, -(-n // order))
-    return order * (1 << max(0, (panels - 1).bit_length()))
+# window evaluation (used by maximal fields and lemma checks, where
+# thousands of (x, t) pairs share one spatial window)
 
 
 def batch_values(
@@ -321,8 +345,6 @@ def batch_values(
     xs: np.ndarray,
     ts: Sequence[float],
     quad: Optional[QuadratureSpec] = None,
-    x_chunk: int = 96,
-    node_block: int = 8192,
 ):
     """U f(x, t) on a 1-d spatial window times a list of times.
 
@@ -343,122 +365,55 @@ def batch_values(
     if m <= 0:
         raise DomainValidationError("m must be positive")
     xs = np.asarray(xs, dtype=float)
-    ts = [float(t) for t in ts]
+    ts = np.array([float(t) for t in ts])
     for t in ts:
         if not 0.0 <= t <= 1.0:
             raise DomainValidationError(f"t={t} outside [0, 1]")
     (factor,) = coordinate_factors(profile)
     xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
+    shifts = np.array([curve.shift(t) for t in ts], dtype=float)
+    counts = np.array(
+        [
+            _bucket(_node_budget(phase_variation(xmax + abs(s), t, m, factor), quad), quad.panel_order)
+            for s, t in zip(shifts, ts)
+        ],
+        dtype=int,
+    )
+    node_counts = counts * 2 if quad.self_check else counts
+    over = np.flatnonzero(node_counts > quad.max_nodes)
+    over_cap = ""
+    if len(over):
+        # both estimates at the sample that sets the first exceeded budget
+        i, j = int(np.argmax(np.abs(xs))), int(over[0])
+        over_cap = f"node budget {node_counts[j]} exceeds cap {quad.max_nodes}"
+        xs, ts, shifts = xs[i : i + 1], ts[j : j + 1], shifts[j : j + 1]
+        counts = np.array([quad.max_nodes // 2])
 
-    def gamma_bound(t):
-        return xmax + abs(curve.shift(t))
-
-    counts = {}
-    for t in ts:
-        V = phase_variation(gamma_bound(t), t, m, factor)
-        n = _bucket(max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * V))), quad.panel_order)
-        limit = quad.max_nodes // 2 if quad.self_check else quad.max_nodes
-        if n > limit:
-            raise AccuracyError(
-                f"node budget {n} exceeds cap {limit} at t={t}",
-                context=f"kind={profile.kind}",
+    def run(doubling):
+        values = np.empty((len(xs), len(ts)), dtype=np.complex128)
+        for n in np.unique(counts):  # ascending: mass ends on the largest rule
+            cols = np.flatnonzero(counts == n)
+            values[:, cols], mass = _quadrature(
+                factor, int(n) * doubling, quad.panel_order, m, shifts[cols], ts[cols], xs
             )
-        counts[t] = n
-
-    def run(scale: int):
-        values = np.zeros((len(xs), len(ts)), dtype=np.complex128)
-        mass = 0.0
-        groups = {}
-        grade = _needs_zero_grading(m)
-        for idx, t in enumerate(ts):
-            groups.setdefault(counts[t] * scale, []).append((idx, t))
-        for n_nodes, members in sorted(groups.items()):
-            for lo, hi, nodes, weights in _segment_rule(factor, n_nodes, quad.panel_order, grade_zero=grade):
-                C = 0.5 * (lo + hi)
-                u = nodes - C
-                fv = np.asarray(factor.func(nodes), dtype=np.complex128)
-                wf = weights * fv
-                w_t = np.empty((len(members), len(nodes)), dtype=np.complex128)
-                scalars = np.empty(len(members), dtype=np.complex128)
-                for row, (idx, t) in enumerate(members):
-                    shift = curve.shift(t)
-                    if m == 2.0:
-                        scalars[row] = np.exp(1j * (t * C * C + shift * C))
-                        phase = (shift + 2.0 * t * C) * u + t * u * u
-                    else:
-                        scalars[row] = np.exp(1j * shift * C)
-                        phase = shift * u + t * np.abs(nodes) ** m
-                    w_t[row] = wf * np.exp(1j * phase)
-                for i0 in range(0, len(xs), x_chunk):
-                    xi = xs[i0 : i0 + x_chunk]
-                    acc = np.zeros((len(xi), len(members)), dtype=np.complex128)
-                    for b0 in range(0, len(nodes), node_block):
-                        sl = slice(b0, min(b0 + node_block, len(nodes)))
-                        E = np.exp(1j * np.multiply.outer(xi, nodes[sl]))
-                        acc += E @ w_t[:, sl].T
-                    for row, (idx, t) in enumerate(members):
-                        values[i0 : i0 + x_chunk, idx] += scalars[row] * acc[:, row]
-        # mass scale from the largest rule
-        n_big = max(groups)
-        for lo, hi, nodes, weights in _segment_rule(factor, n_big, quad.panel_order, grade_zero=grade):
-            mass += float(np.sum(weights * np.abs(np.asarray(factor.func(nodes)))))
         return values / TWO_PI, mass / TWO_PI
 
-    coarse, _ = run(1)
-    if quad.self_check:
-        fine, mass = run(2)
-        tol = SELF_CHECK_TOL * np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), mass)
-        bad = np.abs(fine - coarse) > tol
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise AccuracyError(
-                "node-doubling self-check failed in batch evaluation",
-                coarse=complex(coarse[i, j]),
-                fine=complex(fine[i, j]),
-                context=f"kind={profile.kind}, x={xs[i]}, t={ts[j]}",
-            )
-        values = fine
-        node_counts = np.array([2 * counts[t] for t in ts], dtype=int)
-    else:
-        values = coarse
-        node_counts = np.array([counts[t] for t in ts], dtype=int)
-
+    values = _certify(run, quad, f"kind={profile.kind}", (("x", xs), ("t", ts)), over_cap)
     initial = batch_initial(profile, xs, quad)
     return values, initial, node_counts
 
 
 def batch_initial(profile: FrequencyProfile, xs: np.ndarray, quad: Optional[QuadratureSpec] = None):
-    """f(x) on a window: the t = 0 column of batch_values, shared code path."""
+    """f(x) on a window: the t = 0 column of batch_values, shared kernel."""
 
     quad = quad or DEFAULT_QUAD
     (factor,) = coordinate_factors(profile)
     xs = np.asarray(xs, dtype=float)
     xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    V = phase_variation(xmax, 0.0, 2.0, factor)
-    n = _bucket(max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * V))), quad.panel_order)
+    n = _bucket(_node_budget(phase_variation(xmax, 0.0, 2.0, factor), quad), quad.panel_order)
 
-    def run(scale):
-        out = np.zeros(len(xs), dtype=np.complex128)
-        mass = 0.0
-        for lo, hi, nodes, weights in _segment_rule(factor, n * scale, quad.panel_order):
-            wf = weights * np.asarray(factor.func(nodes), dtype=np.complex128)
-            for i0 in range(0, len(xs), 512):
-                xi = xs[i0 : i0 + 512]
-                out[i0 : i0 + 512] += np.exp(1j * np.multiply.outer(xi, nodes)) @ wf
-            mass += float(np.sum(weights * np.abs(np.asarray(factor.func(nodes)))))
-        return out / TWO_PI, mass / TWO_PI
+    def run(doubling):
+        values, mass = _quadrature(factor, n * doubling, quad.panel_order, 2.0, np.zeros(1), np.zeros(1), xs)
+        return values[:, 0] / TWO_PI, mass / TWO_PI
 
-    coarse, _ = run(1)
-    if not quad.self_check:
-        return coarse
-    fine, mass = run(2)
-    tol = SELF_CHECK_TOL * np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), mass)
-    if (np.abs(fine - coarse) > tol).any():
-        i = int(np.argmax(np.abs(fine - coarse) - tol))
-        raise AccuracyError(
-            "node-doubling self-check failed for initial data",
-            coarse=complex(coarse[i]),
-            fine=complex(fine[i]),
-            context=f"kind={profile.kind}, x={xs[i]}",
-        )
-    return fine
+    return _certify(run, quad, f"kind={profile.kind}", (("x", xs),))

@@ -119,11 +119,11 @@ def test_sweep_consistent_with_runs_and_crossing_interpolation():
     assert crossing == pytest.approx(s0 + (s1 - s0) * m0 / (m0 - m1))
 
 
-def test_run_failure_preserves_partial_diagnostics():
-    from curverate.errors import AccuracyError
+def capped_plan(workers=1):
+    """A plan whose node cap is exceeded at R = 128."""
     from curverate.propagator import QuadratureSpec
 
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         family="bump-modulated",
         alpha=0.5,
         delta=0.0,
@@ -131,12 +131,30 @@ def test_run_failure_preserves_partial_diagnostics():
         R_sequence=(32.0, 64.0, 128.0, 256.0),
         points_per_octave=4,
         quad=QuadratureSpec(max_nodes=2 ** 13),
+        workers=workers,
     )
+
+
+def test_run_failure_preserves_partial_diagnostics():
+    from curverate.errors import AccuracyError
+
     with pytest.raises(AccuracyError) as err:
-        run(plan)
+        run(capped_plan())
     partial = err.value.partial_diagnostics
     assert 1 <= len(partial) < 4
     assert [row["R"] for row in partial] == [32.0, 64.0][: len(partial)]
+
+
+def test_run_failure_partial_diagnostics_independent_of_workers():
+    from curverate.errors import AccuracyError
+
+    partials = []
+    for workers in (1, 2):
+        with pytest.raises(AccuracyError) as err:
+            run(capped_plan(workers))
+        assert err.value.coarse is not None and err.value.fine is not None
+        partials.append(err.value.partial_diagnostics)
+    assert partials[0] == partials[1]
 
 
 def test_measure_lattice_set_reports():

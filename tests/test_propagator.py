@@ -17,6 +17,7 @@ from curverate.initial_data import (
 )
 from curverate.propagator import (
     QuadratureSpec,
+    batch_initial,
     batch_values,
     certified_value,
     evaluate,
@@ -31,6 +32,23 @@ def gaussian_closed_form(x, t):
     """(2 pi)^{-1} integral e^{i(x xi + t xi^2)} e^{-xi^2} dxi, exact."""
     z = 1.0 - 1j * t
     return (1.0 / TWO_PI) * np.sqrt(np.pi / z) * np.exp(-x * x / (4.0 * z))
+
+
+def band_fresnel_closed_form(R, gamma, t):
+    """(2 pi)^{-1} integral over [R, R+1] of e^{i(gamma xi + t xi^2)} dxi, t > 0.
+
+    Completing the square, t xi^2 + gamma xi = t (xi + b)^2 - gamma^2/(4t)
+    with b = gamma/(2t); v = (xi + b) sqrt(2t/pi) turns the rest into the
+    Fresnel integrals C(v) + i S(v) of integrand e^{i pi v^2 / 2}.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        gamma, t = mp.mpf(gamma), mp.mpf(t)
+        b, k = gamma / (2 * t), mp.sqrt(2 * t / mp.pi)
+        v1, v2 = (R + b) * k, (R + 1 + b) * k
+        fresnel = (mp.fresnelc(v2) - mp.fresnelc(v1)) + 1j * (mp.fresnels(v2) - mp.fresnels(v1))
+        value = fresnel / k * mp.exp(-1j * gamma ** 2 / (4 * t)) / (2 * mp.pi)
+        return complex(value)
 
 
 def test_quadrature_spec_validation():
@@ -176,3 +194,58 @@ def test_bourgain_d2_product_evaluation():
     curve = CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
     s = evaluate(profile, curve, 2.0, np.array([-0.3, 0.2]), 0.002)
     assert np.isfinite(abs(s.value)) and abs(s.value) > 0.0
+
+
+def test_batch_node_cap_accuracy_error_carries_both_estimates():
+    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+    with pytest.raises(AccuracyError) as err:
+        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0], tight)
+    assert err.value.coarse is not None and err.value.fine is not None
+    assert "x=40.0" in err.value.context and "t=1.0" in err.value.context
+
+
+BAND_XS = np.array([-0.05, 0.01, 0.2])
+BAND_TS = [1e-4, 3e-3, 0.05]
+
+
+@pytest.mark.parametrize("R", [8.0, 64.0])
+def test_indicator_band_fresnel_oracle_pointwise_and_window(R):
+    curve = CurveSpec(PLUS_SHIFT, alpha=0.5)
+    profile = indicator_band(R)
+    tol = 1e-9 / TWO_PI  # self-check tolerance at the band's L^1 mass scale
+    vals, _, _ = batch_values(profile, curve, 2.0, BAND_XS, BAND_TS)
+    for i, x in enumerate(BAND_XS):
+        for j, t in enumerate(BAND_TS):
+            exact = band_fresnel_closed_form(R, x + curve.shift(t), t)
+            point, _ = certified_value(profile, curve, 2.0, float(x), t)
+            assert abs(point - exact) < tol
+            assert abs(vals[i, j] - exact) < tol
+
+
+def test_batch_initial_matches_band_elementary_form():
+    R = 16.0
+    xs = np.linspace(-1.0, 1.0, 64)  # even count, so x = 0 is not in the grid
+    exact = (np.exp(1j * xs * (R + 1.0)) - np.exp(1j * xs * R)) / (TWO_PI * 1j * xs)
+    assert np.max(np.abs(batch_initial(indicator_band(R), xs) - exact)) < 1e-12
+
+
+def test_batch_gaussian_closed_form_on_straight_curve():
+    xs = np.linspace(-2.0, 2.0, 9)
+    ts = [0.05, 0.2, 0.5, 1.0]
+    vals, init, _ = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    exact = gaussian_closed_form(xs[:, None], np.asarray(ts)[None, :])
+    assert np.max(np.abs(vals - exact)) < 1e-9
+    assert np.max(np.abs(init - gaussian_closed_form(xs, 0.0))) < 1e-9
+
+
+@pytest.mark.parametrize("m", [0.5, 1.5])
+def test_batch_fractional_dispersion_matches_pointwise(m):
+    # gaussian segments end at xi = 0, so both paths run the zero-graded rule
+    xs = np.array([-0.7, 0.0, 0.3])
+    ts = [1e-3, 0.1, 0.6]
+    vals, init, _ = batch_values(gaussian_like(), STRAIGHT_1D, m, xs, ts)
+    for i, x in enumerate(xs):
+        assert abs(init[i] - certified_value(gaussian_like(), STRAIGHT_1D, m, float(x), 0.0)[0]) < 1e-9
+        for j, t in enumerate(ts):
+            v, _ = certified_value(gaussian_like(), STRAIGHT_1D, m, float(x), t)
+            assert abs(vals[i, j] - v) < 1e-9
