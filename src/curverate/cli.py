@@ -257,8 +257,8 @@ def _plan_from_args(args) -> ExperimentPlan:
 
         with open(args.plan) as fh:
             data = json.load(fh)
-        try:
-            return ExperimentPlan.from_dict(data)
+        try:  # plan files carry no worker count unless they set one
+            return ExperimentPlan.from_dict({"workers": args.workers, **data})
         except TypeError as exc:
             raise DomainValidationError(f"bad plan config: {exc}") from None
     Rs = tuple(float(2 ** j) for j in range(args.R_min_pow, args.R_max_pow + 1))

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, asdict, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,28 +272,17 @@ def _numerator_one_R(plan: ExperimentPlan, c: float, R: float) -> dict:
     }
 
 
-_NUMERATOR_CACHE: Dict[tuple, List[dict]] = {}
-
-
-def _numerator_key(plan: ExperimentPlan, c: float) -> tuple:
-    return (
-        plan.family,
-        plan.alpha,
-        plan.delta,
-        plan.epsilon,
-        plan.m,
-        tuple(plan.R_sequence),
-        c,
-        plan.x_points,
-        plan.points_per_octave,
-        plan.quad,
-    )
+#: numerator rows of the most recently used (plan, window constant) pairs
+NUMERATOR_CACHE_SIZE = 32
+_NUMERATOR_CACHE: "OrderedDict[tuple, List[dict]]" = OrderedDict()
 
 
 def _numerators(plan: ExperimentPlan, c: float) -> List[dict]:
-    key = _numerator_key(plan, c)
+    # rows depend on neither s nor the worker count
+    key = (replace(plan, s=0.0, workers=1, R_sequence=tuple(plan.R_sequence)), c)
     hit = _NUMERATOR_CACHE.get(key)
     if hit is not None:
+        _NUMERATOR_CACHE.move_to_end(key)
         return hit
     rows: List[dict] = []
     try:
@@ -303,6 +293,8 @@ def _numerators(plan: ExperimentPlan, c: float) -> List[dict]:
         exc.partial_diagnostics = tuple(rows)
         raise
     _NUMERATOR_CACHE[key] = rows
+    if len(_NUMERATOR_CACHE) > NUMERATOR_CACHE_SIZE:
+        _NUMERATOR_CACHE.popitem(last=False)
     return rows
 
 

@@ -36,7 +36,7 @@ from .initial_data import (
     annulus_bump,
     decay_threshold,
 )
-from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value, evaluate
+from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ITERATIONS = 24
@@ -322,30 +322,13 @@ def rate_weighted_sup(
 ):
     """Grid statistic sup_t |U f(x,t) - f(x)| / t^delta at a single x.
 
-    Returns (sup, argmax_t). This is a certified lower bound for the true
-    supremum; enlarging the grid can only increase it.
+    Returns (sup, argmax_t): maximal_field at the one point x. This is a
+    certified lower bound for the true supremum; enlarging the grid can
+    only increase it.
     """
 
-    quad = quad or DEFAULT_QUAD
-    if not 0.0 <= delta < 1.0:
-        raise DomainValidationError("delta must lie in [0, 1)")
-    ts = grid.times()
-
-    if profile.d == 1 and curve.is_shift:
-        values, initial, _ = batch_values(profile, curve, m, np.atleast_1d(float(x)), ts, quad)
-        scores = np.abs(values[0] - initial[0]) / ts ** delta
-        f0 = complex(initial[0])
-    else:
-        samples = [evaluate(profile, curve, m, x, float(t), quad) for t in ts]
-        f0 = samples[0].initial
-        scores = np.array([abs(s.value - s.initial) for s in samples]) / ts ** delta
-
-    best = int(np.argmax(scores))
-    sup, arg = float(scores[best]), float(ts[best])
-
-    if grid.local_refinement and len(ts) >= 3:
-        sup, arg = _refine(profile, curve, m, delta, x, f0, quad, ts, best, sup, arg)
-    return sup, arg
+    fld = maximal_field(profile, curve, m, delta, [x], grid, quad)
+    return float(fld.sup_values[0]), float(fld.argmax_times[0])
 
 
 def maximal_field(
@@ -359,10 +342,14 @@ def maximal_field(
     critical_times: Optional[np.ndarray] = None,
     ball: Optional[tuple] = None,
 ) -> MaximalField:
-    """Rate-weighted sup over a whole spatial window (vectorized).
+    """Rate-weighted sup over a set of points.
 
-    critical_times, when given, injects one extra per-x time into each
-    point's grid (the counterexample families' stationary times).
+    One-dimensional shift curves evaluate the whole window at once
+    (batch_values); other curves and d > 1 go point by point, certifying
+    f(x) once per point. xs holds scalars for d = 1 and points of R^d
+    otherwise. critical_times, when given, injects one extra per-x time
+    into each point's grid (the counterexample families' stationary
+    times; window evaluation only); the grid may then be empty.
     """
 
     quad = quad or DEFAULT_QUAD
@@ -371,23 +358,30 @@ def maximal_field(
     xs = np.asarray(xs, dtype=float)
     if ball is None:
         # midpoint grids: the covered interval extends half a cell past the
-        # extreme points on each side
-        h = float(xs[1] - xs[0]) if len(xs) > 1 else 0.0
-        ball = (float(0.5 * (xs.min() + xs.max())), float(0.5 * (xs.max() - xs.min() + h)))
+        # extreme points on each side (first coordinate for d > 1)
+        lead = xs.reshape(len(xs), -1)[:, 0]
+        h = float(lead[1] - lead[0]) if len(lead) > 1 else 0.0
+        ball = (float(0.5 * (lead.min() + lead.max())), float(0.5 * (lead.max() - lead.min() + h)))
 
     sup = np.zeros(len(xs))
     arg = np.zeros(len(xs))
     node_max = 0
 
-    has_octaves = grid.j_min is not None or len(grid.injected) > 0
-    if has_octaves:
+    on_grid = grid.j_min is not None or len(grid.injected) > 0 or critical_times is None
+    if on_grid:
         ts = grid.times()
-        values, initial, node_counts = batch_values(profile, curve, m, xs, ts, quad)
+        if profile.d == 1 and curve.is_shift:
+            values, initial, node_counts = batch_values(profile, curve, m, xs, ts, quad)
+            node_max = int(node_counts.max())
+        else:
+            initial = np.array([certified_value(profile, curve, m, x, 0.0, quad)[0] for x in xs])
+            rows = [[certified_value(profile, curve, m, x, float(t), quad) for t in ts] for x in xs]
+            values = np.array([[v for v, _ in row] for row in rows])
+            node_max = max(n for row in rows for _, n in row)
         scores = np.abs(values - initial[:, None]) / ts[None, :] ** delta
         idx = np.argmax(scores, axis=1)
         sup = scores[np.arange(len(xs)), idx]
         arg = ts[idx]
-        node_max = int(node_counts.max())
 
     if critical_times is not None:
         critical_times = np.asarray(critical_times, dtype=float)
@@ -402,11 +396,11 @@ def maximal_field(
             arg[mask] = np.where(better, tc, arg[mask])
             node_max = max(node_max, int(counts.max()))
 
-    if grid.local_refinement and has_octaves and len(ts) >= 3:
+    if grid.local_refinement and on_grid and len(ts) >= 3:
         for i, x in enumerate(xs):
             pos = int(np.searchsorted(ts, arg[i]))
             sup[i], arg[i] = _refine(
-                profile, curve, m, delta, float(x), complex(initial[i]), quad, ts, pos, sup[i], arg[i]
+                profile, curve, m, delta, x, complex(initial[i]), quad, ts, pos, sup[i], arg[i]
             )
 
     return MaximalField(

@@ -6,11 +6,14 @@ e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 Every path runs one kernel, _quadrature: composite Gauss-Legendre panels
 summing w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j, t_j).
 A single point (certified_value) folds x into the shift and sums one row;
-a window (batch_values, and batch_initial for f(x)) multiplies the column
-weights by an exp(i x xi) table. The node count follows the estimated
-total phase variation, and one self-check, _certify, re-runs the kernel at
-doubled nodes and demands agreement relative to the profile's L^1 mass
-scale (computed on the same rule) before reporting a value.
+a window (batch_values) multiplies the column weights by an exp(i x xi)
+table. On a window, f(x) is the t = 0 column of the same pass and is
+certified together with the requested times (batch_initial is that pass
+with no times), so a failing f(x) reports t=0.0 in the AccuracyError
+context. The node count follows the estimated total phase variation, and
+one self-check, _certify, re-runs the kernel at doubled nodes and demands
+agreement relative to the profile's L^1 mass scale (computed on the same
+rule) before reporting a value.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurveSpec, gamma as curve_gamma
+from .curves import STRAIGHT, CurveSpec, gamma as curve_gamma
 from .errors import AccuracyError, DomainValidationError
 from .initial_data import FrequencyProfile, coordinate_factors
 from .quadrature import panel_nodes
@@ -38,6 +41,7 @@ TWO_PI = 2.0 * math.pi
 SELF_CHECK_TOL = 1e-9
 X_CHUNK = 96          # window points per exp(i x xi) table block
 NODE_BLOCK = 8192     # nodes per exp(i x xi) table block
+_STRAIGHT = CurveSpec(STRAIGHT)
 
 
 @dataclass(frozen=True)
@@ -348,10 +352,13 @@ def batch_values(
 ):
     """U f(x, t) on a 1-d spatial window times a list of times.
 
-    Returns (values[nx, nt], initial[nx], node_counts[nt]). The quadrature
-    rule for each time depends only on the window bound max|gamma|, never
-    on chunking, so results are independent of how work is split.
-    Node-doubling self-check runs on every sample when enabled.
+    Returns (values[nx, nt], initial[nx], node_counts[nt]). initial is
+    f(x), the t = 0 column of the same pass: it shares the requested
+    times' self-check, and their exp(i x xi) table where its rule size
+    matches one of theirs. The quadrature rule for each time depends only
+    on the window bound max|gamma|, never on chunking, so results are
+    independent of how work is split. Node-doubling self-check runs on
+    every sample when enabled.
     """
 
     quad = quad or DEFAULT_QUAD
@@ -365,7 +372,7 @@ def batch_values(
     if m <= 0:
         raise DomainValidationError("m must be positive")
     xs = np.asarray(xs, dtype=float)
-    ts = np.array([float(t) for t in ts])
+    ts = np.array([float(t) for t in ts] + [0.0])  # last column: f(x)
     for t in ts:
         if not 0.0 <= t <= 1.0:
             raise DomainValidationError(f"t={t} outside [0, 1]")
@@ -399,21 +406,10 @@ def batch_values(
         return values / TWO_PI, mass / TWO_PI
 
     values = _certify(run, quad, f"kind={profile.kind}", (("x", xs), ("t", ts)), over_cap)
-    initial = batch_initial(profile, xs, quad)
-    return values, initial, node_counts
+    return values[:, :-1], values[:, -1], node_counts[:-1]
 
 
 def batch_initial(profile: FrequencyProfile, xs: np.ndarray, quad: Optional[QuadratureSpec] = None):
-    """f(x) on a window: the t = 0 column of batch_values, shared kernel."""
+    """f(x) on a window: batch_values with no times, on the straight curve."""
 
-    quad = quad or DEFAULT_QUAD
-    (factor,) = coordinate_factors(profile)
-    xs = np.asarray(xs, dtype=float)
-    xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    n = _bucket(_node_budget(phase_variation(xmax, 0.0, 2.0, factor), quad), quad.panel_order)
-
-    def run(doubling):
-        values, mass = _quadrature(factor, n * doubling, quad.panel_order, 2.0, np.zeros(1), np.zeros(1), xs)
-        return values[:, 0] / TWO_PI, mass / TWO_PI
-
-    return _certify(run, quad, f"kind={profile.kind}", (("x", xs),))
+    return batch_values(profile, _STRAIGHT, 2.0, xs, [], quad)[1]

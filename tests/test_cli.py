@@ -136,6 +136,23 @@ def test_scaling_rejects_unknown_plan_keys(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "environment", "plan"])
+def test_plan_file_keeps_the_worker_count(tmp_path, monkeypatch, source):
+    from curverate.cli import _plan_from_args, build_parser
+
+    plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0,
+            "R_sequence": [8.0, 16.0, 32.0, 64.0]}
+    argv = ["scaling", "--plan", str(tmp_path / "plan.json")]
+    if source == "flag":
+        argv += ["--workers", "4"]
+    elif source == "environment":
+        monkeypatch.setenv("CURVERATE_WORKERS", "4")
+    else:  # a worker count in the plan file wins over the default
+        plan["workers"] = 4
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert _plan_from_args(build_parser().parse_args(argv)).workers == 4
+
+
 def test_maximal_field_command(tmp_path):
     csv = tmp_path / "field.csv"
     proc = run_cli(

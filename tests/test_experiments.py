@@ -119,6 +119,36 @@ def test_sweep_consistent_with_runs_and_crossing_interpolation():
     assert crossing == pytest.approx(s0 + (s1 - s0) * m0 / (m0 - m1))
 
 
+def test_numerator_cache_is_a_bounded_lru(monkeypatch):
+    from collections import OrderedDict
+    from dataclasses import replace
+
+    from curverate import experiments
+
+    calls = []
+
+    def stub(plan, c, R):
+        calls.append((c, R))
+        return {"R": R}
+
+    monkeypatch.setattr(experiments, "_numerator_one_R", stub)
+    monkeypatch.setattr(experiments, "_NUMERATOR_CACHE", OrderedDict())
+    size, rows = experiments.NUMERATOR_CACHE_SIZE, len(SMALL_PLAN.R_sequence)
+    for c in range(size):
+        experiments._numerators(SMALL_PLAN, float(c))
+    assert len(calls) == size * rows
+    # s and the worker count are not part of the key; a hit makes c = 0 the most recent
+    experiments._numerators(replace(SMALL_PLAN, s=0.3, workers=2), 0.0)
+    assert len(calls) == size * rows
+    experiments._numerators(SMALL_PLAN, float(size))  # evicts c = 1, the least recent
+    assert len(experiments._NUMERATOR_CACHE) == size
+    calls.clear()
+    experiments._numerators(SMALL_PLAN, 0.0)
+    assert calls == []
+    experiments._numerators(SMALL_PLAN, 1.0)
+    assert calls == [(1.0, R) for R in SMALL_PLAN.R_sequence]
+
+
 def capped_plan(workers=1):
     """A plan whose node cap is exceeded at R = 128."""
     from curverate.propagator import QuadratureSpec

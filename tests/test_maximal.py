@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curverate.curves import CurveSpec, MINUS_SHIFT, PLUS_SHIFT
+from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT
 from curverate.errors import DomainValidationError, ResolutionError, WindowError
 from curverate.exponents import LIPSCHITZ, Regime
 from curverate.initial_data import (
@@ -15,6 +15,7 @@ from curverate.initial_data import (
     BUMP_TENSOR,
     INDICATOR_BAND,
     bump_dilated,
+    bump_tensor,
     gaussian_like,
     indicator_band,
     zero_profile,
@@ -220,6 +221,48 @@ def test_general_curve_falls_back_to_pointwise_sup():
     assert sup > 0.0 and 2.0 ** -8 <= arg <= 2.0 ** -4
     with pytest.raises(DomainValidationError):
         batch_values(profile, wobble, 2.0, np.array([0.05]), [0.01])
+
+
+WOBBLE = CurveSpec(CUSTOM, alpha=0.5, gamma_fn=lambda x, t: x - (1 + 0.05 * x) * t ** 0.5)  # general curve
+MINUS_HALF_2D = CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
+
+
+def test_rate_weighted_sup_is_maximal_field_at_one_point():
+    profile = bump_dilated(16.0)
+    grid = TimeGrid(4, 10, points_per_octave=3)  # refinement on
+    fld = maximal_field(profile, MINUS_HALF, 2.0, 0.1, [0.05], grid)
+    assert rate_weighted_sup(profile, MINUS_HALF, 2.0, 0.1, 0.05, grid) == (
+        fld.sup_values[0], fld.argmax_times[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "profile,curve,x",
+    [
+        (bump_dilated(16.0), WOBBLE, 0.05),
+        (bump_tensor(16.0, 0.1, d=2), MINUS_HALF_2D, np.array([0.02, -0.1])),
+    ],
+)
+def test_pointwise_sup_is_the_direct_grid_maximum(profile, curve, x):
+    from curverate.propagator import certified_value
+
+    delta = 0.1
+    grid = TimeGrid(4, 8, points_per_octave=2, local_refinement=False)
+    f0, _ = certified_value(profile, curve, 2.0, x, 0.0)
+    direct = [
+        (abs(certified_value(profile, curve, 2.0, x, float(t))[0] - f0) / t ** delta, float(t))
+        for t in grid.times()
+    ]
+    assert rate_weighted_sup(profile, curve, 2.0, delta, x, grid) == max(direct)
+
+
+def test_maximal_field_matches_rate_weighted_sup_pointwise():
+    profile = bump_tensor(16.0, 0.1, d=2)
+    xs = np.array([[0.02, -0.1], [0.04, 0.1]])
+    grid = TimeGrid(4, 8, points_per_octave=2)  # refinement on
+    fld = maximal_field(profile, MINUS_HALF_2D, 2.0, 0.1, xs, grid)
+    for x, sup, arg in zip(xs, fld.sup_values, fld.argmax_times):
+        assert rate_weighted_sup(profile, MINUS_HALF_2D, 2.0, 0.1, x, grid) == (sup, arg)
 
 
 def test_lemma_empirical_rejects_higher_dimensions():

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curverate.curves import CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT
+from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT
 from curverate.errors import AccuracyError, DomainValidationError
 from curverate.initial_data import (
+    bourgain_physical,
     bourgain_profile,
     bump_dilated,
     gaussian_like,
@@ -249,3 +251,47 @@ def test_batch_fractional_dispersion_matches_pointwise(m):
         for j, t in enumerate(ts):
             v, _ = certified_value(gaussian_like(), STRAIGHT_1D, m, float(x), t)
             assert abs(vals[i, j] - v) < 1e-9
+
+
+@pytest.mark.parametrize("R", [16.0, 64.0, 256.0])
+def test_bourgain_initial_matches_physical_closed_form(R):
+    # the admissible bourgain window (-c, -c/2) at the calibrated c = 0.9
+    xs = np.linspace(-0.9, -0.45, 7)
+    profile = bourgain_profile(R)
+    exact = np.array([bourgain_physical(profile, x) for x in xs])
+    assert np.max(np.abs(batch_initial(profile, xs) - exact)) < 1e-12
+    for x, e in zip(xs, exact):
+        assert abs(certified_value(profile, STRAIGHT_1D, 2.0, float(x), 0.0)[0] - e) < 1e-12
+
+
+def test_window_initial_rejects_what_the_window_pass_rejects():
+    with pytest.raises(DomainValidationError):
+        batch_initial(bourgain_profile(16.0, d=2), np.array([-0.5, -0.4]))
+    off_origin = CurveSpec(CUSTOM, alpha=0.5, shift_fn=lambda t: t ** 0.5 + 0.1)
+    with pytest.raises(DomainValidationError):
+        batch_values(gaussian_like(), off_origin, 2.0, np.array([0.1, 0.2]), [0.01])
+
+
+def test_failing_window_initial_reports_time_zero():
+    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+    with pytest.raises(AccuracyError) as err:
+        batch_initial(gaussian_like(), np.array([0.0, 40.0]), tight)
+    assert "x=40.0" in err.value.context and "t=0.0" in err.value.context
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    t=st.floats(0.0, 1.0, exclude_min=True),
+    m=st.sampled_from([0.5, 1.5, 2.0]),
+)
+def test_window_initial_is_the_shared_time_zero_column(ends, t, m):
+    profile = gaussian_like()
+    xs = np.linspace(min(ends), max(ends), 5)
+    scale = batch_initial(profile, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
+    vals, init, _ = batch_values(profile, STRAIGHT_1D, m, xs, [0.0, t])
+    assert np.max(np.abs(vals[:, 0] - init)) <= 1e-12 * scale
+    if m == 2.0:
+        assert np.max(np.abs(init - batch_initial(profile, xs))) <= 1e-9 * scale
+    for x, f0 in zip(xs, init):
+        assert abs(certified_value(profile, STRAIGHT_1D, m, float(x), 0.0)[0] - f0) <= 1e-9 * scale
