@@ -45,7 +45,7 @@ from .maximal import (
     rate_ceiling_demo,
     window_grid,
 )
-from .propagator import QuadratureSpec, evaluate
+from .propagator import DEFAULT_QUAD, QuadratureSpec, evaluate
 from .reports import envelope, write_csv, write_gnuplot, write_report
 
 _CURVES = {"minus": MINUS_SHIFT, "plus": PLUS_SHIFT, "straight": STRAIGHT}
@@ -75,10 +75,10 @@ def _quad_from_args(args) -> QuadratureSpec:
 
 
 def _add_quad_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quad-base-nodes", type=int, default=256)
-    p.add_argument("--quad-nodes-per-radian", type=float, default=10.0 / (2.0 * math.pi))
-    p.add_argument("--quad-panel-order", type=int, default=16)
-    p.add_argument("--quad-max-nodes", type=int, default=2 ** 22)
+    p.add_argument("--quad-base-nodes", type=int, default=DEFAULT_QUAD.base_nodes)
+    p.add_argument("--quad-nodes-per-radian", type=float, default=DEFAULT_QUAD.nodes_per_radian)
+    p.add_argument("--quad-panel-order", type=int, default=DEFAULT_QUAD.panel_order)
+    p.add_argument("--quad-max-nodes", type=int, default=DEFAULT_QUAD.max_nodes)
     p.add_argument("--quad-no-self-check", action="store_true")
     p.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
@@ -107,6 +107,8 @@ def cmd_exponent(args) -> int:
         smoothness=args.smoothness,
     )
     law = law_for(regime)
+    if args.steps < 1:
+        raise DomainValidationError(f"--steps={args.steps} must be at least 1")
     lo = _maybe_fraction(args.delta_min)
     hi = _maybe_fraction(args.delta_max)
     step = (hi - lo) / args.steps

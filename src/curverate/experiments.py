@@ -192,7 +192,8 @@ class ExperimentPlan:
     def from_dict(data: dict) -> "ExperimentPlan":
         data = dict(data)
         quad = data.pop("quad", None)
-        data["R_sequence"] = tuple(data.get("R_sequence", ()))
+        if "R_sequence" in data:
+            data["R_sequence"] = tuple(data["R_sequence"])
         plan = ExperimentPlan(**data)
         if quad is not None:
             plan = replace(plan, quad=QuadratureSpec(**quad))

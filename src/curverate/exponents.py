@@ -4,12 +4,13 @@ Each supported regime (dimension, Hölder exponent alpha of the curve in
 time, dispersion power m, Lipschitz vs Hölder smoothness) carries a
 piecewise-affine threshold law: initial data in H^s converge at rate delta
 when s > s(delta) and a counterexample curve exists when s < s(delta).
-The pieces tile [0, delta_max) exactly and agree at the breakpoints.
+Each affine bound s = slope*delta + intercept is the necessary condition
+from one counterexample; the law is their upper envelope, whose pieces
+tile [0, delta_max) and break at the exact crossings of adjacent bounds.
 
-All piece coefficients are built from the regime parameters with exact
-rational constants, so calling with `fractions.Fraction` inputs yields
-exact rational thresholds (used by the region-curve acceptance checks);
-float inputs yield floats.
+The bounds are built from the regime parameters with exact rational
+constants, so `fractions.Fraction` inputs yield exact rational thresholds
+(used by the region-curve acceptance checks); float inputs yield floats.
 """
 
 from __future__ import annotations
@@ -112,155 +113,92 @@ class RegimeLaw:
         return self.pieces[self.piece_index(delta)](delta)
 
 
-def _pieces(*rows):
-    return tuple(Piece(lo, hi, a, b) for (lo, hi, a, b) in rows)
-
-
 def _upper_envelope(lines, delta_max):
     """Pieces of max over affine lines [(slope, intercept), ...] on [0, delta_max).
 
     Slopes must be strictly increasing. Lines that never lead inside the
-    window are dropped (this resolves parameter corners where a nominal
-    middle piece degenerates to an empty interval). All arithmetic stays
-    exact for Fraction inputs.
+    window are dropped, which resolves parameter corners where a nominal
+    middle piece would be empty; Fraction inputs stay exact.
     """
 
-    hull = []  # [(slope, intercept, start)], start = where the line takes over
-
-    def crossing(l1, l2):
-        return (l1[1] - l2[1]) / (l2[0] - l1[0])
-
-    for line in lines:
-        if hull and line[0] <= hull[-1][0]:
-            raise DomainValidationError("envelope lines need strictly increasing slopes")
+    zero = 0 * delta_max
+    hull = []  # [(slope, intercept, lo)]: the line leads from lo on
+    for slope, intercept in lines:
+        lo = zero
         while hull:
-            x = crossing(hull[-1][:2], line)
-            if x <= hull[-1][2]:
-                hull.pop()
-            else:
+            top_slope, top_intercept, top_lo = hull[-1]
+            if slope <= top_slope:
+                raise DomainValidationError("envelope lines need strictly increasing slopes")
+            lo = (top_intercept - intercept) / (slope - top_slope)
+            if lo > top_lo:
                 break
-        start = crossing(hull[-1][:2], line) if hull else 0 * delta_max
-        hull.append((line[0], line[1], start))
-
-    pieces = []
-    for i, (slope, intercept, start) in enumerate(hull):
-        lo = start if i > 0 else 0 * delta_max
-        hi = hull[i + 1][2] if i + 1 < len(hull) else delta_max
-        if lo < delta_max and hi > 0:
-            pieces.append(Piece(max(lo, 0 * delta_max), min(hi, delta_max), slope, intercept))
-    return tuple(pieces)
+            hull.pop()
+            lo = zero
+        if lo < delta_max:
+            hull.append((slope, intercept, lo))
+    his = [lo for _, _, lo in hull[1:]] + [delta_max]
+    return tuple(Piece(lo, hi, slope, intercept) for (slope, intercept, lo), hi in zip(hull, his))
 
 
 def _law_lipschitz(d: int) -> RegimeLaw:
     q = Fraction(d, 2 * (d + 1))
-    return RegimeLaw(
-        "lipschitz",
-        _pieces((0, q, 1, q), (q, 1, 2, 0)),
-        Fraction(1),
-    )
+    return RegimeLaw("lipschitz", _upper_envelope([(1, q), (2, 0)], _ONE), _ONE)
 
 
 def _law_holder_high(alpha) -> RegimeLaw:
-    return RegimeLaw(
-        "holder-high-alpha",
-        _pieces((0, _QUARTER, 1, _QUARTER), (_QUARTER, alpha, 2, 0)),
-        alpha,
-    )
+    lines = [(1, _QUARTER), (2, 0)]
+    return RegimeLaw("holder-high-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def _law_holder_low(alpha) -> RegimeLaw:
     # First piece extended to delta = 0 by continuity.
-    half_a = alpha / 2
-    return RegimeLaw(
-        "holder-low-alpha",
-        _pieces((0, half_a, 2, _HALF - alpha), (half_a, alpha, _ONE / alpha, 0)),
-        alpha,
-    )
+    lines = [(2, _HALF - alpha), (_ONE / alpha, 0)]
+    return RegimeLaw("holder-low-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def _law_holder_mid(alpha) -> RegimeLaw:
-    half_a = alpha / 2
-    return RegimeLaw(
-        "holder-mid-alpha",
-        _pieces(
-            (0, alpha - _QUARTER, 1, _QUARTER),
-            (alpha - _QUARTER, half_a, 2, _HALF - alpha),
-            (half_a, alpha, _ONE / alpha, 0),
-        ),
-        alpha,
-    )
+    lines = [(1, _QUARTER), (2, _HALF - alpha), (_ONE / alpha, 0)]
+    return RegimeLaw("holder-mid-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def _law_subunit_high(alpha, m) -> RegimeLaw:
-    b1 = (2 * alpha - 1) / 4
-    return RegimeLaw(
-        "subunit-m-high-alpha",
-        _pieces(
-            (0, b1, 0, (2 - m) / 4),
-            (b1, alpha / 2, m, (1 - m * alpha) / 2),
-            (alpha / 2, alpha, _ONE / alpha, 0),
-        ),
-        alpha,
-    )
+    lines = [(0, (2 - m) / 4), (m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
+    return RegimeLaw("subunit-m-high-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def _law_subunit_low(alpha, m) -> RegimeLaw:
-    return RegimeLaw(
-        "subunit-m-low-alpha",
-        _pieces(
-            (0, alpha / 2, m, (1 - m * alpha) / 2),
-            (alpha / 2, alpha, _ONE / alpha, 0),
-        ),
-        alpha,
-    )
+    lines = [(m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
+    return RegimeLaw("subunit-m-low-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def _law_superunit_high(alpha, m) -> RegimeLaw:
-    # breakpoint 1/4; for very large m the second piece can fall outside
-    # [0, alpha), so the law is built as an exact upper envelope
-    return RegimeLaw(
-        "superunit-m-high-alpha",
-        _upper_envelope([(m - 1, _QUARTER), (m, 0 * _QUARTER)], alpha),
-        alpha,
-    )
+    # for alpha <= 1/4 (possible once m >= 4) the second line never leads
+    lines = [(m - 1, _QUARTER), (m, 0)]
+    return RegimeLaw("superunit-m-high-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def _law_superunit_low(alpha, m) -> RegimeLaw:
     # Second piece is delta/alpha, fixed from the adjacent laws by
     # continuity at delta = alpha/2 (both sides equal 1/2 there).
-    return RegimeLaw(
-        "superunit-m-low-alpha",
-        _pieces(
-            (0, alpha / 2, m, (1 - m * alpha) / 2),
-            (alpha / 2, alpha, _ONE / alpha, 0),
-        ),
-        alpha,
-    )
+    lines = [(m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
+    return RegimeLaw("superunit-m-low-alpha", _upper_envelope(lines, alpha), alpha)
 
 
-def _superunit_envelope_pieces(alpha, m):
-    # nominal breakpoints (2*m*alpha - 1)/4 and alpha/2; at parameter
-    # corners (e.g. alpha = 1/(2(m-1))) the middle piece degenerates, so
-    # the law is built as an exact upper envelope of its affine bounds
-    return _upper_envelope(
-        [(m - 1, _QUARTER), (m, (1 - m * alpha) / 2), (_ONE / alpha, 0 * _QUARTER)],
-        alpha,
-    )
+def _superunit_lines(alpha, m):
+    # at parameter corners such as alpha = 1/(2(m-1)) the middle line never leads
+    return [(m - 1, _QUARTER), (m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
 
 
 def _law_superunit_mid(alpha, m) -> RegimeLaw:
-    return RegimeLaw("superunit-m-mid-alpha", _superunit_envelope_pieces(alpha, m), alpha)
+    lines = _superunit_lines(alpha, m)
+    return RegimeLaw("superunit-m-mid-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def _law_superunit_near_half(alpha, m) -> RegimeLaw:
-    # m in (1,2), alpha in [1/2, 1/m). The threshold is the upper envelope
-    # of the competing affine bounds; same piece formulas as the mid-alpha
-    # law, with breakpoints (2*m*alpha-1)/4 and alpha/2. This matches the
-    # mid-alpha law continuously at alpha = 1/2 and the high-alpha law at
-    # alpha = 1/m.
-    return RegimeLaw(
-        "superunit-m-near-half-alpha", _superunit_envelope_pieces(alpha, m), alpha
-    )
+    # m in (1,2), alpha in [1/2, 1/m): the mid-alpha lines, continuous with
+    # the mid-alpha law at alpha = 1/2 and the high-alpha law at alpha = 1/m
+    lines = _superunit_lines(alpha, m)
+    return RegimeLaw("superunit-m-near-half-alpha", _upper_envelope(lines, alpha), alpha)
 
 
 def law_for(regime: Regime) -> RegimeLaw:
@@ -364,8 +302,10 @@ def delta_grid(regime: Regime, n: int, delta_min=0.0, delta_max=None) -> Sequenc
     law = law_for(regime)
     hi = float(law.delta_max) if delta_max is None else float(delta_max)
     lo = float(delta_min)
-    if not 0 <= lo <= hi <= float(law.delta_max):
-        raise DeltaRangeError(delta_max if delta_max is not None else delta_min, law.delta_max)
+    if not 0 <= lo <= float(law.delta_max):
+        raise DeltaRangeError(delta_min, law.delta_max)
+    if not lo <= hi <= float(law.delta_max):
+        raise DeltaRangeError(delta_max, law.delta_max)
     if n <= 0:
         return []
     if n == 1:

@@ -53,6 +53,12 @@ def test_exponent_rejects_out_of_range_delta():
     assert proc.returncode == 1
 
 
+def test_exponent_rejects_zero_steps():
+    proc = run_cli("exponent", "table", "--delta-max", "0.5", "--steps", "0")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
+
+
 def test_curve_verify_json():
     proc = run_cli("curve", "verify", "--kind", "minus", "--alpha", "0.5", "--d", "1",
                    "--samples", "1600")
@@ -151,6 +157,31 @@ def test_plan_file_keeps_the_worker_count(tmp_path, monkeypatch, source):
         plan["workers"] = 4
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     assert _plan_from_args(build_parser().parse_args(argv)).workers == 4
+
+
+def test_plan_file_without_R_sequence_takes_the_default(tmp_path):
+    from curverate.cli import _plan_from_args, build_parser
+    from curverate.experiments import ExperimentPlan
+
+    plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0}
+    default = tuple(float(2 ** j) for j in range(5, 11))
+    assert ExperimentPlan.from_dict(plan).R_sequence == default
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    args = build_parser().parse_args(["scaling", "--plan", str(tmp_path / "plan.json")])
+    assert _plan_from_args(args).R_sequence == default
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "gaussian-like", "--x", "0", "--t", "0.1"],
+    ["maximal", "--family", "bump-modulated", "--R", "64", "--alpha", "0.5"],
+    ["lemma-check", "--lemma", "2", "--k", "6", "--j", "8"],
+    ["ceiling-demo"],
+])
+def test_quad_flags_default_to_the_default_budget(argv):
+    from curverate.cli import _quad_from_args, build_parser
+    from curverate.propagator import DEFAULT_QUAD
+
+    assert _quad_from_args(build_parser().parse_args(argv)) == DEFAULT_QUAD
 
 
 def test_maximal_field_command(tmp_path):

@@ -36,6 +36,30 @@ TEN_REGIMES = [
     Regime(d=1, alpha=F(11, 20), m=F(3, 2)),
 ]
 
+# the exact pieces (lo, hi, slope, intercept) and delta_max of each TEN_REGIMES law
+TEN_LAWS = [
+    ("lipschitz", "1", [("0", "1/4", "1", "1/4"), ("1/4", "1", "2", "0")]),
+    ("holder-high-alpha", "7/10", [("0", "1/4", "1", "1/4"), ("1/4", "7/10", "2", "0")]),
+    ("holder-low-alpha", "1/5", [("0", "1/10", "2", "3/10"), ("1/10", "1/5", "5", "0")]),
+    ("holder-mid-alpha", "3/10",
+     [("0", "1/20", "1", "1/4"), ("1/20", "3/20", "2", "1/5"), ("3/20", "3/10", "10/3", "0")]),
+    ("subunit-m-high-alpha", "4/5",
+     [("0", "3/20", "0", "3/8"), ("3/20", "2/5", "1/2", "3/10"), ("2/5", "4/5", "5/4", "0")]),
+    ("subunit-m-low-alpha", "2/5", [("0", "1/5", "1/2", "2/5"), ("1/5", "2/5", "5/2", "0")]),
+    ("superunit-m-high-alpha", "3/5", [("0", "1/4", "2", "1/4"), ("1/4", "3/5", "3", "0")]),
+    ("superunit-m-low-alpha", "3/20",
+     [("0", "3/40", "3", "11/40"), ("3/40", "3/20", "20/3", "0")]),
+    # alpha = 1/(2(m-1)): the middle bound never leads
+    ("superunit-m-mid-alpha", "1/4", [("0", "1/8", "2", "1/4"), ("1/8", "1/4", "4", "0")]),
+    ("superunit-m-near-half-alpha", "11/20",
+     [("0", "13/80", "1/2", "1/4"), ("13/80", "11/40", "3/2", "7/80"),
+      ("11/40", "11/20", "20/11", "0")]),
+]
+
+
+def positive_fractions(hi):
+    return st.fractions(min_value=0, max_value=hi, max_denominator=60).filter(lambda x: x > 0)
+
 
 def test_threshold_examples_from_theory():
     lip = Regime(d=1, alpha=1, m=2, smoothness=LIPSCHITZ)
@@ -107,6 +131,49 @@ def test_pieces_tile_delta_range():
         for a, b in zip(law.pieces, law.pieces[1:]):
             assert a.hi == b.lo
             assert a.lo < a.hi
+
+
+def test_ten_laws_have_their_exact_pieces():
+    for r, (regime_id, delta_max, pieces) in zip(TEN_REGIMES, TEN_LAWS, strict=True):
+        law = law_for(r)
+        assert (law.regime_id, law.delta_max) == (regime_id, F(delta_max))
+        assert [(p.lo, p.hi, p.slope, p.intercept) for p in law.pieces] == [
+            tuple(F(v) for v in row) for row in pieces
+        ], regime_id
+
+
+@given(
+    alpha=positive_fractions(1),
+    m=st.one_of(st.just(F(2)), positive_fractions(4)),
+    d=st.sampled_from([1, 2, 3]),
+    lipschitz=st.booleans(),
+)
+def test_every_law_is_a_convex_tiling_of_its_delta_range(alpha, m, d, lipschitz):
+    # an upper envelope of affine bounds: exact tiling, exact continuity,
+    # strictly increasing slopes
+    if lipschitz:
+        regime = Regime(d=d if m == 2 else 1, alpha=1, m=m, smoothness=LIPSCHITZ)
+    else:
+        regime = Regime(d=1, alpha=alpha, m=m)
+    try:
+        law = law_for(regime)
+    except UnsupportedRegimeError:
+        return
+    pieces = law.pieces
+    assert pieces[0].lo == 0 and pieces[-1].hi == law.delta_max
+    assert all(p.lo < p.hi for p in pieces)
+    for a, b in zip(pieces, pieces[1:]):
+        assert a.hi == b.lo
+        assert a(a.hi) == b(b.lo)
+        assert a.slope < b.slope
+
+
+def test_delta_grid_names_the_bound_out_of_range():
+    r = Regime(d=1, alpha=0.5, m=2)
+    for lo, hi, bad in [(-0.1, 0.2, -0.1), (0.1, 0.7, 0.7), (0.6, None, 0.6), (0.3, 0.2, 0.2)]:
+        with pytest.raises(DeltaRangeError) as err:
+            delta_grid(r, 4, delta_min=lo, delta_max=hi)
+        assert err.value.delta == bad
 
 
 def test_monotone_nondecreasing_on_grid():
