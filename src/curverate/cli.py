@@ -19,26 +19,14 @@ from . import __version__
 from .curves import CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, verify_regularity
 from .errors import AccuracyError, CurverateError, DomainValidationError
 from .exponents import HOLDER, LIPSCHITZ, Regime, law_for, region_curve
-from .experiments import (
-    ExperimentPlan,
-    build_profile,
-    run as run_experiment,
-    sharpness_sweep,
-)
-from .initial_data import (
-    BOURGAIN,
-    BUMP_MODULATED,
-    GAUSSIAN_LIKE,
-    bourgain_profile,
-    gaussian_like,
-    sobolev_norm,
-)
+from .experiments import ExperimentPlan, run as run_experiment, sharpness_sweep
+from .initial_data import BUMP_MODULATED, GAUSSIAN_LIKE, gaussian_like, sobolev_norm
 from .maximal import (
     TimeGrid,
     admissible_window,
     calibrate_window_constant,
     critical_time,
-    family_curve_kind,
+    family_spec,
     lemma_bound,
     lemma_empirical,
     maximal_field,
@@ -111,6 +99,10 @@ def cmd_exponent(args) -> int:
         raise DomainValidationError(f"--steps={args.steps} must be at least 1")
     lo = _maybe_fraction(args.delta_min)
     hi = _maybe_fraction(args.delta_max)
+    if not lo < hi:
+        raise DomainValidationError(
+            f"--delta-min={args.delta_min} must be below --delta-max={args.delta_max}"
+        )
     step = (hi - lo) / args.steps
     deltas = [lo + i * step for i in range(args.steps)]
     samples, annotations = region_curve(regime, deltas)
@@ -159,10 +151,8 @@ def cmd_curve(args) -> int:
 def cmd_data(args) -> int:
     if args.family == GAUSSIAN_LIKE:
         profile = gaussian_like()
-    elif args.family == BOURGAIN:
-        profile = bourgain_profile(args.R, d=args.d)
     else:
-        profile = build_profile(args.family, args.R, args.epsilon, d=args.d)
+        profile = family_spec(args.family).profile(args.R, args.epsilon, args.d)
     svals = [float(s) for s in args.s_values.split(",")] if args.s_values else [0.0]
     norms = {str(s): sobolev_norm(profile, s) for s in svals}
     config = {
@@ -184,7 +174,7 @@ def cmd_eval(args) -> int:
     profile = (
         gaussian_like()
         if args.family == GAUSSIAN_LIKE
-        else build_profile(args.family, args.R, args.epsilon, d=1)
+        else family_spec(args.family).profile(args.R, args.epsilon, 1)
     )
     curve = CurveSpec(_CURVES[args.curve], alpha=args.alpha, d=1)
     quad = _quad_from_args(args)
@@ -205,7 +195,8 @@ def cmd_eval(args) -> int:
 
 def cmd_maximal(args) -> int:
     family = args.family
-    curve = CurveSpec(family_curve_kind(family), alpha=args.alpha, d=1)
+    spec = family_spec(family)
+    curve = CurveSpec(spec.curve, alpha=args.alpha, d=1)
     c = args.c if args.c is not None else calibrate_window_constant(family, args.alpha)
     R = args.R
     lo, hi = admissible_window(family, R, args.alpha, args.epsilon, c)
@@ -217,7 +208,7 @@ def cmd_maximal(args) -> int:
         tc = np.array(
             [critical_time(family, curve, R, args.epsilon, float(x), window_constant=c) for x in xs]
         )
-    profile = build_profile(family, R, args.epsilon, d=1)
+    profile = spec.profile(R, args.epsilon, 1)
     fld = maximal_field(profile, curve, args.m, args.delta, xs, grid, quad, critical_times=tc)
     config = {
         "family": family,

@@ -20,26 +20,12 @@ import numpy as np
 from . import SCHEMA_VERSION
 from .curves import CurveSpec
 from .errors import CurverateError, DomainValidationError
-from .initial_data import (
-    BOURGAIN,
-    BUMP_DILATED,
-    BUMP_MODULATED,
-    BUMP_TENSOR,
-    INDICATOR_BAND,
-    FrequencyProfile,
-    bourgain_profile,
-    bump_dilated,
-    bump_modulated,
-    bump_tensor,
-    indicator_band,
-    sobolev_norm,
-)
+from .initial_data import sobolev_norm
 from .maximal import (
     TimeGrid,
-    admissible_window,
     calibrate_window_constant,
     critical_time,
-    family_curve_kind,
+    family_spec,
     l2_over_ball,
     maximal_field,
     window_grid,
@@ -76,56 +62,7 @@ def fit_loglog(R_values: Sequence[float], ratios: Sequence[float]) -> Tuple[floa
 def predicted_slope(family: str, d: int, alpha: float, delta: float, s: float, epsilon: float = 0.0) -> float:
     """The family's predicted log-log exponent for ratio(R)."""
 
-    if family == BOURGAIN:
-        return delta + d / (2.0 * (d + 1)) - s
-    if family == BUMP_TENSOR:
-        return 2.0 * delta + epsilon / 2.0 - (1.0 + epsilon) * s
-    if family == BUMP_DILATED:
-        return 2.0 * delta - alpha - s + 0.5
-    if family == BUMP_MODULATED:
-        return 2.0 * delta - 2.0 * s + 0.5
-    if family == INDICATOR_BAND:
-        return delta / alpha - s
-    raise DomainValidationError(f"unknown family {family!r}")
-
-
-def default_time_grid(family: str, R: float, alpha: float, c: float, epsilon: float = 0.0) -> TimeGrid:
-    """Octave window around the family's critical-time scale.
-
-    The windows are deliberately tight: they cover every time scale the
-    family's lower-bound mechanism uses while excluding far-away octaves
-    whose contributions scale differently (the grid statistic is a lower
-    bound either way). The bourgain family uses injected critical times
-    only; at desk scale the wave-packet transit near t_c would otherwise
-    dominate through the not-yet-decayed |f|.
-    """
-
-    lg = math.log2(R)
-    if family == BUMP_MODULATED:
-        return TimeGrid(max(0.0, 2 * lg - 4), 2 * lg + 6)
-    if family == BUMP_DILATED:
-        return TimeGrid(max(0.0, 2 * lg - 10), 2 * lg + 8)
-    if family == BUMP_TENSOR:
-        return TimeGrid(max(0.0, 2 * lg - 2), (2 + 2 * epsilon) * lg + 6)
-    if family == INDICATOR_BAND:
-        return TimeGrid(max(0.0, lg / alpha - 8), lg / alpha + math.log2(1.0 / c) + 4)
-    if family == BOURGAIN:
-        return TimeGrid(local_refinement=False)
-    raise DomainValidationError(f"unknown family {family!r}")
-
-
-def build_profile(family: str, R: float, epsilon: float, d: int = 1) -> FrequencyProfile:
-    if family == BUMP_DILATED:
-        return bump_dilated(R)
-    if family == BUMP_MODULATED:
-        return bump_modulated(R)
-    if family == BUMP_TENSOR:
-        return bump_tensor(R, epsilon, d=d)
-    if family == INDICATOR_BAND:
-        return indicator_band(R)
-    if family == BOURGAIN:
-        return bourgain_profile(R, d=d)
-    raise DomainValidationError(f"unknown family {family!r}")
+    return family_spec(family).slope(d, alpha, delta, s, epsilon)
 
 
 @dataclass(frozen=True)
@@ -162,15 +99,9 @@ class ExperimentPlan:
         Rs = tuple(self.R_sequence)
         if len(Rs) < 4 or any(b <= a for a, b in zip(Rs, Rs[1:])):
             raise DomainValidationError("R_sequence must be strictly increasing, length >= 4")
-        family_curve_kind(self.family)  # validates the family name
-        if self.family == BUMP_DILATED and not self.alpha < 0.5:
-            raise DomainValidationError("bump-dilated runs need alpha < 1/2")
-        if self.family == INDICATOR_BAND and not self.alpha <= 0.5:
-            raise DomainValidationError("indicator-band runs need alpha <= 1/2")
-        if self.family in (BUMP_MODULATED,) and not self.alpha >= 0.25:
-            raise DomainValidationError("bump-modulated runs need alpha >= 1/4")
-        if self.family in (BUMP_TENSOR, BOURGAIN) and not self.alpha >= 0.5:
-            raise DomainValidationError(f"{self.family} runs need alpha >= 1/2")
+        spec = family_spec(self.family)
+        if not spec.alpha_ok(self.alpha):
+            raise DomainValidationError(f"{self.family} runs need {spec.alpha_rule}")
         if self.workers < 1:
             raise DomainValidationError("workers must be >= 1")
 
@@ -250,15 +181,16 @@ class ScalingReport:
 def _numerator_one_R(plan: ExperimentPlan, c: float, R: float) -> dict:
     """L^2-over-window of the rate-weighted sup for one R (s-independent)."""
 
-    curve = CurveSpec(family_curve_kind(plan.family), alpha=plan.alpha, d=1)
-    profile = build_profile(plan.family, R, plan.epsilon)
-    lo, hi = admissible_window(plan.family, R, plan.alpha, plan.epsilon, c)
+    spec = family_spec(plan.family)
+    curve = CurveSpec(spec.curve, alpha=plan.alpha, d=1)
+    profile = spec.profile(R, plan.epsilon, 1)
+    lo, hi = spec.window(R, plan.alpha, plan.epsilon, c)
     xs = window_grid(lo, hi, plan.x_points)
     tc = np.array(
         [critical_time(plan.family, curve, R, plan.epsilon, float(x), window_constant=c) for x in xs]
     )
-    grid = default_time_grid(plan.family, R, plan.alpha, c, plan.epsilon)
-    grid = replace(grid, points_per_octave=plan.points_per_octave)
+    octaves = spec.octaves(R, plan.alpha, plan.epsilon, c) if spec.octaves else (None, None)
+    grid = TimeGrid(*octaves, points_per_octave=plan.points_per_octave)
     fld = maximal_field(
         profile, curve, plan.m, plan.delta, xs, grid, plan.quad, critical_times=tc
     )
@@ -307,7 +239,7 @@ def run(plan: ExperimentPlan) -> ScalingReport:
     samples = []
     diagnostics = []
     for row, R in zip(rows, plan.R_sequence):
-        profile = build_profile(plan.family, R, plan.epsilon)
+        profile = family_spec(plan.family).profile(R, plan.epsilon, 1)
         nrm = sobolev_norm(profile, plan.s)
         ratio = row["l2"] / nrm
         samples.append((float(R), float(ratio)))

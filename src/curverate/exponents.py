@@ -302,9 +302,9 @@ def delta_grid(regime: Regime, n: int, delta_min=0.0, delta_max=None) -> Sequenc
     law = law_for(regime)
     hi = float(law.delta_max) if delta_max is None else float(delta_max)
     lo = float(delta_min)
-    if not 0 <= lo <= float(law.delta_max):
+    if not 0 <= lo < float(law.delta_max):
         raise DeltaRangeError(delta_min, law.delta_max)
-    if not lo <= hi <= float(law.delta_max):
+    if not lo < hi <= float(law.delta_max):
         raise DeltaRangeError(delta_max, law.delta_max)
     if n <= 0:
         return []

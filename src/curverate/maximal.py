@@ -8,13 +8,17 @@ a certified lower bound for the true supremum (a grid max never exceeds
 the sup). Critical-time injection puts each counterexample family's
 stationary time into the grid, which is exactly the evaluation the
 lower-bound arguments use.
+
+Each counterexample family is described once, as a `Family` record in
+`FAMILIES`: its curve, datum, spatial window, window-constant predicate,
+critical time, predicted exponent and default time window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +38,12 @@ from .initial_data import (
     INDICATOR_BAND,
     FrequencyProfile,
     annulus_bump,
+    bourgain_profile,
+    bump_dilated,
+    bump_modulated,
+    bump_tensor,
     decay_threshold,
+    indicator_band,
 )
 from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value
 
@@ -114,18 +123,110 @@ class MaximalField:
 #: descending ladder of candidate window constants
 WINDOW_LADDER = (3.2, 1.6, 0.9, 0.8, 0.64, 0.4, 0.32, 0.2, 0.16, 0.08, 0.04, 0.02, 0.01, 0.005)
 
-_FAMILY_CURVE = {
-    BUMP_DILATED: MINUS_SHIFT,
-    BUMP_MODULATED: MINUS_SHIFT,
-    BUMP_TENSOR: MINUS_SHIFT,
-    BOURGAIN: MINUS_SHIFT,
-    INDICATOR_BAND: PLUS_SHIFT,
+
+@dataclass(frozen=True)
+class Family:
+    """One counterexample family: everything its lower-bound argument uses."""
+
+    curve: str                      # kind of the shift curve
+    x_sign: int                     # sign x_1 must have for a critical time (0: any)
+    alpha_rule: str                 # admissible alpha, as text
+    alpha_ok: Callable              # alpha -> bool
+    profile: Callable               # (R, epsilon, d) -> FrequencyProfile
+    window: Callable                # (R, alpha, epsilon, c) -> spatial window (lo, hi)
+    calibrated: Callable            # (c, alpha, R_min, R_max) -> bool
+    critical: Callable              # (x_1, R, alpha, epsilon, c) -> stationary time
+    slope: Callable                 # (d, alpha, delta, s, epsilon) -> predicted exponent
+    octaves: Optional[Callable]     # (R, alpha, epsilon, c) -> default (j_min, j_max)
+
+
+# The calibration predicates restate at desk scale the pointwise
+# inequalities the lower-bound arguments need:
+#   bump-modulated: the window clears the bump transform's decay threshold
+#     at the smallest R (|f| <= 1/(8*pi) there) while the critical phase
+#     t_x R^2 xi^2 <= c/4 stays small.
+#   bump-dilated: window inside the unit ball at the smallest R, critical
+#     phase budget c^{1/alpha}/4 <= 100 (the stationary-phase value is
+#     R-free either way), and |f| decayed at the largest R.
+#   bump-tensor: residual critical phase sqrt(c) <= 1/4.
+#   indicator-band: first-order band phase c^alpha + c <= 0.35, so the
+#     linearization dominates the Taylor tail with a factor-2 cushion.
+#   bourgain: window inside the unit ball.
+# The default octave windows are deliberately tight: they cover every time
+# scale the family's mechanism uses and exclude far-away octaves whose
+# contributions scale differently (the grid statistic is a lower bound
+# either way). bourgain uses injected critical times only; at desk scale
+# the wave-packet transit near t_c would otherwise dominate through the
+# not-yet-decayed |f|. The critical times solve t^alpha = x (bump-dilated),
+# t R^{1+eps} = x_1 (bump-tensor), x - t^alpha - 2 R^2 t = 0
+# (bump-modulated) and x - t^alpha + 2 R t = 0 (bourgain, x < 0) by
+# bisection to relative 1e-12; indicator-band's is c R^{-1/alpha}, x-free.
+FAMILIES: Dict[str, Family] = {
+    BUMP_DILATED: Family(
+        curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha < 1/2", alpha_ok=lambda a: a < 0.5,
+        profile=lambda R, eps, d: bump_dilated(R),
+        window=lambda R, a, eps, c: (0.5 * c * R ** (-2.0 * a), c * R ** (-2.0 * a)),
+        calibrated=lambda c, a, R_min, R_max: (
+            c * R_min ** (-2.0 * a) <= 0.9
+            and c ** (1.0 / a) / 4.0 <= 100.0
+            and 0.5 * c * R_max ** (1.0 - 2.0 * a) >= decay_threshold()
+        ),
+        critical=lambda x1, R, a, eps, c: x1 ** (1.0 / a),
+        slope=lambda d, a, delta, s, eps: 2.0 * delta - a - s + 0.5,
+        octaves=lambda R, a, eps, c: (max(0.0, 2 * math.log2(R) - 10), 2 * math.log2(R) + 8),
+    ),
+    BUMP_MODULATED: Family(
+        curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha >= 1/4", alpha_ok=lambda a: a >= 0.25,
+        profile=lambda R, eps, d: bump_modulated(R),
+        window=lambda R, a, eps, c: (0.5 * c, c),
+        calibrated=lambda c, a, R_min, R_max: c <= 0.9 and 0.5 * c * R_min >= decay_threshold(),
+        critical=lambda x1, R, a, eps, c: _bisect_root(
+            lambda t: x1 - t ** a - 2.0 * R * R * t, 0.0, min(1.0, x1)
+        ),
+        slope=lambda d, a, delta, s, eps: 2.0 * delta - 2.0 * s + 0.5,
+        octaves=lambda R, a, eps, c: (max(0.0, 2 * math.log2(R) - 4), 2 * math.log2(R) + 6),
+    ),
+    BUMP_TENSOR: Family(
+        curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha >= 1/2", alpha_ok=lambda a: a >= 0.5,
+        profile=lambda R, eps, d: bump_tensor(R, eps, d=d),
+        window=lambda R, a, eps, c: (0.5 * c * R ** (eps - 1.0), c * R ** (eps - 1.0)),
+        calibrated=lambda c, a, R_min, R_max: math.sqrt(c) <= 0.25,
+        critical=lambda x1, R, a, eps, c: x1 / R ** (1.0 + eps),
+        slope=lambda d, a, delta, s, eps: 2.0 * delta + eps / 2.0 - (1.0 + eps) * s,
+        octaves=lambda R, a, eps, c: (
+            max(0.0, 2 * math.log2(R) - 2), (2 + 2 * eps) * math.log2(R) + 6
+        ),
+    ),
+    INDICATOR_BAND: Family(
+        curve=PLUS_SHIFT, x_sign=0, alpha_rule="alpha <= 1/2", alpha_ok=lambda a: a <= 0.5,
+        profile=lambda R, eps, d: indicator_band(R),
+        window=lambda R, a, eps, c: (-c, c),
+        calibrated=lambda c, a, R_min, R_max: c ** a + c <= 0.35,
+        critical=lambda x1, R, a, eps, c: (0.01 if c is None else c) * R ** (-1.0 / a),
+        slope=lambda d, a, delta, s, eps: delta / a - s,
+        octaves=lambda R, a, eps, c: (
+            max(0.0, math.log2(R) / a - 8), math.log2(R) / a + math.log2(1.0 / c) + 4
+        ),
+    ),
+    BOURGAIN: Family(
+        curve=MINUS_SHIFT, x_sign=-1, alpha_rule="alpha >= 1/2", alpha_ok=lambda a: a >= 0.5,
+        profile=lambda R, eps, d: bourgain_profile(R, d=d),
+        window=lambda R, a, eps, c: (-c, -0.5 * c),
+        calibrated=lambda c, a, R_min, R_max: c <= 0.9,
+        critical=lambda x1, R, a, eps, c: _bisect_root(
+            lambda t: x1 - t ** a + 2.0 * R * t, 0.0, min(1.0, (abs(x1) + 1.0) / (2.0 * R))
+        ),
+        slope=lambda d, a, delta, s, eps: delta + d / (2.0 * (d + 1)) - s,
+        octaves=None,
+    ),
 }
 
 
-def family_curve_kind(family: str) -> str:
+def family_spec(family: str) -> Family:
+    """The family's record in FAMILIES."""
+
     try:
-        return _FAMILY_CURVE[family]
+        return FAMILIES[family]
     except KeyError:
         raise DomainValidationError(f"{family!r} is not a counterexample family") from None
 
@@ -133,17 +234,7 @@ def family_curve_kind(family: str) -> str:
 def admissible_window(family: str, R: float, alpha: float, epsilon: float, c: float):
     """Spatial window (lo, hi) on which the family's lower bound operates."""
 
-    if family == BUMP_DILATED:
-        return (0.5 * c * R ** (-2.0 * alpha), c * R ** (-2.0 * alpha))
-    if family == BUMP_MODULATED:
-        return (0.5 * c, c)
-    if family == BUMP_TENSOR:
-        return (0.5 * c * R ** (epsilon - 1.0), c * R ** (epsilon - 1.0))
-    if family == INDICATOR_BAND:
-        return (-c, c)
-    if family == BOURGAIN:
-        return (-c, -0.5 * c)
-    raise DomainValidationError(f"{family!r} has no admissible window")
+    return family_spec(family).window(R, alpha, epsilon, c)
 
 
 def calibrate_window_constant(
@@ -152,47 +243,13 @@ def calibrate_window_constant(
     R_min: float = 64.0,
     R_max: float = 1024.0,
 ) -> float:
-    """Deterministic window constant per family.
+    """The first (largest) ladder constant satisfying the family's
+    calibration predicate (see FAMILIES)."""
 
-    Walks the descending ladder and returns the first (largest) constant
-    whose family-specific predicate holds. The predicates encode the
-    pointwise inequalities the lower-bound arguments need, restated at
-    desk scale:
-
-    bump-modulated: the window must clear the bump transform's decay
-      threshold at the smallest R (|f| <= 1/(8*pi) there) while the
-      critical phase t_x R^2 xi^2 <= c/4 stays small.
-    bump-dilated: window inside the unit ball at the smallest R, critical
-      phase budget c^{1/alpha}/4 <= 100 (the stationary-phase value is
-      R-free either way), and |f| decayed at the largest R.
-    bump-tensor: residual critical phase sqrt(c) <= 1/4.
-    indicator-band: first-order band phase c^alpha + c <= 0.35 so the
-      linearization dominates the Taylor tail with a factor-2 cushion.
-    bourgain: window inside the unit ball.
-    """
-
-    X0 = decay_threshold()
+    spec = family_spec(family)
     for c in WINDOW_LADDER:
-        if family == BUMP_MODULATED:
-            if c <= 0.9 and 0.5 * c * R_min >= X0:
-                return c
-        elif family == BUMP_DILATED:
-            ok_ball = c * R_min ** (-2.0 * alpha) <= 0.9
-            ok_phase = c ** (1.0 / alpha) / 4.0 <= 100.0
-            ok_decay = 0.5 * c * R_max ** (1.0 - 2.0 * alpha) >= X0
-            if ok_ball and ok_phase and ok_decay:
-                return c
-        elif family == BUMP_TENSOR:
-            if math.sqrt(c) <= 0.25:
-                return c
-        elif family == INDICATOR_BAND:
-            if c ** alpha + c <= 0.35:
-                return c
-        elif family == BOURGAIN:
-            if c <= 0.9:
-                return c
-        else:
-            raise DomainValidationError(f"{family!r} has no window constant")
+        if spec.calibrated(c, alpha, R_min, R_max):
+            return c
     raise WindowError(f"no ladder constant satisfies the {family} calibration predicate")
 
 
@@ -230,49 +287,15 @@ def critical_time(
     x,
     window_constant: Optional[float] = None,
 ) -> float:
-    """Per-x time at which the family's oscillatory phase is stationary.
+    """Per-x time at which the family's oscillatory phase is stationary."""
 
-    bump-dilated: x^{1/alpha}.  bump-tensor: x_1 / R^{1+eps}.
-    bump-modulated: the unique root of x - t^alpha - 2 R^2 t (bisection to
-    relative 1e-12). indicator-band: c * R^{-1/alpha}, x-free.
-    bourgain: the root of x - t^alpha + 2 R t (x < 0).
-    """
-
-    alpha = curve.alpha
-    expected = family_curve_kind(family)
-    if curve.kind != expected:
-        raise DomainValidationError(
-            f"{family} uses the {expected} curve, got {curve.kind}"
-        )
+    spec = family_spec(family)
+    if curve.kind != spec.curve:
+        raise DomainValidationError(f"{family} uses the {spec.curve} curve, got {curve.kind}")
     x1 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-
-    if family == BUMP_DILATED:
-        if x1 <= 0:
-            raise WindowError("bump-dilated critical time needs x > 0")
-        return x1 ** (1.0 / alpha)
-
-    if family == BUMP_TENSOR:
-        if x1 <= 0:
-            raise WindowError("bump-tensor critical time needs x_1 > 0")
-        return x1 / R ** (1.0 + epsilon)
-
-    if family == BUMP_MODULATED:
-        if x1 <= 0:
-            raise WindowError("bump-modulated critical time needs x > 0")
-        h = lambda t: x1 - t ** alpha - 2.0 * R * R * t
-        return _bisect_root(h, 0.0, min(1.0, x1))
-
-    if family == INDICATOR_BAND:
-        c = 0.01 if window_constant is None else window_constant
-        return c * R ** (-1.0 / alpha)
-
-    if family == BOURGAIN:
-        if x1 >= 0:
-            raise WindowError("bourgain critical time needs x_1 < 0")
-        h = lambda t: x1 - t ** alpha + 2.0 * R * t
-        return _bisect_root(h, 0.0, min(1.0, (abs(x1) + 1.0) / (2.0 * R)))
-
-    raise DomainValidationError(f"{family!r} has no critical time")
+    if spec.x_sign and spec.x_sign * x1 <= 0:
+        raise WindowError(f"{family} critical time needs x_1 {'>' if spec.x_sign > 0 else '<'} 0")
+    return spec.critical(x1, R, curve.alpha, epsilon, window_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """CLI contract: exit codes, report envelopes, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,34 @@ def test_exponent_rejects_zero_steps():
     assert proc.stderr.startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["table", "region"])
+def test_exponent_rejects_an_empty_delta_range(mode):
+    for lo, hi in (("0.3", "0.1"), ("0.2", "0.2")):
+        proc = run_cli(
+            "exponent", mode, "--alpha", "1/2", "--delta-min", lo, "--delta-max", hi, "--steps", "4",
+        )
+        assert proc.returncode == 1, proc.stdout
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert proc.stdout == ""
+
+
+def test_readme_cli_commands_parse():
+    from curverate.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("curverate ")
+    ]
+    assert len(commands) == 10
+    parser = build_parser()
+    for words in commands:
+        args = parser.parse_args(words[1:])
+        assert callable(args.func), words
+
+
 def test_curve_verify_json():
     proc = run_cli("curve", "verify", "--kind", "minus", "--alpha", "0.5", "--d", "1",
                    "--samples", "1600")
@@ -74,6 +104,25 @@ def test_data_info():
     report = load_report(proc.stdout)
     assert report["result"]["support_box"] == [[8.0, 9.0]]
     assert report["result"]["sobolev_norms"]["0.0"] == pytest.approx(1.0, rel=1e-9)
+    tensor = [-(16.0 ** 1.1) - 8.0, -(16.0 ** 1.1) + 8.0]
+    for family, d, box in [
+        ("bump-dilated", 1, [[-8.0, 8.0]]),
+        ("bump-modulated", 1, [[-264.0, -248.0]]),
+        ("bump-tensor", 1, [tensor]),
+        ("bump-tensor", 2, [tensor, [-0.5, 0.5]]),
+        ("indicator-band", 1, [[16.0, 17.0]]),
+        ("bourgain", 1, [[12.0, 20.0]]),
+        ("bourgain", 2, [[12.0, 20.0], [11.699208415745595, 13.699208415745595]]),
+        ("gaussian-like", 1, [[-8.0, 8.0]]),
+    ]:
+        proc = run_cli(
+            "data", "info", "--family", family, "--R", "16", "--epsilon", "0.1", "--d", str(d)
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = load_report(proc.stdout)["result"]["support_box"]
+        assert len(got) == len(box), family
+        for iv, want in zip(got, box):
+            assert iv == pytest.approx(want, rel=1e-12), (family, d)
 
 
 def test_eval_success_and_accuracy_exit_codes():

@@ -62,8 +62,24 @@ def test_plan_validation():
         ExperimentPlan(family="bump-dilated", alpha=0.7, delta=0.1, s=0.0)
     with pytest.raises(DomainValidationError):
         ExperimentPlan(family="bump-modulated", alpha=0.5, delta=0.0, s=0.0, R_sequence=(8.0, 4.0, 16.0, 32.0))
-    with pytest.raises(DomainValidationError):
+    with pytest.raises(DomainValidationError, match="'nope' is not a counterexample family"):
         ExperimentPlan(family="nope", alpha=0.5, delta=0.0, s=0.0)
+
+
+@pytest.mark.parametrize(
+    "family,bad_alpha,rule",
+    [
+        ("bump-dilated", 0.5, "alpha < 1/2"),
+        ("bump-modulated", 0.2, "alpha >= 1/4"),
+        ("bump-tensor", 0.4, "alpha >= 1/2"),
+        ("indicator-band", 0.6, "alpha <= 1/2"),
+        ("bourgain", 0.4, "alpha >= 1/2"),
+    ],
+)
+def test_plan_rejects_alpha_outside_the_family_rule(family, bad_alpha, rule):
+    with pytest.raises(DomainValidationError) as err:
+        ExperimentPlan(family=family, alpha=bad_alpha, delta=0.0, s=0.0)
+    assert str(err.value) == f"{family} runs need {rule}"
 
 
 SMALL_PLAN = ExperimentPlan(

@@ -170,7 +170,11 @@ def test_every_law_is_a_convex_tiling_of_its_delta_range(alpha, m, d, lipschitz)
 
 def test_delta_grid_names_the_bound_out_of_range():
     r = Regime(d=1, alpha=0.5, m=2)
-    for lo, hi, bad in [(-0.1, 0.2, -0.1), (0.1, 0.7, 0.7), (0.6, None, 0.6), (0.3, 0.2, 0.2)]:
+    cases = [
+        (-0.1, 0.2, -0.1), (0.1, 0.7, 0.7), (0.6, None, 0.6), (0.3, 0.2, 0.2),
+        (0.5, None, 0.5), (0.2, 0.2, 0.2),  # empty ranges: delta_max is excluded
+    ]
+    for lo, hi, bad in cases:
         with pytest.raises(DeltaRangeError) as err:
             delta_grid(r, 4, delta_min=lo, delta_max=hi)
         assert err.value.delta == bad

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT
 from curverate.errors import DomainValidationError, ResolutionError, WindowError
@@ -300,3 +301,76 @@ def test_admissible_windows():
     assert lo == pytest.approx(1.6 * 64.0 ** -0.4) and hi == pytest.approx(3.2 * 64.0 ** -0.4)
     assert admissible_window(INDICATOR_BAND, 64.0, 0.25, 0.0, 0.01) == (-0.01, 0.01)
     assert admissible_window(BOURGAIN, 64.0, 0.5, 0.0, 0.9) == (-0.9, -0.45)
+
+
+# (family, alpha, curve, calibrated c at R 64..1024, window at R = 64 and eps = 0.1,
+#  critical time at the window's midpoint, predicted slope at d = 1 and d = 2
+#  for delta 0.1, s 0.2, eps 0.1)
+FAMILY_TABLE = [
+    (BUMP_DILATED, 0.2, MINUS_SHIFT, 3.2, (0.3031433133020796, 0.6062866266041592),
+     0.019440000000000002, 0.3, 0.3),
+    (BUMP_MODULATED, 0.5, MINUS_SHIFT, 0.9, (0.45, 0.9), 8.129681704624686e-05, 0.3, 0.3),
+    (BUMP_TENSOR, 0.5, MINUS_SHIFT, 0.04, (0.0004736614270344994, 0.0009473228540689988),
+     7.324218749999997e-06, 0.03, 0.03),
+    (INDICATOR_BAND, 0.25, PLUS_SHIFT, 0.01, (-0.01, 0.01), 5.960464477539063e-10, 0.2, 0.2),
+    (BOURGAIN, 0.5, MINUS_SHIFT, 0.9, (-0.9, -0.45), 0.005872106822258313, 0.15, 7.0 / 30.0),
+]
+
+
+@pytest.mark.parametrize("family,alpha,kind,c,window,t_mid,slope1,slope2", FAMILY_TABLE)
+def test_family_table_values(family, alpha, kind, c, window, t_mid, slope1, slope2):
+    from curverate.experiments import predicted_slope
+
+    assert calibrate_window_constant(family, alpha, R_min=64.0, R_max=1024.0) == c
+    lo, hi = admissible_window(family, 64.0, alpha, 0.1, c)
+    assert (lo, hi) == pytest.approx(window, rel=1e-14)
+    curve = CurveSpec(kind, alpha=alpha)
+    t = critical_time(family, curve, 64.0, 0.1, 0.5 * (lo + hi), window_constant=c)
+    assert t == pytest.approx(t_mid, rel=1e-12)
+    assert predicted_slope(family, 1, alpha, 0.1, 0.2, 0.1) == pytest.approx(slope1, rel=1e-12)
+    assert predicted_slope(family, 2, alpha, 0.1, 0.2, 0.1) == pytest.approx(slope2, rel=1e-12)
+
+
+# alpha ranges on which each family's window calibrates at R_min = 64, R_max = 1024
+_ALPHA_RANGES = {
+    BUMP_DILATED: (0.05, 0.35),
+    BUMP_MODULATED: (0.25, 1.0),
+    BUMP_TENSOR: (0.5, 1.0),
+    INDICATOR_BAND: (0.21, 0.5),
+    BOURGAIN: (0.5, 1.0),
+}
+
+
+def _stationarity_residual(family, t, x, R, alpha, eps, c):
+    """(residual, scale) of the family's critical-time equation."""
+
+    if family == BUMP_DILATED:
+        return t ** alpha - x, x
+    if family == BUMP_TENSOR:
+        return t * R ** (1.0 + eps) - x, x
+    if family == INDICATOR_BAND:
+        return t - c * R ** (-1.0 / alpha), t
+    if family == BUMP_MODULATED:
+        return x - t ** alpha - 2.0 * R * R * t, x
+    return x - t ** alpha + 2.0 * R * t, abs(x)
+
+
+@pytest.mark.parametrize("family", sorted(_ALPHA_RANGES))
+@settings(max_examples=40, deadline=None)
+@given(
+    R=st.floats(64.0, 1024.0),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+    eps=st.floats(0.0, 0.25),
+)
+def test_critical_time_solves_the_stationarity_equation(family, R, u, v, eps):
+    a_lo, a_hi = _ALPHA_RANGES[family]
+    alpha = a_lo + u * (a_hi - a_lo)
+    c = calibrate_window_constant(family, alpha, R_min=64.0, R_max=1024.0)
+    lo, hi = admissible_window(family, R, alpha, eps, c)
+    x = lo + v * (hi - lo)
+    kind = PLUS_SHIFT if family == INDICATOR_BAND else MINUS_SHIFT
+    t = critical_time(family, CurveSpec(kind, alpha=alpha), R, eps, x, window_constant=c)
+    assert 0.0 < t <= 1.0
+    residual, scale = _stationarity_residual(family, t, x, R, alpha, eps, c)
+    assert abs(residual) <= 1e-10 * scale
