@@ -150,6 +150,8 @@ def cmd_curve(args) -> int:
 
 def cmd_data(args) -> int:
     if args.family == GAUSSIAN_LIKE:
+        if args.d != 1:
+            raise DomainValidationError(f"{GAUSSIAN_LIKE} data are one-dimensional, not d={args.d}")
         profile = gaussian_like()
     else:
         profile = family_spec(args.family).profile(args.R, args.epsilon, args.d)

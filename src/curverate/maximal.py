@@ -140,6 +140,17 @@ class Family:
     octaves: Optional[Callable]     # (R, alpha, epsilon, c) -> default (j_min, j_max)
 
 
+def _one_dimensional(family: str, make: Callable) -> Callable:
+    """profile(R, epsilon, d) for data that take no dimension: d must be 1."""
+
+    def profile(R, eps, d):
+        if d != 1:
+            raise DomainValidationError(f"{family} data are one-dimensional, not d={d}")
+        return make(R)
+
+    return profile
+
+
 # The calibration predicates restate at desk scale the pointwise
 # inequalities the lower-bound arguments need:
 #   bump-modulated: the window clears the bump transform's decay threshold
@@ -164,7 +175,7 @@ class Family:
 FAMILIES: Dict[str, Family] = {
     BUMP_DILATED: Family(
         curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha < 1/2", alpha_ok=lambda a: a < 0.5,
-        profile=lambda R, eps, d: bump_dilated(R),
+        profile=_one_dimensional(BUMP_DILATED, bump_dilated),
         window=lambda R, a, eps, c: (0.5 * c * R ** (-2.0 * a), c * R ** (-2.0 * a)),
         calibrated=lambda c, a, R_min, R_max: (
             c * R_min ** (-2.0 * a) <= 0.9
@@ -177,7 +188,7 @@ FAMILIES: Dict[str, Family] = {
     ),
     BUMP_MODULATED: Family(
         curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha >= 1/4", alpha_ok=lambda a: a >= 0.25,
-        profile=lambda R, eps, d: bump_modulated(R),
+        profile=_one_dimensional(BUMP_MODULATED, bump_modulated),
         window=lambda R, a, eps, c: (0.5 * c, c),
         calibrated=lambda c, a, R_min, R_max: c <= 0.9 and 0.5 * c * R_min >= decay_threshold(),
         critical=lambda x1, R, a, eps, c: _bisect_root(
@@ -199,7 +210,7 @@ FAMILIES: Dict[str, Family] = {
     ),
     INDICATOR_BAND: Family(
         curve=PLUS_SHIFT, x_sign=0, alpha_rule="alpha <= 1/2", alpha_ok=lambda a: a <= 0.5,
-        profile=lambda R, eps, d: indicator_band(R),
+        profile=_one_dimensional(INDICATOR_BAND, indicator_band),
         window=lambda R, a, eps, c: (-c, c),
         calibrated=lambda c, a, R_min, R_max: c ** a + c <= 0.35,
         critical=lambda x1, R, a, eps, c: (0.01 if c is None else c) * R ** (-1.0 / a),

@@ -21,6 +21,21 @@ a single complex scalar. This keeps the quadrature phases small and makes
 the node-doubling comparison immune to the rounding of astronomically
 large phases (modulated profiles reach t*C^2 ~ 1e7 radians). For
 non-integer m, segments ending at 0 are graded geometrically toward it.
+
+The window's exp(i x xi) table is factorized. On a uniform window,
+x_{aB+b} = x_{aB} + b h gives e^{i x xi} = e^{i x_{aB} xi} e^{i b h xi}:
+per node block the kernel builds a ceil(nx/B)-row anchor table and the
+step rows 0 < b < B, multiplies each step row into the weighted rows and
+runs one matmul against the anchor table per b. So (ceil(nx/B) + B - 1) N
+exponentials replace nx N, and the nx-by-N table is never formed. B is
+the power of two nearest sqrt(nx) on windows of FACTOR_MIN_POINTS points
+or more. A guard keeps B > 1 only when
+max |x_i - x_{aB} - b h| * max|xi| <= PHASE_GUARD (1e-12 radians): the
+node-doubling self-check compares two factorized passes, so it cannot see
+an error both share. Otherwise B = 1, which is the direct table (short
+windows, single injected points, non-uniform windows). Gauss-Legendre
+rules come from _segment_rule, which caches up to RULE_CACHE_SIZE rules
+of at most CACHED_RULE_NODES budgeted nodes as read-only arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,8 +55,12 @@ from .quadrature import panel_nodes
 
 TWO_PI = 2.0 * math.pi
 SELF_CHECK_TOL = 1e-9
-X_CHUNK = 96          # window points per exp(i x xi) table block
+X_CHUNK = 96          # anchor points per exp(i x xi) table block
 NODE_BLOCK = 8192     # nodes per exp(i x xi) table block
+FACTOR_MIN_POINTS = 256  # shorter windows build the direct exp(i x xi) table
+PHASE_GUARD = 1e-12   # largest phase error (radians) the factorized table may add
+RULE_CACHE_SIZE = 256  # Gauss-Legendre rules kept by _segment_rule
+CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
 _STRAIGHT = CurveSpec(STRAIGHT)
 
 
@@ -86,8 +106,8 @@ class FieldSample:
         }
 
 
-def _segment_width(factor):
-    return sum(hi - lo for lo, hi in factor.segments)
+def _segment_width(segments):
+    return sum(hi - lo for lo, hi in segments)
 
 
 def _max_abs_xi(factor):
@@ -97,7 +117,7 @@ def _max_abs_xi(factor):
 def phase_variation(gamma_j: float, t: float, m: float, factor) -> float:
     """Spec budget: (|gamma_j| + t*m*max|xi|^{m-1}) * total segment width."""
 
-    width = _segment_width(factor)
+    width = _segment_width(factor.segments)
     xi_max = _max_abs_xi(factor)
     speed = abs(gamma_j) + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)
     return speed * width
@@ -136,22 +156,63 @@ def _graded_rule(lo: float, hi: float, min_nodes: int, order: int, depth: int = 
     return np.concatenate(xs_all), np.concatenate(ws_all)
 
 
-def _segment_rule(factor, total_nodes: int, order: int, m: float):
+def _build_rule(segments, total_nodes: int, order: int, graded: bool):
     """Distribute a coordinate's node budget over its segments by width.
 
-    Segments ending at 0 are graded toward it when m is not an integer.
+    Segments ending at 0 are graded toward it when graded (m is not an
+    integer). Returns a tuple of (lo, hi, nodes, weights) with read-only
+    arrays.
     """
 
-    width = _segment_width(factor)
+    width = _segment_width(segments)
     rules = []
-    for lo, hi in factor.segments:
+    for lo, hi in segments:
         share = max(order, int(math.ceil(total_nodes * (hi - lo) / width)))
-        if m != int(m) and (lo == 0.0 or hi == 0.0):
+        if graded and (lo == 0.0 or hi == 0.0):
             xs, ws = _graded_rule(lo, hi, share, order)
         else:
             xs, ws = panel_nodes(lo, hi, share, order)
+        xs.flags.writeable = ws.flags.writeable = False
         rules.append((lo, hi, xs, ws))
-    return rules
+    return tuple(rules)
+
+
+_cached_rule = lru_cache(maxsize=RULE_CACHE_SIZE)(_build_rule)
+
+
+def _segment_rule(segments, total_nodes: int, order: int, graded: bool):
+    """_build_rule, cached for budgets of at most CACHED_RULE_NODES nodes.
+
+    The pointwise path asks for the same small rules over and over. A
+    larger rule feeds a kernel that costs far more than building it, and
+    keeping it alive would pin memory, so it is built afresh. The cache
+    holds at most RULE_CACHE_SIZE rules; one of at most CACHED_RULE_NODES
+    budgeted nodes has under 6000 nodes (96 KB) on one or two segments.
+    """
+
+    build = _cached_rule if total_nodes <= CACHED_RULE_NODES else _build_rule
+    return build(segments, total_nodes, order, graded)
+
+
+def _window_factors(xs, xi_max: float):
+    """Anchors and steps of a window's factorized exp(i x xi) table.
+
+    A uniform window has x_{aB+b} = x_{aB} + b h, so its table is the
+    anchor table e^{i x_{aB} xi} times the step rows e^{i b h xi}. B is
+    the power of two nearest sqrt(nx), and 1 (the direct table) for
+    windows under FACTOR_MIN_POINTS points or when the reconstruction
+    would move some phase by more than PHASE_GUARD radians, as on a
+    non-uniform window. Returns (xs[::B], b h for b < B).
+    """
+
+    nx = len(xs)
+    if nx >= FACTOR_MIN_POINTS:
+        B = 1 << round(math.log2(nx) / 2)
+        h = (xs[-1] - xs[0]) / (nx - 1)
+        b = np.arange(nx) % B
+        if np.max(np.abs(xs - (xs[np.arange(nx) - b] + b * h))) * xi_max <= PHASE_GUARD:
+            return xs[::B], np.arange(B) * h
+    return xs, np.zeros(1)
 
 
 def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
@@ -166,9 +227,11 @@ def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
     """
 
     out = 0j if xs is None else np.zeros((len(xs), len(shifts)), dtype=np.complex128)
+    if xs is not None:
+        anchors, steps = _window_factors(xs, _max_abs_xi(factor))
     mass = 0.0
     s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
-    for lo, hi, nodes, weights in _segment_rule(factor, n, order, m):
+    for lo, hi, nodes, weights in _segment_rule(factor.segments, n, order, m != int(m)):
         fv = np.asarray(factor.func(nodes), dtype=np.complex128)
         C = 0.5 * (lo + hi)
         u = nodes - C
@@ -178,17 +241,26 @@ def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
         else:
             scalars = np.exp(1j * shifts * C)
             phase = s_col * u + t_col * np.abs(nodes) ** m
-        rows = weights * fv * np.exp(1j * phase)
+        # rows and the window table are built in place: their temporaries
+        # would otherwise set the memory peak
+        rows = 1j * phase
+        del phase
+        np.multiply(weights * fv, np.exp(rows, out=rows), out=rows)
         if xs is None:
             out = out + scalars * rows.sum(axis=-1)
         else:
-            for i0 in range(0, len(xs), X_CHUNK):
-                block = slice(i0, i0 + X_CHUNK)
-                acc = 0.0
-                for b0 in range(0, len(nodes), NODE_BLOCK):
-                    sl = slice(b0, b0 + NODE_BLOCK)
-                    acc = acc + np.exp(1j * np.multiply.outer(xs[block], nodes[sl])) @ rows[:, sl].T
-                out[block] += scalars * acc
+            # acc[a, b] sums the window point x_{aB+b}
+            acc = np.zeros((len(anchors), len(steps), len(shifts)), dtype=np.complex128)
+            for b0 in range(0, len(nodes), NODE_BLOCK):
+                sl = slice(b0, b0 + NODE_BLOCK)
+                for a0 in range(0, len(anchors), X_CHUNK):
+                    block = slice(a0, a0 + X_CHUNK)
+                    table = 1j * np.multiply.outer(anchors[block], nodes[sl])
+                    np.exp(table, out=table)
+                    acc[block, 0] += table @ rows[:, sl].T  # b = 0: the anchors themselves
+                    for b in range(1, len(steps)):
+                        acc[block, b] += table @ (rows[:, sl] * np.exp(1j * steps[b] * nodes[sl])).T
+            out += scalars * acc.reshape(-1, len(shifts))[: len(xs)]
         mass += float(np.sum(weights * np.abs(fv)))
     return out, mass
 

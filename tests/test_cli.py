@@ -125,6 +125,16 @@ def test_data_info():
             assert iv == pytest.approx(want, rel=1e-12), (family, d)
 
 
+@pytest.mark.parametrize(
+    "family", ["bump-dilated", "bump-modulated", "indicator-band", "gaussian-like"]
+)
+def test_data_info_rejects_a_dimension_the_family_does_not_take(family):
+    proc = run_cli("data", "info", "--family", family, "--R", "16", "--d", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert family in proc.stderr and "d=2" in proc.stderr
+
+
 def test_eval_success_and_accuracy_exit_codes():
     ok = run_cli("eval", "--family", "gaussian-like", "--x", "0.3", "--t", "0.2")
     assert ok.returncode == 0

@@ -17,14 +17,21 @@ from curverate.initial_data import (
     sobolev_norm,
     zero_profile,
 )
+from curverate.maximal import window_grid
 from curverate.propagator import (
+    CACHED_RULE_NODES,
+    RULE_CACHE_SIZE,
     QuadratureSpec,
+    _cached_rule,
+    _segment_rule,
+    _window_factors,
     batch_initial,
     batch_values,
     certified_value,
     evaluate,
     evaluate_grid,
 )
+from curverate.quadrature import panel_nodes
 
 STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
@@ -295,3 +302,124 @@ def test_window_initial_is_the_shared_time_zero_column(ends, t, m):
         assert np.max(np.abs(init - batch_initial(profile, xs))) <= 1e-9 * scale
     for x, f0 in zip(xs, init):
         assert abs(certified_value(profile, STRAIGHT_1D, m, float(x), 0.0)[0] - f0) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the factorized exp(i x xi) table (windows of FACTOR_MIN_POINTS points and up)
+
+
+def steps_used(xs, xi_max):
+    """B, the number of step rows the window pass uses on xs."""
+    return len(_window_factors(np.asarray(xs, dtype=float), xi_max)[1])
+
+
+def test_factorized_window_gaussian_closed_form_on_straight_curve():
+    xs = window_grid(-2.0, 2.0, 1024)
+    assert steps_used(xs, 8.0) == 32
+    ts = [0.05, 0.2, 0.5, 1.0]
+    vals, init, _ = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    exact = gaussian_closed_form(xs[:, None], np.asarray(ts)[None, :])
+    assert np.max(np.abs(vals - exact)) < 1e-9
+    assert np.max(np.abs(init - gaussian_closed_form(xs, 0.0))) < 1e-9
+
+
+def test_factorized_window_indicator_band_fresnel_oracle():
+    R = 64.0
+    curve = CurveSpec(PLUS_SHIFT, alpha=0.5)
+    xs = window_grid(-0.05, 0.2, 256)
+    assert steps_used(xs, R + 1.0) == 16
+    vals, _, _ = batch_values(indicator_band(R), curve, 2.0, xs, BAND_TS)
+    tol = 1e-9 / TWO_PI
+    for i in range(0, len(xs), 5):
+        for j, t in enumerate(BAND_TS):
+            exact = band_fresnel_closed_form(R, xs[i] + curve.shift(t), t)
+            assert abs(vals[i, j] - exact) < tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.integers(256, 700),
+    ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+        lambda e: abs(e[0] - e[1]) > 1e-3
+    ),
+    t=st.floats(0.0, 1.0, exclude_min=True),
+    m=st.sampled_from([0.5, 1.5, 2.0]),
+    picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
+)
+def test_factorized_window_is_pointwise_at_positive_times(nx, ends, t, m, picks):
+    profile = gaussian_like()
+    xs = np.linspace(ends[0], ends[1], nx)
+    assert steps_used(xs, 8.0) > 1
+    scale = batch_initial(profile, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
+    vals, _, _ = batch_values(profile, STRAIGHT_1D, m, xs, [t])
+    for i in [0, nx - 1] + [p % nx for p in picks]:
+        point, _ = certified_value(profile, STRAIGHT_1D, m, float(xs[i]), t)
+        assert abs(vals[i, 0] - point) <= 1e-9 * scale
+
+
+def test_jittered_window_takes_the_direct_table():
+    rng = np.random.default_rng(7)
+    xs = window_grid(-1.0, 1.0, 300) + rng.uniform(-1e-7, 1e-7, 300)
+    assert steps_used(xs, 8.0) == 1
+    assert steps_used(window_grid(-1.0, 1.0, 300), 8.0) == 16
+    profile, ts = gaussian_like(), [0.0, 0.01, 0.4]
+    vals, _, _ = batch_values(profile, STRAIGHT_1D, 2.0, xs, ts)
+    for i in (0, 77, 299):
+        for j, t in enumerate(ts):
+            point, _ = certified_value(profile, STRAIGHT_1D, 2.0, float(xs[i]), t)
+            assert abs(vals[i, j] - point) < 1e-9
+
+
+def test_factorization_guard_bounds_the_phase_error():
+    xs = window_grid(-1.0, 1.0, 256)  # dyadic: x_{aB} + b h is exact
+    moved = xs.copy()
+    moved[100] += 1e-9
+    # the guard admits B > 1 while (reconstruction error) * max|xi| <= 1e-12
+    assert steps_used(xs, 1e9) == 16
+    assert steps_used(moved, 1e-4) == 16
+    assert steps_used(moved, 1e-2) == 1
+    assert steps_used(window_grid(-1.0, 1.0, 300), 1e9) == 1  # rounding, ~2e-16
+    assert steps_used(window_grid(-1.0, 1.0, 255), 8.0) == 1  # short window
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule cache
+
+
+def test_rule_cache_is_bounded():
+    assert _cached_rule.cache_info().maxsize == RULE_CACHE_SIZE
+    for k in range(RULE_CACHE_SIZE + 10):
+        _segment_rule(((0.0, 1.0 + k),), 64, 16, False)
+    assert _cached_rule.cache_info().currsize == RULE_CACHE_SIZE
+    misses = _cached_rule.cache_info().misses
+    big = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, 16, False)
+    assert big is not _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, 16, False)
+    assert _cached_rule.cache_info().misses == misses  # large rules bypass the cache
+    small = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, 16, False)
+    assert small is _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, 16, False)
+
+
+@pytest.mark.parametrize("n", [256, CACHED_RULE_NODES + 16])
+def test_rule_arrays_are_read_only(n):
+    for lo, hi, nodes, weights in _segment_rule(((-1.0, 0.0), (0.0, 2.0)), n, 16, True):
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_fractional_m_gets_the_graded_rule_and_integer_m_the_plain_one():
+    segments = ((0.0, 4.0),)
+    (_, _, graded, _), = _segment_rule(segments, 256, 16, 1.5 != int(1.5))
+    (_, _, plain, _), = _segment_rule(segments, 256, 16, 2.0 != int(2.0))
+    assert graded.min() < 4.0 * 2.0 ** -40 < plain.min()
+    assert len(graded) != len(plain)
+
+
+def test_cached_rule_is_bit_identical_to_a_fresh_build():
+    segments = ((-2.0, 0.0), (0.0, 6.0))
+    first = _segment_rule(segments, 512, 16, False)
+    assert _segment_rule(segments, 512, 16, False) is first
+    for (lo, hi, nodes, weights), share in zip(first, (128, 384)):
+        fresh_nodes, fresh_weights = panel_nodes(lo, hi, share, 16)
+        assert nodes.tobytes() == fresh_nodes.tobytes()
+        assert weights.tobytes() == fresh_weights.tobytes()
