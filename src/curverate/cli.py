@@ -37,12 +37,8 @@ from .propagator import DEFAULT_QUAD, QuadratureSpec, evaluate
 from .reports import envelope, write_csv, write_gnuplot, write_report
 
 _CURVES = {"minus": MINUS_SHIFT, "plus": PLUS_SHIFT, "straight": STRAIGHT}
-_LEMMA_REGIMES = {
-    1: lambda d, alpha: Regime(d=d, alpha=1, m=2, smoothness=LIPSCHITZ),
-    2: lambda d, alpha: Regime(d=1, alpha=alpha, m=2, smoothness=HOLDER),
-    3: lambda d, alpha: Regime(d=1, alpha=alpha, m=2, smoothness=HOLDER),
-    4: lambda d, alpha: Regime(d=1, alpha=alpha, m=2, smoothness=HOLDER),
-}
+#: lemma-check --lemma n checks the m = 2 bound of regime _LEMMA_REGIMES[n - 1]
+_LEMMA_REGIMES = ("lipschitz", "holder-high-alpha", "holder-low-alpha", "holder-mid-alpha")
 
 
 def _maybe_fraction(text: str):
@@ -235,9 +231,16 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    regime = _LEMMA_REGIMES[args.lemma](args.d, args.alpha)
+    want, holder = _LEMMA_REGIMES[args.lemma - 1], args.lemma > 1
+    if holder and args.d != 1:
+        raise DomainValidationError(f"lemma {args.lemma} is the d = 1 {want} bound, not d={args.d}")
+    smoothness, alpha = (HOLDER, args.alpha) if holder else (LIPSCHITZ, 1)
+    regime = Regime(d=args.d, alpha=alpha, m=2, smoothness=smoothness)
+    got = law_for(regime).regime_id
+    if got != want:
+        raise DomainValidationError(f"--alpha {args.alpha} gives {got}, not lemma {args.lemma}'s {want}")
     bound = lemma_bound(regime, args.k, args.j)
-    curve = CurveSpec(MINUS_SHIFT, alpha=regime.alpha if regime.smoothness == HOLDER else 1.0, d=1)
+    curve = CurveSpec(MINUS_SHIFT, alpha=regime.alpha if holder else 1.0, d=1)
     quad = _quad_from_args(args)
     empirical = lemma_empirical(regime, args.k, args.j, curve, quad)
     config = {"lemma": args.lemma, "k": args.k, "j": args.j, "alpha": args.alpha, "d": args.d}
@@ -389,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_maximal)
 
     p = sub.add_parser("lemma-check", help="local maximal bound vs empirical value")
-    p.add_argument("--lemma", type=int, choices=[1, 2, 3, 4], required=True)
+    p.add_argument("--lemma", type=int, choices=[1, 2, 3, 4], required=True,
+                   help="1 lipschitz, 2 holder-high-alpha (1/2 <= alpha < 1), 3 holder-low-alpha "
+                   "(alpha <= 1/4), 4 holder-mid-alpha (1/4 < alpha < 1/2); 2-4 need --d 1")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.5)

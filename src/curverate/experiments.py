@@ -33,6 +33,7 @@ from .maximal import (
 from .propagator import QuadratureSpec, pool_map
 
 SLOPE_TOLERANCE = 0.15
+LATTICE_THRESHOLD_FACTOR = 0.5  # a "large" lattice sum is at least this times sqrt(#points)
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -291,7 +292,7 @@ def sharpness_sweep(plan: ExperimentPlan, s_list: Sequence[float]):
 # lattice-family exceptional set (d = 2): direct numerical measurement
 
 
-def measure_lattice_set(R: float, threshold_factor: float = 0.5, grid_points: int = 48):
+def measure_lattice_set(R: float, grid_points: int = 48):
     """Fraction of B(0,1) in R^2 where the lattice sum is large at its
     critical time. Measured directly at fixed R; no asymptotic in R is
     asserted (reported only)."""
@@ -302,7 +303,7 @@ def measure_lattice_set(R: float, threshold_factor: float = 0.5, grid_points: in
     ells = np.array(lattice_points(R, 2), dtype=float)
     if len(ells) == 0:
         return {"R": float(R), "fraction": 0.0, "lattice_count": 0, "target": 0.0}
-    target = threshold_factor * math.sqrt(len(ells))
+    target = LATTICE_THRESHOLD_FACTOR * math.sqrt(len(ells))
     xs = np.linspace(-0.95, 0.95, grid_points)
     count = 0
     total = 0

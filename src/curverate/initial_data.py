@@ -36,6 +36,12 @@ TWO_PI = 2.0 * math.pi
 # 30-digit quadrature oracle (see tests/test_initial_data.py).
 BUMP_NORMALIZATION = 142.2503757770958681
 
+# Smallest u0 with |ghat| <= 1/4 on [u0, 600], frozen from a 24001-point
+# scan of bump_transform (see tests/test_initial_data.py).
+DECAY_THRESHOLD = 11.200000000000001
+GAUSSIAN_HALFWIDTH = 8.0  # gaussian-like truncation: f^ = 0 where |xi - center| > 8
+SOBOLEV_REL_TOL = 1e-9    # sobolev_norm's panel-doubling tolerance
+
 
 @dataclass(frozen=True)
 class BumpFunction:
@@ -123,18 +129,13 @@ def window_physical(u):
     return out if out.shape != (1,) else float(out[0])
 
 
-@lru_cache(maxsize=1)
 def decay_threshold() -> float:
-    """Smallest u0 with |ghat| <= 1/4 on [u0, 600] (calibrated once).
+    """DECAY_THRESHOLD, the smallest u0 with |ghat| <= 1/4 on [u0, 600].
 
     Beyond this threshold the bump families obey |f_R(x)| <= 1/(8*pi)
     whenever |x * R| >= u0.
     """
-    us = np.linspace(0.0, 600.0, 24001)
-    vals = np.abs(np.atleast_1d(bump_transform(us)))
-    running = np.maximum.accumulate(vals[::-1])[::-1]
-    idx = int(np.argmax(running <= 0.25))
-    return float(us[idx])
+    return DECAY_THRESHOLD
 
 
 BUMP_DILATED = "bump-dilated"
@@ -168,7 +169,6 @@ class FrequencyProfile:
     epsilon: float = 0.0
     scale_index: int = 0          # annulus-bump / localized dyadic index
     center: float = 0.0           # gaussian-like center
-    halfwidth: float = 8.0        # gaussian-like truncation
     amplitude: float = 1.0        # gaussian-like amplitude (0 gives the zero datum)
     base: Optional["FrequencyProfile"] = None
 
@@ -219,9 +219,8 @@ def annulus_bump(k: int) -> FrequencyProfile:
     return FrequencyProfile(ANNULUS_BUMP, scale_index=int(k))
 
 
-def gaussian_like(center: float = 0.0, halfwidth: float = 8.0, amplitude: float = 1.0) -> FrequencyProfile:
-    return FrequencyProfile(GAUSSIAN_LIKE, center=float(center), halfwidth=float(halfwidth),
-                            amplitude=float(amplitude))
+def gaussian_like(center: float = 0.0, amplitude: float = 1.0) -> FrequencyProfile:
+    return FrequencyProfile(GAUSSIAN_LIKE, center=float(center), amplitude=float(amplitude))
 
 
 def zero_profile() -> FrequencyProfile:
@@ -332,7 +331,7 @@ def coordinate_factors(profile: FrequencyProfile):
         return (CoordinateFactor(((2.0 ** (k - 1), 2.0 ** (k + 1)),), func),)
 
     if kind == GAUSSIAN_LIKE:
-        c, h, a = profile.center, profile.halfwidth, profile.amplitude
+        c, h, a = profile.center, GAUSSIAN_HALFWIDTH, profile.amplitude
         func = lambda eta: np.where(
             np.abs(np.asarray(eta) - c) <= h,
             a * np.exp(-((np.asarray(eta) - c) ** 2)),
@@ -385,7 +384,7 @@ def fourier_eval(profile: FrequencyProfile, eta):
     return complex(out)
 
 
-def physical_eval(profile: FrequencyProfile, x, quad=None):
+def physical_eval(profile: FrequencyProfile, x):
     """f(x) = (2*pi)^{-d} * integral of e^{i x.xi} f^(xi) dxi.
 
     Fourier-side kinds integrate over the support box; the bourgain kind
@@ -398,7 +397,7 @@ def physical_eval(profile: FrequencyProfile, x, quad=None):
     from .curves import CurveSpec, STRAIGHT
 
     curve = CurveSpec(STRAIGHT, alpha=1.0, d=profile.d)
-    sample = evaluate(profile, curve, 2.0, x, 0.0, quad)
+    sample = evaluate(profile, curve, 2.0, x, 0.0)
     return sample.value
 
 
@@ -424,7 +423,7 @@ def bourgain_physical(profile: FrequencyProfile, x):
     )
 
 
-def sobolev_norm(profile: FrequencyProfile, s: float, rel_tol: float = 1e-9) -> float:
+def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
     """H^s norm on the Fourier side: sqrt( integral (1+|xi|^2)^s |f^|^2 ).
 
     The (2*pi)^{-d} Plancherel prefactor is dropped by convention;
@@ -465,7 +464,7 @@ def sobolev_norm(profile: FrequencyProfile, s: float, rel_tol: float = 1e-9) -> 
     coarse = integral(64)
     fine = integral(128)
     scale = max(abs(coarse), abs(fine), 1e-300)
-    if abs(fine - coarse) > rel_tol * scale:
+    if abs(fine - coarse) > SOBOLEV_REL_TOL * scale:
         raise AccuracyError(
             "sobolev_norm quadrature did not converge under panel doubling",
             coarse=math.sqrt(max(coarse, 0.0)),

@@ -5,9 +5,10 @@ The central quantity is the grid statistic
     sup over a time grid of |U f(x, t) - f(x)| / t^delta,
 
 a certified lower bound for the true supremum (a grid max never exceeds
-the sup). Critical-time injection puts each counterexample family's
-stationary time into the grid, which is exactly the evaluation the
-lower-bound arguments use.
+the sup). The grid is a TimeGrid of dyadic octaves, and a time is
+injected in one way only: maximal_field's critical_times, one time in
+(0, 1] per point, the counterexample family's stationary time at that
+point. That is exactly the evaluation the lower-bound arguments use.
 
 Each counterexample family is described once, as a `Family` record in
 `FAMILIES`: its curve, datum, spatial window, window-constant predicate,
@@ -49,23 +50,23 @@ from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_va
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ITERATIONS = 24
+BISECTION_ITERATIONS = 100  # critical-time root halvings, far past double precision
+LEMMA_POINTS_PER_OCTAVE = 5  # lemma_profile master-grid density
+LEMMA_PAD_OCTAVES = 5.0      # lemma_profile grid extension past the largest j
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Dyadic-octave time grid t = 2^{-j}, optionally with injected times.
+    """Dyadic-octave time grid t = 2^{-j}, j in [j_min, j_max].
 
-    j_min/j_max bound the octave range (j_min = None gives an
-    injected-times-only grid). Injected times outside (0, 1] raise unless
-    allow_outside is set, in which case they are dropped.
+    j_min = j_max = None is the empty grid, for maximal_field calls that
+    evaluate only at their critical times.
     """
 
     j_min: Optional[float] = None
     j_max: Optional[float] = None
     points_per_octave: int = 8
-    injected: tuple = ()
     local_refinement: bool = True
-    allow_outside: bool = False
 
     def __post_init__(self):
         if (self.j_min is None) != (self.j_max is None):
@@ -75,23 +76,13 @@ class TimeGrid:
                 raise DomainValidationError("need 0 <= j_min <= j_max")
             if self.points_per_octave < 1:
                 raise DomainValidationError("points_per_octave must be >= 1")
-        for t in self.injected:
-            if not 0.0 < t <= 1.0 and not self.allow_outside:
-                raise DomainValidationError(
-                    f"injected time {t} outside (0, 1]; set allow_outside to drop it"
-                )
 
     def times(self) -> np.ndarray:
-        """All grid times, increasing, injected merged in."""
-        ts = []
-        if self.j_min is not None:
-            n = max(1, int(round((self.j_max - self.j_min) * self.points_per_octave)))
-            js = np.linspace(self.j_min, self.j_max, n + 1)
-            ts.extend(2.0 ** (-js))
-        ts.extend(t for t in self.injected if 0.0 < t <= 1.0)
-        if not ts:
+        """All grid times, increasing."""
+        if self.j_min is None:
             raise DomainValidationError("empty time grid")
-        return np.unique(np.asarray(ts, dtype=float))
+        n = max(1, int(round((self.j_max - self.j_min) * self.points_per_octave)))
+        return np.unique(2.0 ** (-np.linspace(self.j_min, self.j_max, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,7 @@ def calibrate_window_constant(
 # critical times
 
 
-def _bisect_root(h, lo: float, hi: float, iterations: int = 100) -> float:
+def _bisect_root(h, lo: float, hi: float) -> float:
     flo, fhi = h(lo), h(hi)
     if flo == 0.0:
         return lo
@@ -278,7 +269,7 @@ def _bisect_root(h, lo: float, hi: float, iterations: int = 100) -> float:
         raise WindowError(
             f"no sign change on ({lo}, {hi}); the point lies outside the admissible window"
         )
-    for _ in range(iterations):
+    for _ in range(BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
         fm = h(mid)
         if fm == 0.0:
@@ -374,34 +365,41 @@ def maximal_field(
     grid: TimeGrid,
     quad: Optional[QuadratureSpec] = None,
     critical_times: Optional[np.ndarray] = None,
-    ball: Optional[tuple] = None,
 ) -> MaximalField:
     """Rate-weighted sup over a set of points.
 
     One-dimensional shift curves evaluate the whole window at once
     (batch_values); other curves and d > 1 go point by point, certifying
     f(x) once per point. xs holds scalars for d = 1 and points of R^d
-    otherwise. critical_times, when given, injects one extra per-x time
-    into each point's grid (the counterexample families' stationary
-    times; window evaluation only); the grid may then be empty.
+    otherwise. critical_times, when given, injects one extra time in
+    (0, 1] per point (the counterexample families' stationary times;
+    window evaluation only); the grid may then be empty. The field's ball
+    is the interval the midpoint grid xs covers (first coordinate for
+    d > 1).
     """
 
     quad = quad or DEFAULT_QUAD
     if not 0.0 <= delta < 1.0:
         raise DomainValidationError("delta must lie in [0, 1)")
     xs = np.asarray(xs, dtype=float)
-    if ball is None:
-        # midpoint grids: the covered interval extends half a cell past the
-        # extreme points on each side (first coordinate for d > 1)
-        lead = xs.reshape(len(xs), -1)[:, 0]
-        h = float(lead[1] - lead[0]) if len(lead) > 1 else 0.0
-        ball = (float(0.5 * (lead.min() + lead.max())), float(0.5 * (lead.max() - lead.min() + h)))
+    if critical_times is not None:
+        critical_times = np.asarray(critical_times, dtype=float)
+        if critical_times.shape != xs.shape:
+            raise DomainValidationError("critical_times must match the x grid")
+        outside = critical_times[~((critical_times > 0.0) & (critical_times <= 1.0))]
+        if len(outside):
+            raise DomainValidationError(f"critical time {outside[0]} outside (0, 1]")
+    # midpoint grids: the covered interval extends half a cell past the
+    # extreme points on each side
+    lead = xs.reshape(len(xs), -1)[:, 0]
+    h = float(lead[1] - lead[0]) if len(lead) > 1 else 0.0
+    ball = (float(0.5 * (lead.min() + lead.max())), float(0.5 * (lead.max() - lead.min() + h)))
 
     sup = np.zeros(len(xs))
     arg = np.zeros(len(xs))
     node_max = 0
 
-    on_grid = grid.j_min is not None or len(grid.injected) > 0 or critical_times is None
+    on_grid = grid.j_min is not None or critical_times is None
     if on_grid:
         ts = grid.times()
         if profile.d == 1 and curve.is_shift:
@@ -418,9 +416,6 @@ def maximal_field(
         arg = ts[idx]
 
     if critical_times is not None:
-        critical_times = np.asarray(critical_times, dtype=float)
-        if critical_times.shape != xs.shape:
-            raise DomainValidationError("critical_times must match the x grid")
         for tc in np.unique(critical_times):
             mask = critical_times == tc
             vals, init, counts = batch_values(profile, curve, m, xs[mask], [float(tc)], quad)
@@ -527,8 +522,6 @@ def lemma_profile(
     js: Sequence[float],
     curve: CurveSpec,
     quad: Optional[QuadratureSpec] = None,
-    points_per_octave: int = 5,
-    pad_octaves: float = 5.0,
 ) -> Dict[float, float]:
     """Empirical ||sup_{t in (0, 2^{-j})} |U f_k| ||_{L^2([-1,1])} for several j.
 
@@ -544,8 +537,8 @@ def lemma_profile(
         lemma_bound(regime, k, j)  # validates the (k, j) range
     profile = annulus_bump(k)
     targets = sorted(set(float(j) for j in js))
-    j_lo, j_hi = targets[0], targets[-1] + pad_octaves
-    n = int(round((j_hi - j_lo) * points_per_octave))
+    j_lo, j_hi = targets[0], targets[-1] + LEMMA_PAD_OCTAVES
+    n = int(round((j_hi - j_lo) * LEMMA_POINTS_PER_OCTAVE))
     master = np.unique(np.concatenate([np.linspace(j_lo, j_hi, n + 1), np.asarray(targets)]))
     ts = 2.0 ** (-master)  # decreasing in j, i.e. ts[0] is the largest time
 
@@ -571,11 +564,10 @@ def lemma_empirical(
     j: float,
     curve: CurveSpec,
     quad: Optional[QuadratureSpec] = None,
-    **kwargs,
 ) -> float:
     """Single-(k, j) empirical local maximal norm (see lemma_profile)."""
 
-    return lemma_profile(regime, k, [j], curve, quad, **kwargs)[float(j)]
+    return lemma_profile(regime, k, [j], curve, quad)[float(j)]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ FACTOR_MIN_POINTS = 256  # shorter windows build the direct exp(i x xi) table
 PHASE_GUARD = 1e-12   # largest phase error (radians) the factorized table may add
 RULE_CACHE_SIZE = 256  # Gauss-Legendre rules kept by _segment_rule
 CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
+GRADING_DEPTH = 40    # zero-graded rules break at 2^-k of the width, k = 40..0
 _STRAIGHT = CurveSpec(STRAIGHT)
 
 
@@ -135,7 +136,7 @@ def _bucket(n: int, order: int) -> int:
     return order * (1 << max(0, (panels - 1).bit_length()))
 
 
-def _graded_rule(lo: float, hi: float, min_nodes: int, order: int, depth: int = 40):
+def _graded_rule(lo: float, hi: float, min_nodes: int, order: int):
     """Composite rule with geometric grading into an endpoint at 0.
 
     Used for non-integer dispersion powers, where |xi|^m has unbounded
@@ -144,7 +145,7 @@ def _graded_rule(lo: float, hi: float, min_nodes: int, order: int, depth: int = 
     """
 
     width = hi - lo
-    ratios = [0.0] + [0.5 ** k for k in range(depth, -1, -1)]
+    ratios = [0.0] + [0.5 ** k for k in range(GRADING_DEPTH, -1, -1)]
     edges = [r * width for r in ratios] if lo == 0.0 else [-r * width for r in reversed(ratios)]
     offset = lo if lo == 0.0 else hi
     xs_all, ws_all = [], []

@@ -165,6 +165,47 @@ def test_lemma_check_runs():
     assert res["ratio"] == pytest.approx(res["empirical"] / res["bound"])
 
 
+@pytest.mark.parametrize("lemma,alpha,k,j,regime", [
+    ("1", "0.5", "3", "4", "lipschitz"),
+    ("2", "0.5", "3", "4", "holder-high-alpha"),
+    ("3", "0.25", "3", "7", "holder-low-alpha"),
+    ("4", "0.3", "3", "5", "holder-mid-alpha"),
+])
+def test_lemma_check_runs_the_bound_of_its_lemma(lemma, alpha, k, j, regime):
+    from curverate.exponents import HOLDER, LIPSCHITZ, Regime
+    from curverate.maximal import lemma_bound
+
+    proc = run_cli("lemma-check", "--lemma", lemma, "--k", k, "--j", j, "--alpha", alpha)
+    assert proc.returncode == 0, proc.stderr
+    smoothness = LIPSCHITZ if regime == "lipschitz" else HOLDER
+    want = Regime(d=1, alpha=1 if lemma == "1" else float(alpha), m=2, smoothness=smoothness)
+    assert load_report(proc.stdout)["result"]["bound"] == lemma_bound(want, int(k), float(j))
+
+
+@pytest.mark.parametrize("lemma,alpha,j,got", [
+    ("3", "0.5", "5", "holder-high-alpha"),
+    ("4", "0.5", "4", "holder-high-alpha"),
+    ("2", "0.25", "7", "holder-low-alpha"),
+    ("2", "0.3", "4", "holder-mid-alpha"),
+    ("4", "0.25", "7", "holder-low-alpha"),
+])
+def test_lemma_check_rejects_an_alpha_of_another_regime(lemma, alpha, j, got):
+    want = ("holder-high-alpha", "holder-low-alpha", "holder-mid-alpha")[int(lemma) - 2]
+    proc = run_cli("lemma-check", "--lemma", lemma, "--k", "3", "--j", j, "--alpha", alpha)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert want in proc.stderr and got in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("lemma,alpha", [("2", "0.5"), ("3", "0.25"), ("4", "0.3")])
+def test_lemma_check_rejects_d_above_one_for_the_holder_lemmas(lemma, alpha):
+    proc = run_cli("lemma-check", "--lemma", lemma, "--k", "3", "--j", "6", "--alpha", alpha,
+                   "--d", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "d=2" in proc.stderr, proc.stderr
+
+
 def test_scaling_small_plan_with_files(tmp_path):
     plan = {
         "family": "indicator-band",

@@ -10,6 +10,7 @@ from curverate.errors import DomainValidationError
 from curverate.initial_data import (
     BUMP,
     BUMP_NORMALIZATION,
+    DECAY_THRESHOLD,
     FrequencyProfile,
     annulus_bump,
     bourgain_profile,
@@ -155,8 +156,12 @@ def test_annulus_bump_unit_mass():
 
 
 def test_decay_threshold_invariant():
+    # the frozen constant is the 24001-point scan's value, bit for bit
+    us = np.linspace(0.0, 600.0, 24001)
+    running = np.maximum.accumulate(np.abs(bump_transform(us))[::-1])[::-1]
+    assert float(us[int(np.argmax(running <= 0.25))]) == DECAY_THRESHOLD
     X0 = decay_threshold()
-    assert 5.0 < X0 < 30.0
+    assert X0 == DECAY_THRESHOLD
     for profile, R in ((bump_dilated(64.0), 64.0), (bump_modulated(64.0), 64.0),
                        (bump_tensor(64.0, 0.1), 64.0)):
         for u in (X0, 2.0 * X0, 5.7 * X0):

@@ -51,10 +51,6 @@ def test_time_grid_basics():
     with pytest.raises(DomainValidationError):
         TimeGrid(None, 4)
     with pytest.raises(DomainValidationError):
-        TimeGrid(injected=(2.0,))
-    dropped = TimeGrid(injected=(2.0, 0.5), allow_outside=True)
-    assert list(dropped.times()) == [0.5]
-    with pytest.raises(DomainValidationError):
         TimeGrid().times()  # totally empty
 
 
@@ -137,10 +133,19 @@ def test_rate_weighted_sup_monotone_in_grid_and_delta():
 def test_rate_weighted_sup_indicator_lower_bound():
     R, c = 256.0, 0.01
     t0 = critical_time(INDICATOR_BAND, PLUS_HALF, R, 0.0, 0.005, window_constant=c)
-    grid = TimeGrid(injected=(t0,), local_refinement=False)
-    sup, arg = rate_weighted_sup(indicator_band(R), PLUS_HALF, 2.0, 0.0, 0.005, grid)
-    assert sup >= c ** 0.5 / (8.0 * math.pi)
-    assert arg == pytest.approx(t0)
+    fld = maximal_field(indicator_band(R), PLUS_HALF, 2.0, 0.0, [0.005], TimeGrid(), critical_times=[t0])
+    assert fld.sup_values[0] >= c ** 0.5 / (8.0 * math.pi)
+    assert fld.argmax_times[0] == pytest.approx(t0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, 1.5, math.nan])
+@pytest.mark.parametrize("octaves", [(None, None), (4, 8)])
+def test_maximal_field_rejects_critical_times_outside_the_unit_interval(bad, octaves):
+    xs = window_grid(-0.01, 0.01, 3)
+    t0 = critical_time(INDICATOR_BAND, PLUS_HALF, 16.0, 0.0, 0.0, window_constant=0.01)
+    with pytest.raises(DomainValidationError, match=r"outside \(0, 1\]"):
+        maximal_field(indicator_band(16.0), PLUS_HALF, 2.0, 0.1, xs, TimeGrid(*octaves),
+                      critical_times=[t0, bad, t0])
 
 
 def test_l2_over_ball_examples():
@@ -205,9 +210,9 @@ def test_lemma_empirical_nested_monotone():
     regime = Regime(d=1, alpha=0.5, m=2)
     curve = MINUS_HALF
     js = [5, 7, 10]
-    prof = lemma_profile(regime, 5, js, curve, points_per_octave=4, pad_octaves=4)
+    prof = lemma_profile(regime, 5, js, curve)
     assert prof[5] >= prof[7] >= prof[10] > 0.0
-    single = lemma_empirical(regime, 5, 7, curve, points_per_octave=4, pad_octaves=4)
+    single = lemma_empirical(regime, 5, 7, curve)
     assert single > 0.0
 
 

@@ -1,6 +1,7 @@
 """Propagator: closed-form oracles, symmetry identities, accuracy contract."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from curverate.initial_data import (
     bourgain_physical,
     bourgain_profile,
     bump_dilated,
+    coordinate_factors,
     gaussian_like,
     indicator_band,
     sobolev_norm,
@@ -22,7 +24,10 @@ from curverate.propagator import (
     CACHED_RULE_NODES,
     RULE_CACHE_SIZE,
     QuadratureSpec,
+    _bucket,
     _cached_rule,
+    _node_budget,
+    _quadrature,
     _segment_rule,
     _window_factors,
     batch_initial,
@@ -30,6 +35,7 @@ from curverate.propagator import (
     certified_value,
     evaluate,
     evaluate_grid,
+    phase_variation,
 )
 from curverate.quadrature import panel_nodes
 
@@ -423,3 +429,100 @@ def test_cached_rule_is_bit_identical_to_a_fresh_build():
         fresh_nodes, fresh_weights = panel_nodes(lo, hi, share, 16)
         assert nodes.tobytes() == fresh_nodes.tobytes()
         assert weights.tobytes() == fresh_weights.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the self-check-off path: one pass at the budgeted nodes
+
+
+# a budget too small to converge, so one pass and its doubled pass differ
+ONE_PASS = QuadratureSpec(base_nodes=64, nodes_per_radian=0.25, self_check=False)
+WIDE_XS = np.array([-0.5, 0.01, 0.5])
+
+
+def test_self_check_off_pointwise_value_is_one_pass():
+    profile, x, t = indicator_band(256.0), 0.01, 1.0
+    (factor,) = coordinate_factors(profile)
+    n = _node_budget(phase_variation(x, t, 2.0, factor), ONE_PASS)
+    value, used = certified_value(profile, STRAIGHT_1D, 2.0, x, t, ONE_PASS)
+    assert used == n
+    with pytest.raises(AccuracyError):  # the doubled pass disagrees with this one
+        certified_value(profile, STRAIGHT_1D, 2.0, x, t, replace(ONE_PASS, self_check=True))
+    one_pass, two_pass = (
+        _quadrature(factor, k, ONE_PASS.panel_order, 2.0, x, t)[0] * TWO_PI ** -1 for k in (n, 2 * n)
+    )
+    assert value == one_pass != two_pass
+
+
+def test_self_check_off_window_values_are_one_pass():
+    profile, t = indicator_band(256.0), 1.0
+    (factor,) = coordinate_factors(profile)
+    n = _bucket(_node_budget(phase_variation(0.5, t, 2.0, factor), ONE_PASS), 16)
+    vals, _, counts = batch_values(profile, STRAIGHT_1D, 2.0, WIDE_XS, [t], ONE_PASS)
+    assert list(counts) == [n]
+    one_pass, two_pass = (
+        _quadrature(factor, k, 16, 2.0, np.zeros(1), np.array([t]), WIDE_XS)[0][:, 0] / TWO_PI
+        for k in (n, 2 * n)
+    )
+    assert np.max(np.abs(vals[:, 0] - one_pass)) <= 1e-14 / TWO_PI  # the band's L^1 mass scale
+    assert np.max(np.abs(vals[:, 0] - two_pass)) > 1e-9 / TWO_PI  # a self-check would fail
+
+
+@pytest.mark.parametrize("kernel", ["pointwise", "window"])
+def test_over_cap_without_self_check_has_no_estimates(kernel):
+    tight = QuadratureSpec(base_nodes=64, max_nodes=128, self_check=False)
+    with pytest.raises(AccuracyError) as err:
+        if kernel == "pointwise":
+            certified_value(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+        else:
+            batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0], tight)
+    assert err.value.coarse is None and err.value.fine is None
+    assert "exceeds cap 128" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# covariance and symmetry identities
+
+
+SHIFT_CURVES = [STRAIGHT_1D, CurveSpec(MINUS_SHIFT, alpha=0.5), CurveSpec(PLUS_SHIFT, alpha=0.75)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    eta=st.floats(-4.0, 4.0),
+    x=st.floats(-2.0, 2.0),
+    t=st.floats(0.0, 1.0, exclude_min=True),
+    curve=st.sampled_from(SHIFT_CURVES),
+)
+def test_galilean_covariance_with_full_phase(eta, x, t, curve):
+    # U(f^(. - eta))(x, t) = e^{i(gamma(x, t) eta + t eta^2)} U f(x + 2 t eta, t) on
+    # shift curves, since gamma(x + 2 t eta, t) = gamma(x, t) + 2 t eta
+    base, moved = gaussian_like(), gaussian_like(center=eta)
+    scale = batch_initial(base, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
+    phase = lambda y: np.exp(1j * ((y + curve.shift(t)) * eta + t * eta * eta))
+    lhs, _ = certified_value(moved, curve, 2.0, x, t)
+    rhs, _ = certified_value(base, curve, 2.0, x + 2.0 * t * eta, t)
+    assert abs(lhs - phase(x) * rhs) <= 1e-9 * scale
+    xs = np.linspace(x - 0.5, x + 0.5, 5)
+    lhs = batch_values(moved, curve, 2.0, xs, [t])[0][:, 0]
+    rhs = batch_values(base, curve, 2.0, xs + 2.0 * t * eta, [t])[0][:, 0]
+    assert np.max(np.abs(lhs - phase(xs) * rhs)) <= 1e-9 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    profile=st.sampled_from([gaussian_like(), gaussian_like(amplitude=0.5), bump_dilated(8.0)]),
+    x=st.floats(0.0, 2.0),
+    t=st.floats(0.0, 1.0),
+    m=st.sampled_from([0.5, 1.5, 2.0]),
+    nx=st.integers(2, 300),
+)
+def test_real_even_data_give_an_even_field(profile, x, t, m, nx):
+    # f^ real and even: xi -> -xi turns U f(-x, t) into U f(x, t)
+    scale = batch_initial(profile, np.zeros(1))[0].real
+    plus, _ = certified_value(profile, STRAIGHT_1D, m, x, t)
+    minus, _ = certified_value(profile, STRAIGHT_1D, m, -x, t)
+    assert abs(plus - minus) <= 1e-9 * scale
+    vals, init, _ = batch_values(profile, STRAIGHT_1D, m, window_grid(-2.0, 2.0, nx), [t])
+    assert np.max(np.abs(vals - vals[::-1])) <= 1e-9 * scale
+    assert np.max(np.abs(init - init[::-1])) <= 1e-9 * scale
