@@ -232,8 +232,10 @@ def cmd_maximal(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     want, holder = _LEMMA_REGIMES[args.lemma - 1], args.lemma > 1
-    if holder and args.d != 1:
-        raise DomainValidationError(f"lemma {args.lemma} is the d = 1 {want} bound, not d={args.d}")
+    if args.d != 1:
+        raise DomainValidationError(
+            f"lemma {args.lemma} ({want}) is checked empirically at d = 1 only, not d={args.d}"
+        )
     smoothness, alpha = (HOLDER, args.alpha) if holder else (LIPSCHITZ, 1)
     regime = Regime(d=args.d, alpha=alpha, m=2, smoothness=smoothness)
     got = law_for(regime).regime_id
@@ -394,11 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma-check", help="local maximal bound vs empirical value")
     p.add_argument("--lemma", type=int, choices=[1, 2, 3, 4], required=True,
                    help="1 lipschitz, 2 holder-high-alpha (1/2 <= alpha < 1), 3 holder-low-alpha "
-                   "(alpha <= 1/4), 4 holder-mid-alpha (1/4 < alpha < 1/2); 2-4 need --d 1")
+                   "(alpha <= 1/4), 4 holder-mid-alpha (1/4 < alpha < 1/2)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, default=1,
+                   help="dimension; the empirical check runs at d = 1, any other value exits 1")
     _add_quad_args(p)
     p.set_defaults(func=cmd_lemma_check)
 

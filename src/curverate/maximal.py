@@ -9,6 +9,11 @@ the sup). The grid is a TimeGrid of dyadic octaves, and a time is
 injected in one way only: maximal_field's critical_times, one time in
 (0, 1] per point, the counterexample family's stationary time at that
 point. That is exactly the evaluation the lower-bound arguments use.
+With local refinement on, each point's sup is then refined by a
+golden-section search between the grid neighbours of its argmax time.
+The searches of all points run in lockstep, one paired certified_value
+call per step, so a field costs 2 + GOLDEN_ITERATIONS pointwise calls
+whatever its number of points.
 
 Each counterexample family is described once, as a `Family` record in
 `FAMILIES`: its curve, datum, spatial window, window-constant predicate,
@@ -46,7 +51,7 @@ from .initial_data import (
     decay_threshold,
     indicator_band,
 )
-from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value
+from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value, pair_node_counts
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ITERATIONS = 24
@@ -131,6 +136,17 @@ class Family:
     octaves: Optional[Callable]     # (R, alpha, epsilon, c) -> default (j_min, j_max)
 
 
+def _window_constant(family: str, c: Optional[float]) -> float:
+    """c, for critical times that scale with the window constant."""
+
+    if c is None:
+        raise DomainValidationError(
+            f"{family} critical times need the family's window constant "
+            "(calibrate_window_constant)"
+        )
+    return c
+
+
 def _one_dimensional(family: str, make: Callable) -> Callable:
     """profile(R, epsilon, d) for data that take no dimension: d must be 1."""
 
@@ -204,7 +220,7 @@ FAMILIES: Dict[str, Family] = {
         profile=_one_dimensional(INDICATOR_BAND, indicator_band),
         window=lambda R, a, eps, c: (-c, c),
         calibrated=lambda c, a, R_min, R_max: c ** a + c <= 0.35,
-        critical=lambda x1, R, a, eps, c: (0.01 if c is None else c) * R ** (-1.0 / a),
+        critical=lambda x1, R, a, eps, c: _window_constant(INDICATOR_BAND, c) * R ** (-1.0 / a),
         slope=lambda d, a, delta, s, eps: delta / a - s,
         octaves=lambda R, a, eps, c: (
             max(0.0, math.log2(R) / a - 8), math.log2(R) / a + math.log2(1.0 / c) + 4
@@ -289,7 +305,11 @@ def critical_time(
     x,
     window_constant: Optional[float] = None,
 ) -> float:
-    """Per-x time at which the family's oscillatory phase is stationary."""
+    """Per-x time at which the family's oscillatory phase is stationary.
+
+    window_constant is required for indicator-band, whose critical time
+    c R^{-1/alpha} scales with it, and unused by the other families.
+    """
 
     spec = family_spec(family)
     if curve.kind != spec.curve:
@@ -304,36 +324,51 @@ def critical_time(
 # rate-weighted suprema
 
 
-def _refine(profile, curve, m, delta, x, f0, quad, ts, pos, sup, arg):
-    """Golden-section refinement between the grid neighbours of ts[pos].
+def _refine(profile, curve, m, delta, xs, initial, quad, ts, sup, arg):
+    """Golden-section refinement between the grid neighbours of each argmax.
 
-    Maximizes |U f(x, t) - f0| / t^delta (deterministic, GOLDEN_ITERATIONS
-    steps) and returns (sup, arg) raised to the refined maximum if larger.
+    For every point x_i, maximizes |U f(x_i, t) - f(x_i)| / t^delta between
+    the grid times on either side of arg[i] (deterministic,
+    GOLDEN_ITERATIONS steps) and raises (sup[i], arg[i]) to the refined
+    maximum if larger. The points step in lockstep: the brackets a, b,
+    the probes c, d and their scores fc, fd are arrays, and each step is
+    one paired certified_value call, so a field costs 2 + GOLDEN_ITERATIONS
+    calls whatever its size. Per point, the steps are those of a serial
+    golden-section search; only the score's last bit may differ from
+    scalar arithmetic. Returns the new (sup, arg).
     """
 
-    a = float(ts[max(0, pos - 1)])
-    b = float(ts[min(len(ts) - 1, pos + 1)])
-    if b <= a:
+    pos = np.searchsorted(ts, arg)
+    a = ts[np.maximum(0, pos - 1)]
+    b = ts[np.minimum(len(ts) - 1, pos + 1)]
+    live = b > a
+    if not live.any():
         return sup, arg
+    xs, f0, a, b = xs[live], initial[live], a[live], b[live]
 
     def score(t):
-        value, _ = certified_value(profile, curve, m, x, float(t), quad)
-        return abs(value - f0) / t ** delta
+        values, _ = certified_value(profile, curve, m, xs, t, quad)
+        return np.abs(values - f0) / t ** delta
 
     c = b - (b - a) / _GOLDEN_RATIO
     d = a + (b - a) / _GOLDEN_RATIO
     fc, fd = score(c), score(d)
     for _ in range(GOLDEN_ITERATIONS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / _GOLDEN_RATIO
-            fc = score(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / _GOLDEN_RATIO
-            fd = score(d)
-    t_best, s_best = (c, fc) if fc > fd else (d, fd)
-    return (float(s_best), float(t_best)) if s_best > sup else (sup, arg)
+        # left: the maximum lies in [a, d], so d becomes c and c is probed;
+        # otherwise it lies in [c, b], c becomes d and d is probed
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        probe = np.where(left, b - (b - a) / _GOLDEN_RATIO, a + (b - a) / _GOLDEN_RATIO)
+        f_probe = score(probe)
+        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
+    t_best, s_best = np.where(fc > fd, c, d), np.where(fc > fd, fc, fd)
+    better = s_best > sup[live]
+    raised = np.flatnonzero(live)[better]
+    sup, arg = sup.copy(), arg.copy()
+    sup[raised], arg[raised] = s_best[better], t_best[better]
+    return sup, arg
 
 
 def rate_weighted_sup(
@@ -369,8 +404,9 @@ def maximal_field(
     """Rate-weighted sup over a set of points.
 
     One-dimensional shift curves evaluate the whole window at once
-    (batch_values); other curves and d > 1 go point by point, certifying
-    f(x) once per point. xs holds scalars for d = 1 and points of R^d
+    (batch_values). Other curves and d > 1 take the pointwise kernel in
+    two paired certified_value calls, one for f(x) at every point and one
+    for the whole nx-by-nt grid. xs holds scalars for d = 1 and points of R^d
     otherwise. critical_times, when given, injects one extra time in
     (0, 1] per point (the counterexample families' stationary times;
     window evaluation only); the grid may then be empty. The field's ball
@@ -406,10 +442,11 @@ def maximal_field(
             values, initial, node_counts = batch_values(profile, curve, m, xs, ts, quad)
             node_max = int(node_counts.max())
         else:
-            initial = np.array([certified_value(profile, curve, m, x, 0.0, quad)[0] for x in xs])
-            rows = [[certified_value(profile, curve, m, x, float(t), quad) for t in ts] for x in xs]
-            values = np.array([[v for v, _ in row] for row in rows])
-            node_max = max(n for row in rows for _, n in row)
+            initial, _ = certified_value(profile, curve, m, xs, np.zeros(len(xs)), quad)
+            pairs = (np.repeat(xs, len(ts), axis=0), np.tile(ts, len(xs)))
+            values, _ = certified_value(profile, curve, m, *pairs, quad)
+            values = values.reshape(len(xs), len(ts))
+            node_max = max(pair_node_counts(profile, curve, m, *pairs, quad))
         scores = np.abs(values - initial[:, None]) / ts[None, :] ** delta
         idx = np.argmax(scores, axis=1)
         sup = scores[np.arange(len(xs)), idx]
@@ -426,11 +463,7 @@ def maximal_field(
             node_max = max(node_max, int(counts.max()))
 
     if grid.local_refinement and on_grid and len(ts) >= 3:
-        for i, x in enumerate(xs):
-            pos = int(np.searchsorted(ts, arg[i]))
-            sup[i], arg[i] = _refine(
-                profile, curve, m, delta, x, complex(initial[i]), quad, ts, pos, sup[i], arg[i]
-            )
+        sup, arg = _refine(profile, curve, m, delta, xs, initial, quad, ts, sup, arg)
 
     return MaximalField(
         xs=xs,

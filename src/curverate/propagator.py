@@ -5,9 +5,13 @@ e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 
 Every path runs one kernel, _quadrature: composite Gauss-Legendre panels
 summing w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j, t_j).
-A single point (certified_value) folds x into the shift and sums one row;
-a window (batch_values) multiplies the column weights by an exp(i x xi)
-table. On a window, f(x) is the t = 0 column of the same pass and is
+Pointwise evaluation (certified_value) folds x into the shift, so its
+x = 0 row sums one column per point. A scalar call is one column; a
+paired call takes points x_i with times t_i, keeps each pair's own node
+budget, and runs the pairs whose budgets agree as columns of one kernel
+call, so a golden-section step over a whole field is one call. A window
+(batch_values) multiplies the column weights by an exp(i x xi) table.
+On a window, f(x) is the t = 0 column of the same pass and is
 certified together with the requested times (batch_initial is that pass
 with no times), so a failing f(x) reports t=0.0 in the AccuracyError
 context. The node count follows the estimated total phase variation, and
@@ -57,6 +61,7 @@ TWO_PI = 2.0 * math.pi
 SELF_CHECK_TOL = 1e-9
 X_CHUNK = 96          # anchor points per exp(i x xi) table block
 NODE_BLOCK = 8192     # nodes per exp(i x xi) table block
+PAIR_ELEMENTS = X_CHUNK * NODE_BLOCK  # columns times nodes per paired kernel call
 FACTOR_MIN_POINTS = 256  # shorter windows build the direct exp(i x xi) table
 PHASE_GUARD = 1e-12   # largest phase error (radians) the factorized table may add
 RULE_CACHE_SIZE = 256  # Gauss-Legendre rules kept by _segment_rule
@@ -266,17 +271,18 @@ def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
     return out, mass
 
 
-def _certify(run, quad: QuadratureSpec, context: str, axes=(), over_cap: str = ""):
+def _certify(run, quad: QuadratureSpec, context: str, label=None, over_cap: str = ""):
     """Node-doubling self-check shared by every evaluation path.
 
     run(doubling) returns (values, mass) on the rules with doubling times
-    the budgeted nodes. Returns the run(2) values once every entry agrees
-    with run(1) to SELF_CHECK_TOL * max(|coarse|, |fine|, mass); with
-    quad.self_check off, returns run(1) unchecked. over_cap is the message
-    for a budget past quad.max_nodes, with run clamped to the cap: the
-    pair still runs so the AccuracyError carries both estimates (of the
-    first entry). axes holds (name, labels) per axis of values, naming
-    the failing entry in the error context.
+    the budgeted nodes; mass is a scalar or has one entry per value.
+    Returns the run(2) values once every entry agrees with run(1) to
+    SELF_CHECK_TOL * max(|coarse|, |fine|, mass); with quad.self_check
+    off, returns run(1) unchecked. over_cap is the message for a budget
+    past quad.max_nodes, with run clamped to the cap: the pair still runs
+    so the AccuracyError carries both estimates (of the first entry).
+    label(k) names the k-th entry of the flattened values in the error
+    context.
     """
 
     if quad.self_check:
@@ -287,13 +293,34 @@ def _certify(run, quad: QuadratureSpec, context: str, axes=(), over_cap: str = "
             return fine
     elif not over_cap:
         return run(1)[0]
-    idx = (0,) * len(axes) if over_cap else tuple(np.argwhere(bad)[0])
-    where = "".join(f", {name}={labels[i]}" for (name, labels), i in zip(axes, idx))
+    k = 0 if over_cap else int(np.flatnonzero(bad)[0])
+    where = label(k) if label else ""
     if quad.self_check:
-        coarse, fine = complex(np.asarray(coarse)[idx]), complex(np.asarray(fine)[idx])
+        coarse, fine = complex(np.ravel(coarse)[k]), complex(np.ravel(fine)[k])
     else:
         coarse = fine = None
     raise AccuracyError(over_cap or "node-doubling self-check failed", coarse, fine, context + where)
+
+
+def _pair_budgets(factors, curve, m: float, points, ts, quad: QuadratureSpec):
+    """Budgets of the pairs (points[i], ts[i]) on the coordinate factors.
+
+    Returns gamma(x_i, t_i) as a (pairs, coordinates) array, each pair's
+    unbucketed node budget per coordinate and the node count of its
+    certified pass (twice the budget's sum with the self-check), the last
+    two as Python ints.
+    """
+
+    gam = np.array(
+        [np.atleast_1d(np.asarray(curve_gamma(curve, p, float(tp)), dtype=float))
+         for p, tp in zip(points, ts)]
+    ).reshape(len(ts), len(factors))
+    budgets = [
+        [_node_budget(phase_variation(float(g), float(tp), m, f), quad) for g, f in zip(row, factors)]
+        for row, tp in zip(gam, ts)
+    ]
+    used = [2 * sum(row) if quad.self_check else sum(row) for row in budgets]
+    return gam, budgets, used
 
 
 def certified_value(
@@ -301,45 +328,84 @@ def certified_value(
     curve: CurveSpec,
     m: float,
     x,
-    t: float,
+    t,
     quad: Optional[QuadratureSpec] = None,
 ):
     """U f(x, t) with budget/self-check, without the initial value.
 
-    Returns (value, node_count_used).
+    A scalar t asks for one point and returns (value, node_count_used).
+    A 1-d sequence t asks for the pairs (x[i], t[i]), x holding as many
+    points, and returns (values, total node count): the same values and
+    the summed counts of one scalar call per pair. Every pair keeps its
+    own budget; pairs whose budgets on a coordinate are equal run as
+    columns of one _quadrature call per coordinate, in chunks of at most
+    PAIR_ELEMENTS columns times nodes, and one _certify covers them all
+    with a per-pair mass. A failure names the first failing pair's x and
+    t in the AccuracyError context.
     """
 
     quad = quad or DEFAULT_QUAD
+    paired = np.ndim(t) > 0
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    points = x if paired else [x]
+    if paired and (np.ndim(x) == 0 or len(x) != len(ts)):
+        got = len(x) if np.ndim(x) else "a scalar"
+        raise DomainValidationError(f"paired call needs one x per t, got {got} x for {len(ts)} t")
     if m <= 0:
         raise DomainValidationError(f"dispersion power m={m} must be positive")
-    if not 0.0 <= t <= 1.0:
-        raise DomainValidationError(f"t={t} outside [0, 1]")
+    outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
+    if len(outside):
+        raise DomainValidationError(f"t={outside[0] if paired else t} outside [0, 1]")
     if curve.d != profile.d:
         raise DomainValidationError("curve and profile dimensions disagree")
     if profile.d > 1 and m != 2.0:
         raise DomainValidationError("fractional dispersion (m != 2) is one-dimensional")
 
     factors = coordinate_factors(profile)
-    gam = np.atleast_1d(np.asarray(curve_gamma(curve, x, t), dtype=float))
-    budgets = [_node_budget(phase_variation(float(g), t, m, f), quad) for g, f in zip(gam, factors)]
-    total = sum(budgets)
-    used = 2 * total if quad.self_check else total
+    gam, budgets, used = _pair_budgets(factors, curve, m, points, ts, quad)
+    over = [i for i, n in enumerate(used) if n > quad.max_nodes]
     over_cap = ""
-    if used > quad.max_nodes:
-        over_cap = f"node budget {used} exceeds cap {quad.max_nodes}"
-        budgets = [max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in budgets]
+    if over:
+        i = over[0]
+        over_cap = f"node budget {used[i]} exceeds cap {quad.max_nodes}"
+        total = sum(budgets[i])
+        budgets = [[max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in budgets[i]]]
+        points, ts, gam = [points[i]], ts[i : i + 1], gam[i : i + 1]
+    budgets = np.array(budgets, dtype=int).reshape(len(ts), len(factors))
     scale = TWO_PI ** (-profile.d)
 
     def run(doubling):
-        value, mass = 1.0 + 0.0j, 1.0
-        for g, factor, n in zip(gam, factors, budgets):
-            integral, l1 = _quadrature(factor, n * doubling, quad.panel_order, m, g, t)
-            value *= integral
-            mass *= l1
-        return value * scale, mass * scale
+        values, mass = np.ones(len(ts), dtype=np.complex128), np.ones(len(ts))
+        for j, factor in enumerate(factors):
+            for n in np.unique(budgets[:, j]):
+                cols = np.flatnonzero(budgets[:, j] == n)
+                n = int(n) * doubling
+                step = max(1, PAIR_ELEMENTS // n)
+                for c0 in range(0, len(cols), step):
+                    chunk = cols[c0 : c0 + step]
+                    integral, l1 = _quadrature(factor, n, quad.panel_order, m, gam[chunk, j], ts[chunk])
+                    values[chunk] *= integral
+                    mass[chunk] *= l1
+        return values * scale, mass * scale
 
-    value = _certify(run, quad, f"kind={profile.kind}, t={t}", over_cap=over_cap)
-    return complex(value), used
+    if not paired:
+        value = _certify(run, quad, f"kind={profile.kind}, t={t}", over_cap=over_cap)
+        return complex(value[0]), used[0]
+
+    def label(k):
+        return f", x={points[k]}, t={ts[k]}"
+
+    values = _certify(run, quad, f"kind={profile.kind}", label, over_cap)
+    return values, sum(used)
+
+
+def pair_node_counts(profile: FrequencyProfile, curve: CurveSpec, m: float, x, t, quad=None):
+    """Each pair's node count in certified_value(profile, curve, m, x, t, quad).
+
+    x and t are paired as in certified_value; nothing is evaluated.
+    """
+
+    return _pair_budgets(coordinate_factors(profile), curve, m, x, t, quad or DEFAULT_QUAD)[2]
 
 
 def evaluate(
@@ -478,7 +544,10 @@ def batch_values(
             )
         return values / TWO_PI, mass / TWO_PI
 
-    values = _certify(run, quad, f"kind={profile.kind}", (("x", xs), ("t", ts)), over_cap)
+    def label(k):
+        return f", x={xs[k // len(ts)]}, t={ts[k % len(ts)]}"
+
+    values = _certify(run, quad, f"kind={profile.kind}", label, over_cap)
     return values[:, :-1], values[:, -1], node_counts[:-1]
 
 

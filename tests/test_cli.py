@@ -203,7 +203,15 @@ def test_lemma_check_rejects_d_above_one_for_the_holder_lemmas(lemma, alpha):
                    "--d", "2")
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "d=2" in proc.stderr, proc.stderr
+    assert f"lemma {lemma} " in proc.stderr and "d=2" in proc.stderr, proc.stderr
+
+
+def test_lemma_check_rejects_d_above_one_for_the_lipschitz_lemma_before_any_work():
+    # j = 100 is outside [k, 2k], so reaching the bound would fail differently
+    proc = run_cli("lemma-check", "--lemma", "1", "--k", "3", "--j", "100", "--d", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "lemma 1 (lipschitz)" in proc.stderr and "d=2" in proc.stderr, proc.stderr
 
 
 def test_scaling_small_plan_with_files(tmp_path):

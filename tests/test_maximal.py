@@ -1,6 +1,7 @@
 """Maximal module: time grids, critical times, suprema, local bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from curverate.initial_data import (
     zero_profile,
 )
 from curverate.maximal import (
+    FAMILIES,
+    GOLDEN_ITERATIONS,
     MaximalField,
     TimeGrid,
     admissible_window,
@@ -36,6 +39,8 @@ from curverate.maximal import (
     rate_weighted_sup,
     window_grid,
 )
+from curverate.maximal import _refine
+from curverate.propagator import DEFAULT_QUAD, batch_values, certified_value
 
 MINUS_HALF = CurveSpec(MINUS_SHIFT, alpha=0.5)
 PLUS_HALF = CurveSpec(PLUS_SHIFT, alpha=0.5)
@@ -104,6 +109,15 @@ def test_critical_time_window_errors():
         critical_time(BOURGAIN, MINUS_HALF, 64.0, 0.0, 0.5)
     with pytest.raises(DomainValidationError):
         critical_time(INDICATOR_BAND, MINUS_HALF, 64.0, 0.0, 0.0)  # wrong curve kind
+
+
+def test_indicator_band_critical_time_needs_the_window_constant():
+    # the constant scales the time: 0.01 is right only at alpha = 1/4
+    with pytest.raises(DomainValidationError, match="window constant"):
+        critical_time(INDICATOR_BAND, PLUS_HALF, 64.0, 0.0, 0.0)
+    c = calibrate_window_constant(INDICATOR_BAND, 0.5)
+    t0 = critical_time(INDICATOR_BAND, PLUS_HALF, 64.0, 0.0, 0.0, window_constant=c)
+    assert t0 == pytest.approx(9.765625e-06)
 
 
 def test_rate_weighted_sup_dominates_grid_members():
@@ -269,6 +283,70 @@ def test_maximal_field_matches_rate_weighted_sup_pointwise():
     fld = maximal_field(profile, MINUS_HALF_2D, 2.0, 0.1, xs, grid)
     for x, sup, arg in zip(xs, fld.sup_values, fld.argmax_times):
         assert rate_weighted_sup(profile, MINUS_HALF_2D, 2.0, 0.1, x, grid) == (sup, arg)
+
+
+def test_pointwise_field_reports_the_largest_pair_node_count():
+    profile, xs = bump_dilated(16.0), np.array([0.05, 0.1])
+    grid = TimeGrid(4, 8, points_per_octave=2, local_refinement=False)
+    fld = maximal_field(profile, WOBBLE, 2.0, 0.1, xs, grid)
+    counts = [certified_value(profile, WOBBLE, 2.0, x, float(t))[1] for x in xs for t in grid.times()]
+    assert fld.node_count_max == max(counts)
+
+
+GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def serial_refine(profile, curve, delta, x, f0, ts, sup, arg):
+    """Reference: one point's golden-section search, one scalar call per probe."""
+
+    pos = int(np.searchsorted(ts, arg))
+    a, b = float(ts[max(0, pos - 1)]), float(ts[min(len(ts) - 1, pos + 1)])
+    if b <= a:
+        return sup, arg
+
+    def score(t):
+        value, _ = certified_value(profile, curve, 2.0, x, float(t))
+        return abs(value - f0) / t ** delta
+
+    c, d = b - (b - a) / GOLDEN_RATIO, a + (b - a) / GOLDEN_RATIO
+    fc, fd = score(c), score(d)
+    for _ in range(GOLDEN_ITERATIONS):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) / GOLDEN_RATIO
+            fc = score(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) / GOLDEN_RATIO
+            fd = score(d)
+    t_best, s_best = (c, fc) if fc > fd else (d, fd)
+    return (s_best, t_best) if s_best > sup else (sup, arg)
+
+
+@pytest.mark.parametrize("family,alpha", [(BUMP_MODULATED, 0.5), (INDICATOR_BAND, 0.25)])
+def test_lockstep_refinement_is_the_serial_golden_section_search(family, alpha):
+    R, delta = 64.0, 0.1
+    spec = FAMILIES[family]
+    curve = CurveSpec(spec.curve, alpha=alpha)
+    c = calibrate_window_constant(family, alpha)
+    profile = spec.profile(R, 0.0, 1)
+    xs = window_grid(*admissible_window(family, R, alpha, 0.0, c), 17)
+    tc = np.array([critical_time(family, curve, R, 0.0, float(x), window_constant=c) for x in xs])
+    grid = TimeGrid(*spec.octaves(R, alpha, 0.0, c), points_per_octave=4)
+    ts = grid.times()
+    _, initial, _ = batch_values(profile, curve, 2.0, xs, ts)
+    coarse = maximal_field(profile, curve, 2.0, delta, xs, replace(grid, local_refinement=False),
+                           critical_times=tc)
+    sup, arg = _refine(profile, curve, 2.0, delta, xs, initial, DEFAULT_QUAD, ts,
+                       coarse.sup_values, coarse.argmax_times)
+    assert np.any(sup > coarse.sup_values)  # the search does raise some sups
+    for i, x in enumerate(xs):
+        ref_sup, ref_arg = serial_refine(profile, curve, delta, float(x), complex(initial[i]), ts,
+                                         coarse.sup_values[i], coarse.argmax_times[i])
+        assert arg[i] == ref_arg
+        assert sup[i] == pytest.approx(ref_sup, rel=1e-12)
+    fld = maximal_field(profile, curve, 2.0, delta, xs, grid, critical_times=tc)
+    assert np.array_equal(fld.sup_values, sup) and np.array_equal(fld.argmax_times, arg)
 
 
 def test_lemma_empirical_rejects_higher_dimensions():

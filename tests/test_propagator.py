@@ -13,12 +13,15 @@ from curverate.initial_data import (
     bourgain_physical,
     bourgain_profile,
     bump_dilated,
+    bump_modulated,
+    bump_tensor,
     coordinate_factors,
     gaussian_like,
     indicator_band,
     sobolev_norm,
     zero_profile,
 )
+from curverate import propagator
 from curverate.maximal import window_grid
 from curverate.propagator import (
     CACHED_RULE_NODES,
@@ -526,3 +529,148 @@ def test_real_even_data_give_an_even_field(profile, x, t, m, nx):
     vals, init, _ = batch_values(profile, STRAIGHT_1D, m, window_grid(-2.0, 2.0, nx), [t])
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-9 * scale
     assert np.max(np.abs(init - init[::-1])) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the paired kernel: certified_value over (x_i, t_i) pairs
+
+
+def mass_scale(profile):
+    """(2 pi)^-d times the L^1 norm of f^, the scale of the self-check."""
+    scale = 1.0
+    for factor in coordinate_factors(profile):
+        scale *= _quadrature(factor, 4096, 16, 2.0, 0.0, 0.0)[1] / TWO_PI
+    return scale
+
+
+WOBBLE = CurveSpec(CUSTOM, alpha=0.5, gamma_fn=lambda x, t: x - (1 + 0.05 * x) * t ** 0.5)
+# (profile, curve, m, x points, times): repeated points and times, t = 0,
+# and budgets that coincide (shared kernel calls) as well as differ
+PAIRED_CASES = {
+    "straight": (gaussian_like(), STRAIGHT_1D, 2.0,
+                 [0.3, 0.3, -1.1, 2.0, 0.0, 0.3], [0.2, 0.2, 0.05, 1.0, 0.0, 0.9]),
+    "minus-shift": (bump_modulated(64.0), CurveSpec(MINUS_SHIFT, alpha=0.5), 2.0,
+                    [0.31, 0.35, 0.4, 0.31, 0.5], [2e-5, 3e-5, 4.5e-5, 0.0, 1e-4]),
+    "plus-shift": (indicator_band(64.0), CurveSpec(PLUS_SHIFT, alpha=0.25), 2.0,
+                   [-0.01, 0.0, 0.005, 0.01, 0.01], [6e-10, 6e-10, 1e-9, 0.0, 2e-7]),
+    "gamma_fn": (bump_dilated(16.0), WOBBLE, 2.0,
+                 [0.05, 0.05, 0.1, -0.2], [0.0, 2.0 ** -6, 2.0 ** -8, 0.01]),
+    "fractional m=1/2": (gaussian_like(), STRAIGHT_1D, 0.5,
+                         [-0.7, 0.0, 0.3, 0.3], [1e-3, 0.1, 0.6, 0.0]),
+    "fractional m=3/2": (indicator_band(8.0), CurveSpec(PLUS_SHIFT, alpha=0.4), 1.5,
+                         [0.01, 0.02, -0.01], [1e-4, 1e-4, 0.3]),
+    "d=2": (bump_tensor(16.0, 0.1, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2), 2.0,
+            [[0.01, -0.3], [0.015, 0.2], [0.02, 0.0], [0.01, -0.3], [0.005, 0.45]],
+            [2e-4, 5e-4, 8e-4, 0.0, 1e-3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
+def test_paired_call_is_one_scalar_call_per_pair(case):
+    profile, curve, m, xs, ts = PAIRED_CASES[case]
+    xs = np.asarray(xs, dtype=float)
+    values, total = certified_value(profile, curve, m, xs, ts)
+    scalar = [certified_value(profile, curve, m, x, t) for x, t in zip(xs, ts)]
+    assert values.shape == (len(ts),) and isinstance(total, int)
+    assert total == sum(n for _, n in scalar)
+    tol = 1e-15 * mass_scale(profile)
+    assert np.max(np.abs(values - np.array([v for v, _ in scalar]))) <= tol
+
+
+def test_paired_call_does_not_depend_on_chunking(monkeypatch):
+    profile, curve, m, xs, ts = PAIRED_CASES["minus-shift"]
+    whole, total = certified_value(profile, curve, m, xs, ts)
+    monkeypatch.setattr(propagator, "PAIR_ELEMENTS", 1)  # one column per kernel call
+    chunked, chunked_total = certified_value(profile, curve, m, xs, ts)
+    assert np.array_equal(whole, chunked) and total == chunked_total
+
+
+def test_empty_paired_call():
+    values, total = certified_value(gaussian_like(), STRAIGHT_1D, 2.0, np.zeros(0), np.zeros(0))
+    assert values.shape == (0,) and total == 0
+
+
+def test_paired_node_cap_names_the_first_pair_over_it():
+    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+    with pytest.raises(AccuracyError) as scalar:
+        certified_value(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+    with pytest.raises(AccuracyError) as err:  # (0, 0) fits the cap, (40, 1) and (50, 1) do not
+        certified_value(gaussian_like(), STRAIGHT_1D, 2.0, [0.0, 40.0, 50.0], [0.0, 1.0, 1.0], tight)
+    assert err.value.coarse is not None and err.value.fine is not None
+    assert (err.value.coarse, err.value.fine) == (scalar.value.coarse, scalar.value.fine)
+    assert str(err.value).split(" [")[0] == str(scalar.value).split(" [")[0]
+    assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
+
+
+def test_paired_self_check_failure_names_the_failing_pair():
+    coarse_budget = QuadratureSpec(base_nodes=64, nodes_per_radian=0.25)  # too few nodes at t = 1
+    profile = indicator_band(256.0)
+    with pytest.raises(AccuracyError) as scalar:
+        certified_value(profile, STRAIGHT_1D, 2.0, 0.01, 1.0, coarse_budget)
+    with pytest.raises(AccuracyError) as err:  # f(0.01) converges, U f(0.01, 1) does not
+        certified_value(profile, STRAIGHT_1D, 2.0, [0.01, 0.01], [0.0, 1.0], coarse_budget)
+    assert "self-check failed" in str(err.value)
+    assert (err.value.coarse, err.value.fine) == (scalar.value.coarse, scalar.value.fine)
+    assert err.value.context == "kind=indicator-band, x=0.01, t=1.0"
+    assert scalar.value.context == "kind=indicator-band, t=1.0"
+
+
+def test_paired_call_validates_its_pairs():
+    g = gaussian_like()
+    with pytest.raises(DomainValidationError, match=r"t=1\.5 outside \[0, 1\]"):
+        certified_value(g, STRAIGHT_1D, 2.0, [0.1, 0.2], [0.5, 1.5])
+    with pytest.raises(DomainValidationError, match="outside"):
+        certified_value(g, STRAIGHT_1D, 2.0, [0.1, 0.2], [-0.1, 0.5])
+    with pytest.raises(DomainValidationError, match="one x per t"):
+        certified_value(g, STRAIGHT_1D, 2.0, [0.1, 0.2, 0.3], [0.5, 0.6])
+    with pytest.raises(DomainValidationError, match="one x per t"):
+        certified_value(g, STRAIGHT_1D, 2.0, 0.1, [0.5, 0.6])
+
+
+# Linearity and translation covariance, through the paired kernel. The
+# only linear combinations of gaussian_like data that are again data are
+# those of one centre: a f + b g is the datum of amplitude a A + b B. No
+# datum is a translate f(. - y), whose transform is e^{-i y xi} f^; but
+# along a curve gamma that factor turns U(f(. - y))(x, t) into the field
+# of f along gamma - y, so for t > 0 covariance reads
+# U_{gamma - y} f(x, t) = U_gamma f(x - y, t), with gamma - y a general
+# (gamma_fn) curve and gamma a shift curve.
+
+@settings(max_examples=25, deadline=None)
+@given(
+    center=st.floats(-3.0, 3.0),
+    amplitudes=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    coefficients=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+    m=st.sampled_from([0.5, 1.5, 2.0]),
+    curve=st.sampled_from(SHIFT_CURVES),
+)
+def test_linearity_in_the_datum(center, amplitudes, coefficients, pairs, m, curve):
+    (A, B), (a, b) = amplitudes, coefficients
+    xs, ts = (np.array(v) for v in zip(*pairs))
+    scale = batch_initial(gaussian_like(center=center), np.zeros(1))[0].real  # unit amplitude
+    f, _ = certified_value(gaussian_like(center, A), curve, m, xs, ts)
+    g, _ = certified_value(gaussian_like(center, B), curve, m, xs, ts)
+    combined, _ = certified_value(gaussian_like(center, a * A + b * B), curve, m, xs, ts)
+    tol = 1e-9 * scale * (abs(a * A) + abs(b * B))
+    assert np.max(np.abs(combined - (a * f + b * g))) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    center=st.floats(-3.0, 3.0),
+    y=st.floats(-1.0, 1.0),
+    pairs=st.lists(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 1.0, exclude_min=True)), min_size=1, max_size=8
+    ),
+    m=st.sampled_from([0.5, 1.5, 2.0]),
+    curve=st.sampled_from(SHIFT_CURVES),
+)
+def test_translation_covariance(center, y, pairs, m, curve):
+    profile = gaussian_like(center=center)
+    moved = CurveSpec(CUSTOM, alpha=curve.alpha, gamma_fn=lambda x, t: x + curve.shift(t) - y if t else x)
+    xs, ts = (np.array(v) for v in zip(*pairs))
+    scale = batch_initial(profile, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
+    lhs, _ = certified_value(profile, moved, m, xs, ts)
+    rhs, _ = certified_value(profile, curve, m, xs - y, ts)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
