@@ -110,6 +110,29 @@ def gamma(spec: CurveSpec, x, t: float):
     return out
 
 
+def gamma_pairs(spec: CurveSpec, points, ts) -> np.ndarray:
+    """gamma(points[i], ts[i]) for each pair, bit for bit, as a (pairs, d) array.
+
+    A shift curve adds its displacements to the first coordinates in one
+    step; a general curve calls gamma_fn pair by pair.
+    """
+
+    ts = np.asarray(ts, dtype=float)
+    if not spec.is_shift:
+        return np.array(
+            [np.atleast_1d(np.asarray(gamma(spec, p, float(t)), dtype=float))
+             for p, t in zip(points, ts)]
+        ).reshape(len(ts), spec.d)
+    if not np.all(np.abs(ts) <= 1):
+        raise DomainValidationError(f"|t|={np.max(np.abs(ts))} exceeds the curve's time domain [-1, 1]")
+    out = np.array(points, dtype=float).reshape(len(ts), spec.d)
+    moved = ts != 0.0  # gamma(x, 0) is x itself, with no arithmetic
+    out[moved, 0] += [spec.shift(float(t)) for t in ts[moved]]
+    if not moved.all():
+        spec.shift(0.0)  # still runs the custom-curve contract check
+    return out
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     """Empirical curve-regularity constants from finite sampling."""

@@ -26,20 +26,25 @@ the node-doubling comparison immune to the rounding of astronomically
 large phases (modulated profiles reach t*C^2 ~ 1e7 radians). For
 non-integer m, segments ending at 0 are graded geometrically toward it.
 
-The window's exp(i x xi) table is factorized. On a uniform window,
-x_{aB+b} = x_{aB} + b h gives e^{i x xi} = e^{i x_{aB} xi} e^{i b h xi}:
-per node block the kernel builds a ceil(nx/B)-row anchor table and the
-step rows 0 < b < B, multiplies each step row into the weighted rows and
-runs one matmul against the anchor table per b. So (ceil(nx/B) + B - 1) N
-exponentials replace nx N, and the nx-by-N table is never formed. B is
-the power of two nearest sqrt(nx) on windows of FACTOR_MIN_POINTS points
-or more. A guard keeps B > 1 only when
-max |x_i - x_{aB} - b h| * max|xi| <= PHASE_GUARD (1e-12 radians): the
-node-doubling self-check compares two factorized passes, so it cannot see
-an error both share. Otherwise B = 1, which is the direct table (short
-windows, single injected points, non-uniform windows). Gauss-Legendre
-rules come from _segment_rule, which caches up to RULE_CACHE_SIZE rules
-of at most CACHED_RULE_NODES budgeted nodes as read-only arrays.
+The window's table is centred and factorized. Each segment's table is
+e^{i x u}, u = xi - C about the same midpoint C, and each window point's
+output is multiplied by e^{i x C} next to the column scalars. On a
+uniform window, x_{aB+b} = x_{aB} + b h gives e^{i x u} = e^{i x_{aB} u}
+e^{i b h u}: per node block the kernel builds a ceil(nx/B)-row anchor
+table and the step rows 0 < b < B, multiplies each step row into the
+weighted rows and runs one matmul against the anchor table per b. So
+(ceil(nx/B) + B - 1) N exponentials replace nx N, and the nx-by-N table
+is never formed. B is the power of two nearest sqrt(nx): 1 for one or
+two points, 16 for the 129-point scaling windows. A guard keeps B > 1
+only when max |x_i - x_{aB} - b h| * max|u| <= PHASE_GUARD (1e-12
+radians), max|u| being the largest segment half-width: the node-doubling
+self-check compares two factorized passes, so it cannot see an error
+both share. Centring is what lets the guard pass at large frequencies:
+bump-modulated data sit at xi ~ -R^2 but on a segment of half-width
+R/2. Otherwise B = 1, the direct table (one- and two-point windows,
+non-uniform windows). Gauss-Legendre rules come from _segment_rule,
+which caches up to RULE_CACHE_SIZE rules of at most CACHED_RULE_NODES
+budgeted nodes as read-only arrays.
 """
 
 from __future__ import annotations
@@ -52,17 +57,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import STRAIGHT, CurveSpec, gamma as curve_gamma
+from .curves import STRAIGHT, CurveSpec, gamma_pairs
 from .errors import AccuracyError, DomainValidationError
 from .initial_data import FrequencyProfile, coordinate_factors
 from .quadrature import panel_nodes
 
 TWO_PI = 2.0 * math.pi
 SELF_CHECK_TOL = 1e-9
-X_CHUNK = 96          # anchor points per exp(i x xi) table block
-NODE_BLOCK = 8192     # nodes per exp(i x xi) table block
+X_CHUNK = 96          # anchor points per window table block
+NODE_BLOCK = 8192     # nodes per window table block
 PAIR_ELEMENTS = X_CHUNK * NODE_BLOCK  # columns times nodes per paired kernel call
-FACTOR_MIN_POINTS = 256  # shorter windows build the direct exp(i x xi) table
 PHASE_GUARD = 1e-12   # largest phase error (radians) the factorized table may add
 RULE_CACHE_SIZE = 256  # Gauss-Legendre rules kept by _segment_rule
 CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
@@ -120,8 +124,11 @@ def _max_abs_xi(factor):
     return max((max(abs(lo), abs(hi)) for lo, hi in factor.segments), default=0.0)
 
 
-def phase_variation(gamma_j: float, t: float, m: float, factor) -> float:
-    """Spec budget: (|gamma_j| + t*m*max|xi|^{m-1}) * total segment width."""
+def phase_variation(gamma_j, t, m: float, factor):
+    """Spec budget: (|gamma_j| + t*m*max|xi|^{m-1}) * total segment width.
+
+    gamma_j and t are floats or equal-length arrays, elementwise.
+    """
 
     width = _segment_width(factor.segments)
     xi_max = _max_abs_xi(factor)
@@ -200,23 +207,25 @@ def _segment_rule(segments, total_nodes: int, order: int, graded: bool):
     return build(segments, total_nodes, order, graded)
 
 
-def _window_factors(xs, xi_max: float):
-    """Anchors and steps of a window's factorized exp(i x xi) table.
+def _window_factors(xs, half_width: float):
+    """Anchors and steps of a window's factorized exp(i x u) table.
 
-    A uniform window has x_{aB+b} = x_{aB} + b h, so its table is the
-    anchor table e^{i x_{aB} xi} times the step rows e^{i b h xi}. B is
-    the power of two nearest sqrt(nx), and 1 (the direct table) for
-    windows under FACTOR_MIN_POINTS points or when the reconstruction
-    would move some phase by more than PHASE_GUARD radians, as on a
-    non-uniform window. Returns (xs[::B], b h for b < B).
+    The kernel's table is e^{i x u}, u = xi - C running over a segment of
+    half-width at most half_width about its midpoint C. A uniform window
+    has x_{aB+b} = x_{aB} + b h, so the table is the anchor table
+    e^{i x_{aB} u} times the step rows e^{i b h u}. B is the power of two
+    nearest sqrt(nx), so 1 (the direct table) for one or two points, and
+    1 too when the reconstruction would move some phase by more than
+    PHASE_GUARD radians, as on a non-uniform window. Returns (xs[::B],
+    b h for b < B).
     """
 
     nx = len(xs)
-    if nx >= FACTOR_MIN_POINTS:
-        B = 1 << round(math.log2(nx) / 2)
+    B = 1 << round(math.log2(max(nx, 1)) / 2)
+    if B > 1:
         h = (xs[-1] - xs[0]) / (nx - 1)
         b = np.arange(nx) % B
-        if np.max(np.abs(xs - (xs[np.arange(nx) - b] + b * h))) * xi_max <= PHASE_GUARD:
+        if np.max(np.abs(xs - (xs[np.arange(nx) - b] + b * h))) * half_width <= PHASE_GUARD:
             return xs[::B], np.arange(B) * h
     return xs, np.zeros(1)
 
@@ -234,7 +243,8 @@ def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
 
     out = 0j if xs is None else np.zeros((len(xs), len(shifts)), dtype=np.complex128)
     if xs is not None:
-        anchors, steps = _window_factors(xs, _max_abs_xi(factor))
+        half_width = max((hi - lo for lo, hi in factor.segments), default=0.0) / 2.0  # bounds |u|
+        anchors, steps = _window_factors(xs, half_width)
     mass = 0.0
     s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
     for lo, hi, nodes, weights in _segment_rule(factor.segments, n, order, m != int(m)):
@@ -261,12 +271,12 @@ def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
                 sl = slice(b0, b0 + NODE_BLOCK)
                 for a0 in range(0, len(anchors), X_CHUNK):
                     block = slice(a0, a0 + X_CHUNK)
-                    table = 1j * np.multiply.outer(anchors[block], nodes[sl])
+                    table = 1j * np.multiply.outer(anchors[block], u[sl])
                     np.exp(table, out=table)
                     acc[block, 0] += table @ rows[:, sl].T  # b = 0: the anchors themselves
                     for b in range(1, len(steps)):
-                        acc[block, b] += table @ (rows[:, sl] * np.exp(1j * steps[b] * nodes[sl])).T
-            out += scalars * acc.reshape(-1, len(shifts))[: len(xs)]
+                        acc[block, b] += table @ (rows[:, sl] * np.exp(1j * steps[b] * u[sl])).T
+            out += np.exp(1j * xs * C)[:, None] * scalars * acc.reshape(-1, len(shifts))[: len(xs)]
         mass += float(np.sum(weights * np.abs(fv)))
     return out, mass
 
@@ -306,20 +316,20 @@ def _pair_budgets(factors, curve, m: float, points, ts, quad: QuadratureSpec):
     """Budgets of the pairs (points[i], ts[i]) on the coordinate factors.
 
     Returns gamma(x_i, t_i) as a (pairs, coordinates) array, each pair's
-    unbucketed node budget per coordinate and the node count of its
-    certified pass (twice the budget's sum with the self-check), the last
-    two as Python ints.
+    unbucketed node budget per coordinate as a (pairs, coordinates) int
+    array and the node count of its certified pass (twice the budget's
+    sum with the self-check) as a (pairs,) int array. The budgets are
+    _node_budget's, computed for all pairs at once; budgets past 2^52
+    nodes, far over any cap, read as 2^52.
     """
 
-    gam = np.array(
-        [np.atleast_1d(np.asarray(curve_gamma(curve, p, float(tp)), dtype=float))
-         for p, tp in zip(points, ts)]
-    ).reshape(len(ts), len(factors))
-    budgets = [
-        [_node_budget(phase_variation(float(g), float(tp), m, f), quad) for g, f in zip(row, factors)]
-        for row, tp in zip(gam, ts)
-    ]
-    used = [2 * sum(row) if quad.self_check else sum(row) for row in budgets]
+    gam = gamma_pairs(curve, points, ts)
+    budgets = np.empty(gam.shape, dtype=np.int64)
+    for j, factor in enumerate(factors):
+        V = phase_variation(gam[:, j], ts, m, factor)
+        n = np.fmin(np.maximum(quad.base_nodes, np.ceil(quad.nodes_per_radian * V)), 2.0 ** 52)
+        budgets[:, j] = -(-n.astype(np.int64) // quad.panel_order) * quad.panel_order
+    used = budgets.sum(axis=1) * (2 if quad.self_check else 1)
     return gam, budgets, used
 
 
@@ -363,15 +373,14 @@ def certified_value(
 
     factors = coordinate_factors(profile)
     gam, budgets, used = _pair_budgets(factors, curve, m, points, ts, quad)
-    over = [i for i, n in enumerate(used) if n > quad.max_nodes]
+    over = np.flatnonzero(used > quad.max_nodes)
     over_cap = ""
-    if over:
-        i = over[0]
+    if len(over):
+        i = int(over[0])
         over_cap = f"node budget {used[i]} exceeds cap {quad.max_nodes}"
-        total = sum(budgets[i])
-        budgets = [[max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in budgets[i]]]
+        row, total = budgets[i].tolist(), int(budgets[i].sum())
+        budgets = np.array([[max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in row]])
         points, ts, gam = [points[i]], ts[i : i + 1], gam[i : i + 1]
-    budgets = np.array(budgets, dtype=int).reshape(len(ts), len(factors))
     scale = TWO_PI ** (-profile.d)
 
     def run(doubling):
@@ -384,19 +393,25 @@ def certified_value(
                 for c0 in range(0, len(cols), step):
                     chunk = cols[c0 : c0 + step]
                     integral, l1 = _quadrature(factor, n, quad.panel_order, m, gam[chunk, j], ts[chunk])
-                    values[chunk] *= integral
+                    # the coordinate product from real and imaginary parts:
+                    # numpy's complex multiply rounds its vector lanes unlike
+                    # its tail, which would tie a pair's last bit to its
+                    # position in the call
+                    v = values[chunk]
+                    values.real[chunk] = v.real * integral.real - v.imag * integral.imag
+                    values.imag[chunk] = v.real * integral.imag + v.imag * integral.real
                     mass[chunk] *= l1
         return values * scale, mass * scale
 
     if not paired:
         value = _certify(run, quad, f"kind={profile.kind}, t={t}", over_cap=over_cap)
-        return complex(value[0]), used[0]
+        return complex(value[0]), int(used[0])
 
     def label(k):
         return f", x={points[k]}, t={ts[k]}"
 
     values = _certify(run, quad, f"kind={profile.kind}", label, over_cap)
-    return values, sum(used)
+    return values, int(used.sum())
 
 
 def pair_node_counts(profile: FrequencyProfile, curve: CurveSpec, m: float, x, t, quad=None):
@@ -405,7 +420,8 @@ def pair_node_counts(profile: FrequencyProfile, curve: CurveSpec, m: float, x, t
     x and t are paired as in certified_value; nothing is evaluated.
     """
 
-    return _pair_budgets(coordinate_factors(profile), curve, m, x, t, quad or DEFAULT_QUAD)[2]
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    return _pair_budgets(coordinate_factors(profile), curve, m, x, ts, quad or DEFAULT_QUAD)[2].tolist()
 
 
 def evaluate(

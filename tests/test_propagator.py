@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT
+from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, gamma as curve_gamma
 from curverate.errors import AccuracyError, DomainValidationError
 from curverate.initial_data import (
     bourgain_physical,
@@ -22,7 +22,7 @@ from curverate.initial_data import (
     zero_profile,
 )
 from curverate import propagator
-from curverate.maximal import window_grid
+from curverate.maximal import FAMILIES, calibrate_window_constant, critical_time, window_grid
 from curverate.propagator import (
     CACHED_RULE_NODES,
     RULE_CACHE_SIZE,
@@ -30,6 +30,7 @@ from curverate.propagator import (
     _bucket,
     _cached_rule,
     _node_budget,
+    _pair_budgets,
     _quadrature,
     _segment_rule,
     _window_factors,
@@ -314,12 +315,51 @@ def test_window_initial_is_the_shared_time_zero_column(ends, t, m):
 
 
 # ---------------------------------------------------------------------------
-# the factorized exp(i x xi) table (windows of FACTOR_MIN_POINTS points and up)
+# the centred, factorized exp(i x u) table (every uniform window of three
+# points or more)
 
 
-def steps_used(xs, xi_max):
+def steps_used(xs, half_width):
     """B, the number of step rows the window pass uses on xs."""
-    return len(_window_factors(np.asarray(xs, dtype=float), xi_max)[1])
+    return len(_window_factors(np.asarray(xs, dtype=float), half_width)[1])
+
+
+def kernel_steps(monkeypatch, profile, xs):
+    """The B of every window table the kernel builds for batch_initial(profile, xs)."""
+    seen = []
+
+    def spy(xs, half_width):
+        anchors, steps = _window_factors(xs, half_width)
+        seen.append(len(steps))
+        return anchors, steps
+
+    monkeypatch.setattr(propagator, "_window_factors", spy)
+    batch_initial(profile, xs)
+    return seen
+
+
+# (family, alpha, epsilon) of each family's c05 run
+SCALING_FAMILIES = [
+    ("bump-modulated", 0.5, 0.0),
+    ("bump-dilated", 0.2, 0.0),
+    ("indicator-band", 0.25, 0.0),
+    ("bump-tensor", 0.5, 0.1),
+    ("bourgain", 0.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("family, alpha, eps", SCALING_FAMILIES)
+def test_calibrated_scaling_windows_factorize_at_large_R(monkeypatch, family, alpha, eps):
+    spec, R = FAMILIES[family], 256.0
+    c = calibrate_window_constant(family, alpha, R_min=32.0, R_max=1024.0)
+    xs = window_grid(*spec.window(R, alpha, eps, c), 129)
+    assert set(kernel_steps(monkeypatch, spec.profile(R, eps, 1), xs)) == {16}
+
+
+@pytest.mark.parametrize("R", [128.0, 256.0, 1024.0])
+def test_bump_modulated_wide_window_factorizes_at_xi_near_R_squared(monkeypatch, R):
+    # the uncentred guard, |x| max|xi| with |xi| ~ R^2, took B = 1 from R = 128 on
+    assert set(kernel_steps(monkeypatch, bump_modulated(R), window_grid(0.45, 0.9, 1024))) == {32}
 
 
 def test_factorized_window_gaussian_closed_form_on_straight_curve():
@@ -335,19 +375,47 @@ def test_factorized_window_gaussian_closed_form_on_straight_curve():
 def test_factorized_window_indicator_band_fresnel_oracle():
     R = 64.0
     curve = CurveSpec(PLUS_SHIFT, alpha=0.5)
-    xs = window_grid(-0.05, 0.2, 256)
-    assert steps_used(xs, R + 1.0) == 16
-    vals, _, _ = batch_values(indicator_band(R), curve, 2.0, xs, BAND_TS)
     tol = 1e-9 / TWO_PI
-    for i in range(0, len(xs), 5):
-        for j, t in enumerate(BAND_TS):
-            exact = band_fresnel_closed_form(R, xs[i] + curve.shift(t), t)
-            assert abs(vals[i, j] - exact) < tol
+    for nx in (129, 256):  # a scaling window and a wider one
+        xs = window_grid(-0.05, 0.2, nx)
+        assert steps_used(xs, 0.5) == 16
+        vals, _, _ = batch_values(indicator_band(R), curve, 2.0, xs, BAND_TS)
+        for i in range(0, len(xs), 5):
+            for j, t in enumerate(BAND_TS):
+                exact = band_fresnel_closed_form(R, xs[i] + curve.shift(t), t)
+                assert abs(vals[i, j] - exact) < tol
+
+
+@pytest.mark.parametrize("nx, B", [(3, 2), (5, 2), (17, 4), (129, 16)])
+def test_short_factorized_window_gaussian_closed_form(nx, B):
+    xs = window_grid(-2.0, 2.0, nx)
+    assert steps_used(xs, 4.0) == B  # gaussian_like's segments (-8, 0) and (0, 8)
+    ts = [0.05, 0.2, 0.5, 1.0]
+    vals, init, _ = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    exact = gaussian_closed_form(xs[:, None], np.asarray(ts)[None, :])
+    assert np.max(np.abs(vals - exact)) < 1e-9
+    assert np.max(np.abs(init - gaussian_closed_form(xs, 0.0))) < 1e-9
+
+
+def test_bump_modulated_scaling_window_is_pointwise():
+    R, curve = 256.0, CurveSpec(MINUS_SHIFT, alpha=0.5)
+    profile = bump_modulated(R)
+    c = calibrate_window_constant("bump-modulated", 0.5, R_min=32.0, R_max=1024.0)
+    xs = window_grid(0.5 * c, c, 129)
+    assert steps_used(xs, R / 2.0) == 16
+    picks = [0, 40, 64, 101, 128]
+    ts = [critical_time("bump-modulated", curve, R, 0.0, float(xs[i])) for i in picks] + [2.0 ** -14]
+    vals, init, _ = batch_values(profile, curve, 2.0, xs, ts)
+    tol = 1e-9 * mass_scale(profile)
+    for i in picks:
+        assert abs(init[i] - certified_value(profile, curve, 2.0, float(xs[i]), 0.0)[0]) <= tol
+        for j, t in enumerate(ts):
+            assert abs(vals[i, j] - certified_value(profile, curve, 2.0, float(xs[i]), t)[0]) <= tol
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    nx=st.integers(256, 700),
+    nx=st.integers(3, 700),
     ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
         lambda e: abs(e[0] - e[1]) > 1e-3
     ),
@@ -388,7 +456,9 @@ def test_factorization_guard_bounds_the_phase_error():
     assert steps_used(moved, 1e-4) == 16
     assert steps_used(moved, 1e-2) == 1
     assert steps_used(window_grid(-1.0, 1.0, 300), 1e9) == 1  # rounding, ~2e-16
-    assert steps_used(window_grid(-1.0, 1.0, 255), 8.0) == 1  # short window
+    assert steps_used(window_grid(-1.0, 1.0, 1), 8.0) == 1  # one and two points: the direct table
+    assert steps_used(window_grid(-1.0, 1.0, 2), 8.0) == 1
+    assert steps_used(window_grid(-1.0, 1.0, 129), 8.0) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +614,7 @@ def mass_scale(profile):
 
 
 WOBBLE = CurveSpec(CUSTOM, alpha=0.5, gamma_fn=lambda x, t: x - (1 + 0.05 * x) * t ** 0.5)
+SQUEEZED = CurveSpec(CUSTOM, alpha=0.5, shift_fn=lambda t: -0.7 * t ** 0.5)
 # (profile, curve, m, x points, times): repeated points and times, t = 0,
 # and budgets that coincide (shared kernel calls) as well as differ
 PAIRED_CASES = {
@@ -562,6 +633,8 @@ PAIRED_CASES = {
     "d=2": (bump_tensor(16.0, 0.1, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2), 2.0,
             [[0.01, -0.3], [0.015, 0.2], [0.02, 0.0], [0.01, -0.3], [0.005, 0.45]],
             [2e-4, 5e-4, 8e-4, 0.0, 1e-3]),
+    "shift_fn": (bump_dilated(16.0), SQUEEZED, 2.0,
+                 [0.05, 0.05, 0.1, -0.2], [0.0, 2.0 ** -6, 2.0 ** -8, 0.01]),
 }
 
 
@@ -575,6 +648,43 @@ def test_paired_call_is_one_scalar_call_per_pair(case):
     assert total == sum(n for _, n in scalar)
     tol = 1e-15 * mass_scale(profile)
     assert np.max(np.abs(values - np.array([v for v, _ in scalar]))) <= tol
+
+
+def per_pair_budgets(profile, curve, m, points, ts, quad):
+    """The pair budgets one pair at a time: gamma, then phase_variation and _node_budget."""
+    factors = coordinate_factors(profile)
+    gam = np.array(
+        [np.atleast_1d(np.asarray(curve_gamma(curve, p, float(tp)), dtype=float))
+         for p, tp in zip(points, ts)]
+    ).reshape(len(ts), len(factors))
+    budgets = [
+        [_node_budget(phase_variation(float(g), float(tp), m, f), quad) for g, f in zip(row, factors)]
+        for row, tp in zip(gam, ts)
+    ]
+    return gam, budgets, [2 * sum(row) if quad.self_check else sum(row) for row in budgets]
+
+
+@pytest.mark.parametrize("self_check", [True, False])
+@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
+def test_pair_budgets_are_the_per_pair_formula(case, self_check):
+    profile, curve, m, xs, ts = PAIRED_CASES[case]
+    quad = QuadratureSpec(self_check=self_check)
+    ts = np.asarray(ts, dtype=float)
+    gam, budgets, used = _pair_budgets(coordinate_factors(profile), curve, m, xs, ts, quad)
+    ref_gam, ref_budgets, ref_used = per_pair_budgets(profile, curve, m, xs, ts, quad)
+    assert gam.tobytes() == ref_gam.tobytes()  # bit for bit, signed zeros included
+    assert budgets.tolist() == ref_budgets and used.tolist() == ref_used
+
+
+def test_paired_d2_values_do_not_depend_on_position():
+    # 33 pairs fill whole vector lanes and leave a tail; every pair's value
+    # is bit for bit its scalar call's, wherever it sits in the paired call
+    profile, curve = bump_tensor(16.0, 0.1, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
+    xs = np.column_stack([np.linspace(0.0, 0.02, 33), np.linspace(-0.5, 0.5, 33)])
+    ts = np.full(33, 5e-4)
+    values, _ = certified_value(profile, curve, 2.0, xs, ts)
+    scalar = np.array([certified_value(profile, curve, 2.0, x, 5e-4)[0] for x in xs])
+    assert values.tobytes() == scalar.tobytes()
 
 
 def test_paired_call_does_not_depend_on_chunking(monkeypatch):
