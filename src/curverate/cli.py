@@ -22,6 +22,7 @@ from .exponents import HOLDER, LIPSCHITZ, Regime, law_for, region_curve
 from .experiments import ExperimentPlan, run as run_experiment, sharpness_sweep
 from .initial_data import BUMP_MODULATED, GAUSSIAN_LIKE, gaussian_like, sobolev_norm
 from .maximal import (
+    LEMMA_REGIMES,
     TimeGrid,
     admissible_window,
     calibrate_window_constant,
@@ -37,8 +38,6 @@ from .propagator import DEFAULT_QUAD, QuadratureSpec, evaluate
 from .reports import envelope, write_csv, write_gnuplot, write_report
 
 _CURVES = {"minus": MINUS_SHIFT, "plus": PLUS_SHIFT, "straight": STRAIGHT}
-#: lemma-check --lemma n checks the m = 2 bound of regime _LEMMA_REGIMES[n - 1]
-_LEMMA_REGIMES = ("lipschitz", "holder-high-alpha", "holder-low-alpha", "holder-mid-alpha")
 
 
 def _maybe_fraction(text: str):
@@ -231,7 +230,7 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    want, holder = _LEMMA_REGIMES[args.lemma - 1], args.lemma > 1
+    want, holder = LEMMA_REGIMES[args.lemma - 1], args.lemma > 1
     if args.d != 1:
         raise DomainValidationError(
             f"lemma {args.lemma} ({want}) is checked empirically at d = 1 only, not d={args.d}"
@@ -394,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_maximal)
 
     p = sub.add_parser("lemma-check", help="local maximal bound vs empirical value")
-    p.add_argument("--lemma", type=int, choices=[1, 2, 3, 4], required=True,
+    p.add_argument("--lemma", type=int, choices=range(1, len(LEMMA_REGIMES) + 1), required=True,
                    help="1 lipschitz, 2 holder-high-alpha (1/2 <= alpha < 1), 3 holder-low-alpha "
                    "(alpha <= 1/4), 4 holder-mid-alpha (1/4 < alpha < 1/2)")
     p.add_argument("--k", type=int, required=True)

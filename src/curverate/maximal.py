@@ -51,7 +51,7 @@ from .initial_data import (
     decay_threshold,
     indicator_band,
 )
-from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value, pair_node_counts
+from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value, point_values
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ITERATIONS = 24
@@ -404,21 +404,25 @@ def maximal_field(
     """Rate-weighted sup over a set of points.
 
     One-dimensional shift curves evaluate the whole window at once
-    (batch_values). Other curves and d > 1 take the pointwise kernel in
-    two paired certified_value calls, one for f(x) at every point and one
-    for the whole nx-by-nt grid. xs holds scalars for d = 1 and points of R^d
+    (batch_values, the window path); other curves and d > 1 take the
+    pointwise kernel (point_values). Either way the grid and f(x) are one
+    certified pass. xs holds scalars for d = 1 and points of R^d
     otherwise. critical_times, when given, injects one extra time in
     (0, 1] per point (the counterexample families' stationary times;
-    window evaluation only); the grid may then be empty. The field's ball
-    is the interval the midpoint grid xs covers (first coordinate for
-    d > 1).
+    window path only); the grid may then be empty. The field's ball is
+    the interval the midpoint grid xs covers (first coordinate for d > 1).
     """
 
     quad = quad or DEFAULT_QUAD
     if not 0.0 <= delta < 1.0:
         raise DomainValidationError("delta must lie in [0, 1)")
     xs = np.asarray(xs, dtype=float)
+    window = profile.d == 1 and curve.is_shift
     if critical_times is not None:
+        if not window:
+            raise DomainValidationError(
+                "critical times are injected on the window path only (d = 1 and a shift curve)"
+            )
         critical_times = np.asarray(critical_times, dtype=float)
         if critical_times.shape != xs.shape:
             raise DomainValidationError("critical_times must match the x grid")
@@ -438,15 +442,9 @@ def maximal_field(
     on_grid = grid.j_min is not None or critical_times is None
     if on_grid:
         ts = grid.times()
-        if profile.d == 1 and curve.is_shift:
-            values, initial, node_counts = batch_values(profile, curve, m, xs, ts, quad)
-            node_max = int(node_counts.max())
-        else:
-            initial, _ = certified_value(profile, curve, m, xs, np.zeros(len(xs)), quad)
-            pairs = (np.repeat(xs, len(ts), axis=0), np.tile(ts, len(xs)))
-            values, _ = certified_value(profile, curve, m, *pairs, quad)
-            values = values.reshape(len(xs), len(ts))
-            node_max = max(pair_node_counts(profile, curve, m, *pairs, quad))
+        kernel = batch_values if window else point_values
+        values, initial, node_counts = kernel(profile, curve, m, xs, ts, quad)
+        node_max = int(node_counts.max())
         scores = np.abs(values - initial[:, None]) / ts[None, :] ** delta
         idx = np.argmax(scores, axis=1)
         sup = scores[np.arange(len(xs)), idx]
@@ -502,9 +500,13 @@ def window_grid(lo: float, hi: float, n: int = 129) -> np.ndarray:
 # local-in-time maximal bounds (single dyadic frequency block)
 
 
+#: the m = 2 regimes with a local maximal bound; lemma n of the paper is LEMMA_REGIMES[n - 1]
+LEMMA_REGIMES = ("lipschitz", "holder-high-alpha", "holder-low-alpha", "holder-mid-alpha")
+
+
 def _lemma_selector(regime: Regime) -> str:
     rid = law_for(regime).regime_id
-    if rid not in ("lipschitz", "holder-high-alpha", "holder-low-alpha", "holder-mid-alpha"):
+    if rid not in LEMMA_REGIMES:
         raise UnsupportedRegimeError(
             "local maximal bounds are available for the m = 2 regimes only"
         )

@@ -6,18 +6,18 @@ e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 Every path runs one kernel, _quadrature: composite Gauss-Legendre panels
 summing w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j, t_j).
 Pointwise evaluation (certified_value) folds x into the shift, so its
-x = 0 row sums one column per point. A scalar call is one column; a
-paired call takes points x_i with times t_i, keeps each pair's own node
-budget, and runs the pairs whose budgets agree as columns of one kernel
-call, so a golden-section step over a whole field is one call. A window
-(batch_values) multiplies the column weights by an exp(i x xi) table.
-On a window, f(x) is the t = 0 column of the same pass and is
-certified together with the requested times (batch_initial is that pass
-with no times), so a failing f(x) reports t=0.0 in the AccuracyError
-context. The node count follows the estimated total phase variation, and
-one self-check, _certify, re-runs the kernel at doubled nodes and demands
-agreement relative to the profile's L^1 mass scale (computed on the same
-rule) before reporting a value.
+x = 0 row sums one column per point. A paired call takes points x_i with
+times t_i, keeps each pair's own node budget, and runs the pairs whose
+budgets agree as columns of one kernel call, so a golden-section step
+over a whole field is one call. A window (batch_values) multiplies the
+column weights by an exp(i x xi) table. f(x) comes from the pass that
+computes U f, so a failing f(x) reports t=0.0 in the AccuracyError
+context: the t = 0 column on a window, and on the pointwise kernel the
+(x, 0) pairs of point_values' one paired call (evaluate is point_values
+at one pair). The node count follows the estimated total phase
+variation, and one self-check, _certify, re-runs the kernel at doubled
+nodes and demands agreement relative to the profile's L^1 mass scale
+(computed on the same rule) before reporting a value.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
@@ -414,14 +414,21 @@ def certified_value(
     return values, int(used.sum())
 
 
-def pair_node_counts(profile: FrequencyProfile, curve: CurveSpec, m: float, x, t, quad=None):
-    """Each pair's node count in certified_value(profile, curve, m, x, t, quad).
+def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts, quad=None):
+    """batch_values' contract on the pointwise kernel, for any curve and dimension.
 
-    x and t are paired as in certified_value; nothing is evaluated.
+    Returns (values[nx, nt], initial[nx], node_counts[nx, nt]) from one
+    paired certified_value call: the nx*nt pairs (x, t), then the (x, 0)
+    pairs. Every value and count is one scalar call's.
     """
 
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    return _pair_budgets(coordinate_factors(profile), curve, m, x, ts, quad or DEFAULT_QUAD)[2].tolist()
+    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
+    nx, nt = len(xs), len(ts)
+    points = np.concatenate([np.repeat(xs, nt, axis=0), xs])
+    times = np.concatenate([np.tile(ts, nx), np.zeros(nx)])
+    values, _ = certified_value(profile, curve, m, points, times, quad)
+    used = _pair_budgets(coordinate_factors(profile), curve, m, points, times, quad or DEFAULT_QUAD)[2]
+    return values[: nx * nt].reshape(nx, nt), values[nx * nt :], used[: nx * nt].reshape(nx, nt)
 
 
 def evaluate(
@@ -432,18 +439,10 @@ def evaluate(
     t: float,
     quad: Optional[QuadratureSpec] = None,
 ) -> FieldSample:
-    """Evaluate U f(x, t) with certified quadrature.
+    """U f(x, t) and f(x), certified: point_values at its one pair, so U f(x, 0) == f(x)."""
 
-    t = 0 reduces to f(x) through the same code path, so the t = 0
-    identity is exact by construction.
-    """
-
-    value, used = certified_value(profile, curve, m, x, t, quad)
-    if t == 0.0:
-        initial = value
-    else:
-        initial, _ = certified_value(profile, curve, m, x, 0.0, quad)
-    return FieldSample(x=x, t=t, value=complex(value), initial=complex(initial), node_count=used)
+    values, initial, used = point_values(profile, curve, m, [x], [t], quad)
+    return FieldSample(x, t, complex(values[0, 0]), complex(initial[0]), int(used[0, 0]))
 
 
 def pool_map(fn, items, workers: int, chunksize: int = 1):

@@ -39,6 +39,7 @@ from curverate.maximal import (
     rate_weighted_sup,
     window_grid,
 )
+from curverate import maximal, propagator
 from curverate.maximal import _refine
 from curverate.propagator import DEFAULT_QUAD, batch_values, certified_value
 
@@ -291,6 +292,46 @@ def test_pointwise_field_reports_the_largest_pair_node_count():
     fld = maximal_field(profile, WOBBLE, 2.0, 0.1, xs, grid)
     counts = [certified_value(profile, WOBBLE, 2.0, x, float(t))[1] for x in xs for t in grid.times()]
     assert fld.node_count_max == max(counts)
+
+
+# fields off the window path: a general curve, and d = 2
+OFF_WINDOW_FIELDS = [
+    (bump_dilated(16.0), WOBBLE, np.array([0.05, 0.1])),
+    (bump_tensor(16.0, 0.1, d=2), MINUS_HALF_2D, np.array([[0.02, -0.1], [0.04, 0.1]])),
+]
+
+
+def count_certified_calls(monkeypatch):
+    """Record every certified_value call, through both modules' bindings."""
+
+    calls, real = [], propagator.certified_value
+
+    def counting(*args, **kwargs):
+        calls.append(args[3:5])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "certified_value", counting)
+    monkeypatch.setattr(maximal, "certified_value", counting)
+    return calls
+
+
+@pytest.mark.parametrize("profile,curve,xs", OFF_WINDOW_FIELDS)
+def test_pointwise_field_is_one_certified_call(monkeypatch, profile, curve, xs):
+    grid = TimeGrid(4, 8, points_per_octave=2, local_refinement=False)
+    calls = count_certified_calls(monkeypatch)
+    maximal_field(profile, curve, 2.0, 0.1, xs, grid)
+    assert len(calls) == 1
+    assert len(calls[0][1]) == len(xs) * (len(grid.times()) + 1)  # the grid, then f(x)
+
+
+@pytest.mark.parametrize("profile,curve,xs", OFF_WINDOW_FIELDS)
+def test_injection_off_the_window_path_fails_before_any_work(monkeypatch, profile, curve, xs):
+    calls = count_certified_calls(monkeypatch)
+    monkeypatch.setattr(maximal, "batch_values", lambda *a, **k: calls.append(a))
+    for grid in (TimeGrid(4, 8, points_per_octave=2), TimeGrid()):
+        with pytest.raises(DomainValidationError, match=r"window path only \(d = 1 and a shift curve\)"):
+            maximal_field(profile, curve, 2.0, 0.1, xs, grid, critical_times=np.full(len(xs), 0.01))
+    assert calls == []
 
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0

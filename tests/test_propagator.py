@@ -40,6 +40,7 @@ from curverate.propagator import (
     evaluate,
     evaluate_grid,
     phase_variation,
+    point_values,
 )
 from curverate.quadrature import panel_nodes
 
@@ -735,6 +736,66 @@ def test_paired_call_validates_its_pairs():
         certified_value(g, STRAIGHT_1D, 2.0, [0.1, 0.2, 0.3], [0.5, 0.6])
     with pytest.raises(DomainValidationError, match="one x per t"):
         certified_value(g, STRAIGHT_1D, 2.0, 0.1, [0.5, 0.6])
+
+
+# point_values: U f and f(x) on the pointwise kernel, in one certified pass
+
+
+def bits(*values):
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
+def test_point_values_are_scalar_calls_bit_for_bit(case):
+    profile, curve, m, xs, ts = PAIRED_CASES[case]
+    xs = np.asarray(xs, dtype=float)
+    values, initial, counts = point_values(profile, curve, m, xs, ts)
+    assert values.shape == counts.shape == (len(xs), len(ts)) and initial.shape == (len(xs),)
+    for i, x in enumerate(xs):
+        assert bits(initial[i]) == bits(certified_value(profile, curve, m, x, 0.0)[0])
+        for j, t in enumerate(ts):
+            value, used = certified_value(profile, curve, m, x, float(t))
+            assert bits(values[i, j]) == bits(value) and counts[i, j] == used
+            if t == 0.0:
+                assert bits(values[i, j]) == bits(initial[i])
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
+def test_evaluate_is_point_values_at_one_pair(case):
+    profile, curve, m, xs, ts = PAIRED_CASES[case]
+    for x, t in zip(xs, ts):
+        s = evaluate(profile, curve, m, x, t)
+        values, initial, counts = point_values(profile, curve, m, [x], [t])
+        assert bits(s.value, s.initial) == bits(values[0, 0], initial[0])
+        assert s.node_count == counts[0, 0] == certified_value(profile, curve, m, x, t)[1]
+        assert t != 0.0 or s.value == s.initial
+
+
+def test_evaluate_makes_one_certified_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3:5])
+        return real(*args, **kwargs)
+
+    real = propagator.certified_value
+    monkeypatch.setattr(propagator, "certified_value", counting)
+    evaluate(gaussian_like(), STRAIGHT_1D, 2.0, 0.3, 0.2)
+    evaluate(gaussian_like(), STRAIGHT_1D, 2.0, 0.3, 0.0)
+    assert len(calls) == 2
+    assert [list(t) for _, t in calls] == [[0.2, 0.0], [0.0, 0.0]]
+
+
+def test_evaluate_names_x_and_time_zero_when_f_fails():
+    # the curve carries x = 40 back to 0 at t = 1, so U f(40, 1) needs fewer
+    # nodes than f(40); a cap between the two budgets fails f(x) alone
+    back = CurveSpec(CUSTOM, shift_fn=lambda t: -40.0 * t)
+    _, used = certified_value(gaussian_like(), back, 2.0, 40.0, 1.0)
+    capped = QuadratureSpec(max_nodes=used)
+    assert certified_value(gaussian_like(), back, 2.0, 40.0, 1.0, capped)[1] == used
+    with pytest.raises(AccuracyError) as err:
+        evaluate(gaussian_like(), back, 2.0, 40.0, 1.0, capped)
+    assert err.value.context == "kind=gaussian-like, x=40.0, t=0.0"
 
 
 # Linearity and translation covariance, through the paired kernel. The
