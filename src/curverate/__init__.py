@@ -31,14 +31,12 @@ from .initial_data import (  # noqa: F401
     fourier_eval,
     physical_eval,
     sobolev_norm,
-    dyadic_localize,
 )
 from .propagator import QuadratureSpec, FieldSample, evaluate, evaluate_grid  # noqa: F401
 from .maximal import (  # noqa: F401
     TimeGrid,
     MaximalField,
     critical_time,
-    rate_weighted_sup,
     l2_over_ball,
     lemma_bound,
     lemma_empirical,

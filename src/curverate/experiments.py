@@ -33,7 +33,6 @@ from .maximal import (
 from .propagator import QuadratureSpec, pool_map
 
 SLOPE_TOLERANCE = 0.15
-LATTICE_THRESHOLD_FACTOR = 0.5  # a "large" lattice sum is at least this times sqrt(#points)
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -287,40 +286,3 @@ def sharpness_sweep(plan: ExperimentPlan, s_list: Sequence[float]):
             break
     return rows, crossing
 
-
-# ---------------------------------------------------------------------------
-# lattice-family exceptional set (d = 2): direct numerical measurement
-
-
-def measure_lattice_set(R: float, grid_points: int = 48):
-    """Fraction of B(0,1) in R^2 where the lattice sum is large at its
-    critical time. Measured directly at fixed R; no asymptotic in R is
-    asserted (reported only)."""
-
-    from .initial_data import lattice_points, lattice_scale
-
-    D = lattice_scale(R, 2)
-    ells = np.array(lattice_points(R, 2), dtype=float)
-    if len(ells) == 0:
-        return {"R": float(R), "fraction": 0.0, "lattice_count": 0, "target": 0.0}
-    target = LATTICE_THRESHOLD_FACTOR * math.sqrt(len(ells))
-    xs = np.linspace(-0.95, 0.95, grid_points)
-    count = 0
-    total = 0
-    for x1 in xs:
-        ts = np.abs(x1) / (2.0 * R) + np.array([0.0, 0.25, 0.5]) * R ** -1.5
-        for x2 in xs:
-            if x1 * x1 + x2 * x2 >= 1.0:
-                continue
-            total += 1
-            vals = [
-                abs(np.sum(np.exp(1j * (D * ells * x2 + D * D * ells ** 2 * t)))) for t in ts
-            ]
-            if max(vals) >= target:
-                count += 1
-    return {
-        "R": float(R),
-        "fraction": count / max(1, total),
-        "lattice_count": int(len(ells)),
-        "target": float(target),
-    }

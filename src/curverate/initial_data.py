@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -145,7 +145,6 @@ INDICATOR_BAND = "indicator-band"
 BOURGAIN = "bourgain"
 ANNULUS_BUMP = "annulus-bump"
 GAUSSIAN_LIKE = "gaussian-like"
-LOCALIZED = "localized"
 
 _KINDS = (
     BUMP_DILATED,
@@ -155,7 +154,6 @@ _KINDS = (
     BOURGAIN,
     ANNULUS_BUMP,
     GAUSSIAN_LIKE,
-    LOCALIZED,
 )
 
 
@@ -167,10 +165,9 @@ class FrequencyProfile:
     d: int = 1
     R: float = 1.0
     epsilon: float = 0.0
-    scale_index: int = 0          # annulus-bump / localized dyadic index
+    scale_index: int = 0          # annulus-bump dyadic index
     center: float = 0.0           # gaussian-like center
     amplitude: float = 1.0        # gaussian-like amplitude (0 gives the zero datum)
-    base: Optional["FrequencyProfile"] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -186,8 +183,6 @@ class FrequencyProfile:
             raise DomainValidationError(f"{self.kind} is one-dimensional")
         if self.kind == ANNULUS_BUMP and self.scale_index < 1:
             raise DomainValidationError("annulus-bump needs scale index k >= 1")
-        if self.kind == LOCALIZED and self.base is None:
-            raise DomainValidationError("localized profiles wrap a base profile")
 
     @property
     def support_box(self):
@@ -339,23 +334,6 @@ def coordinate_factors(profile: FrequencyProfile):
         )
         return (CoordinateFactor(_split_at_zero(c - h, c + h), func),)
 
-    if kind == LOCALIZED:
-        if profile.base.d != 1:
-            raise DomainValidationError("dyadic localization is one-dimensional")
-        (base_factor,) = coordinate_factors(profile.base)
-        k = profile.scale_index
-        lo_ann, hi_ann = 2.0 ** (k - 1), 2.0 ** (k + 1)
-        segs = []
-        for lo, hi in base_factor.segments:
-            for a, b in ((max(lo, -hi_ann), min(hi, -lo_ann)), (max(lo, lo_ann), min(hi, hi_ann))):
-                if b > a:
-                    segs.append((a, b))
-
-        def localized(eta, _bf=base_factor.func, _k=k):
-            return _bf(eta) * dyadic_cutoff(_k, eta)
-
-        return (CoordinateFactor(tuple(segs), localized),)
-
     raise DomainValidationError(f"unknown profile kind {kind!r}")
 
 
@@ -473,51 +451,3 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
         )
     return math.sqrt(max(fine, 0.0))
 
-
-# ---------------------------------------------------------------------------
-# dyadic (Littlewood-Paley style) localization
-
-
-def _smoothstep(u):
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    out = np.zeros_like(u)
-    interior = (u > 0.0) & (u < 1.0)
-    ui = u[interior]
-    a = np.exp(-1.0 / ui)
-    b = np.exp(-1.0 / (1.0 - ui))
-    out[interior] = a / (a + b)
-    out[u >= 1.0] = 1.0
-    return out
-
-
-def low_cutoff(xi):
-    """Smooth Theta: 1 on |xi| <= 1, 0 on |xi| >= 2."""
-    axi = np.abs(np.asarray(xi, dtype=float))
-    out = np.ones_like(axi)
-    band = (axi > 1.0) & (axi < 2.0)
-    out[band] = 1.0 - _smoothstep(np.log2(axi[band]))
-    out[axi >= 2.0] = 0.0
-    return out if out.ndim else float(out)
-
-
-def dyadic_cutoff(k: int, xi):
-    """psi_k = Theta(xi/2^k) - Theta(xi/2^{k-1}), supported in the k-th annulus.
-
-    Together with the low piece these telescope to 1 exactly:
-    Theta + sum_{k=1}^K psi_k = Theta(. / 2^K).
-    """
-    xi = np.asarray(xi, dtype=float)
-    return low_cutoff(xi / 2.0 ** k) - low_cutoff(xi / 2.0 ** (k - 1))
-
-
-def dyadic_localize(profile: FrequencyProfile, k: int) -> FrequencyProfile:
-    """Multiply the profile by the smooth dyadic cutoff at scale k."""
-
-    if k < 1:
-        raise DomainValidationError("dyadic index k must be >= 1")
-    if profile.d != 1:
-        raise DomainValidationError("dyadic localization is one-dimensional")
-    base = profile.base if profile.kind == LOCALIZED else profile
-    if profile.kind == LOCALIZED:
-        raise DomainValidationError("profile is already localized; localize the base instead")
-    return FrequencyProfile(LOCALIZED, d=1, scale_index=int(k), base=base)

@@ -371,26 +371,6 @@ def _refine(profile, curve, m, delta, xs, initial, quad, ts, sup, arg):
     return sup, arg
 
 
-def rate_weighted_sup(
-    profile: FrequencyProfile,
-    curve: CurveSpec,
-    m: float,
-    delta: float,
-    x,
-    grid: TimeGrid,
-    quad: Optional[QuadratureSpec] = None,
-):
-    """Grid statistic sup_t |U f(x,t) - f(x)| / t^delta at a single x.
-
-    Returns (sup, argmax_t): maximal_field at the one point x. This is a
-    certified lower bound for the true supremum; enlarging the grid can
-    only increase it.
-    """
-
-    fld = maximal_field(profile, curve, m, delta, [x], grid, quad)
-    return float(fld.sup_values[0]), float(fld.argmax_times[0])
-
-
 def maximal_field(
     profile: FrequencyProfile,
     curve: CurveSpec,
@@ -401,7 +381,7 @@ def maximal_field(
     quad: Optional[QuadratureSpec] = None,
     critical_times: Optional[np.ndarray] = None,
 ) -> MaximalField:
-    """Rate-weighted sup over a set of points.
+    """Rate-weighted sup over a nonempty set of points.
 
     One-dimensional shift curves evaluate the whole window at once
     (batch_values, the window path); other curves and d > 1 take the
@@ -417,6 +397,8 @@ def maximal_field(
     if not 0.0 <= delta < 1.0:
         raise DomainValidationError("delta must lie in [0, 1)")
     xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0:
+        raise DomainValidationError("maximal_field needs at least one point")
     window = profile.d == 1 and curve.is_shift
     if critical_times is not None:
         if not window:

@@ -5,12 +5,14 @@ e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 
 Every path runs one kernel, _quadrature: composite Gauss-Legendre panels
 summing w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j, t_j).
-Pointwise evaluation (certified_value) folds x into the shift, so its
-x = 0 row sums one column per point. A paired call takes points x_i with
-times t_i, keeps each pair's own node budget, and runs the pairs whose
-budgets agree as columns of one kernel call, so a golden-section step
-over a whole field is one call. A window (batch_values) multiplies the
-column weights by an exp(i x xi) table. f(x) comes from the pass that
+Pointwise evaluation (certified_value) takes pairs (x_i, t_i) only, one
+point being the one-pair call, and folds x into the shift, so its x = 0
+row sums one column per pair. Each pair keeps its own node budget, and
+the pairs whose budgets agree run as columns of one kernel call, so a
+golden-section step over a whole field is one call. A window
+(batch_values) multiplies the column weights by an exp(i x xi) table.
+Both kernels reject a t outside [0, 1] or a non-finite x coordinate
+with DomainValidationError before any work. f(x) comes from the pass that
 computes U f, so a failing f(x) reports t=0.0 in the AccuracyError
 context: the t = 0 column on a window, and on the pointwise kernel the
 (x, 0) pairs of point_values' one paired call (evaluate is point_values
@@ -341,38 +343,43 @@ def certified_value(
     t,
     quad: Optional[QuadratureSpec] = None,
 ):
-    """U f(x, t) with budget/self-check, without the initial value.
+    """U f at the pairs (x[i], t[i]), with budget/self-check, without f(x).
 
-    A scalar t asks for one point and returns (value, node_count_used).
-    A 1-d sequence t asks for the pairs (x[i], t[i]), x holding as many
-    points, and returns (values, total node count): the same values and
-    the summed counts of one scalar call per pair. Every pair keeps its
-    own budget; pairs whose budgets on a coordinate are equal run as
-    columns of one _quadrature call per coordinate, in chunks of at most
-    PAIR_ELEMENTS columns times nodes, and one _certify covers them all
-    with a per-pair mass. A failure names the first failing pair's x and
-    t in the AccuracyError context.
+    t is a 1-d sequence of times and x holds one point per time; one point
+    is the one-pair call certified_value(..., [x], [t]). Returns (values,
+    total node count): every pair keeps its own budget, so each value and
+    count is the pair's own, and the count is their sum. Pairs whose
+    budgets on a coordinate are equal run as columns of one _quadrature
+    call per coordinate, in chunks of at most PAIR_ELEMENTS columns times
+    nodes, and one _certify covers them all with a per-pair mass. A
+    failure names the first failing pair's x and t in the AccuracyError
+    context.
     """
 
     quad = quad or DEFAULT_QUAD
-    paired = np.ndim(t) > 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    points = x if paired else [x]
-    if paired and (np.ndim(x) == 0 or len(x) != len(ts)):
-        got = len(x) if np.ndim(x) else "a scalar"
-        raise DomainValidationError(f"paired call needs one x per t, got {got} x for {len(ts)} t")
+    if np.ndim(t) != 1 or np.ndim(x) == 0 or len(x) != len(t):
+        got = [len(v) if np.ndim(v) else "a scalar" for v in (x, t)]
+        raise DomainValidationError(
+            f"certified_value takes pairs, one x per t ([x], [t] for one point): "
+            f"got {got[0]} x for {got[1]} t"
+        )
     if m <= 0:
         raise DomainValidationError(f"dispersion power m={m} must be positive")
+    ts = np.asarray(t, dtype=float)
     outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
     if len(outside):
-        raise DomainValidationError(f"t={outside[0] if paired else t} outside [0, 1]")
+        raise DomainValidationError(f"t={outside[0]} outside [0, 1]")
+    coords = np.asarray(x, dtype=float)
+    bad = coords[~np.isfinite(coords)]
+    if len(bad):
+        raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
     if curve.d != profile.d:
         raise DomainValidationError("curve and profile dimensions disagree")
     if profile.d > 1 and m != 2.0:
         raise DomainValidationError("fractional dispersion (m != 2) is one-dimensional")
 
     factors = coordinate_factors(profile)
-    gam, budgets, used = _pair_budgets(factors, curve, m, points, ts, quad)
+    gam, budgets, used = _pair_budgets(factors, curve, m, x, ts, quad)
     over = np.flatnonzero(used > quad.max_nodes)
     over_cap = ""
     if len(over):
@@ -380,7 +387,7 @@ def certified_value(
         over_cap = f"node budget {used[i]} exceeds cap {quad.max_nodes}"
         row, total = budgets[i].tolist(), int(budgets[i].sum())
         budgets = np.array([[max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in row]])
-        points, ts, gam = [points[i]], ts[i : i + 1], gam[i : i + 1]
+        x, ts, gam = [x[i]], ts[i : i + 1], gam[i : i + 1]
     scale = TWO_PI ** (-profile.d)
 
     def run(doubling):
@@ -403,12 +410,8 @@ def certified_value(
                     mass[chunk] *= l1
         return values * scale, mass * scale
 
-    if not paired:
-        value = _certify(run, quad, f"kind={profile.kind}, t={t}", over_cap=over_cap)
-        return complex(value[0]), int(used[0])
-
     def label(k):
-        return f", x={points[k]}, t={ts[k]}"
+        return f", x={x[k]}, t={ts[k]}"
 
     values = _certify(run, quad, f"kind={profile.kind}", label, over_cap)
     return values, int(used.sum())
@@ -419,7 +422,7 @@ def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts, 
 
     Returns (values[nx, nt], initial[nx], node_counts[nx, nt]) from one
     paired certified_value call: the nx*nt pairs (x, t), then the (x, 0)
-    pairs. Every value and count is one scalar call's.
+    pairs. Every value and count is that of the pair's one-pair call.
     """
 
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
@@ -530,6 +533,9 @@ def batch_values(
     for t in ts:
         if not 0.0 <= t <= 1.0:
             raise DomainValidationError(f"t={t} outside [0, 1]")
+    bad = xs[~np.isfinite(xs)]
+    if len(bad):
+        raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
     (factor,) = coordinate_factors(profile)
     xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
     shifts = np.array([curve.shift(t) for t in ts], dtype=float)

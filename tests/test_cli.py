@@ -149,6 +149,13 @@ def test_eval_success_and_accuracy_exit_codes():
     assert "coarse=" in hard.stderr
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_rejects_a_non_finite_x(x):
+    proc = run_cli("eval", "--family", "gaussian-like", f"--x={x}", "--t", "0.5")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: x coordinate {x} is not finite\n" and proc.stdout == ""
+
+
 def test_scaling_validation_exit_code():
     proc = run_cli(
         "scaling", "--family", "bump-modulated", "--alpha", "0.5", "--delta", "0.6", "--s", "0",
@@ -306,6 +313,16 @@ def test_maximal_field_command(tmp_path):
     assert res["delta"] == 0.1
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "x,sup_value,argmax_t" and len(lines) == 130
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_maximal_rejects_an_empty_window(n):
+    proc = run_cli(
+        "maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25",
+        "--delta", "0.125", "--j-min", "16", "--j-max", "18", "--x-points", n,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: maximal_field needs at least one point\n" and proc.stdout == ""
 
 
 def test_ceiling_demo():

@@ -8,7 +8,6 @@ from curverate.experiments import (
     ScalingReport,
     _NUMERATOR_CACHE,
     fit_loglog,
-    measure_lattice_set,
     predicted_slope,
     run,
     sharpness_sweep,
@@ -202,9 +201,3 @@ def test_run_failure_partial_diagnostics_independent_of_workers():
         partials.append(err.value.partial_diagnostics)
     assert partials[0] == partials[1]
 
-
-def test_measure_lattice_set_reports():
-    out = measure_lattice_set(64.0, grid_points=24)
-    assert set(out) == {"R", "fraction", "lattice_count", "target"}
-    assert 0.0 <= out["fraction"] <= 1.0
-    assert out["lattice_count"] >= 1

@@ -20,14 +20,11 @@ from curverate.initial_data import (
     bump_tensor,
     bump_transform,
     decay_threshold,
-    dyadic_cutoff,
-    dyadic_localize,
     fourier_eval,
     gaussian_like,
     indicator_band,
     lattice_points,
     lattice_scale,
-    low_cutoff,
     physical_eval,
     sobolev_norm,
     window_physical,
@@ -172,39 +169,6 @@ def test_decay_threshold_invariant():
 def test_ghat_decreasing_scale():
     assert bump_transform(0.0) == pytest.approx(1.0, rel=1e-12)
     assert abs(bump_transform(40.0)) < 0.01
-
-
-def test_partition_of_unity_direct_summation_oracle():
-    xis = np.concatenate([np.linspace(1.0, 4096.0, 3001), 2.0 ** np.arange(0, 12.5, 0.25)])
-    total = low_cutoff(xis)
-    for k in range(1, 14):
-        total = total + dyadic_cutoff(k, xis)
-    assert float(np.max(np.abs(total - 1.0))) <= 1e-12
-
-
-def test_dyadic_localize_disjoint_and_shoulders():
-    p = annulus_bump(6)
-    same = dyadic_localize(p, 6)
-    far = dyadic_localize(p, 11)
-    # the cutoff equals 1 exactly at the annulus centre frequency
-    assert fourier_eval(same, 64.0) == pytest.approx(fourier_eval(p, 64.0), rel=1e-12)
-    # shoulders only attenuate, never amplify
-    for eta in np.linspace(33.0, 127.0, 101):
-        loc, orig = abs(fourier_eval(same, eta)), abs(fourier_eval(p, eta))
-        assert loc <= orig + 1e-15
-    # disjoint dyadic scales annihilate the profile
-    for eta in np.linspace(30.0, 130.0, 89):
-        assert fourier_eval(far, eta) == 0.0
-
-
-def test_dyadic_localize_band_support():
-    k = 5
-    p = indicator_band(2.0 ** k)
-    loc = dyadic_localize(p, k)
-    (lo, hi), = loc.support_box
-    assert lo >= 2.0 ** (k - 1) - 1e-12 and hi <= 2.0 ** (k + 1) + 1e-12
-    with pytest.raises(DomainValidationError):
-        dyadic_localize(loc, k)
 
 
 def test_zero_profile_is_zero():

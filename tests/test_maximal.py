@@ -36,7 +36,6 @@ from curverate.maximal import (
     lemma_profile,
     maximal_field,
     rate_ceiling_demo,
-    rate_weighted_sup,
     window_grid,
 )
 from curverate import maximal, propagator
@@ -45,6 +44,18 @@ from curverate.propagator import DEFAULT_QUAD, batch_values, certified_value
 
 MINUS_HALF = CurveSpec(MINUS_SHIFT, alpha=0.5)
 PLUS_HALF = CurveSpec(PLUS_SHIFT, alpha=0.5)
+
+
+def one_point(profile, curve, delta, x, grid):
+    """maximal_field (m = 2) at the one point x: (sup, argmax time)."""
+    fld = maximal_field(profile, curve, 2.0, delta, [x], grid)
+    return fld.sup_values[0], fld.argmax_times[0]
+
+
+def one_pair(profile, curve, m, x, t):
+    """certified_value at the one pair (x, t): (value, node count)."""
+    values, used = certified_value(profile, curve, m, [x], [t])
+    return complex(values[0]), used
 
 
 def test_time_grid_basics():
@@ -126,7 +137,7 @@ def test_rate_weighted_sup_dominates_grid_members():
 
     profile = bump_dilated(16.0)
     grid = TimeGrid(4, 10, points_per_octave=3, local_refinement=False)
-    sup, arg = rate_weighted_sup(profile, MINUS_HALF, 2.0, 0.0, 0.05, grid)
+    sup, arg = one_point(profile, MINUS_HALF, 0.0, 0.05, grid)
     for t in grid.times():
         s = evaluate(profile, MINUS_HALF, 2.0, 0.05, float(t))
         assert sup >= abs(s.value - s.initial) - 1e-12
@@ -137,11 +148,11 @@ def test_rate_weighted_sup_monotone_in_grid_and_delta():
     profile = bump_dilated(16.0)
     coarse = TimeGrid(4, 10, points_per_octave=2, local_refinement=False)
     fine = TimeGrid(4, 10, points_per_octave=4, local_refinement=False)
-    s_coarse, _ = rate_weighted_sup(profile, MINUS_HALF, 2.0, 0.0, 0.05, coarse)
-    s_fine, _ = rate_weighted_sup(profile, MINUS_HALF, 2.0, 0.0, 0.05, fine)
+    s_coarse, _ = one_point(profile, MINUS_HALF, 0.0, 0.05, coarse)
+    s_fine, _ = one_point(profile, MINUS_HALF, 0.0, 0.05, fine)
     assert s_fine >= s_coarse - 1e-15  # octave grid of ppo 4 contains the ppo-2 grid
-    s_d0, _ = rate_weighted_sup(profile, MINUS_HALF, 2.0, 0.0, 0.05, coarse)
-    s_d2, _ = rate_weighted_sup(profile, MINUS_HALF, 2.0, 0.2, 0.05, coarse)
+    s_d0, _ = one_point(profile, MINUS_HALF, 0.0, 0.05, coarse)
+    s_d2, _ = one_point(profile, MINUS_HALF, 0.2, 0.05, coarse)
     assert s_d2 >= s_d0 - 1e-15  # t <= 1 so t^{-delta} grows with delta
 
 
@@ -238,7 +249,7 @@ def test_general_curve_falls_back_to_pointwise_sup():
     wobble = CurveSpec(CUSTOM, alpha=0.5, gamma_fn=lambda x, t: x - (1 + 0.05 * x) * t ** 0.5)
     profile = bump_dilated(16.0)
     grid = TimeGrid(4, 8, points_per_octave=2, local_refinement=False)
-    sup, arg = rate_weighted_sup(profile, wobble, 2.0, 0.0, 0.05, grid)
+    sup, arg = one_point(profile, wobble, 0.0, 0.05, grid)
     assert sup > 0.0 and 2.0 ** -8 <= arg <= 2.0 ** -4
     with pytest.raises(DomainValidationError):
         batch_values(profile, wobble, 2.0, np.array([0.05]), [0.01])
@@ -246,15 +257,6 @@ def test_general_curve_falls_back_to_pointwise_sup():
 
 WOBBLE = CurveSpec(CUSTOM, alpha=0.5, gamma_fn=lambda x, t: x - (1 + 0.05 * x) * t ** 0.5)  # general curve
 MINUS_HALF_2D = CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
-
-
-def test_rate_weighted_sup_is_maximal_field_at_one_point():
-    profile = bump_dilated(16.0)
-    grid = TimeGrid(4, 10, points_per_octave=3)  # refinement on
-    fld = maximal_field(profile, MINUS_HALF, 2.0, 0.1, [0.05], grid)
-    assert rate_weighted_sup(profile, MINUS_HALF, 2.0, 0.1, 0.05, grid) == (
-        fld.sup_values[0], fld.argmax_times[0]
-    )
 
 
 @pytest.mark.parametrize(
@@ -265,16 +267,14 @@ def test_rate_weighted_sup_is_maximal_field_at_one_point():
     ],
 )
 def test_pointwise_sup_is_the_direct_grid_maximum(profile, curve, x):
-    from curverate.propagator import certified_value
-
     delta = 0.1
     grid = TimeGrid(4, 8, points_per_octave=2, local_refinement=False)
-    f0, _ = certified_value(profile, curve, 2.0, x, 0.0)
+    f0, _ = one_pair(profile, curve, 2.0, x, 0.0)
     direct = [
-        (abs(certified_value(profile, curve, 2.0, x, float(t))[0] - f0) / t ** delta, float(t))
+        (abs(one_pair(profile, curve, 2.0, x, float(t))[0] - f0) / t ** delta, float(t))
         for t in grid.times()
     ]
-    assert rate_weighted_sup(profile, curve, 2.0, delta, x, grid) == max(direct)
+    assert one_point(profile, curve, delta, x, grid) == max(direct)
 
 
 def test_maximal_field_matches_rate_weighted_sup_pointwise():
@@ -283,14 +283,15 @@ def test_maximal_field_matches_rate_weighted_sup_pointwise():
     grid = TimeGrid(4, 8, points_per_octave=2)  # refinement on
     fld = maximal_field(profile, MINUS_HALF_2D, 2.0, 0.1, xs, grid)
     for x, sup, arg in zip(xs, fld.sup_values, fld.argmax_times):
-        assert rate_weighted_sup(profile, MINUS_HALF_2D, 2.0, 0.1, x, grid) == (sup, arg)
+        # each row of the 2-point field is that point's 1-point field, bit for bit
+        assert one_point(profile, MINUS_HALF_2D, 0.1, x, grid) == (sup, arg)
 
 
 def test_pointwise_field_reports_the_largest_pair_node_count():
     profile, xs = bump_dilated(16.0), np.array([0.05, 0.1])
     grid = TimeGrid(4, 8, points_per_octave=2, local_refinement=False)
     fld = maximal_field(profile, WOBBLE, 2.0, 0.1, xs, grid)
-    counts = [certified_value(profile, WOBBLE, 2.0, x, float(t))[1] for x in xs for t in grid.times()]
+    counts = [one_pair(profile, WOBBLE, 2.0, x, float(t))[1] for x in xs for t in grid.times()]
     assert fld.node_count_max == max(counts)
 
 
@@ -334,11 +335,23 @@ def test_injection_off_the_window_path_fails_before_any_work(monkeypatch, profil
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "profile,curve", [(indicator_band(64.0), PLUS_HALF), (bump_dilated(16.0), WOBBLE)]
+)
+def test_maximal_field_rejects_an_empty_set_of_points(monkeypatch, profile, curve):
+    calls = count_certified_calls(monkeypatch)
+    for kernel in ("batch_values", "point_values"):
+        monkeypatch.setattr(maximal, kernel, lambda *a, **k: calls.append(a))
+    with pytest.raises(DomainValidationError, match="at least one point"):
+        maximal_field(profile, curve, 2.0, 0.1, np.zeros(0), TimeGrid(4, 8))
+    assert calls == []
+
+
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def serial_refine(profile, curve, delta, x, f0, ts, sup, arg):
-    """Reference: one point's golden-section search, one scalar call per probe."""
+    """Reference: one point's golden-section search, one one-pair call per probe."""
 
     pos = int(np.searchsorted(ts, arg))
     a, b = float(ts[max(0, pos - 1)]), float(ts[min(len(ts) - 1, pos + 1)])
@@ -346,7 +359,7 @@ def serial_refine(profile, curve, delta, x, f0, ts, sup, arg):
         return sup, arg
 
     def score(t):
-        value, _ = certified_value(profile, curve, 2.0, x, float(t))
+        value, _ = one_pair(profile, curve, 2.0, x, float(t))
         return abs(value - f0) / t ** delta
 
     c, d = b - (b - a) / GOLDEN_RATIO, a + (b - a) / GOLDEN_RATIO

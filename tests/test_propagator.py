@@ -48,6 +48,12 @@ STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
 
 
+def one_pair(profile, curve, m, x, t, quad=None):
+    """certified_value at the one pair (x, t): (value, node count)."""
+    values, used = certified_value(profile, curve, m, [x], [t], quad)
+    return complex(values[0]), used
+
+
 def gaussian_closed_form(x, t):
     """(2 pi)^{-1} integral e^{i(x xi + t xi^2)} e^{-xi^2} dxi, exact."""
     z = 1.0 - 1j * t
@@ -185,7 +191,7 @@ def test_batch_matches_pointwise():
         direct0 = evaluate(profile, curve, 2.0, float(x), 0.0)
         assert abs(init[i] - direct0.value) < 5e-9 * max(1.0, mass)
         for j, t in enumerate(ts):
-            v, _ = certified_value(profile, curve, 2.0, float(x), float(t))
+            v, _ = one_pair(profile, curve, 2.0, float(x), float(t))
             assert abs(vals[i, j] - v) < 5e-9
 
 
@@ -237,7 +243,7 @@ def test_indicator_band_fresnel_oracle_pointwise_and_window(R):
     for i, x in enumerate(BAND_XS):
         for j, t in enumerate(BAND_TS):
             exact = band_fresnel_closed_form(R, x + curve.shift(t), t)
-            point, _ = certified_value(profile, curve, 2.0, float(x), t)
+            point, _ = one_pair(profile, curve, 2.0, float(x), t)
             assert abs(point - exact) < tol
             assert abs(vals[i, j] - exact) < tol
 
@@ -265,9 +271,9 @@ def test_batch_fractional_dispersion_matches_pointwise(m):
     ts = [1e-3, 0.1, 0.6]
     vals, init, _ = batch_values(gaussian_like(), STRAIGHT_1D, m, xs, ts)
     for i, x in enumerate(xs):
-        assert abs(init[i] - certified_value(gaussian_like(), STRAIGHT_1D, m, float(x), 0.0)[0]) < 1e-9
+        assert abs(init[i] - one_pair(gaussian_like(), STRAIGHT_1D, m, float(x), 0.0)[0]) < 1e-9
         for j, t in enumerate(ts):
-            v, _ = certified_value(gaussian_like(), STRAIGHT_1D, m, float(x), t)
+            v, _ = one_pair(gaussian_like(), STRAIGHT_1D, m, float(x), t)
             assert abs(vals[i, j] - v) < 1e-9
 
 
@@ -279,7 +285,7 @@ def test_bourgain_initial_matches_physical_closed_form(R):
     exact = np.array([bourgain_physical(profile, x) for x in xs])
     assert np.max(np.abs(batch_initial(profile, xs) - exact)) < 1e-12
     for x, e in zip(xs, exact):
-        assert abs(certified_value(profile, STRAIGHT_1D, 2.0, float(x), 0.0)[0] - e) < 1e-12
+        assert abs(one_pair(profile, STRAIGHT_1D, 2.0, float(x), 0.0)[0] - e) < 1e-12
 
 
 def test_window_initial_rejects_what_the_window_pass_rejects():
@@ -312,7 +318,7 @@ def test_window_initial_is_the_shared_time_zero_column(ends, t, m):
     if m == 2.0:
         assert np.max(np.abs(init - batch_initial(profile, xs))) <= 1e-9 * scale
     for x, f0 in zip(xs, init):
-        assert abs(certified_value(profile, STRAIGHT_1D, m, float(x), 0.0)[0] - f0) <= 1e-9 * scale
+        assert abs(one_pair(profile, STRAIGHT_1D, m, float(x), 0.0)[0] - f0) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +415,9 @@ def test_bump_modulated_scaling_window_is_pointwise():
     vals, init, _ = batch_values(profile, curve, 2.0, xs, ts)
     tol = 1e-9 * mass_scale(profile)
     for i in picks:
-        assert abs(init[i] - certified_value(profile, curve, 2.0, float(xs[i]), 0.0)[0]) <= tol
+        assert abs(init[i] - one_pair(profile, curve, 2.0, float(xs[i]), 0.0)[0]) <= tol
         for j, t in enumerate(ts):
-            assert abs(vals[i, j] - certified_value(profile, curve, 2.0, float(xs[i]), t)[0]) <= tol
+            assert abs(vals[i, j] - one_pair(profile, curve, 2.0, float(xs[i]), t)[0]) <= tol
 
 
 @settings(max_examples=25, deadline=None)
@@ -431,7 +437,7 @@ def test_factorized_window_is_pointwise_at_positive_times(nx, ends, t, m, picks)
     scale = batch_initial(profile, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
     vals, _, _ = batch_values(profile, STRAIGHT_1D, m, xs, [t])
     for i in [0, nx - 1] + [p % nx for p in picks]:
-        point, _ = certified_value(profile, STRAIGHT_1D, m, float(xs[i]), t)
+        point, _ = one_pair(profile, STRAIGHT_1D, m, float(xs[i]), t)
         assert abs(vals[i, 0] - point) <= 1e-9 * scale
 
 
@@ -444,7 +450,7 @@ def test_jittered_window_takes_the_direct_table():
     vals, _, _ = batch_values(profile, STRAIGHT_1D, 2.0, xs, ts)
     for i in (0, 77, 299):
         for j, t in enumerate(ts):
-            point, _ = certified_value(profile, STRAIGHT_1D, 2.0, float(xs[i]), t)
+            point, _ = one_pair(profile, STRAIGHT_1D, 2.0, float(xs[i]), t)
             assert abs(vals[i, j] - point) < 1e-9
 
 
@@ -518,10 +524,10 @@ def test_self_check_off_pointwise_value_is_one_pass():
     profile, x, t = indicator_band(256.0), 0.01, 1.0
     (factor,) = coordinate_factors(profile)
     n = _node_budget(phase_variation(x, t, 2.0, factor), ONE_PASS)
-    value, used = certified_value(profile, STRAIGHT_1D, 2.0, x, t, ONE_PASS)
+    value, used = one_pair(profile, STRAIGHT_1D, 2.0, x, t, ONE_PASS)
     assert used == n
     with pytest.raises(AccuracyError):  # the doubled pass disagrees with this one
-        certified_value(profile, STRAIGHT_1D, 2.0, x, t, replace(ONE_PASS, self_check=True))
+        one_pair(profile, STRAIGHT_1D, 2.0, x, t, replace(ONE_PASS, self_check=True))
     one_pass, two_pass = (
         _quadrature(factor, k, ONE_PASS.panel_order, 2.0, x, t)[0] * TWO_PI ** -1 for k in (n, 2 * n)
     )
@@ -547,7 +553,7 @@ def test_over_cap_without_self_check_has_no_estimates(kernel):
     tight = QuadratureSpec(base_nodes=64, max_nodes=128, self_check=False)
     with pytest.raises(AccuracyError) as err:
         if kernel == "pointwise":
-            certified_value(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+            one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
         else:
             batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0], tight)
     assert err.value.coarse is None and err.value.fine is None
@@ -574,8 +580,8 @@ def test_galilean_covariance_with_full_phase(eta, x, t, curve):
     base, moved = gaussian_like(), gaussian_like(center=eta)
     scale = batch_initial(base, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
     phase = lambda y: np.exp(1j * ((y + curve.shift(t)) * eta + t * eta * eta))
-    lhs, _ = certified_value(moved, curve, 2.0, x, t)
-    rhs, _ = certified_value(base, curve, 2.0, x + 2.0 * t * eta, t)
+    lhs, _ = one_pair(moved, curve, 2.0, x, t)
+    rhs, _ = one_pair(base, curve, 2.0, x + 2.0 * t * eta, t)
     assert abs(lhs - phase(x) * rhs) <= 1e-9 * scale
     xs = np.linspace(x - 0.5, x + 0.5, 5)
     lhs = batch_values(moved, curve, 2.0, xs, [t])[0][:, 0]
@@ -594,8 +600,8 @@ def test_galilean_covariance_with_full_phase(eta, x, t, curve):
 def test_real_even_data_give_an_even_field(profile, x, t, m, nx):
     # f^ real and even: xi -> -xi turns U f(-x, t) into U f(x, t)
     scale = batch_initial(profile, np.zeros(1))[0].real
-    plus, _ = certified_value(profile, STRAIGHT_1D, m, x, t)
-    minus, _ = certified_value(profile, STRAIGHT_1D, m, -x, t)
+    plus, _ = one_pair(profile, STRAIGHT_1D, m, x, t)
+    minus, _ = one_pair(profile, STRAIGHT_1D, m, -x, t)
     assert abs(plus - minus) <= 1e-9 * scale
     vals, init, _ = batch_values(profile, STRAIGHT_1D, m, window_grid(-2.0, 2.0, nx), [t])
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-9 * scale
@@ -603,7 +609,8 @@ def test_real_even_data_give_an_even_field(profile, x, t, m, nx):
 
 
 # ---------------------------------------------------------------------------
-# the paired kernel: certified_value over (x_i, t_i) pairs
+# the paired kernel: certified_value over (x_i, t_i) pairs, each pair's
+# reference being its one-pair call
 
 
 def mass_scale(profile):
@@ -644,11 +651,11 @@ def test_paired_call_is_one_scalar_call_per_pair(case):
     profile, curve, m, xs, ts = PAIRED_CASES[case]
     xs = np.asarray(xs, dtype=float)
     values, total = certified_value(profile, curve, m, xs, ts)
-    scalar = [certified_value(profile, curve, m, x, t) for x, t in zip(xs, ts)]
+    single = [one_pair(profile, curve, m, x, t) for x, t in zip(xs, ts)]
     assert values.shape == (len(ts),) and isinstance(total, int)
-    assert total == sum(n for _, n in scalar)
+    assert total == sum(n for _, n in single)
     tol = 1e-15 * mass_scale(profile)
-    assert np.max(np.abs(values - np.array([v for v, _ in scalar]))) <= tol
+    assert np.max(np.abs(values - np.array([v for v, _ in single]))) <= tol
 
 
 def per_pair_budgets(profile, curve, m, points, ts, quad):
@@ -679,13 +686,13 @@ def test_pair_budgets_are_the_per_pair_formula(case, self_check):
 
 def test_paired_d2_values_do_not_depend_on_position():
     # 33 pairs fill whole vector lanes and leave a tail; every pair's value
-    # is bit for bit its scalar call's, wherever it sits in the paired call
+    # is bit for bit its one-pair call's, wherever it sits in the paired call
     profile, curve = bump_tensor(16.0, 0.1, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
     xs = np.column_stack([np.linspace(0.0, 0.02, 33), np.linspace(-0.5, 0.5, 33)])
     ts = np.full(33, 5e-4)
     values, _ = certified_value(profile, curve, 2.0, xs, ts)
-    scalar = np.array([certified_value(profile, curve, 2.0, x, 5e-4)[0] for x in xs])
-    assert values.tobytes() == scalar.tobytes()
+    single = np.array([one_pair(profile, curve, 2.0, x, 5e-4)[0] for x in xs])
+    assert values.tobytes() == single.tobytes()
 
 
 def test_paired_call_does_not_depend_on_chunking(monkeypatch):
@@ -703,27 +710,26 @@ def test_empty_paired_call():
 
 def test_paired_node_cap_names_the_first_pair_over_it():
     tight = QuadratureSpec(base_nodes=64, max_nodes=128)
-    with pytest.raises(AccuracyError) as scalar:
-        certified_value(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+    with pytest.raises(AccuracyError) as single:
+        one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
     with pytest.raises(AccuracyError) as err:  # (0, 0) fits the cap, (40, 1) and (50, 1) do not
         certified_value(gaussian_like(), STRAIGHT_1D, 2.0, [0.0, 40.0, 50.0], [0.0, 1.0, 1.0], tight)
     assert err.value.coarse is not None and err.value.fine is not None
-    assert (err.value.coarse, err.value.fine) == (scalar.value.coarse, scalar.value.fine)
-    assert str(err.value).split(" [")[0] == str(scalar.value).split(" [")[0]
+    assert (err.value.coarse, err.value.fine) == (single.value.coarse, single.value.fine)
+    assert str(err.value) == str(single.value)
     assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
 def test_paired_self_check_failure_names_the_failing_pair():
     coarse_budget = QuadratureSpec(base_nodes=64, nodes_per_radian=0.25)  # too few nodes at t = 1
     profile = indicator_band(256.0)
-    with pytest.raises(AccuracyError) as scalar:
-        certified_value(profile, STRAIGHT_1D, 2.0, 0.01, 1.0, coarse_budget)
+    with pytest.raises(AccuracyError) as single:
+        one_pair(profile, STRAIGHT_1D, 2.0, 0.01, 1.0, coarse_budget)
     with pytest.raises(AccuracyError) as err:  # f(0.01) converges, U f(0.01, 1) does not
         certified_value(profile, STRAIGHT_1D, 2.0, [0.01, 0.01], [0.0, 1.0], coarse_budget)
     assert "self-check failed" in str(err.value)
-    assert (err.value.coarse, err.value.fine) == (scalar.value.coarse, scalar.value.fine)
-    assert err.value.context == "kind=indicator-band, x=0.01, t=1.0"
-    assert scalar.value.context == "kind=indicator-band, t=1.0"
+    assert (err.value.coarse, err.value.fine) == (single.value.coarse, single.value.fine)
+    assert err.value.context == single.value.context == "kind=indicator-band, x=0.01, t=1.0"
 
 
 def test_paired_call_validates_its_pairs():
@@ -736,6 +742,27 @@ def test_paired_call_validates_its_pairs():
         certified_value(g, STRAIGHT_1D, 2.0, [0.1, 0.2, 0.3], [0.5, 0.6])
     with pytest.raises(DomainValidationError, match="one x per t"):
         certified_value(g, STRAIGHT_1D, 2.0, 0.1, [0.5, 0.6])
+    for x, t in ((0.1, 0.5), ([0.1], 0.5), (0.1, [0.5])):  # no scalar form: one point is ([x], [t])
+        with pytest.raises(DomainValidationError, match=r"one x per t \(\[x\], \[t\] for one point\)"):
+            certified_value(g, STRAIGHT_1D, 2.0, x, t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
+    calls = []
+    for stage in ("_pair_budgets", "_quadrature"):
+        monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
+    g, shifted = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5)
+    with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
+        batch_values(g, shifted, 2.0, np.array([0.1, bad]), [0.5])
+    with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
+        certified_value(g, shifted, 2.0, [0.1, bad], [0.5, 0.5])
+    with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
+        certified_value(bump_tensor(16.0, 0.1, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2), 2.0,
+                        [[0.01, 0.2], [0.02, bad]], [1e-3, 1e-3])
+    with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
+        evaluate(g, shifted, 2.0, bad, 0.5)
+    assert calls == []
 
 
 # point_values: U f and f(x) on the pointwise kernel, in one certified pass
@@ -752,9 +779,9 @@ def test_point_values_are_scalar_calls_bit_for_bit(case):
     values, initial, counts = point_values(profile, curve, m, xs, ts)
     assert values.shape == counts.shape == (len(xs), len(ts)) and initial.shape == (len(xs),)
     for i, x in enumerate(xs):
-        assert bits(initial[i]) == bits(certified_value(profile, curve, m, x, 0.0)[0])
+        assert bits(initial[i]) == bits(one_pair(profile, curve, m, x, 0.0)[0])
         for j, t in enumerate(ts):
-            value, used = certified_value(profile, curve, m, x, float(t))
+            value, used = one_pair(profile, curve, m, x, float(t))
             assert bits(values[i, j]) == bits(value) and counts[i, j] == used
             if t == 0.0:
                 assert bits(values[i, j]) == bits(initial[i])
@@ -767,7 +794,7 @@ def test_evaluate_is_point_values_at_one_pair(case):
         s = evaluate(profile, curve, m, x, t)
         values, initial, counts = point_values(profile, curve, m, [x], [t])
         assert bits(s.value, s.initial) == bits(values[0, 0], initial[0])
-        assert s.node_count == counts[0, 0] == certified_value(profile, curve, m, x, t)[1]
+        assert s.node_count == counts[0, 0] == one_pair(profile, curve, m, x, t)[1]
         assert t != 0.0 or s.value == s.initial
 
 
@@ -790,9 +817,9 @@ def test_evaluate_names_x_and_time_zero_when_f_fails():
     # the curve carries x = 40 back to 0 at t = 1, so U f(40, 1) needs fewer
     # nodes than f(40); a cap between the two budgets fails f(x) alone
     back = CurveSpec(CUSTOM, shift_fn=lambda t: -40.0 * t)
-    _, used = certified_value(gaussian_like(), back, 2.0, 40.0, 1.0)
+    _, used = one_pair(gaussian_like(), back, 2.0, 40.0, 1.0)
     capped = QuadratureSpec(max_nodes=used)
-    assert certified_value(gaussian_like(), back, 2.0, 40.0, 1.0, capped)[1] == used
+    assert one_pair(gaussian_like(), back, 2.0, 40.0, 1.0, capped)[1] == used
     with pytest.raises(AccuracyError) as err:
         evaluate(gaussian_like(), back, 2.0, 40.0, 1.0, capped)
     assert err.value.context == "kind=gaussian-like, x=40.0, t=0.0"
