@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -51,22 +52,20 @@ def _quad_from_args(args) -> QuadratureSpec:
     return QuadratureSpec(
         base_nodes=args.quad_base_nodes,
         nodes_per_radian=args.quad_nodes_per_radian,
-        panel_order=args.quad_panel_order,
         max_nodes=args.quad_max_nodes,
-        self_check=not args.quad_no_self_check,
     )
 
 
 def _add_quad_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quad-base-nodes", type=int, default=DEFAULT_QUAD.base_nodes)
     p.add_argument("--quad-nodes-per-radian", type=float, default=DEFAULT_QUAD.nodes_per_radian)
-    p.add_argument("--quad-panel-order", type=int, default=DEFAULT_QUAD.panel_order)
     p.add_argument("--quad-max-nodes", type=int, default=DEFAULT_QUAD.max_nodes)
-    p.add_argument("--quad-no-self-check", action="store_true")
     p.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
 
 def _emit(args, command: str, config: dict, result: dict) -> None:
+    if hasattr(args, "quad_base_nodes"):  # a command that takes the quadrature flags echoes them
+        config = {**config, "quad": asdict(_quad_from_args(args))}
     text = write_report(getattr(args, "out", None), envelope(command, config, result))
     sys.stdout.write(text)
 
@@ -213,9 +212,11 @@ def cmd_maximal(args) -> int:
         "alpha": args.alpha,
         "m": args.m,
         "delta": args.delta,
+        "epsilon": args.epsilon,
         "x_points": args.x_points,
         "j_min": args.j_min,
         "j_max": args.j_max,
+        "points_per_octave": args.points_per_octave,
         "inject_critical": bool(args.inject_critical),
         "c": c,
     }

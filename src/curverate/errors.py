@@ -2,9 +2,9 @@
 
 Two top-level classes matter for the CLI exit-code contract: domain or
 validation problems (exit code 1) and numerical-accuracy failures (exit
-code 2). Accuracy errors carry both the coarse and the fine estimate
-whenever the node-doubling self-check is on, so callers can decide to
-accept degraded accuracy explicitly.
+code 2). Every accuracy error from a certified pass carries both the
+coarse and the fine estimate, so a caller that accepts degraded accuracy
+does so explicitly: it catches AccuracyError and reads .coarse / .fine.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, DomainValidationError
-from .quadrature import fixed_rule
+from .quadrature import PANEL_ORDER, panel_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,7 +69,7 @@ def bump_eval(xi):
 
 @lru_cache(maxsize=1)
 def _bump_rule():
-    xs, ws = fixed_rule(-0.5, 0.5, panels=96)
+    xs, ws = panel_nodes(-0.5, 0.5, 96 * PANEL_ORDER)
     return xs, ws, BUMP(xs)
 
 
@@ -172,6 +172,8 @@ class FrequencyProfile:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainValidationError(f"unknown profile kind {self.kind!r}")
+        if not (math.isfinite(self.R) and math.isfinite(self.epsilon)):
+            raise DomainValidationError(f"R={self.R} and epsilon={self.epsilon} must be finite")
         if self.kind in (BUMP_DILATED, BUMP_MODULATED, BUMP_TENSOR, INDICATOR_BAND, BOURGAIN):
             if self.R < 1:
                 raise DomainValidationError("frequency scale R must be >= 1")
@@ -409,15 +411,15 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
     is certified by panel doubling (AccuracyError on failure).
     """
 
-    if s < 0:
-        raise DomainValidationError("sobolev_norm needs s >= 0")
+    if not 0 <= s < math.inf:
+        raise DomainValidationError(f"sobolev_norm needs a finite s >= 0, not s={s}")
     factors = coordinate_factors(profile)
 
-    def integral(panels):
+    def integral(nodes):
         if profile.d == 1:
             total = 0.0
             for lo, hi in factors[0].segments:
-                xs, ws = fixed_rule(lo, hi, panels)
+                xs, ws = panel_nodes(lo, hi, nodes)
                 fv = np.abs(np.atleast_1d(factors[0].func(xs))) ** 2
                 total += float(np.sum(ws * (1.0 + xs * xs) ** s * fv))
             return total
@@ -426,7 +428,7 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
         for f in factors:
             xs_all, ws_all, fv_all = [], [], []
             for lo, hi in f.segments:
-                xs, ws = fixed_rule(lo, hi, panels)
+                xs, ws = panel_nodes(lo, hi, nodes)
                 xs_all.append(xs)
                 ws_all.append(ws)
                 fv_all.append(np.abs(np.atleast_1d(f.func(xs))))
@@ -439,8 +441,8 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
         weight = (1.0 + x1[:, None] ** 2 + x2[None, :] ** 2) ** s
         return float(((w1 * f1 * f1) @ weight) @ (w2 * f2 * f2))
 
-    coarse = integral(64)
-    fine = integral(128)
+    coarse = integral(64 * PANEL_ORDER)
+    fine = integral(128 * PANEL_ORDER)
     scale = max(abs(coarse), abs(fine), 1e-300)
     if abs(fine - coarse) > SOBOLEV_REL_TOL * scale:
         raise AccuracyError(

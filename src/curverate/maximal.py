@@ -77,8 +77,8 @@ class TimeGrid:
         if (self.j_min is None) != (self.j_max is None):
             raise DomainValidationError("j_min and j_max must be given together")
         if self.j_min is not None:
-            if self.j_min < 0 or self.j_max < self.j_min:
-                raise DomainValidationError("need 0 <= j_min <= j_max")
+            if not 0 <= self.j_min <= self.j_max < math.inf:
+                raise DomainValidationError("need finite 0 <= j_min <= j_max")
             if self.points_per_octave < 1:
                 raise DomainValidationError("points_per_octave must be >= 1")
 

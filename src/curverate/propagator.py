@@ -11,15 +11,16 @@ row sums one column per pair. Each pair keeps its own node budget, and
 the pairs whose budgets agree run as columns of one kernel call, so a
 golden-section step over a whole field is one call. A window
 (batch_values) multiplies the column weights by an exp(i x xi) table.
-Both kernels reject a t outside [0, 1] or a non-finite x coordinate
-with DomainValidationError before any work. f(x) comes from the pass that
-computes U f, so a failing f(x) reports t=0.0 in the AccuracyError
-context: the t = 0 column on a window, and on the pointwise kernel the
-(x, 0) pairs of point_values' one paired call (evaluate is point_values
-at one pair). The node count follows the estimated total phase
-variation, and one self-check, _certify, re-runs the kernel at doubled
-nodes and demands agreement relative to the profile's L^1 mass scale
-(computed on the same rule) before reporting a value.
+Both kernels share one front end: _check_domain rejects a bad m, t or x
+with DomainValidationError before any work, _node_budgets sets each node
+count from the estimated total phase variation and _over_cap applies the
+node cap. f(x) comes from the pass that computes U f, so a failing f(x)
+reports t=0.0 in the AccuracyError context: the t = 0 column on a
+window, and on the pointwise kernel the (x, 0) pairs of point_values'
+one paired call (evaluate is point_values at one pair). Every value is
+certified: _certify re-runs the kernel at doubled nodes and demands
+agreement relative to the profile's L^1 mass scale (computed on the same
+rule) before reporting it.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
@@ -62,7 +63,7 @@ import numpy as np
 from .curves import STRAIGHT, CurveSpec, gamma_pairs
 from .errors import AccuracyError, DomainValidationError
 from .initial_data import FrequencyProfile, coordinate_factors
-from .quadrature import panel_nodes
+from .quadrature import PANEL_ORDER, panel_nodes
 
 TWO_PI = 2.0 * math.pi
 SELF_CHECK_TOL = 1e-9
@@ -82,17 +83,15 @@ class QuadratureSpec:
 
     base_nodes: int = 256
     nodes_per_radian: float = 10.0 / TWO_PI
-    panel_order: int = 16
     max_nodes: int = 2 ** 22
-    self_check: bool = True
 
     def __post_init__(self):
         if self.base_nodes < 64:
             raise DomainValidationError("base_nodes must be >= 64")
+        if not 0 < self.nodes_per_radian < math.inf:
+            raise DomainValidationError("nodes_per_radian must be finite and positive")
         if self.max_nodes < self.base_nodes:
             raise DomainValidationError("max_nodes must be >= base_nodes")
-        if self.panel_order < 4:
-            raise DomainValidationError("panel_order must be >= 4")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -138,19 +137,23 @@ def phase_variation(gamma_j, t, m: float, factor):
     return speed * width
 
 
-def _node_budget(V: float, quad: QuadratureSpec) -> int:
-    n = max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * V)))
-    panels = -(-n // quad.panel_order)
-    return panels * quad.panel_order
+def _node_budgets(reach, ts, m: float, factor, quad: QuadratureSpec):
+    """Node budgets in whole panels at displacements reach (|reach| counts) and times ts.
+
+    Elementwise; budgets past 2^52 nodes, far over any cap, read as 2^52.
+    """
+    V = phase_variation(reach, ts, m, factor)
+    n = np.fmin(np.maximum(quad.base_nodes, np.ceil(quad.nodes_per_radian * V)), 2.0 ** 52)
+    return -(-n.astype(np.int64) // PANEL_ORDER) * PANEL_ORDER
 
 
-def _bucket(n: int, order: int) -> int:
-    """Round a node count up to order * 2^k so nearby times share a rule."""
-    panels = max(1, -(-n // order))
-    return order * (1 << max(0, (panels - 1).bit_length()))
+def _bucket(n):
+    """Round node counts up to PANEL_ORDER * 2^k, elementwise, so nearby times share a rule."""
+    panels = np.maximum(1, -(-np.asarray(n, dtype=np.int64) // PANEL_ORDER))
+    return PANEL_ORDER * 2 ** np.frexp(panels - 1)[1].astype(np.int64)  # 2^bit_length(panels - 1)
 
 
-def _graded_rule(lo: float, hi: float, min_nodes: int, order: int):
+def _graded_rule(lo: float, hi: float, min_nodes: int):
     """Composite rule with geometric grading into an endpoint at 0.
 
     Used for non-integer dispersion powers, where |xi|^m has unbounded
@@ -163,15 +166,15 @@ def _graded_rule(lo: float, hi: float, min_nodes: int, order: int):
     edges = [r * width for r in ratios] if lo == 0.0 else [-r * width for r in reversed(ratios)]
     offset = lo if lo == 0.0 else hi
     xs_all, ws_all = [], []
-    per = max(order, int(math.ceil(min_nodes / len(edges))))
+    per = max(PANEL_ORDER, int(math.ceil(min_nodes / len(edges))))
     for a, b in zip(edges[:-1], edges[1:]):
-        xs, ws = panel_nodes(offset + a, offset + b, per, order)
+        xs, ws = panel_nodes(offset + a, offset + b, per)
         xs_all.append(xs)
         ws_all.append(ws)
     return np.concatenate(xs_all), np.concatenate(ws_all)
 
 
-def _build_rule(segments, total_nodes: int, order: int, graded: bool):
+def _build_rule(segments, total_nodes: int, graded: bool):
     """Distribute a coordinate's node budget over its segments by width.
 
     Segments ending at 0 are graded toward it when graded (m is not an
@@ -182,11 +185,11 @@ def _build_rule(segments, total_nodes: int, order: int, graded: bool):
     width = _segment_width(segments)
     rules = []
     for lo, hi in segments:
-        share = max(order, int(math.ceil(total_nodes * (hi - lo) / width)))
+        share = max(PANEL_ORDER, int(math.ceil(total_nodes * (hi - lo) / width)))
         if graded and (lo == 0.0 or hi == 0.0):
-            xs, ws = _graded_rule(lo, hi, share, order)
+            xs, ws = _graded_rule(lo, hi, share)
         else:
-            xs, ws = panel_nodes(lo, hi, share, order)
+            xs, ws = panel_nodes(lo, hi, share)
         xs.flags.writeable = ws.flags.writeable = False
         rules.append((lo, hi, xs, ws))
     return tuple(rules)
@@ -195,7 +198,7 @@ def _build_rule(segments, total_nodes: int, order: int, graded: bool):
 _cached_rule = lru_cache(maxsize=RULE_CACHE_SIZE)(_build_rule)
 
 
-def _segment_rule(segments, total_nodes: int, order: int, graded: bool):
+def _segment_rule(segments, total_nodes: int, graded: bool):
     """_build_rule, cached for budgets of at most CACHED_RULE_NODES nodes.
 
     The pointwise path asks for the same small rules over and over. A
@@ -206,7 +209,7 @@ def _segment_rule(segments, total_nodes: int, order: int, graded: bool):
     """
 
     build = _cached_rule if total_nodes <= CACHED_RULE_NODES else _build_rule
-    return build(segments, total_nodes, order, graded)
+    return build(segments, total_nodes, graded)
 
 
 def _window_factors(xs, half_width: float):
@@ -232,7 +235,7 @@ def _window_factors(xs, half_width: float):
     return xs, np.zeros(1)
 
 
-def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
+def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
     """The one quadrature kernel, on factor's n-node rule.
 
     Column j is sum w f^(xi) e^{i((x + shifts[j]) xi + ts[j] |xi|^m)}.
@@ -249,7 +252,7 @@ def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
         anchors, steps = _window_factors(xs, half_width)
     mass = 0.0
     s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
-    for lo, hi, nodes, weights in _segment_rule(factor.segments, n, order, m != int(m)):
+    for lo, hi, nodes, weights in _segment_rule(factor.segments, n, m != int(m)):
         fv = np.asarray(factor.func(nodes), dtype=np.complex128)
         C = 0.5 * (lo + hi)
         u = nodes - C
@@ -283,56 +286,69 @@ def _quadrature(factor, n: int, order: int, m: float, shifts, ts, xs=None):
     return out, mass
 
 
-def _certify(run, quad: QuadratureSpec, context: str, label=None, over_cap: str = ""):
+def _check_domain(m: float, xs, ts) -> None:
+    """Both kernels' domain check: m > 0 (so not NaN), every t in [0, 1], every x finite."""
+    if not m > 0:
+        raise DomainValidationError(f"dispersion power m={m} must be positive")
+    outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
+    if len(outside):
+        raise DomainValidationError(f"t={outside[0]} outside [0, 1]")
+    bad = xs[~np.isfinite(xs)]
+    if len(bad):
+        raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
+
+
+def _over_cap(used, budgets, quad: QuadratureSpec):
+    """Both kernels' node cap, as (i, message, clamped); message is "" when every entry fits.
+
+    used[i] is twice the sum of budgets[i]. i is the first entry over
+    quad.max_nodes and clamped its budgets scaled to the cap, one panel at
+    least, as a (1, coordinates) array.
+    """
+    over = np.flatnonzero(used > quad.max_nodes)
+    if not len(over):
+        return None, "", None
+    i = int(over[0])
+    row = budgets[i].tolist()
+    clamped = [max(PANEL_ORDER, b * quad.max_nodes // (2 * sum(row))) for b in row]
+    return i, f"node budget {used[i]} exceeds cap {quad.max_nodes}", np.array([clamped])
+
+
+def _certify(run, context: str, label, over_cap: str = ""):
     """Node-doubling self-check shared by every evaluation path.
 
     run(doubling) returns (values, mass) on the rules with doubling times
     the budgeted nodes; mass is a scalar or has one entry per value.
     Returns the run(2) values once every entry agrees with run(1) to
-    SELF_CHECK_TOL * max(|coarse|, |fine|, mass); with quad.self_check
-    off, returns run(1) unchecked. over_cap is the message for a budget
-    past quad.max_nodes, with run clamped to the cap: the pair still runs
-    so the AccuracyError carries both estimates (of the first entry).
-    label(k) names the k-th entry of the flattened values in the error
-    context.
+    SELF_CHECK_TOL * max(|coarse|, |fine|, mass). over_cap is the message
+    for a budget past the node cap, with run clamped to the cap: the pair
+    still runs so the AccuracyError carries both estimates (of the first
+    entry). label(k) names the k-th entry of the flattened values in the
+    error context.
     """
 
-    if quad.self_check:
-        coarse, _ = run(1)
-        fine, mass = run(2)
-        bad = abs(fine - coarse) > SELF_CHECK_TOL * np.maximum(np.maximum(abs(coarse), abs(fine)), mass)
-        if not (over_cap or bad.any()):
-            return fine
-    elif not over_cap:
-        return run(1)[0]
+    coarse, _ = run(1)
+    fine, mass = run(2)
+    bad = abs(fine - coarse) > SELF_CHECK_TOL * np.maximum(np.maximum(abs(coarse), abs(fine)), mass)
+    if not (over_cap or bad.any()):
+        return fine
     k = 0 if over_cap else int(np.flatnonzero(bad)[0])
-    where = label(k) if label else ""
-    if quad.self_check:
-        coarse, fine = complex(np.ravel(coarse)[k]), complex(np.ravel(fine)[k])
-    else:
-        coarse = fine = None
-    raise AccuracyError(over_cap or "node-doubling self-check failed", coarse, fine, context + where)
+    coarse, fine = complex(np.ravel(coarse)[k]), complex(np.ravel(fine)[k])
+    raise AccuracyError(over_cap or "node-doubling self-check failed", coarse, fine, context + label(k))
 
 
 def _pair_budgets(factors, curve, m: float, points, ts, quad: QuadratureSpec):
     """Budgets of the pairs (points[i], ts[i]) on the coordinate factors.
 
     Returns gamma(x_i, t_i) as a (pairs, coordinates) array, each pair's
-    unbucketed node budget per coordinate as a (pairs, coordinates) int
-    array and the node count of its certified pass (twice the budget's
-    sum with the self-check) as a (pairs,) int array. The budgets are
-    _node_budget's, computed for all pairs at once; budgets past 2^52
-    nodes, far over any cap, read as 2^52.
+    unbucketed node budget per coordinate (_node_budgets at |gamma_j|) as
+    a (pairs, coordinates) int array and the node count of its certified
+    pass, twice the budgets' sum, as a (pairs,) int array.
     """
 
     gam = gamma_pairs(curve, points, ts)
-    budgets = np.empty(gam.shape, dtype=np.int64)
-    for j, factor in enumerate(factors):
-        V = phase_variation(gam[:, j], ts, m, factor)
-        n = np.fmin(np.maximum(quad.base_nodes, np.ceil(quad.nodes_per_radian * V)), 2.0 ** 52)
-        budgets[:, j] = -(-n.astype(np.int64) // quad.panel_order) * quad.panel_order
-    used = budgets.sum(axis=1) * (2 if quad.self_check else 1)
-    return gam, budgets, used
+    budgets = np.column_stack([_node_budgets(g, ts, m, f, quad) for g, f in zip(gam.T, factors)])
+    return gam, budgets, 2 * budgets.sum(axis=1)
 
 
 def certified_value(
@@ -363,16 +379,8 @@ def certified_value(
             f"certified_value takes pairs, one x per t ([x], [t] for one point): "
             f"got {got[0]} x for {got[1]} t"
         )
-    if m <= 0:
-        raise DomainValidationError(f"dispersion power m={m} must be positive")
     ts = np.asarray(t, dtype=float)
-    outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
-    if len(outside):
-        raise DomainValidationError(f"t={outside[0]} outside [0, 1]")
-    coords = np.asarray(x, dtype=float)
-    bad = coords[~np.isfinite(coords)]
-    if len(bad):
-        raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
+    _check_domain(m, np.asarray(x, dtype=float), ts)
     if curve.d != profile.d:
         raise DomainValidationError("curve and profile dimensions disagree")
     if profile.d > 1 and m != 2.0:
@@ -380,14 +388,9 @@ def certified_value(
 
     factors = coordinate_factors(profile)
     gam, budgets, used = _pair_budgets(factors, curve, m, x, ts, quad)
-    over = np.flatnonzero(used > quad.max_nodes)
-    over_cap = ""
-    if len(over):
-        i = int(over[0])
-        over_cap = f"node budget {used[i]} exceeds cap {quad.max_nodes}"
-        row, total = budgets[i].tolist(), int(budgets[i].sum())
-        budgets = np.array([[max(quad.panel_order, b * quad.max_nodes // (2 * total)) for b in row]])
-        x, ts, gam = [x[i]], ts[i : i + 1], gam[i : i + 1]
+    i, over_cap, clamped = _over_cap(used, budgets, quad)
+    if over_cap:
+        x, ts, gam, budgets = [x[i]], ts[i : i + 1], gam[i : i + 1], clamped
     scale = TWO_PI ** (-profile.d)
 
     def run(doubling):
@@ -399,7 +402,7 @@ def certified_value(
                 step = max(1, PAIR_ELEMENTS // n)
                 for c0 in range(0, len(cols), step):
                     chunk = cols[c0 : c0 + step]
-                    integral, l1 = _quadrature(factor, n, quad.panel_order, m, gam[chunk, j], ts[chunk])
+                    integral, l1 = _quadrature(factor, n, m, gam[chunk, j], ts[chunk])
                     # the coordinate product from real and imaginary parts:
                     # numpy's complex multiply rounds its vector lanes unlike
                     # its tail, which would tie a pair's last bit to its
@@ -413,7 +416,7 @@ def certified_value(
     def label(k):
         return f", x={x[k]}, t={ts[k]}"
 
-    values = _certify(run, quad, f"kind={profile.kind}", label, over_cap)
+    values = _certify(run, f"kind={profile.kind}", label, over_cap)
     return values, int(used.sum())
 
 
@@ -514,8 +517,8 @@ def batch_values(
     times' self-check, and their exp(i x xi) table where its rule size
     matches one of theirs. The quadrature rule for each time depends only
     on the window bound max|gamma|, never on chunking, so results are
-    independent of how work is split. Node-doubling self-check runs on
-    every sample when enabled.
+    independent of how work is split. The node-doubling self-check
+    certifies every sample.
     """
 
     quad = quad or DEFAULT_QUAD
@@ -526,50 +529,33 @@ def batch_values(
             "batch evaluation needs an x-independent curve displacement; "
             "evaluate general curves pointwise"
         )
-    if m <= 0:
-        raise DomainValidationError("m must be positive")
     xs = np.asarray(xs, dtype=float)
     ts = np.array([float(t) for t in ts] + [0.0])  # last column: f(x)
-    for t in ts:
-        if not 0.0 <= t <= 1.0:
-            raise DomainValidationError(f"t={t} outside [0, 1]")
-    bad = xs[~np.isfinite(xs)]
-    if len(bad):
-        raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
+    _check_domain(m, xs, ts)
     (factor,) = coordinate_factors(profile)
-    xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
     shifts = np.array([curve.shift(t) for t in ts], dtype=float)
-    counts = np.array(
-        [
-            _bucket(_node_budget(phase_variation(xmax + abs(s), t, m, factor), quad), quad.panel_order)
-            for s, t in zip(shifts, ts)
-        ],
-        dtype=int,
-    )
-    node_counts = counts * 2 if quad.self_check else counts
-    over = np.flatnonzero(node_counts > quad.max_nodes)
-    over_cap = ""
-    if len(over):
+    xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
+    counts = _bucket(_node_budgets(xmax + np.abs(shifts), ts, m, factor, quad))
+    j, over_cap, clamped = _over_cap(2 * counts, counts[:, None], quad)
+    if over_cap:
         # both estimates at the sample that sets the first exceeded budget
-        i, j = int(np.argmax(np.abs(xs))), int(over[0])
-        over_cap = f"node budget {node_counts[j]} exceeds cap {quad.max_nodes}"
-        xs, ts, shifts = xs[i : i + 1], ts[j : j + 1], shifts[j : j + 1]
-        counts = np.array([quad.max_nodes // 2])
+        i = int(np.argmax(np.abs(xs)))
+        xs, ts, shifts, counts = xs[i : i + 1], ts[j : j + 1], shifts[j : j + 1], clamped[0]
 
     def run(doubling):
         values = np.empty((len(xs), len(ts)), dtype=np.complex128)
         for n in np.unique(counts):  # ascending: mass ends on the largest rule
             cols = np.flatnonzero(counts == n)
             values[:, cols], mass = _quadrature(
-                factor, int(n) * doubling, quad.panel_order, m, shifts[cols], ts[cols], xs
+                factor, int(n) * doubling, m, shifts[cols], ts[cols], xs
             )
         return values / TWO_PI, mass / TWO_PI
 
     def label(k):
         return f", x={xs[k // len(ts)]}, t={ts[k % len(ts)]}"
 
-    values = _certify(run, quad, f"kind={profile.kind}", label, over_cap)
-    return values[:, :-1], values[:, -1], node_counts[:-1]
+    values = _certify(run, f"kind={profile.kind}", label, over_cap)
+    return values[:, :-1], values[:, -1], 2 * counts[:-1]
 
 
 def batch_initial(profile: FrequencyProfile, xs: np.ndarray, quad: Optional[QuadratureSpec] = None):

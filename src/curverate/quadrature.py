@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
+PANEL_ORDER = 16  # Gauss-Legendre nodes per panel, in every rule the package builds
+
 
 @lru_cache(maxsize=32)
 def gauss_legendre(order: int):
@@ -13,26 +15,20 @@ def gauss_legendre(order: int):
     return nodes, weights
 
 
-def panel_nodes(lo: float, hi: float, min_nodes: int, order: int = 16):
+def panel_nodes(lo: float, hi: float, min_nodes: int):
     """Composite Gauss-Legendre nodes/weights on [lo, hi].
 
-    Uses ceil(min_nodes / order) equal panels of the given order, so the
-    returned rule has at least min_nodes nodes.
+    Uses ceil(min_nodes / PANEL_ORDER) equal panels of order PANEL_ORDER,
+    so the returned rule has at least min_nodes nodes.
     """
 
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    panels = max(1, -(-int(min_nodes) // order))
-    base_x, base_w = gauss_legendre(order)
+    panels = max(1, -(-int(min_nodes) // PANEL_ORDER))
+    base_x, base_w = gauss_legendre(PANEL_ORDER)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     xs = (mid + half * base_x[None, :]).ravel()
-    ws = (half * np.broadcast_to(base_w, (panels, order))).ravel()
+    ws = (half * np.broadcast_to(base_w, (panels, PANEL_ORDER))).ravel()
     return xs, ws
-
-
-def fixed_rule(lo: float, hi: float, panels: int, order: int = 16):
-    """Composite rule with an explicit panel count (non-oscillatory work)."""
-
-    return panel_nodes(lo, hi, panels * order, order)

@@ -156,8 +156,8 @@ def test_c03_propagator_correctness():
             a = evaluate(shifted, straight, 2.0, x, t).value
             b = evaluate(g, straight, 2.0, x + 2.0 * t * eta0, t).value
             assert abs(abs(a) - abs(b)) < 1e-8
-        # every evaluation above ran with self_check=True at tolerance 1e-9;
-        # any violation would have raised AccuracyError
+        # every evaluation above passed the node-doubling self-check at
+        # tolerance 1e-9; any violation would have raised AccuracyError
 
 
 def test_c04_pointwise_inequalities_desk_scale():

@@ -156,6 +156,44 @@ def test_eval_rejects_a_non_finite_x(x):
     assert proc.stderr == f"error: x coordinate {x} is not finite\n" and proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "gaussian-like", "--x", "0.1", "--t", "0.5", "--m", "nan"],
+    ["eval", "--family", "gaussian-like", "--x", "0.1", "--t", "0.5", "--quad-nodes-per-radian", "nan"],
+    ["eval", "--family", "bump-dilated", "--R", "nan", "--x", "0.1", "--t", "0.5"],
+    ["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25", "--m", "nan",
+     "--j-min", "16", "--j-max", "18", "--x-points", "9"],
+    ["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25",
+     "--j-min", "nan", "--j-max", "18", "--x-points", "9"],
+    ["data", "info", "--family", "bump-modulated", "--R", "nan"],
+    ["data", "info", "--family", "bump-dilated", "--R", "inf"],
+    ["data", "info", "--family", "bump-dilated", "--s-values", "nan"],
+    ["data", "info", "--family", "bump-dilated", "--s-values", "0,inf"],
+])
+def test_a_non_finite_input_exits_one_with_an_error_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+
+
+MAXIMAL_BAND = ["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25",
+                "--delta", "0.125", "--j-min", "16", "--j-max", "18", "--x-points", "9"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--family", "gaussian-like", "--x", "0.3", "--t", "0.2"], ["--quad-base-nodes", "64"]),
+    (MAXIMAL_BAND, ["--points-per-octave", "2"]),
+    (MAXIMAL_BAND, ["--epsilon", "0.1"]),
+    (MAXIMAL_BAND, ["--quad-nodes-per-radian", "2"]),
+    (["lemma-check", "--lemma", "2", "--k", "3", "--j", "4"], ["--quad-base-nodes", "64"]),
+    (["ceiling-demo"], ["--quad-max-nodes", "8388608"]),
+])
+def test_reports_echo_every_argument_that_changes_them(argv, flag):
+    plain, flagged = run_cli(*argv), run_cli(*argv, *flag)
+    assert plain.returncode == flagged.returncode == 0, flagged.stderr
+    assert load_report(plain.stdout)["config"] != load_report(flagged.stdout)["config"]
+
+
 def test_scaling_validation_exit_code():
     proc = run_cli(
         "scaling", "--family", "bump-modulated", "--alpha", "0.5", "--delta", "0.6", "--s", "0",
@@ -255,6 +293,16 @@ def test_scaling_rejects_unknown_plan_keys(tmp_path):
                                      "s": 0.0, "mystery_knob": 3}))
     proc = run_cli("scaling", "--plan", str(plan_path))
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("key,value", [("panel_order", 16), ("self_check", False)])
+def test_plan_file_rejects_the_dropped_quadrature_keys(tmp_path, key, value):
+    plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0,
+            "R_sequence": [8.0, 16.0, 32.0, 64.0], "quad": {"base_nodes": 256, key: value}}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    proc = run_cli("scaling", "--plan", str(tmp_path / "plan.json"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bad plan config") and key in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("source", ["flag", "environment", "plan"])

@@ -45,9 +45,9 @@ def test_bump_normalization_against_mpmath_oracle():
 
 
 def test_bump_mass_one():
-    from curverate.quadrature import fixed_rule
+    from curverate.quadrature import PANEL_ORDER, panel_nodes
 
-    xs, ws = fixed_rule(-0.5, 0.5, panels=200)
+    xs, ws = panel_nodes(-0.5, 0.5, 200 * PANEL_ORDER)
     assert abs(float(np.sum(ws * BUMP(xs))) - 1.0) <= 1e-12
 
 
@@ -186,3 +186,17 @@ def test_profile_validation():
         bourgain_profile(8.0, d=3)
     with pytest.raises(DomainValidationError):
         annulus_bump(0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["R", "epsilon"])
+@pytest.mark.parametrize("kind", ["bump-dilated", "bump-modulated", "bump-tensor", "indicator-band"])
+def test_profile_rejects_a_non_finite_scale(kind, field, bad):
+    with pytest.raises(DomainValidationError, match="must be finite"):
+        FrequencyProfile(kind, **{"R": 16.0, "epsilon": 0.1, field: bad})
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -0.1])
+def test_sobolev_norm_rejects_an_s_that_is_not_finite_and_non_negative(s):
+    with pytest.raises(DomainValidationError, match="sobolev_norm needs a finite s >= 0"):
+        sobolev_norm(bump_dilated(16.0), s)

@@ -71,6 +71,14 @@ def test_time_grid_basics():
         TimeGrid().times()  # totally empty
 
 
+@pytest.mark.parametrize("j_min,j_max", [
+    (math.nan, 18.0), (16.0, math.nan), (16.0, math.inf), (-math.inf, 18.0), (math.inf, math.inf),
+])
+def test_time_grid_rejects_a_non_finite_octave(j_min, j_max):
+    with pytest.raises(DomainValidationError, match="need finite 0 <= j_min <= j_max"):
+        TimeGrid(j_min, j_max)
+
+
 def test_critical_time_dilated_example():
     assert critical_time(BUMP_DILATED, MINUS_HALF, 64.0, 0.0, 0.04) == pytest.approx(
         0.0016, abs=1e-18

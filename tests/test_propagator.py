@@ -1,7 +1,7 @@
 """Propagator: closed-form oracles, symmetry identities, accuracy contract."""
 
 import math
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -25,11 +25,11 @@ from curverate import propagator
 from curverate.maximal import FAMILIES, calibrate_window_constant, critical_time, window_grid
 from curverate.propagator import (
     CACHED_RULE_NODES,
+    DEFAULT_QUAD,
     RULE_CACHE_SIZE,
     QuadratureSpec,
     _bucket,
     _cached_rule,
-    _node_budget,
     _pair_budgets,
     _quadrature,
     _segment_rule,
@@ -42,10 +42,21 @@ from curverate.propagator import (
     phase_variation,
     point_values,
 )
-from curverate.quadrature import panel_nodes
+from curverate.quadrature import PANEL_ORDER, panel_nodes
 
 STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
+
+
+def node_budget(reach, t, m, factor, quad=DEFAULT_QUAD):
+    """The node-budget formula at one reach |gamma_j| and time, in Python integers."""
+    n = max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * phase_variation(reach, t, m, factor))))
+    return -(-n // PANEL_ORDER) * PANEL_ORDER
+
+
+def bucket(n):
+    """PANEL_ORDER * 2^k, the smallest such count of at least n nodes."""
+    return PANEL_ORDER * (1 << max(0, (max(1, -(-n // PANEL_ORDER)) - 1).bit_length()))
 
 
 def one_pair(profile, curve, m, x, t, quad=None):
@@ -82,8 +93,12 @@ def test_quadrature_spec_validation():
         QuadratureSpec(base_nodes=32)
     with pytest.raises(DomainValidationError):
         QuadratureSpec(max_nodes=128)
-    with pytest.raises(DomainValidationError):
-        QuadratureSpec(panel_order=2)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+def test_quadrature_spec_rejects_a_nodes_per_radian_that_is_not_finite_and_positive(rate):
+    with pytest.raises(DomainValidationError, match="nodes_per_radian must be finite and positive"):
+        QuadratureSpec(nodes_per_radian=rate)
 
 
 def test_time_zero_identity_exact():
@@ -203,15 +218,11 @@ def test_batch_zero_profile():
 def test_cost_model_large_grid_stays_under_node_cap():
     # 10^3 x-points by 10^2 t-points on bump-dilated at R = 2^7: every
     # sample's doubled node budget stays below the default cap
-    from curverate.initial_data import coordinate_factors
-    from curverate.propagator import DEFAULT_QUAD, _node_budget, phase_variation
-
     (factor,) = coordinate_factors(bump_dilated(128.0))
     worst = 0
     for x in np.linspace(-1.0, 1.0, 10):       # |gamma| <= 1 + t^alpha <= 2
         for t in np.linspace(0.0, 1.0, 10):
-            V = phase_variation(abs(x) + 1.0, t, 2.0, factor)
-            worst = max(worst, 2 * _node_budget(V, DEFAULT_QUAD))
+            worst = max(worst, 2 * node_budget(abs(x) + 1.0, t, 2.0, factor))
     assert worst <= DEFAULT_QUAD.max_nodes
 
 
@@ -475,19 +486,19 @@ def test_factorization_guard_bounds_the_phase_error():
 def test_rule_cache_is_bounded():
     assert _cached_rule.cache_info().maxsize == RULE_CACHE_SIZE
     for k in range(RULE_CACHE_SIZE + 10):
-        _segment_rule(((0.0, 1.0 + k),), 64, 16, False)
+        _segment_rule(((0.0, 1.0 + k),), 64, False)
     assert _cached_rule.cache_info().currsize == RULE_CACHE_SIZE
     misses = _cached_rule.cache_info().misses
-    big = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, 16, False)
-    assert big is not _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, 16, False)
+    big = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, False)
+    assert big is not _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, False)
     assert _cached_rule.cache_info().misses == misses  # large rules bypass the cache
-    small = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, 16, False)
-    assert small is _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, 16, False)
+    small = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, False)
+    assert small is _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, False)
 
 
 @pytest.mark.parametrize("n", [256, CACHED_RULE_NODES + 16])
 def test_rule_arrays_are_read_only(n):
-    for lo, hi, nodes, weights in _segment_rule(((-1.0, 0.0), (0.0, 2.0)), n, 16, True):
+    for lo, hi, nodes, weights in _segment_rule(((-1.0, 0.0), (0.0, 2.0)), n, True):
         for arr in (nodes, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -495,69 +506,48 @@ def test_rule_arrays_are_read_only(n):
 
 def test_fractional_m_gets_the_graded_rule_and_integer_m_the_plain_one():
     segments = ((0.0, 4.0),)
-    (_, _, graded, _), = _segment_rule(segments, 256, 16, 1.5 != int(1.5))
-    (_, _, plain, _), = _segment_rule(segments, 256, 16, 2.0 != int(2.0))
+    (_, _, graded, _), = _segment_rule(segments, 256, 1.5 != int(1.5))
+    (_, _, plain, _), = _segment_rule(segments, 256, 2.0 != int(2.0))
     assert graded.min() < 4.0 * 2.0 ** -40 < plain.min()
     assert len(graded) != len(plain)
 
 
 def test_cached_rule_is_bit_identical_to_a_fresh_build():
     segments = ((-2.0, 0.0), (0.0, 6.0))
-    first = _segment_rule(segments, 512, 16, False)
-    assert _segment_rule(segments, 512, 16, False) is first
+    first = _segment_rule(segments, 512, False)
+    assert _segment_rule(segments, 512, False) is first
     for (lo, hi, nodes, weights), share in zip(first, (128, 384)):
-        fresh_nodes, fresh_weights = panel_nodes(lo, hi, share, 16)
+        fresh_nodes, fresh_weights = panel_nodes(lo, hi, share)
         assert nodes.tobytes() == fresh_nodes.tobytes()
         assert weights.tobytes() == fresh_weights.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# the self-check-off path: one pass at the budgeted nodes
+# the window budgets: one bucketed node budget per time, at the window's
+# reach max|x| + |shift(t)|
 
 
-# a budget too small to converge, so one pass and its doubled pass differ
-ONE_PASS = QuadratureSpec(base_nodes=64, nodes_per_radian=0.25, self_check=False)
-WIDE_XS = np.array([-0.5, 0.01, 0.5])
+WINDOW_CURVES = {"straight": STRAIGHT_1D, "minus": CurveSpec(MINUS_SHIFT, alpha=0.5),
+                 "plus": CurveSpec(PLUS_SHIFT, alpha=0.5)}
+WINDOWS = {"far": np.linspace(12.0, 13.0, 7), "off-centre": np.linspace(-0.2, 0.6, 9)}
 
 
-def test_self_check_off_pointwise_value_is_one_pass():
-    profile, x, t = indicator_band(256.0), 0.01, 1.0
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("curve", sorted(WINDOW_CURVES))
+def test_window_budgets_are_the_scalar_formula(curve, m, window):
+    profile, curve, xs = gaussian_like(), WINDOW_CURVES[curve], WINDOWS[window]
+    ts = [1e-3, 0.05, 0.4, 1.0]
     (factor,) = coordinate_factors(profile)
-    n = _node_budget(phase_variation(x, t, 2.0, factor), ONE_PASS)
-    value, used = one_pair(profile, STRAIGHT_1D, 2.0, x, t, ONE_PASS)
-    assert used == n
-    with pytest.raises(AccuracyError):  # the doubled pass disagrees with this one
-        one_pair(profile, STRAIGHT_1D, 2.0, x, t, replace(ONE_PASS, self_check=True))
-    one_pass, two_pass = (
-        _quadrature(factor, k, ONE_PASS.panel_order, 2.0, x, t)[0] * TWO_PI ** -1 for k in (n, 2 * n)
-    )
-    assert value == one_pass != two_pass
+    _, _, counts = batch_values(profile, curve, m, xs, ts)
+    reach = [float(np.max(np.abs(xs))) + abs(curve.shift(t)) for t in ts]
+    want = [2 * bucket(node_budget(r, t, m, factor)) for r, t in zip(reach, ts)]
+    assert counts.dtype == np.int64 and counts.tolist() == want
 
 
-def test_self_check_off_window_values_are_one_pass():
-    profile, t = indicator_band(256.0), 1.0
-    (factor,) = coordinate_factors(profile)
-    n = _bucket(_node_budget(phase_variation(0.5, t, 2.0, factor), ONE_PASS), 16)
-    vals, _, counts = batch_values(profile, STRAIGHT_1D, 2.0, WIDE_XS, [t], ONE_PASS)
-    assert list(counts) == [n]
-    one_pass, two_pass = (
-        _quadrature(factor, k, 16, 2.0, np.zeros(1), np.array([t]), WIDE_XS)[0][:, 0] / TWO_PI
-        for k in (n, 2 * n)
-    )
-    assert np.max(np.abs(vals[:, 0] - one_pass)) <= 1e-14 / TWO_PI  # the band's L^1 mass scale
-    assert np.max(np.abs(vals[:, 0] - two_pass)) > 1e-9 / TWO_PI  # a self-check would fail
-
-
-@pytest.mark.parametrize("kernel", ["pointwise", "window"])
-def test_over_cap_without_self_check_has_no_estimates(kernel):
-    tight = QuadratureSpec(base_nodes=64, max_nodes=128, self_check=False)
-    with pytest.raises(AccuracyError) as err:
-        if kernel == "pointwise":
-            one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
-        else:
-            batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0], tight)
-    assert err.value.coarse is None and err.value.fine is None
-    assert "exceeds cap 128" in str(err.value)
+def test_bucket_is_the_next_panel_count_power_of_two():
+    ns = list(range(0, 5000)) + [2 ** k + d for k in range(12, 53) for d in (-1, 0, 1)]
+    assert _bucket(np.array(ns)).tolist() == [bucket(n) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +607,7 @@ def mass_scale(profile):
     """(2 pi)^-d times the L^1 norm of f^, the scale of the self-check."""
     scale = 1.0
     for factor in coordinate_factors(profile):
-        scale *= _quadrature(factor, 4096, 16, 2.0, 0.0, 0.0)[1] / TWO_PI
+        scale *= _quadrature(factor, 4096, 2.0, 0.0, 0.0)[1] / TWO_PI
     return scale
 
 
@@ -659,24 +649,24 @@ def test_paired_call_is_one_scalar_call_per_pair(case):
 
 
 def per_pair_budgets(profile, curve, m, points, ts, quad):
-    """The pair budgets one pair at a time: gamma, then phase_variation and _node_budget."""
+    """The pair budgets one pair at a time: gamma, then node_budget per coordinate."""
     factors = coordinate_factors(profile)
     gam = np.array(
         [np.atleast_1d(np.asarray(curve_gamma(curve, p, float(tp)), dtype=float))
          for p, tp in zip(points, ts)]
     ).reshape(len(ts), len(factors))
     budgets = [
-        [_node_budget(phase_variation(float(g), float(tp), m, f), quad) for g, f in zip(row, factors)]
+        [node_budget(float(g), float(tp), m, f, quad) for g, f in zip(row, factors)]
         for row, tp in zip(gam, ts)
     ]
-    return gam, budgets, [2 * sum(row) if quad.self_check else sum(row) for row in budgets]
+    return gam, budgets, [2 * sum(row) for row in budgets]
 
 
-@pytest.mark.parametrize("self_check", [True, False])
+@pytest.mark.parametrize("default_budget", [True, False])
 @pytest.mark.parametrize("case", sorted(PAIRED_CASES))
-def test_pair_budgets_are_the_per_pair_formula(case, self_check):
+def test_pair_budgets_are_the_per_pair_formula(case, default_budget):
     profile, curve, m, xs, ts = PAIRED_CASES[case]
-    quad = QuadratureSpec(self_check=self_check)
+    quad = DEFAULT_QUAD if default_budget else QuadratureSpec(base_nodes=64, nodes_per_radian=0.25)
     ts = np.asarray(ts, dtype=float)
     gam, budgets, used = _pair_budgets(coordinate_factors(profile), curve, m, xs, ts, quad)
     ref_gam, ref_budgets, ref_used = per_pair_budgets(profile, curve, m, xs, ts, quad)
@@ -763,6 +753,45 @@ def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
     with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
         evaluate(g, shifted, 2.0, bad, 0.5)
     assert calls == []
+
+
+@pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
+def test_both_kernels_reject_a_bad_m_before_any_work(monkeypatch, m):
+    calls = []
+    for stage in ("_pair_budgets", "_quadrature"):
+        monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
+    g, message = gaussian_like(), re.escape(f"dispersion power m={m} must be positive")
+    with pytest.raises(DomainValidationError, match=message):
+        batch_values(g, STRAIGHT_1D, m, np.array([0.1, 0.2]), [0.5])
+    with pytest.raises(DomainValidationError, match=message):
+        certified_value(g, STRAIGHT_1D, m, [0.1, 0.2], [0.5, 0.5])
+    with pytest.raises(DomainValidationError, match=message):
+        evaluate(g, STRAIGHT_1D, m, 0.1, 0.5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t", [1.5, -0.1, math.nan])
+def test_both_kernels_reject_a_time_outside_the_unit_interval(t):
+    g, message = gaussian_like(), re.escape(f"t={t} outside [0, 1]")
+    with pytest.raises(DomainValidationError, match=message):
+        batch_values(g, STRAIGHT_1D, 2.0, np.array([0.1, 0.2]), [0.5, t])
+    with pytest.raises(DomainValidationError, match=message):
+        certified_value(g, STRAIGHT_1D, 2.0, [0.1, 0.2], [0.5, t])
+
+
+@pytest.mark.parametrize("kernel", ["pointwise", "window"])
+def test_over_cap_error_names_the_doubled_budget(kernel):
+    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+    (factor,) = coordinate_factors(gaussian_like())
+    budget = node_budget(40.0, 1.0, 2.0, factor, tight)
+    with pytest.raises(AccuracyError) as err:
+        if kernel == "pointwise":
+            one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+        else:  # a window budgets the bucketed count
+            budget = bucket(budget)
+            batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0], tight)
+    assert str(err.value).startswith(f"node budget {2 * budget} exceeds cap 128 (coarse=")
+    assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
 
 
 # point_values: U f and f(x) on the pointwise kernel, in one certified pass
