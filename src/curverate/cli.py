@@ -41,11 +41,30 @@ from .reports import envelope, write_csv, write_gnuplot, write_report
 _CURVES = {"minus": MINUS_SHIFT, "plus": PLUS_SHIFT, "straight": STRAIGHT}
 
 
-def _maybe_fraction(text: str):
+def _maybe_fraction(text: str, flag: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return float(text)
+        return _finite(float(text), flag)
+
+
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise DomainValidationError(f"{flag} {value} is not finite")
+    return value
+
+
+def float_list(text: str):
+    """A comma-separated list flag, such as --s-values 0,0.5."""
+    return [float(v) for v in text.split(",")]
+
+
+def _check_finite(args) -> None:
+    """Reject a non-finite value of any float flag, list entries included, before a command runs."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float):
+                _finite(v, "x coordinate" if name == "x" else "--" + name.replace("_", "-"))
 
 
 def _quad_from_args(args) -> QuadratureSpec:
@@ -84,15 +103,15 @@ def _default_workers() -> int:
 def cmd_exponent(args) -> int:
     regime = Regime(
         d=args.d,
-        alpha=_maybe_fraction(args.alpha),
-        m=_maybe_fraction(args.m),
+        alpha=_maybe_fraction(args.alpha, "--alpha"),
+        m=_maybe_fraction(args.m, "--m"),
         smoothness=args.smoothness,
     )
     law = law_for(regime)
     if args.steps < 1:
         raise DomainValidationError(f"--steps={args.steps} must be at least 1")
-    lo = _maybe_fraction(args.delta_min)
-    hi = _maybe_fraction(args.delta_max)
+    lo = _maybe_fraction(args.delta_min, "--delta-min")
+    hi = _maybe_fraction(args.delta_max, "--delta-max")
     if not lo < hi:
         raise DomainValidationError(
             f"--delta-min={args.delta_min} must be below --delta-max={args.delta_max}"
@@ -149,7 +168,7 @@ def cmd_data(args) -> int:
         profile = gaussian_like()
     else:
         profile = family_spec(args.family).profile(args.R, args.epsilon, args.d)
-    svals = [float(s) for s in args.s_values.split(",")] if args.s_values else [0.0]
+    svals = args.s_values
     norms = {str(s): sobolev_norm(profile, s) for s in svals}
     config = {
         "family": args.family,
@@ -295,7 +314,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
-    s_list = [float(v) for v in args.s_list.split(",")]
+    s_list = args.s_list
     rows, crossing = sharpness_sweep(plan, s_list)
     config = plan.to_dict()
     config["s_list"] = s_list
@@ -360,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, default=64.0)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--s-values", type=str, default="0")
+    p.add_argument("--s-values", type=float_list, default="0")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_data)
 
@@ -418,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--R-max-pow", type=int, default=10)
         p.add_argument("--workers", type=int, default=_default_workers())
         if name == "sweep":
-            p.add_argument("--s-list", type=str, required=True)
+            p.add_argument("--s-list", type=float_list, required=True)
         p.add_argument("--out", type=str, default=None)
         p.set_defaults(func=fn)
 
@@ -438,6 +457,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        _check_finite(args)
         return args.func(args)
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy error: {exc}\n")

@@ -246,10 +246,14 @@ class CoordinateFactor:
     support (quadrature integrates each separately, so endpoint
     discontinuities such as the indicator band stay exact).
     func: vectorized Fourier-side factor, exactly 0 outside the segments.
+    smooth: func is C^inf across the hull of the segments, vanishing there
+    to all orders at both ends, so the trapezoid rule on the hull
+    converges faster than any power (the chirp-z window path needs this).
     """
 
     segments: tuple
     func: Callable[[np.ndarray], np.ndarray]
+    smooth: bool
 
 
 def _split_at_zero(lo, hi):
@@ -273,21 +277,22 @@ def coordinate_factors(profile: FrequencyProfile):
 
     if kind == BUMP_DILATED:
         func = lambda eta: BUMP(np.asarray(eta) / R) / R
-        return (CoordinateFactor(_split_at_zero(-R / 2.0, R / 2.0), func),)
+        return (CoordinateFactor(_split_at_zero(-R / 2.0, R / 2.0), func, True),)
 
     if kind == BUMP_MODULATED:
         c = -R * R
         func = lambda eta: BUMP((np.asarray(eta) - c) / R) / R
-        return (CoordinateFactor(((c - R / 2.0, c + R / 2.0),), func),)
+        return (CoordinateFactor(((c - R / 2.0, c + R / 2.0),), func, True),)
 
     if kind == BUMP_TENSOR:
         c = -R ** (1.0 + profile.epsilon)
         first = CoordinateFactor(
             ((c - R / 2.0, c + R / 2.0),),
             lambda eta: BUMP((np.asarray(eta) - c) / R) / R,
+            True,
         )
         rest = tuple(
-            CoordinateFactor(((-0.5, 0.5),), lambda eta: BUMP(np.asarray(eta)))
+            CoordinateFactor(((-0.5, 0.5),), lambda eta: BUMP(np.asarray(eta)), True)
             for _ in range(profile.d - 1)
         )
         return (first,) + rest
@@ -296,13 +301,14 @@ def coordinate_factors(profile: FrequencyProfile):
         func = lambda eta: np.where(
             (np.asarray(eta) >= R) & (np.asarray(eta) <= R + 1.0), 1.0, 0.0
         )
-        return (CoordinateFactor(((R, R + 1.0),), func),)
+        return (CoordinateFactor(((R, R + 1.0),), func, False),)
 
     if kind == BOURGAIN:
         sq = math.sqrt(R)
         first = CoordinateFactor(
             ((R - sq, R + sq),),
             lambda eta: window_transform((np.asarray(eta) - R) / sq) / sq,
+            True,
         )
         if profile.d == 1:
             return (first,)
@@ -317,7 +323,7 @@ def coordinate_factors(profile: FrequencyProfile):
                 out = out + np.atleast_1d(window_transform(eta - _D * ell))
             return out
 
-        return (first, CoordinateFactor(segs, lattice_factor))
+        return (first, CoordinateFactor(segs, lattice_factor, True))
 
     if kind == ANNULUS_BUMP:
         k = profile.scale_index
@@ -325,7 +331,7 @@ def coordinate_factors(profile: FrequencyProfile):
         centre = 1.25 * 2.0 ** k
         norm = math.sqrt(TWO_PI / (width * bump_l2_squared()))
         func = lambda eta: norm * BUMP((np.asarray(eta) - centre) / width)
-        return (CoordinateFactor(((2.0 ** (k - 1), 2.0 ** (k + 1)),), func),)
+        return (CoordinateFactor(((2.0 ** (k - 1), 2.0 ** (k + 1)),), func, True),)
 
     if kind == GAUSSIAN_LIKE:
         c, h, a = profile.center, GAUSSIAN_HALFWIDTH, profile.amplitude
@@ -334,7 +340,8 @@ def coordinate_factors(profile: FrequencyProfile):
             a * np.exp(-((np.asarray(eta) - c) ** 2)),
             0.0,
         )
-        return (CoordinateFactor(_split_at_zero(c - h, c + h), func),)
+        # cut at |xi - c| = 8, where it jumps by e^{-64}: smooth to rounding
+        return (CoordinateFactor(_split_at_zero(c - h, c + h), func, True),)
 
     raise DomainValidationError(f"unknown profile kind {kind!r}")
 

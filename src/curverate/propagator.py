@@ -3,14 +3,15 @@
 U f(x, t) = (2*pi)^{-d} * integral over the profile's support box of
 e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 
-Every path runs one kernel, _quadrature: composite Gauss-Legendre panels
-summing w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j, t_j).
+Every path but the chirp-z window (below) runs one kernel, _quadrature:
+composite Gauss-Legendre panels summing w f^(xi) e^{i((x + s_j) xi +
+t_j |xi|^m)} for each column (s_j, t_j).
 Pointwise evaluation (certified_value) takes pairs (x_i, t_i) only, one
 point being the one-pair call, and folds x into the shift, so its x = 0
 row sums one column per pair. Each pair keeps its own node budget, and
 the pairs whose budgets agree run as columns of one kernel call, so a
 golden-section step over a whole field is one call. A window
-(batch_values) multiplies the column weights by an exp(i x xi) table.
+(batch_values) sums each column over its points at once (see below).
 Both kernels share one front end: _check_domain rejects a bad m, t or x
 with DomainValidationError before any work, _node_budgets sets each node
 count from the estimated total phase variation and _over_cap applies the
@@ -29,25 +30,26 @@ the node-doubling comparison immune to the rounding of astronomically
 large phases (modulated profiles reach t*C^2 ~ 1e7 radians). For
 non-integer m, segments ending at 0 are graded geometrically toward it.
 
-The window's table is centred and factorized. Each segment's table is
-e^{i x u}, u = xi - C about the same midpoint C, and each window point's
-output is multiplied by e^{i x C} next to the column scalars. On a
-uniform window, x_{aB+b} = x_{aB} + b h gives e^{i x u} = e^{i x_{aB} u}
-e^{i b h u}: per node block the kernel builds a ceil(nx/B)-row anchor
-table and the step rows 0 < b < B, multiplies each step row into the
-weighted rows and runs one matmul against the anchor table per b. So
-(ceil(nx/B) + B - 1) N exponentials replace nx N, and the nx-by-N table
-is never formed. B is the power of two nearest sqrt(nx): 1 for one or
-two points, 16 for the 129-point scaling windows. A guard keeps B > 1
-only when max |x_i - x_{aB} - b h| * max|u| <= PHASE_GUARD (1e-12
-radians), max|u| being the largest segment half-width: the node-doubling
-self-check compares two factorized passes, so it cannot see an error
-both share. Centring is what lets the guard pass at large frequencies:
-bump-modulated data sit at xi ~ -R^2 but on a segment of half-width
-R/2. Otherwise B = 1, the direct table (one- and two-point windows,
-non-uniform windows). Gauss-Legendre rules come from _segment_rule,
-which caches up to RULE_CACHE_SIZE rules of at most CACHED_RULE_NODES
-budgeted nodes as read-only arrays.
+A window takes one of two kernels. At m = 2, a uniform window of three
+points or more on a smooth factor (CoordinateFactor.smooth: every family
+but indicator-band) goes to _chirp_window: n midpoint nodes on the hull
+of the factor's segments, centred on the hull midpoint C, where the
+trapezoid rule converges faster than any power. With the window centred
+too, the window sum is a chirp-z transform, one FFT convolution per time
+column, and no nx-by-n table is formed. n is the Gauss-Legendre budget,
+so node counts do not depend on the kernel. The node-doubling self-check
+compares two chirp-z passes, so it cannot see an error both share. The
+chirp phases are exact to rounding (_chirp), and a guard
+(_chirp_phase_error) sends the window to Gauss-Legendre unless the
+window's distance from its uniform grid times the hull half-width, plus
+what rounding the chirp step h h_xi can move a phase, stays within
+PHASE_GUARD (1e-12 radians). Every other window (indicator-band, one- and two-point
+windows, non-uniform windows, m != 2) runs _quadrature with the centred
+direct table: each segment's table is e^{i x u}, u = xi - C about the
+same midpoint C, and each window point's output is multiplied by
+e^{i x C} next to the column scalars. Gauss-Legendre rules come from
+_segment_rule, which caches up to RULE_CACHE_SIZE rules of at most
+CACHED_RULE_NODES budgeted nodes as read-only arrays.
 """
 
 from __future__ import annotations
@@ -67,10 +69,13 @@ from .quadrature import PANEL_ORDER, panel_nodes
 
 TWO_PI = 2.0 * math.pi
 SELF_CHECK_TOL = 1e-9
-X_CHUNK = 96          # anchor points per window table block
+X_CHUNK = 96          # window points per table block
 NODE_BLOCK = 8192     # nodes per window table block
 PAIR_ELEMENTS = X_CHUNK * NODE_BLOCK  # columns times nodes per paired kernel call
-PHASE_GUARD = 1e-12   # largest phase error (radians) the factorized table may add
+PHASE_GUARD = 1e-12   # largest phase error (radians) the chirp-z window path may add
+UNIT_ROUNDOFF = 2.0 ** -53
+SPLITTER = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
+FFT_BLOCK = 2 ** 16   # complex elements per chirp-z FFT block
 RULE_CACHE_SIZE = 256  # Gauss-Legendre rules kept by _segment_rule
 CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
 GRADING_DEPTH = 40    # zero-graded rules break at 2^-k of the width, k = 40..0
@@ -158,7 +163,9 @@ def _graded_rule(lo: float, hi: float, min_nodes: int):
 
     Used for non-integer dispersion powers, where |xi|^m has unbounded
     derivatives at the origin: dyadic panels toward 0 restore certified
-    accuracy at logarithmic extra cost.
+    accuracy at logarithmic extra cost. Each piece gets its width's share
+    of min_nodes, one panel at least, so the outer piece, half the
+    segment, gets half the nodes.
     """
 
     width = hi - lo
@@ -166,9 +173,9 @@ def _graded_rule(lo: float, hi: float, min_nodes: int):
     edges = [r * width for r in ratios] if lo == 0.0 else [-r * width for r in reversed(ratios)]
     offset = lo if lo == 0.0 else hi
     xs_all, ws_all = [], []
-    per = max(PANEL_ORDER, int(math.ceil(min_nodes / len(edges))))
     for a, b in zip(edges[:-1], edges[1:]):
-        xs, ws = panel_nodes(offset + a, offset + b, per)
+        share = max(PANEL_ORDER, int(math.ceil(min_nodes * abs(b - a) / width)))
+        xs, ws = panel_nodes(offset + a, offset + b, share)
         xs_all.append(xs)
         ws_all.append(ws)
     return np.concatenate(xs_all), np.concatenate(ws_all)
@@ -212,31 +219,8 @@ def _segment_rule(segments, total_nodes: int, graded: bool):
     return build(segments, total_nodes, graded)
 
 
-def _window_factors(xs, half_width: float):
-    """Anchors and steps of a window's factorized exp(i x u) table.
-
-    The kernel's table is e^{i x u}, u = xi - C running over a segment of
-    half-width at most half_width about its midpoint C. A uniform window
-    has x_{aB+b} = x_{aB} + b h, so the table is the anchor table
-    e^{i x_{aB} u} times the step rows e^{i b h u}. B is the power of two
-    nearest sqrt(nx), so 1 (the direct table) for one or two points, and
-    1 too when the reconstruction would move some phase by more than
-    PHASE_GUARD radians, as on a non-uniform window. Returns (xs[::B],
-    b h for b < B).
-    """
-
-    nx = len(xs)
-    B = 1 << round(math.log2(max(nx, 1)) / 2)
-    if B > 1:
-        h = (xs[-1] - xs[0]) / (nx - 1)
-        b = np.arange(nx) % B
-        if np.max(np.abs(xs - (xs[np.arange(nx) - b] + b * h))) * half_width <= PHASE_GUARD:
-            return xs[::B], np.arange(B) * h
-    return xs, np.zeros(1)
-
-
 def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
-    """The one quadrature kernel, on factor's n-node rule.
+    """The Gauss-Legendre quadrature kernel, on factor's n-node rule.
 
     Column j is sum w f^(xi) e^{i((x + shifts[j]) xi + ts[j] |xi|^m)}.
     shifts and ts are equal-length 1-d arrays, or scalars for a single
@@ -247,9 +231,6 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
     """
 
     out = 0j if xs is None else np.zeros((len(xs), len(shifts)), dtype=np.complex128)
-    if xs is not None:
-        half_width = max((hi - lo for lo, hi in factor.segments), default=0.0) / 2.0  # bounds |u|
-        anchors, steps = _window_factors(xs, half_width)
     mass = 0.0
     s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
     for lo, hi, nodes, weights in _segment_rule(factor.segments, n, m != int(m)):
@@ -270,20 +251,106 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
         if xs is None:
             out = out + scalars * rows.sum(axis=-1)
         else:
-            # acc[a, b] sums the window point x_{aB+b}
-            acc = np.zeros((len(anchors), len(steps), len(shifts)), dtype=np.complex128)
+            acc = np.zeros((len(xs), len(shifts)), dtype=np.complex128)
             for b0 in range(0, len(nodes), NODE_BLOCK):
                 sl = slice(b0, b0 + NODE_BLOCK)
-                for a0 in range(0, len(anchors), X_CHUNK):
+                for a0 in range(0, len(xs), X_CHUNK):
                     block = slice(a0, a0 + X_CHUNK)
-                    table = 1j * np.multiply.outer(anchors[block], u[sl])
+                    table = 1j * np.multiply.outer(xs[block], u[sl])
                     np.exp(table, out=table)
-                    acc[block, 0] += table @ rows[:, sl].T  # b = 0: the anchors themselves
-                    for b in range(1, len(steps)):
-                        acc[block, b] += table @ (rows[:, sl] * np.exp(1j * steps[b] * u[sl])).T
-            out += np.exp(1j * xs * C)[:, None] * scalars * acc.reshape(-1, len(shifts))[: len(xs)]
+                    acc[block] += table @ rows[:, sl].T
+            out += np.exp(1j * xs * C)[:, None] * scalars * acc
         mass += float(np.sum(weights * np.abs(fv)))
     return out, mass
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a or 3 * 2^a of at least n: a length numpy.fft transforms fast."""
+    two = 1 << max(0, n - 1).bit_length()
+    return 3 * two // 4 if 3 * two // 4 >= n else two
+
+
+def _hull(factor):
+    """(C, W): midpoint and half-width of the hull of factor's segments."""
+    lo, hi = min(a for a, _ in factor.segments), max(b for _, b in factor.segments)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _chirp(beta: float, r):
+    """e^{i beta r^2 / 2} at half-integers r, |r| < 2^25, with the phase exact to rounding.
+
+    r^2 / 2 is exact, and Dekker's two-product writes beta r^2 / 2 as
+    hi + lo exactly, so e^{i hi} (1 + i lo) rounds no large phase: its
+    error stays near UNIT_ROUNDOFF whatever the size of the phase.
+    """
+    a = 0.5 * r * r
+    hi = beta * a
+    bh = SPLITTER * beta
+    bh -= bh - beta
+    ah = SPLITTER * a
+    ah -= ah - a
+    bl, al = beta - bh, a - ah
+    lo = ((bh * ah - hi) + bh * al + bl * ah) + bl * al
+    return np.exp(1j * hi) * (1.0 + 1j * lo)
+
+
+def _chirp_phase_error(xs, half_width: float, n: int) -> float:
+    """Phase error (radians) that both passes of _chirp_window share on xs.
+
+    The node-doubling check cannot see it. Two terms: the window's
+    distance from the uniform grid x_c + p h (p centred), times
+    half_width, which bounds |u|; and the rounding of beta = h h_xi, the
+    same relative error in both passes (halving h_xi is exact), which
+    moves each phase beta p q by at most UNIT_ROUNDOFF |beta| n nx / 4.
+    """
+    nx = len(xs)
+    h = (xs[-1] - xs[0]) / (nx - 1)
+    grid = xs - (0.5 * (xs[0] + xs[-1]) + (np.arange(nx) - 0.5 * (nx - 1)) * h)
+    beta = h * (2.0 * half_width / n)
+    return float(np.max(np.abs(grid))) * half_width + UNIT_ROUNDOFF * abs(beta) * n * nx / 4.0
+
+
+def _chirp_window(factor, n: int, shifts, ts, xs):
+    """_quadrature's m = 2 window values by chirp-z transform, on n trapezoid nodes.
+
+    For a smooth factor on a uniform window x_k = x_c + p_k h. The nodes
+    are the midpoints u_q = q h_xi of n equal cells tiling the hull
+    [C - W, C + W] of the factor's segments, q centred, with weight h_xi.
+    x_c joins the shifts, so the window sum is sum_q a_q e^{i beta p q},
+    beta = h h_xi, and p q = (p^2 + q^2 - (p - q)^2) / 2 makes it one
+    linear convolution with the chirp e^{-i beta r^2 / 2}: one FFT
+    convolution per column, in blocks of about FFT_BLOCK elements.
+    Centring p and q halves the largest |r|, and _chirp keeps every
+    chirp phase exact to rounding. Returns (values[nx, ncols], l1_mass)
+    like _quadrature.
+    """
+
+    C, W = _hull(factor)
+    nx, h_xi = len(xs), 2.0 * W / n
+    beta = (xs[-1] - xs[0]) / (nx - 1) * h_xi
+    q = np.arange(n) - 0.5 * (n - 1)
+    p = np.arange(nx) - 0.5 * (nx - 1)
+    u = q * h_xi
+    fv = np.asarray(factor.func(C + u), dtype=np.complex128)
+    L = _fft_length(n + nx - 1)
+    # output k reads the chirp at k - j for node j: offsets -(n - 1) .. nx - 1, mod L
+    d = np.arange(L)
+    kernel = np.fft.fft(_chirp(-beta, np.where(d < nx, d, d - L) + 0.5 * (n - nx)))  # r = p - q
+    weights = h_xi * fv * _chirp(beta, q)
+    s_col = (np.asarray(shifts) + 0.5 * (xs[0] + xs[-1]))[:, None]
+    t_col = np.asarray(ts)[:, None]
+    out = np.empty((nx, len(ts)), dtype=np.complex128)
+    step = max(1, FFT_BLOCK // L)
+    for c0 in range(0, len(ts), step):
+        cols = slice(c0, c0 + step)
+        s, t = s_col[cols], t_col[cols]
+        rows = np.zeros((len(t), L), dtype=np.complex128)
+        rows[:, :n] = 1j * ((s + 2.0 * t * C) * u + t * u * u)
+        np.multiply(weights, np.exp(rows[:, :n]), out=rows[:, :n])
+        out[:, cols] = np.fft.ifft(np.fft.fft(rows) * kernel)[:, :nx].T
+    scalars = np.exp(1j * (np.asarray(shifts) * C + np.asarray(ts) * C * C))
+    out *= (_chirp(beta, p) * np.exp(1j * xs * C))[:, None] * scalars
+    return out, h_xi * float(np.sum(np.abs(fv)))
 
 
 def _check_domain(m: float, xs, ts) -> None:
@@ -514,8 +581,8 @@ def batch_values(
 
     Returns (values[nx, nt], initial[nx], node_counts[nt]). initial is
     f(x), the t = 0 column of the same pass: it shares the requested
-    times' self-check, and their exp(i x xi) table where its rule size
-    matches one of theirs. The quadrature rule for each time depends only
+    times' self-check, and their kernel call where its rule size matches
+    one of theirs. The quadrature rule for each time depends only
     on the window bound max|gamma|, never on chunking, so results are
     independent of how work is split. The node-doubling self-check
     certifies every sample.
@@ -542,13 +609,18 @@ def batch_values(
         i = int(np.argmax(np.abs(xs)))
         xs, ts, shifts, counts = xs[i : i + 1], ts[j : j + 1], shifts[j : j + 1], clamped[0]
 
+    chirp = m == 2.0 and factor.smooth and len(xs) >= 3
+    half_width = _hull(factor)[1]
+
     def run(doubling):
         values = np.empty((len(xs), len(ts)), dtype=np.complex128)
         for n in np.unique(counts):  # ascending: mass ends on the largest rule
             cols = np.flatnonzero(counts == n)
-            values[:, cols], mass = _quadrature(
-                factor, int(n) * doubling, m, shifts[cols], ts[cols], xs
-            )
+            n = int(n) * doubling
+            if chirp and _chirp_phase_error(xs, half_width, n) <= PHASE_GUARD:
+                values[:, cols], mass = _chirp_window(factor, n, shifts[cols], ts[cols], xs)
+            else:
+                values[:, cols], mass = _quadrature(factor, n, m, shifts[cols], ts[cols], xs)
         return values / TWO_PI, mass / TWO_PI
 
     def label(k):

@@ -176,6 +176,29 @@ def test_a_non_finite_input_exits_one_with_an_error_line(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["data", "info", "--family", "gaussian-like", "--R", "nan"], "--R", "nan"),
+    (["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25", "--j-min", "16",
+      "--j-max", "18", "--x-points", "9", "--epsilon", "nan"], "--epsilon", "nan"),
+    (["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25", "--j-min", "16",
+      "--j-max", "18", "--x-points", "9", "--c", "nan"], "--c", "nan"),
+    (["eval", "--family", "gaussian-like", "--x", "0.1", "--t", "inf"], "--t", "inf"),
+    (["lemma-check", "--lemma", "2", "--k", "3", "--j", "nan"], "--j", "nan"),
+    (["ceiling-demo", "--x-star=-inf"], "--x-star", "-inf"),
+    (["curve", "verify", "--kind", "minus", "--alpha", "nan"], "--alpha", "nan"),
+    (["exponent", "table", "--alpha", "nan", "--delta-max", "0.5"], "--alpha", "nan"),
+    (["sweep", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.125",
+      "--s-list", "0,nan"], "--s-list", "nan"),
+    (["scaling", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.125",
+      "--s", "nan"], "--s", "nan"),
+])
+def test_a_non_finite_flag_exits_one_naming_the_flag(argv, flag, value):
+    # checked where the flags are parsed, also for flags the family never reads
+    proc = run_cli(*argv)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: {flag} {value} is not finite\n" and proc.stdout == ""
+
+
 MAXIMAL_BAND = ["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25",
                 "--delta", "0.125", "--j-min", "16", "--j-max", "18", "--x-points", "9"]
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, gamma as curve_gamma
 from curverate.errors import AccuracyError, DomainValidationError
 from curverate.initial_data import (
+    annulus_bump,
     bourgain_physical,
     bourgain_profile,
     bump_dilated,
@@ -26,14 +28,17 @@ from curverate.maximal import FAMILIES, calibrate_window_constant, critical_time
 from curverate.propagator import (
     CACHED_RULE_NODES,
     DEFAULT_QUAD,
+    PHASE_GUARD,
     RULE_CACHE_SIZE,
+    UNIT_ROUNDOFF,
     QuadratureSpec,
     _bucket,
     _cached_rule,
+    _chirp,
+    _chirp_phase_error,
     _pair_budgets,
     _quadrature,
     _segment_rule,
-    _window_factors,
     batch_initial,
     batch_values,
     certified_value,
@@ -333,27 +338,27 @@ def test_window_initial_is_the_shared_time_zero_column(ends, t, m):
 
 
 # ---------------------------------------------------------------------------
-# the centred, factorized exp(i x u) table (every uniform window of three
-# points or more)
+# the window kernels: the chirp-z transform (m = 2, a smooth factor, a
+# uniform window of three points or more, inside the phase guard) and the
+# centred Gauss-Legendre table (everything else)
 
 
-def steps_used(xs, half_width):
-    """B, the number of step rows the window pass uses on xs."""
-    return len(_window_factors(np.asarray(xs, dtype=float), half_width)[1])
+@contextmanager
+def kernel_paths():
+    """Collects the kernel of every window pass run inside the block: "chirp" or "gl", in order."""
+    seen, real = [], {name: getattr(propagator, name) for name in ("_chirp_window", "_quadrature")}
+    for name, tag in (("_chirp_window", "chirp"), ("_quadrature", "gl")):
+        setattr(propagator, name, lambda *a, _run=real[name], _tag=tag: seen.append(_tag) or _run(*a))
+    try:
+        yield seen
+    finally:
+        for name, fn in real.items():
+            setattr(propagator, name, fn)
 
 
-def kernel_steps(monkeypatch, profile, xs):
-    """The B of every window table the kernel builds for batch_initial(profile, xs)."""
-    seen = []
-
-    def spy(xs, half_width):
-        anchors, steps = _window_factors(xs, half_width)
-        seen.append(len(steps))
-        return anchors, steps
-
-    monkeypatch.setattr(propagator, "_window_factors", spy)
-    batch_initial(profile, xs)
-    return seen
+def chirp_admits(xs, half_width, n):
+    """Whether the phase guard lets an n-node chirp-z pass run on xs."""
+    return _chirp_phase_error(np.asarray(xs, dtype=float), half_width, n) <= PHASE_GUARD
 
 
 # (family, alpha, epsilon) of each family's c05 run
@@ -367,24 +372,58 @@ SCALING_FAMILIES = [
 
 
 @pytest.mark.parametrize("family, alpha, eps", SCALING_FAMILIES)
-def test_calibrated_scaling_windows_factorize_at_large_R(monkeypatch, family, alpha, eps):
+def test_calibrated_scaling_windows_factorize_at_large_R(family, alpha, eps):
+    # each family's calibrated 129-point c05 window at R = 256: smooth data
+    # take the chirp-z path, the indicator band the Gauss-Legendre table
     spec, R = FAMILIES[family], 256.0
     c = calibrate_window_constant(family, alpha, R_min=32.0, R_max=1024.0)
     xs = window_grid(*spec.window(R, alpha, eps, c), 129)
-    assert set(kernel_steps(monkeypatch, spec.profile(R, eps, 1), xs)) == {16}
+    profile, curve = spec.profile(R, eps, 1), CurveSpec(spec.curve, alpha=alpha)
+    ts = [0.25 / R ** 2, 1.0 / R ** 2, 4.0 / R ** 2]
+    with kernel_paths() as paths:
+        (vals, init, _) = batch_values(profile, curve, 2.0, xs, ts)
+    assert set(paths) == ({"gl"} if family == "indicator-band" else {"chirp"})
+    tol = 1e-9 * mass_scale(profile)
+    for i in (0, 57, 128):
+        assert abs(init[i] - one_pair(profile, curve, 2.0, float(xs[i]), 0.0)[0]) <= tol
+        for j, t in enumerate(ts):
+            assert abs(vals[i, j] - one_pair(profile, curve, 2.0, float(xs[i]), t)[0]) <= tol
+
+
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_annulus_lemma_windows_agree_with_the_paired_kernel(k):
+    # the c08 lemma_profile window, 2^(k+2) points on [-1, 1], at low-alpha times
+    profile, curve = annulus_bump(k), CurveSpec(MINUS_SHIFT, alpha=0.25)
+    xs = window_grid(-1.0, 1.0, 2 ** (k + 2))
+    ts = [2.0 ** -(2 * k), 2.0 ** -(3 * k), 2.0 ** -(4 * k)]
+    with kernel_paths() as paths:
+        (vals, init, _) = batch_values(profile, curve, 2.0, xs, ts)
+    assert set(paths) == {"chirp"}
+    tol = 1e-9 * mass_scale(profile)
+    for i in (0, len(xs) // 3, len(xs) // 2, len(xs) - 1):
+        assert abs(init[i] - one_pair(profile, curve, 2.0, float(xs[i]), 0.0)[0]) <= tol
+        for j, t in enumerate(ts):
+            assert abs(vals[i, j] - one_pair(profile, curve, 2.0, float(xs[i]), t)[0]) <= tol
 
 
 @pytest.mark.parametrize("R", [128.0, 256.0, 1024.0])
-def test_bump_modulated_wide_window_factorizes_at_xi_near_R_squared(monkeypatch, R):
-    # the uncentred guard, |x| max|xi| with |xi| ~ R^2, took B = 1 from R = 128 on
-    assert set(kernel_steps(monkeypatch, bump_modulated(R), window_grid(0.45, 0.9, 1024))) == {32}
+def test_bump_modulated_wide_window_factorizes_at_xi_near_R_squared(R):
+    # centred on the hull midpoint, the chirp phases grow with the hull's
+    # half-width R/2, not with |xi| ~ R^2
+    profile, xs = bump_modulated(R), window_grid(0.45, 0.9, 1024)
+    with kernel_paths() as paths:
+        init = batch_initial(profile, xs)
+    assert set(paths) == {"chirp"}
+    for i in (0, 700):
+        assert abs(init[i] - one_pair(profile, STRAIGHT_1D, 2.0, float(xs[i]), 0.0)[0]) <= 1e-9 * mass_scale(profile)
 
 
 def test_factorized_window_gaussian_closed_form_on_straight_curve():
     xs = window_grid(-2.0, 2.0, 1024)
-    assert steps_used(xs, 8.0) == 32
     ts = [0.05, 0.2, 0.5, 1.0]
-    vals, init, _ = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    with kernel_paths() as paths:
+        (vals, init, _) = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    assert set(paths) == {"chirp"}
     exact = gaussian_closed_form(xs[:, None], np.asarray(ts)[None, :])
     assert np.max(np.abs(vals - exact)) < 1e-9
     assert np.max(np.abs(init - gaussian_closed_form(xs, 0.0))) < 1e-9
@@ -396,20 +435,22 @@ def test_factorized_window_indicator_band_fresnel_oracle():
     tol = 1e-9 / TWO_PI
     for nx in (129, 256):  # a scaling window and a wider one
         xs = window_grid(-0.05, 0.2, nx)
-        assert steps_used(xs, 0.5) == 16
-        vals, _, _ = batch_values(indicator_band(R), curve, 2.0, xs, BAND_TS)
+        with kernel_paths() as paths:
+            (vals, _, _) = batch_values(indicator_band(R), curve, 2.0, xs, BAND_TS)
+        assert set(paths) == {"gl"}  # the band's edges are jumps: no chirp-z
         for i in range(0, len(xs), 5):
             for j, t in enumerate(BAND_TS):
                 exact = band_fresnel_closed_form(R, xs[i] + curve.shift(t), t)
                 assert abs(vals[i, j] - exact) < tol
 
 
-@pytest.mark.parametrize("nx, B", [(3, 2), (5, 2), (17, 4), (129, 16)])
-def test_short_factorized_window_gaussian_closed_form(nx, B):
-    xs = window_grid(-2.0, 2.0, nx)
-    assert steps_used(xs, 4.0) == B  # gaussian_like's segments (-8, 0) and (0, 8)
+@pytest.mark.parametrize("nx", [3, 5, 17, 129, 4096])
+def test_short_window_gaussian_closed_form(nx):
+    xs = window_grid(-1.0, 1.0, nx)  # three points on [-2, 2] would pass the phase guard
     ts = [0.05, 0.2, 0.5, 1.0]
-    vals, init, _ = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    with kernel_paths() as paths:
+        (vals, init, _) = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    assert set(paths) == {"chirp"}
     exact = gaussian_closed_form(xs[:, None], np.asarray(ts)[None, :])
     assert np.max(np.abs(vals - exact)) < 1e-9
     assert np.max(np.abs(init - gaussian_closed_form(xs, 0.0))) < 1e-9
@@ -420,10 +461,11 @@ def test_bump_modulated_scaling_window_is_pointwise():
     profile = bump_modulated(R)
     c = calibrate_window_constant("bump-modulated", 0.5, R_min=32.0, R_max=1024.0)
     xs = window_grid(0.5 * c, c, 129)
-    assert steps_used(xs, R / 2.0) == 16
     picks = [0, 40, 64, 101, 128]
     ts = [critical_time("bump-modulated", curve, R, 0.0, float(xs[i])) for i in picks] + [2.0 ** -14]
-    vals, init, _ = batch_values(profile, curve, 2.0, xs, ts)
+    with kernel_paths() as paths:
+        (vals, init, _) = batch_values(profile, curve, 2.0, xs, ts)
+    assert set(paths) == {"chirp"}
     tol = 1e-9 * mass_scale(profile)
     for i in picks:
         assert abs(init[i] - one_pair(profile, curve, 2.0, float(xs[i]), 0.0)[0]) <= tol
@@ -444,9 +486,10 @@ def test_bump_modulated_scaling_window_is_pointwise():
 def test_factorized_window_is_pointwise_at_positive_times(nx, ends, t, m, picks):
     profile = gaussian_like()
     xs = np.linspace(ends[0], ends[1], nx)
-    assert steps_used(xs, 8.0) > 1
     scale = batch_initial(profile, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
-    vals, _, _ = batch_values(profile, STRAIGHT_1D, m, xs, [t])
+    with kernel_paths() as paths:
+        (vals, _, _) = batch_values(profile, STRAIGHT_1D, m, xs, [t])
+    assert set(paths) == ({"chirp"} if m == 2.0 else {"gl"})
     for i in [0, nx - 1] + [p % nx for p in picks]:
         point, _ = one_pair(profile, STRAIGHT_1D, m, float(xs[i]), t)
         assert abs(vals[i, 0] - point) <= 1e-9 * scale
@@ -455,28 +498,84 @@ def test_factorized_window_is_pointwise_at_positive_times(nx, ends, t, m, picks)
 def test_jittered_window_takes_the_direct_table():
     rng = np.random.default_rng(7)
     xs = window_grid(-1.0, 1.0, 300) + rng.uniform(-1e-7, 1e-7, 300)
-    assert steps_used(xs, 8.0) == 1
-    assert steps_used(window_grid(-1.0, 1.0, 300), 8.0) == 16
+    assert not chirp_admits(xs, 8.0, 512)
+    assert chirp_admits(window_grid(-1.0, 1.0, 300), 8.0, 512)
     profile, ts = gaussian_like(), [0.0, 0.01, 0.4]
-    vals, _, _ = batch_values(profile, STRAIGHT_1D, 2.0, xs, ts)
+    with kernel_paths() as paths:
+        (vals, _, _) = batch_values(profile, STRAIGHT_1D, 2.0, xs, ts)
+    assert set(paths) == {"gl"}
     for i in (0, 77, 299):
         for j, t in enumerate(ts):
             point, _ = one_pair(profile, STRAIGHT_1D, 2.0, float(xs[i]), t)
             assert abs(vals[i, j] - point) < 1e-9
 
 
+def test_window_past_the_chirp_bound_takes_the_direct_table():
+    # three points on [-1, 1] against a hull of half-width 2^14 and a
+    # 131072-node rule: rounding beta = h h_xi could move the phases
+    # beta p q by 2^-53 |beta| n nx / 4 ~ 3.6e-12 radians in both passes
+    profile, xs = bump_dilated(2.0 ** 15), np.array([-1.0, 0.0, 1.0])
+    (factor,) = coordinate_factors(profile)
+    n = bucket(node_budget(1.0, 0.0, 2.0, factor))
+    assert not chirp_admits(xs, 2.0 ** 14, n) and not chirp_admits(xs, 2.0 ** 14, 2 * n)
+    with kernel_paths() as paths:
+        init = batch_initial(profile, xs)
+    assert set(paths) == {"gl"}
+    for i, x in enumerate(xs):
+        point, _ = one_pair(profile, STRAIGHT_1D, 2.0, float(x), 0.0)
+        assert abs(init[i] - point) <= 1e-9 * mass_scale(profile)
+
+
+def test_chirp_phases_are_exact_to_rounding():
+    mp = pytest.importorskip("mpmath")
+    beta, r = 2.9e-5, np.arange(-30000.5, 30000.0, 1234.0)  # phases up to ~1.3e4 radians
+    with mp.workdps(40):
+        exact = [complex(mp.expj(mp.mpf(beta) * mp.mpf(v) ** 2 / 2)) for v in r]
+    assert np.max(np.abs(_chirp(beta, r) - exact)) < 1e-15
+
+
 def test_factorization_guard_bounds_the_phase_error():
-    xs = window_grid(-1.0, 1.0, 256)  # dyadic: x_{aB} + b h is exact
+    xs = window_grid(-1.0, 1.0, 256)  # dyadic: the uniform grid is exact
+    h = 2.0 / 256
+    for W, n in ((8.0, 512), (8.0, 4096), (1e3, 512)):  # then the guard reads the beta rounding alone
+        assert _chirp_phase_error(xs, W, n) == UNIT_ROUNDOFF * h * (2.0 * W / n) * n * 256 / 4.0
+    assert chirp_admits(xs, 4e3, 512) and not chirp_admits(xs, 1e4, 512)
     moved = xs.copy()
     moved[100] += 1e-9
-    # the guard admits B > 1 while (reconstruction error) * max|xi| <= 1e-12
-    assert steps_used(xs, 1e9) == 16
-    assert steps_used(moved, 1e-4) == 16
-    assert steps_used(moved, 1e-2) == 1
-    assert steps_used(window_grid(-1.0, 1.0, 300), 1e9) == 1  # rounding, ~2e-16
-    assert steps_used(window_grid(-1.0, 1.0, 1), 8.0) == 1  # one and two points: the direct table
-    assert steps_used(window_grid(-1.0, 1.0, 2), 8.0) == 1
-    assert steps_used(window_grid(-1.0, 1.0, 129), 8.0) == 16
+    # the guard admits a window while (distance from the grid) * half-width <= ~1e-12
+    assert chirp_admits(moved, 1e-4, 512)
+    assert not chirp_admits(moved, 1e-2, 512)
+    assert chirp_admits(window_grid(-1.0, 1.0, 300), 1e2, 512)  # grid rounding, ~2e-16
+    for nx, path in ((1, "gl"), (2, "gl"), (3, "chirp"), (129, "chirp")):  # one and two points: the table
+        with kernel_paths() as paths:
+            batch_initial(gaussian_like(), window_grid(-1.0, 1.0, nx))
+        assert set(paths) == {path}
+
+
+def test_chirp_window_self_check_failure_carries_both_estimates():
+    # 64 and 128 nodes on gaussian_like's 16-wide hull alias e^{i x xi} at |x| ~ 50
+    coarse_budget = QuadratureSpec(base_nodes=64, nodes_per_radian=0.02)
+    xs = window_grid(-50.0, 50.0, 129)
+    with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
+        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0], coarse_budget)
+    assert set(paths) == {"chirp"}
+    assert "self-check failed" in str(err.value)
+    assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
+    assert err.value.coarse != err.value.fine
+    assert re.fullmatch(r"kind=gaussian-like, x=\S+, t=1\.0", err.value.context)
+
+
+def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table():
+    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+    (factor,) = coordinate_factors(gaussian_like())
+    budget = bucket(node_budget(40.0, 1.0, 2.0, factor, tight))
+    xs = np.array([0.0, 20.0, 40.0])
+    with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
+        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0], tight)
+    assert paths == ["gl", "gl"]
+    assert str(err.value).startswith(f"node budget {2 * budget} exceeds cap 128 (coarse=")
+    assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
+    assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +609,27 @@ def test_fractional_m_gets_the_graded_rule_and_integer_m_the_plain_one():
     (_, _, plain, _), = _segment_rule(segments, 256, 2.0 != int(2.0))
     assert graded.min() < 4.0 * 2.0 ** -40 < plain.min()
     assert len(graded) != len(plain)
+
+
+def fractional_oracle(gamma, t, m):
+    """(2 pi)^{-1} integral over [-8, 8] of e^{i(gamma xi + t |xi|^m)} e^{-xi^2} dxi, by mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        f = lambda xi: mp.exp(1j * (gamma * xi + t * abs(xi) ** m) - xi * xi)
+        return complex(mp.quad(f, list(mp.linspace(-8, 8, 129))) / (2 * mp.pi))
+
+
+def test_graded_rule_certifies_far_from_the_origin():
+    # each geometric piece gets its width's share of the budget, so the
+    # outer piece, half the segment, resolves e^{i x xi} at |x| in the tens
+    g = gaussian_like()
+    tol = 1e-9 * mass_scale(g)
+    s = evaluate(g, CurveSpec(STRAIGHT), 1.5, 30.0, 1e-3)
+    assert abs(s.value - fractional_oracle(30.0, 1e-3, 1.5)) <= tol
+    curve, ts = CurveSpec(MINUS_SHIFT, alpha=0.5), [1e-3, 0.05, 0.4, 1.0]
+    vals, _, _ = batch_values(g, curve, 1.5, np.linspace(20.0, 21.0, 7), ts)
+    for j, t in enumerate(ts):
+        assert abs(vals[0, j] - fractional_oracle(20.0 + curve.shift(t), t, 1.5)) <= tol
 
 
 def test_cached_rule_is_bit_identical_to_a_fresh_build():
@@ -740,7 +860,7 @@ def test_paired_call_validates_its_pairs():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
     calls = []
-    for stage in ("_pair_budgets", "_quadrature"):
+    for stage in ("_pair_budgets", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, shifted = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5)
     with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
@@ -758,7 +878,7 @@ def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
 @pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
 def test_both_kernels_reject_a_bad_m_before_any_work(monkeypatch, m):
     calls = []
-    for stage in ("_pair_budgets", "_quadrature"):
+    for stage in ("_pair_budgets", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, message = gaussian_like(), re.escape(f"dispersion power m={m} must be positive")
     with pytest.raises(DomainValidationError, match=message):
