@@ -344,8 +344,15 @@ def cmd_ceiling_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns an argparse error into the one-line `error:` exit 1 of every other bad input."""
+
+    def error(self, message):
+        raise DomainValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curverate",
         description="Convergence-rate laboratory for Schrodinger evolution along curves.",
     )
@@ -451,14 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         _check_finite(args)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return 0 if exc.code in (0, None) else 1
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy error: {exc}\n")
         return 2

@@ -317,11 +317,13 @@ def coordinate_factors(profile: FrequencyProfile):
         segs = tuple((D * ell - 1.0, D * ell + 1.0) for ell in ells)
 
         def lattice_factor(eta, _D=D, _ells=tuple(ells)):
+            # the segments are disjoint, so only the nearest lattice point
+            # contributes; the clip keeps it on the lattice when D < 2
             eta = np.asarray(eta, dtype=float)
-            out = np.zeros_like(eta)
-            for ell in _ells:
-                out = out + np.atleast_1d(window_transform(eta - _D * ell))
-            return out
+            if not _ells:
+                return np.zeros_like(eta)
+            ell = np.clip(np.rint(eta / _D), _ells[0], _ells[-1])
+            return np.atleast_1d(window_transform(eta - _D * ell))
 
         return (first, CoordinateFactor(segs, lattice_factor, True))
 

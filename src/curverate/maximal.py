@@ -8,7 +8,8 @@ a certified lower bound for the true supremum (a grid max never exceeds
 the sup). The grid is a TimeGrid of dyadic octaves, and a time is
 injected in one way only: maximal_field's critical_times, one time in
 (0, 1] per point, the counterexample family's stationary time at that
-point. That is exactly the evaluation the lower-bound arguments use.
+point. That is exactly the evaluation the lower-bound arguments use. The
+injected times cost one certified window pass per block of points.
 With local refinement on, each point's sup is then refined by a
 golden-section search between the grid neighbours of its argmax time.
 The searches of all points run in lockstep, one paired certified_value
@@ -51,7 +52,8 @@ from .initial_data import (
     decay_threshold,
     indicator_band,
 )
-from .propagator import DEFAULT_QUAD, QuadratureSpec, batch_values, certified_value, point_values
+from .propagator import DEFAULT_QUAD, X_CHUNK, QuadratureSpec
+from .propagator import batch_values, certified_value, point_values
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ITERATIONS = 24
@@ -389,7 +391,9 @@ def maximal_field(
     certified pass. xs holds scalars for d = 1 and points of R^d
     otherwise. critical_times, when given, injects one extra time in
     (0, 1] per point (the counterexample families' stationary times;
-    window path only); the grid may then be empty. The field's ball is
+    window path only); the grid may then be empty. Each block of at most
+    X_CHUNK points (ceil(nx / X_CHUNK) equal blocks) is then one
+    batch_values pass at its distinct critical times. The field's ball is
     the interval the midpoint grid xs covers (first coordinate for d > 1).
     """
 
@@ -432,14 +436,14 @@ def maximal_field(
         sup = scores[np.arange(len(xs)), idx]
         arg = ts[idx]
 
-    if critical_times is not None:
-        for tc in np.unique(critical_times):
-            mask = critical_times == tc
-            vals, init, counts = batch_values(profile, curve, m, xs[mask], [float(tc)], quad)
-            sc = np.abs(vals[:, 0] - init) / tc ** delta
-            better = sc > sup[mask]
-            sup[mask] = np.where(better, sc, sup[mask])
-            arg[mask] = np.where(better, tc, arg[mask])
+    if critical_times is not None:  # one window pass per block of at most X_CHUNK points
+        for blk in np.array_split(np.arange(len(xs)), -(-len(xs) // X_CHUNK)):
+            tcs, col = np.unique(critical_times[blk], return_inverse=True)
+            vals, init, counts = batch_values(profile, curve, m, xs[blk], tcs, quad)
+            tc = tcs[col]  # each point reads the column of its own critical time
+            sc = np.abs(vals[np.arange(len(blk)), col] - init) / tc ** delta
+            better = sc > sup[blk]
+            sup[blk[better]], arg[blk[better]] = sc[better], tc[better]
             node_max = max(node_max, int(counts.max()))
 
     if grid.local_refinement and on_grid and len(ts) >= 3:

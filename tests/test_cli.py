@@ -406,3 +406,28 @@ def test_ceiling_demo():
 def test_unknown_flag_exits_one():
     proc = run_cli("eval", "--frobnicate", "1")
     assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv,stderr", [
+    (["eval", "--family", "gaussian-like", "--x", "abc", "--t", "0.5"],
+     "error: argument --x: invalid float value: 'abc'\n"),
+    (["data", "info", "--family", "bump-dilated", "--s-values", "0,x"],
+     "error: argument --s-values: invalid float_list value: '0,x'\n"),
+    (["eval", "--family", "gaussian-like", "--t", "0.5"],
+     "error: the following arguments are required: --x\n"),
+    (["eval", "--family", "gaussian-like", "--x", "0.1", "--t", "0.5", "--frobnicate", "1"],
+     "error: unrecognized arguments: --frobnicate 1\n"),
+    (["frobnicate"], None),
+])
+def test_a_parse_error_is_one_error_line(argv, stderr):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert stderr is None or proc.stderr == stderr
+
+
+@pytest.mark.parametrize("argv,stdout", [(["--version"], "curverate "), (["eval", "--help"], "usage: ")])
+def test_help_and_version_exit_zero(argv, stdout):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0 and proc.stdout.startswith(stdout) and proc.stderr == ""

@@ -19,6 +19,7 @@ from curverate.initial_data import (
     bump_modulated,
     bump_tensor,
     bump_transform,
+    coordinate_factors,
     decay_threshold,
     fourier_eval,
     gaussian_like,
@@ -122,6 +123,22 @@ def test_lattice_construction():
     D = lattice_scale(64.0, 2)
     assert all(64.0 / (2 * D) < ell < 64.0 / D for ell in ells)
     assert len(ells) >= 1
+
+
+@pytest.mark.parametrize("R", [2.0, 4.0, 8.0, 16.0, 64.0, 1024.0])
+def test_lattice_factor_is_the_sum_over_lattice_points(R):
+    # R = 2 has D < 2, where the nearest lattice point must be clipped to
+    # the lattice; R = 8 has no lattice point
+    D, ells = lattice_scale(R, 2), lattice_points(R, 2)
+    factor = coordinate_factors(bourgain_profile(R, d=2))[1]
+
+    def per_point(eta):  # one window per lattice point, summed
+        return sum((np.atleast_1d(window_transform(eta - D * ell)) for ell in ells), np.zeros_like(eta))
+
+    eta = np.linspace(-2.0, D * max(ells, default=1) + 2.0, 4001)
+    for e in (eta, eta[2000]):
+        got, want = factor.func(e), per_point(e)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_sobolev_norm_examples():

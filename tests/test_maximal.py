@@ -411,6 +411,72 @@ def test_lockstep_refinement_is_the_serial_golden_section_search(family, alpha):
     assert np.array_equal(fld.sup_values, sup) and np.array_equal(fld.argmax_times, arg)
 
 
+def injected_field(family, alpha, R, n=129):
+    """A family's calibrated window of n points at R, with its critical times."""
+
+    spec = FAMILIES[family]
+    curve = CurveSpec(spec.curve, alpha=alpha)
+    c = calibrate_window_constant(family, alpha)
+    xs = window_grid(*admissible_window(family, R, alpha, 0.0, c), n)
+    tc = np.array([critical_time(family, curve, R, 0.0, float(x), window_constant=c) for x in xs])
+    return spec.profile(R, 0.0, 1), curve, c, xs, tc
+
+
+def count_window_calls(monkeypatch):
+    """Record (xs, ts) of every batch_values call maximal_field makes."""
+
+    calls, real = [], batch_values
+
+    def counting(profile, curve, m, xs, ts, quad=None):
+        calls.append((np.asarray(xs), np.asarray(ts)))
+        return real(profile, curve, m, xs, ts, quad)
+
+    monkeypatch.setattr(maximal, "batch_values", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family,alpha,octaves", [
+    (BUMP_MODULATED, 0.5, True), (BOURGAIN, 0.5, False), (INDICATOR_BAND, 0.25, True),
+])
+def test_injection_is_one_window_pass_per_block(monkeypatch, family, alpha, octaves):
+    R = 64.0
+    profile, curve, c, xs, tc = injected_field(family, alpha, R)
+    grid = TimeGrid(*FAMILIES[family].octaves(R, alpha, 0.0, c), points_per_octave=2,
+                    local_refinement=False) if octaves else TimeGrid()
+    calls = count_window_calls(monkeypatch)
+    maximal_field(profile, curve, 2.0, 0.1, xs, grid, critical_times=tc)
+    if octaves:  # the grid's one call comes first
+        grid_xs, grid_ts = calls.pop(0)
+        assert np.array_equal(grid_xs, xs) and np.array_equal(grid_ts, grid.times())
+    assert [len(x) for x, _ in calls] == [65, 64]  # ceil(129 / X_CHUNK) equal blocks
+    start = 0
+    for block_xs, block_ts in calls:
+        blk = slice(start, start + len(block_xs))
+        assert len(block_xs) <= propagator.X_CHUNK and np.array_equal(block_xs, xs[blk])
+        assert np.array_equal(block_ts, np.unique(tc[blk]))
+        start += len(block_xs)
+    if family == INDICATOR_BAND:  # its critical time does not depend on x
+        assert [len(t) for _, t in calls] == [1, 1]
+
+
+def serial_inject(profile, curve, delta, x, tc):
+    """Reference: one point's injected score from its own one-point, one-time window pass."""
+
+    values, initial, _ = batch_values(profile, curve, 2.0, [x], [tc])
+    return abs(values[0, 0] - initial[0]) / tc ** delta
+
+
+@pytest.mark.parametrize("family,alpha", [(BUMP_MODULATED, 0.5), (BUMP_DILATED, 0.2), (BOURGAIN, 0.5)])
+def test_block_injection_matches_one_pass_per_point(family, alpha):
+    delta = 0.1
+    profile, curve, _, xs, tc = injected_field(family, alpha, 64.0)
+    # the empty grid: each sup is the injected score itself
+    fld = maximal_field(profile, curve, 2.0, delta, xs, TimeGrid(), critical_times=tc)
+    assert np.array_equal(fld.argmax_times, tc)
+    ref = [serial_inject(profile, curve, delta, float(x), float(t)) for x, t in zip(xs, tc)]
+    np.testing.assert_allclose(fld.sup_values, ref, rtol=1e-9, atol=0.0)
+
+
 def test_lemma_empirical_rejects_higher_dimensions():
     lip2 = Regime(d=2, alpha=1, m=2, smoothness=LIPSCHITZ)
     with pytest.raises(DomainValidationError):
