@@ -266,10 +266,13 @@ def _segments(profile):
     return tuple(f.segments for f in coordinate_factors(profile))
 
 
+@lru_cache(maxsize=256)
 def coordinate_factors(profile: FrequencyProfile):
     """Per-coordinate factors of the profile's Fourier transform.
 
     The scalar prefactor (e.g. 1/R) is folded into the first coordinate.
+    Memoised, so equal profiles get the same factors: the propagator's
+    rule cache is keyed by factor.
     """
 
     kind = profile.kind

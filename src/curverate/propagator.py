@@ -14,7 +14,7 @@ golden-section step over a whole field is one call. A window
 (batch_values) sums each column over its points at once (see below).
 Both kernels share one front end: _check_domain rejects a bad m, t or x
 with DomainValidationError before any work, _node_budgets sets each node
-count from the estimated total phase variation and _over_cap applies the
+count from the phase's largest local frequency and _over_cap applies the
 node cap. f(x) comes from the pass that computes U f, so a failing f(x)
 reports t=0.0 in the AccuracyError context: the t = 0 column on a
 window, and on the pointwise kernel the (x, 0) pairs of point_values'
@@ -48,8 +48,19 @@ windows, non-uniform windows, m != 2) runs _quadrature with the centred
 direct table: each segment's table is e^{i x u}, u = xi - C about the
 same midpoint C, and each window point's output is multiplied by
 e^{i x C} next to the column scalars. Gauss-Legendre rules come from
-_segment_rule, which caches up to RULE_CACHE_SIZE rules of at most
-CACHED_RULE_NODES budgeted nodes as read-only arrays.
+_weighted_rule, which caches up to RULE_CACHE_SIZE rules of at most
+CACHED_RULE_NODES budgeted nodes, each with f^ already multiplied into
+its weights, as read-only arrays.
+
+Node budgets. A column's phase is theta(xi) = gamma xi + t|xi|^m, with
+gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
+window, and xi in the hull of the segments. Its budget is the largest
+|theta'| on that box times the segments' width. For m >= 1 theta' is
+monotone in gamma and in xi, so two corners of the box give it
+(phase_variation). At the stationary ("critical") times of the
+lower-bound arguments gamma + 2t xi nearly cancels over the support and
+the budget shrinks with it; it never exceeds the triangle-inequality
+bound (max|gamma| + m t max|xi|^{m-1}) * width.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ PHASE_GUARD = 1e-12   # largest phase error (radians) the chirp-z window path ma
 UNIT_ROUNDOFF = 2.0 ** -53
 SPLITTER = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 FFT_BLOCK = 2 ** 16   # complex elements per chirp-z FFT block
-RULE_CACHE_SIZE = 256  # Gauss-Legendre rules kept by _segment_rule
+RULE_CACHE_SIZE = 256  # weighted Gauss-Legendre rules kept by _weighted_rule
 CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
 GRADING_DEPTH = 40    # zero-graded rules break at 2^-k of the width, k = 40..0
 _STRAIGHT = CurveSpec(STRAIGHT)
@@ -126,28 +137,48 @@ def _segment_width(segments):
     return sum(hi - lo for lo, hi in segments)
 
 
-def _max_abs_xi(factor):
-    return max((max(abs(lo), abs(hi)) for lo, hi in factor.segments), default=0.0)
+def _hull_ends(factor):
+    """(lo, hi): the hull of factor's segments, (0, 0) for a factor without any."""
+    return (min((a for a, _ in factor.segments), default=0.0),
+            max((b for _, b in factor.segments), default=0.0))
 
 
-def phase_variation(gamma_j, t, m: float, factor):
-    """Spec budget: (|gamma_j| + t*m*max|xi|^{m-1}) * total segment width.
+def _slope(xi: float, m: float) -> float:
+    """sgn(xi) |xi|^{m-1}: d|xi|^m/dxi over m."""
+    return math.copysign(abs(xi) ** (m - 1.0), xi) if xi else 0.0
 
-    gamma_j and t are floats or equal-length arrays, elementwise.
+
+def phase_variation(gamma_lo, gamma_hi, t, m: float, factor):
+    """Budget: the phase's largest local frequency |theta'| times the total segment width.
+
+    For m >= 1, theta' = gamma + m t sgn(xi)|xi|^{m-1} increases in gamma
+    and in xi (t >= 0), so over [gamma_lo, gamma_hi] times the hull
+    [lo, hi] it runs from theta'(gamma_lo, lo) to theta'(gamma_hi, hi):
+    those two corners bound every point of the box. The result never
+    exceeds the triangle-inequality bound (max|gamma| + m t
+    max|xi|^{m-1}) * width, which m < 1 keeps, theta' being unbounded at
+    0 there. gamma_lo, gamma_hi and t are floats or equal-length arrays,
+    elementwise.
     """
 
     width = _segment_width(factor.segments)
-    xi_max = _max_abs_xi(factor)
-    speed = abs(gamma_j) + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)
+    lo, hi = _hull_ends(factor)
+    if m >= 1.0:
+        low, high = gamma_lo + t * m * _slope(lo, m), gamma_hi + t * m * _slope(hi, m)
+        speed = np.maximum(np.abs(low), np.abs(high))
+    else:
+        xi_max = max(abs(lo), abs(hi))
+        speed = np.maximum(np.abs(gamma_lo), np.abs(gamma_hi))
+        speed = speed + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)
     return speed * width
 
 
-def _node_budgets(reach, ts, m: float, factor, quad: QuadratureSpec):
-    """Node budgets in whole panels at displacements reach (|reach| counts) and times ts.
+def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor, quad: QuadratureSpec):
+    """Node budgets in whole panels for displacements in [gamma_lo, gamma_hi] at times ts.
 
     Elementwise; budgets past 2^52 nodes, far over any cap, read as 2^52.
     """
-    V = phase_variation(reach, ts, m, factor)
+    V = phase_variation(gamma_lo, gamma_hi, ts, m, factor)
     n = np.fmin(np.maximum(quad.base_nodes, np.ceil(quad.nodes_per_radian * V)), 2.0 ** 52)
     return -(-n.astype(np.int64) // PANEL_ORDER) * PANEL_ORDER
 
@@ -181,42 +212,47 @@ def _graded_rule(lo: float, hi: float, min_nodes: int):
     return np.concatenate(xs_all), np.concatenate(ws_all)
 
 
-def _build_rule(segments, total_nodes: int, graded: bool):
-    """Distribute a coordinate's node budget over its segments by width.
+def _build_weighted_rule(factor, total_nodes: int, graded: bool):
+    """factor's n-node Gauss-Legendre rule, weighted by f^.
 
-    Segments ending at 0 are graded toward it when graded (m is not an
-    integer). Returns a tuple of (lo, hi, nodes, weights) with read-only
-    arrays.
+    The budget is spread over the segments by width, and segments ending
+    at 0 are graded toward it when graded (m is not an integer). Returns
+    one (C, nodes, w f^(nodes), l1_mass) per segment: C the segment
+    midpoint, l1_mass the sum of w |f^| on the segment, and the arrays
+    read-only.
     """
 
-    width = _segment_width(segments)
+    width = _segment_width(factor.segments)
     rules = []
-    for lo, hi in segments:
+    for lo, hi in factor.segments:
         share = max(PANEL_ORDER, int(math.ceil(total_nodes * (hi - lo) / width)))
         if graded and (lo == 0.0 or hi == 0.0):
             xs, ws = _graded_rule(lo, hi, share)
         else:
             xs, ws = panel_nodes(lo, hi, share)
-        xs.flags.writeable = ws.flags.writeable = False
-        rules.append((lo, hi, xs, ws))
+        fv = np.asarray(factor.func(xs), dtype=np.complex128)
+        wf = ws * fv
+        xs.flags.writeable = wf.flags.writeable = False
+        rules.append((0.5 * (lo + hi), xs, wf, float(np.sum(ws * np.abs(fv)))))
     return tuple(rules)
 
 
-_cached_rule = lru_cache(maxsize=RULE_CACHE_SIZE)(_build_rule)
+_cached_weighted_rule = lru_cache(maxsize=RULE_CACHE_SIZE)(_build_weighted_rule)
 
 
-def _segment_rule(segments, total_nodes: int, graded: bool):
-    """_build_rule, cached for budgets of at most CACHED_RULE_NODES nodes.
+def _weighted_rule(factor, total_nodes: int, graded: bool):
+    """_build_weighted_rule, cached for budgets of at most CACHED_RULE_NODES nodes.
 
-    The pointwise path asks for the same small rules over and over. A
-    larger rule feeds a kernel that costs far more than building it, and
-    keeping it alive would pin memory, so it is built afresh. The cache
-    holds at most RULE_CACHE_SIZE rules; one of at most CACHED_RULE_NODES
-    budgeted nodes has under 6000 nodes (96 KB) on one or two segments.
+    The one rule cache: an LRU of RULE_CACHE_SIZE entries keyed by
+    (factor, n, graded), so a hit skips both the rule and the evaluation
+    of f^ on it. coordinate_factors is memoised, so the same profile keeps
+    the same factors. A larger rule feeds a kernel that costs far more
+    than building it, and keeping it alive would pin memory, so it is
+    built afresh.
     """
 
-    build = _cached_rule if total_nodes <= CACHED_RULE_NODES else _build_rule
-    return build(segments, total_nodes, graded)
+    build = _cached_weighted_rule if total_nodes <= CACHED_RULE_NODES else _build_weighted_rule
+    return build(factor, total_nodes, graded)
 
 
 def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
@@ -233,9 +269,7 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
     out = 0j if xs is None else np.zeros((len(xs), len(shifts)), dtype=np.complex128)
     mass = 0.0
     s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
-    for lo, hi, nodes, weights in _segment_rule(factor.segments, n, m != int(m)):
-        fv = np.asarray(factor.func(nodes), dtype=np.complex128)
-        C = 0.5 * (lo + hi)
+    for C, nodes, wf, l1 in _weighted_rule(factor, n, m != int(m)):
         u = nodes - C
         if m == 2.0:
             scalars = np.exp(1j * (shifts * C + ts * C * C))
@@ -247,7 +281,7 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
         # would otherwise set the memory peak
         rows = 1j * phase
         del phase
-        np.multiply(weights * fv, np.exp(rows, out=rows), out=rows)
+        np.multiply(wf, np.exp(rows, out=rows), out=rows)
         if xs is None:
             out = out + scalars * rows.sum(axis=-1)
         else:
@@ -260,7 +294,7 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
                     np.exp(table, out=table)
                     acc[block] += table @ rows[:, sl].T
             out += np.exp(1j * xs * C)[:, None] * scalars * acc
-        mass += float(np.sum(weights * np.abs(fv)))
+        mass += l1
     return out, mass
 
 
@@ -272,7 +306,7 @@ def _fft_length(n: int) -> int:
 
 def _hull(factor):
     """(C, W): midpoint and half-width of the hull of factor's segments."""
-    lo, hi = min(a for a, _ in factor.segments), max(b for _, b in factor.segments)
+    lo, hi = _hull_ends(factor)
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
@@ -408,13 +442,14 @@ def _pair_budgets(factors, curve, m: float, points, ts, quad: QuadratureSpec):
     """Budgets of the pairs (points[i], ts[i]) on the coordinate factors.
 
     Returns gamma(x_i, t_i) as a (pairs, coordinates) array, each pair's
-    unbucketed node budget per coordinate (_node_budgets at |gamma_j|) as
-    a (pairs, coordinates) int array and the node count of its certified
-    pass, twice the budgets' sum, as a (pairs,) int array.
+    unbucketed node budget per coordinate (_node_budgets on the one-point
+    interval [gamma_j, gamma_j]) as a (pairs, coordinates) int array and
+    the node count of its certified pass, twice the budgets' sum, as a
+    (pairs,) int array.
     """
 
     gam = gamma_pairs(curve, points, ts)
-    budgets = np.column_stack([_node_budgets(g, ts, m, f, quad) for g, f in zip(gam.T, factors)])
+    budgets = np.column_stack([_node_budgets(g, g, ts, m, f, quad) for g, f in zip(gam.T, factors)])
     return gam, budgets, 2 * budgets.sum(axis=1)
 
 
@@ -582,10 +617,10 @@ def batch_values(
     Returns (values[nx, nt], initial[nx], node_counts[nt]). initial is
     f(x), the t = 0 column of the same pass: it shares the requested
     times' self-check, and their kernel call where its rule size matches
-    one of theirs. The quadrature rule for each time depends only
-    on the window bound max|gamma|, never on chunking, so results are
-    independent of how work is split. The node-doubling self-check
-    certifies every sample.
+    one of theirs. The quadrature rule for each time depends only on the
+    window's displacements [min x, max x] + s(t), never on chunking, so
+    results are independent of how work is split. The node-doubling
+    self-check certifies every sample.
     """
 
     quad = quad or DEFAULT_QUAD
@@ -601,11 +636,11 @@ def batch_values(
     _check_domain(m, xs, ts)
     (factor,) = coordinate_factors(profile)
     shifts = np.array([curve.shift(t) for t in ts], dtype=float)
-    xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    counts = _bucket(_node_budgets(xmax + np.abs(shifts), ts, m, factor, quad))
+    xlo, xhi = (float(np.min(xs)), float(np.max(xs))) if len(xs) else (0.0, 0.0)
+    counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor, quad))
     j, over_cap, clamped = _over_cap(2 * counts, counts[:, None], quad)
     if over_cap:
-        # both estimates at the sample that sets the first exceeded budget
+        # both estimates at the window's farthest point from the origin
         i = int(np.argmax(np.abs(xs)))
         xs, ts, shifts, counts = xs[i : i + 1], ts[j : j + 1], shifts[j : j + 1], clamped[0]
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, gamma as curve_gamma
 from curverate.errors import AccuracyError, DomainValidationError
 from curverate.initial_data import (
+    CoordinateFactor,
     annulus_bump,
     bourgain_physical,
     bourgain_profile,
@@ -33,12 +34,12 @@ from curverate.propagator import (
     UNIT_ROUNDOFF,
     QuadratureSpec,
     _bucket,
-    _cached_rule,
+    _cached_weighted_rule,
     _chirp,
     _chirp_phase_error,
     _pair_budgets,
     _quadrature,
-    _segment_rule,
+    _weighted_rule,
     batch_initial,
     batch_values,
     certified_value,
@@ -53,9 +54,19 @@ STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
 
 
-def node_budget(reach, t, m, factor, quad=DEFAULT_QUAD):
-    """The node-budget formula at one reach |gamma_j| and time, in Python integers."""
-    n = max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * phase_variation(reach, t, m, factor))))
+def node_budget(gamma_lo, gamma_hi, t, m, factor, quad=DEFAULT_QUAD):
+    """The node-budget formula for gamma in [gamma_lo, gamma_hi] at one time, in Python integers."""
+    V = phase_variation(gamma_lo, gamma_hi, t, m, factor)
+    n = max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * V)))
+    return -(-n // PANEL_ORDER) * PANEL_ORDER
+
+
+def spec_budget(reach, t, m, factor, quad=DEFAULT_QUAD):
+    """The triangle-inequality budget at |gamma| <= reach: (reach + m t max|xi|^{m-1}) * width."""
+    xi_max = max(max(abs(lo), abs(hi)) for lo, hi in factor.segments)
+    width = sum(hi - lo for lo, hi in factor.segments)
+    V = (abs(reach) + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)) * width
+    n = max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * V)))
     return -(-n // PANEL_ORDER) * PANEL_ORDER
 
 
@@ -227,7 +238,7 @@ def test_cost_model_large_grid_stays_under_node_cap():
     worst = 0
     for x in np.linspace(-1.0, 1.0, 10):       # |gamma| <= 1 + t^alpha <= 2
         for t in np.linspace(0.0, 1.0, 10):
-            worst = max(worst, 2 * node_budget(abs(x) + 1.0, t, 2.0, factor))
+            worst = max(worst, 2 * node_budget(-abs(x) - 1.0, abs(x) + 1.0, t, 2.0, factor))
     assert worst <= DEFAULT_QUAD.max_nodes
 
 
@@ -516,7 +527,7 @@ def test_window_past_the_chirp_bound_takes_the_direct_table():
     # beta p q by 2^-53 |beta| n nx / 4 ~ 3.6e-12 radians in both passes
     profile, xs = bump_dilated(2.0 ** 15), np.array([-1.0, 0.0, 1.0])
     (factor,) = coordinate_factors(profile)
-    n = bucket(node_budget(1.0, 0.0, 2.0, factor))
+    n = bucket(node_budget(-1.0, 1.0, 0.0, 2.0, factor))
     assert not chirp_admits(xs, 2.0 ** 14, n) and not chirp_admits(xs, 2.0 ** 14, 2 * n)
     with kernel_paths() as paths:
         init = batch_initial(profile, xs)
@@ -568,7 +579,7 @@ def test_chirp_window_self_check_failure_carries_both_estimates():
 def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table():
     tight = QuadratureSpec(base_nodes=64, max_nodes=128)
     (factor,) = coordinate_factors(gaussian_like())
-    budget = bucket(node_budget(40.0, 1.0, 2.0, factor, tight))
+    budget = bucket(node_budget(0.0, 40.0, 1.0, 2.0, factor, tight))
     xs = np.array([0.0, 20.0, 40.0])
     with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
         batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0], tight)
@@ -579,34 +590,42 @@ def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table():
 
 
 # ---------------------------------------------------------------------------
-# the Gauss-Legendre rule cache
+# the weighted Gauss-Legendre rule cache: one LRU keyed by (factor, n, graded)
+
+
+def hull_factor(lo, hi):
+    """A factor equal to 1 on the hull [lo, hi], split at 0 like the profiles' segments."""
+    segments = ((lo, 0.0), (0.0, hi)) if lo < 0.0 < hi else ((lo, hi),)
+    return CoordinateFactor(segments, lambda eta: np.ones_like(np.asarray(eta, dtype=float)), True)
 
 
 def test_rule_cache_is_bounded():
-    assert _cached_rule.cache_info().maxsize == RULE_CACHE_SIZE
+    assert _cached_weighted_rule.cache_info().maxsize == RULE_CACHE_SIZE
     for k in range(RULE_CACHE_SIZE + 10):
-        _segment_rule(((0.0, 1.0 + k),), 64, False)
-    assert _cached_rule.cache_info().currsize == RULE_CACHE_SIZE
-    misses = _cached_rule.cache_info().misses
-    big = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, False)
-    assert big is not _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES + 16, False)
-    assert _cached_rule.cache_info().misses == misses  # large rules bypass the cache
-    small = _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, False)
-    assert small is _segment_rule(((0.0, 1.0),), CACHED_RULE_NODES, False)
+        _weighted_rule(hull_factor(0.0, 1.0 + k), 64, False)
+    assert _cached_weighted_rule.cache_info().currsize == RULE_CACHE_SIZE
+    misses = _cached_weighted_rule.cache_info().misses
+    factor = hull_factor(0.0, 1.0)
+    big = _weighted_rule(factor, CACHED_RULE_NODES + 16, False)
+    assert big is not _weighted_rule(factor, CACHED_RULE_NODES + 16, False)
+    assert _cached_weighted_rule.cache_info().misses == misses  # large rules bypass the cache
+    small = _weighted_rule(factor, CACHED_RULE_NODES, False)
+    assert small is _weighted_rule(factor, CACHED_RULE_NODES, False)
 
 
 @pytest.mark.parametrize("n", [256, CACHED_RULE_NODES + 16])
 def test_rule_arrays_are_read_only(n):
-    for lo, hi, nodes, weights in _segment_rule(((-1.0, 0.0), (0.0, 2.0)), n, True):
-        for arr in (nodes, weights):
+    (factor,) = coordinate_factors(gaussian_like())  # segments (-8, 0) and (0, 8)
+    for _, nodes, weighted, _ in _weighted_rule(factor, n, True):
+        for arr in (nodes, weighted):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
 
 def test_fractional_m_gets_the_graded_rule_and_integer_m_the_plain_one():
-    segments = ((0.0, 4.0),)
-    (_, _, graded, _), = _segment_rule(segments, 256, 1.5 != int(1.5))
-    (_, _, plain, _), = _segment_rule(segments, 256, 2.0 != int(2.0))
+    factor = hull_factor(0.0, 4.0)
+    (_, graded, _, _), = _weighted_rule(factor, 256, 1.5 != int(1.5))
+    (_, plain, _, _), = _weighted_rule(factor, 256, 2.0 != int(2.0))
     assert graded.min() < 4.0 * 2.0 ** -40 < plain.min()
     assert len(graded) != len(plain)
 
@@ -633,18 +652,69 @@ def test_graded_rule_certifies_far_from_the_origin():
 
 
 def test_cached_rule_is_bit_identical_to_a_fresh_build():
-    segments = ((-2.0, 0.0), (0.0, 6.0))
-    first = _segment_rule(segments, 512, False)
-    assert _segment_rule(segments, 512, False) is first
-    for (lo, hi, nodes, weights), share in zip(first, (128, 384)):
+    (factor,) = coordinate_factors(gaussian_like(center=2.0))  # segments (-6, 0) and (0, 10)
+    first = _weighted_rule(factor, 512, False)
+    assert _weighted_rule(factor, 512, False) is first
+    for (C, nodes, weighted, l1), (lo, hi), share in zip(first, factor.segments, (192, 320)):
         fresh_nodes, fresh_weights = panel_nodes(lo, hi, share)
+        fv = np.asarray(factor.func(fresh_nodes), dtype=np.complex128)
+        assert C == 0.5 * (lo + hi)
         assert nodes.tobytes() == fresh_nodes.tobytes()
-        assert weights.tobytes() == fresh_weights.tobytes()
+        assert weighted.tobytes() == (fresh_weights * fv).tobytes()
+        assert l1 == float(np.sum(fresh_weights * np.abs(fv)))
+
+
+def test_equal_profiles_share_factors_and_rules():
+    assert coordinate_factors(bump_modulated(64.0)) is coordinate_factors(bump_modulated(64.0))
+    (factor,) = coordinate_factors(bump_modulated(64.0))
+    assert _weighted_rule(factor, 512, False) is _weighted_rule(factor, 512, False)
+
+
+def test_values_after_a_cache_clear_are_the_warm_values_bit_for_bit():
+    profile, curve = bump_modulated(128.0), CurveSpec(MINUS_SHIFT, alpha=0.5)
+    xs, ts = np.array([0.3, 0.31, 0.4]), np.array([1e-5, 2e-5, 0.0])
+    band = indicator_band(64.0), CurveSpec(PLUS_SHIFT, alpha=0.25)
+
+    def run():
+        paired, _ = certified_value(profile, curve, 2.0, xs, ts)
+        window = batch_values(*band, 2.0, xs, ts)[0]
+        return paired.tobytes() + window.tobytes()
+
+    run()
+    warm = run()
+    _cached_weighted_rule.cache_clear()
+    coordinate_factors.cache_clear()
+    assert run() == warm
+
+
+def test_bourgain_d2_grid_evaluates_its_factors_once_per_budget(monkeypatch):
+    # window_transform's Chebyshev series runs when a rule is built, once per
+    # (coordinate, budget) and segment, not on every kernel call
+    calls = []
+    real = np.polynomial.chebyshev.chebval
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebval", lambda *a: calls.append(1) or real(*a))
+    profile, curve = bourgain_profile(16.0, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
+    xs = [np.array([-0.9 + 0.05 * k, 0.1 * k - 0.3]) for k in range(6)]
+    ts = [1e-3, 4e-3, 1e-2]
+    factors = coordinate_factors(profile)
+    points = [x for x in xs for _ in ts] + xs
+    times = np.array([t for _ in xs for t in ts] + [0.0] * len(xs))
+    _, budgets, _ = _pair_budgets(factors, curve, 2.0, points, times, DEFAULT_QUAD)
+    assert budgets.max() <= CACHED_RULE_NODES // 2  # both passes' rules are cached
+    rules = {(j, n * doubling) for j in range(2) for n in budgets[:, j].tolist() for doubling in (1, 2)}
+    segments = sum(len(factors[j].segments) for j, _ in rules)
+    _cached_weighted_rule.cache_clear()
+    samples, failures = evaluate_grid(profile, curve, 2.0, xs, ts)
+    assert not failures and len(samples) == len(xs) * len(ts)
+    assert len(calls) == segments
+    del calls[:]
+    evaluate_grid(profile, curve, 2.0, xs, ts)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
-# the window budgets: one bucketed node budget per time, at the window's
-# reach max|x| + |shift(t)|
+# the window budgets: one bucketed node budget per time, over the window's
+# displacements [min x, max x] + shift(t)
 
 
 WINDOW_CURVES = {"straight": STRAIGHT_1D, "minus": CurveSpec(MINUS_SHIFT, alpha=0.5),
@@ -660,9 +730,63 @@ def test_window_budgets_are_the_scalar_formula(curve, m, window):
     ts = [1e-3, 0.05, 0.4, 1.0]
     (factor,) = coordinate_factors(profile)
     _, _, counts = batch_values(profile, curve, m, xs, ts)
-    reach = [float(np.max(np.abs(xs))) + abs(curve.shift(t)) for t in ts]
-    want = [2 * bucket(node_budget(r, t, m, factor)) for r, t in zip(reach, ts)]
+    want = [2 * bucket(node_budget(xs[0] + curve.shift(t), xs[-1] + curve.shift(t), t, m, factor))
+            for t in ts]
     assert counts.dtype == np.int64 and counts.tolist() == want
+
+
+# the budget from the phase's largest local frequency: |theta'| at the two
+# corners of the box [gamma_lo, gamma_hi] x hull for m >= 1, never more
+# than the triangle-inequality budget spec_budget
+
+
+ends = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gammas=ends, hull=ends.filter(lambda h: h[0] != h[1]), t=st.floats(0.0, 1.0),
+       m=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]))
+def test_local_frequency_budget_is_at_most_the_triangle_bound(gammas, hull, t, m):
+    (g_lo, g_hi), factor = sorted(gammas), hull_factor(*sorted(hull))
+    assert node_budget(g_lo, g_hi, t, m, factor) <= spec_budget(max(abs(g_lo), abs(g_hi)), t, m, factor)
+    # no point of the box has a larger local frequency than the two corners
+    width = sum(b - a for a, b in factor.segments)
+    xi = np.linspace(*sorted(hull), 101)
+    local = np.abs(np.linspace(g_lo, g_hi, 11)[:, None] + t * m * np.sign(xi) * np.abs(xi) ** (m - 1.0))
+    assert local.max() * width <= phase_variation(g_lo, g_hi, t, m, factor) * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gammas=st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)),
+       hull=st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)).filter(lambda h: h[0] != h[1]),
+       t=st.floats(0.0, 1.0), m=st.sampled_from([1.0, 1.5, 2.0, 3.0]), sign=st.sampled_from([1.0, -1.0]))
+def test_local_frequency_budget_is_the_triangle_bound_without_cancellation(gammas, hull, t, m, sign):
+    # gamma and xi of one sign: theta' never changes sign, nothing cancels
+    g_lo, g_hi = sorted(sign * g for g in gammas)
+    factor = hull_factor(*sorted(sign * h for h in hull))
+    assert node_budget(g_lo, g_hi, t, m, factor) == spec_budget(max(abs(g_lo), abs(g_hi)), t, m, factor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gammas=ends, hull=ends.filter(lambda h: h[0] != h[1]), t=st.floats(0.0, 1.0),
+       m=st.sampled_from([0.25, 0.5, 0.75]))
+def test_budget_below_m_one_is_the_triangle_bound(gammas, hull, t, m):
+    (g_lo, g_hi), factor = sorted(gammas), hull_factor(*sorted(hull))
+    assert node_budget(g_lo, g_hi, t, m, factor) == spec_budget(max(abs(g_lo), abs(g_hi)), t, m, factor)
+
+
+@pytest.mark.parametrize("c, t", [(-50.0, 0.5), (-200.0, 0.9), (-1000.0, 0.25), (30.0, 0.7)])
+def test_gaussian_at_its_stationary_point(c, t):
+    # x = -2tc + 0.3: gamma + 2t xi = 0.3 + 2t(xi - c) stays within 0.3 + 16t
+    # of 0 over the support |xi - c| <= 8, while |gamma| + 2t|xi| is near 4t|c|
+    profile, x = gaussian_like(center=c), -2.0 * t * c + 0.3
+    s = evaluate(profile, STRAIGHT_1D, 2.0, x, t)
+    # the constant phase x c + t c^2 (up to 2.5e5 radians) is the kernel's
+    # segment-midpoint scalar, rounded the same way here
+    exact = np.exp(1j * (x * c + t * c * c)) * gaussian_closed_form(x + 2.0 * t * c, t)
+    assert abs(s.value - exact) <= 1e-12
+    (factor,) = coordinate_factors(profile)
+    assert s.node_count == 2 * node_budget(x, x, t, 2.0, factor) < 2 * spec_budget(x, t, 2.0, factor)
 
 
 def test_bucket_is_the_next_panel_count_power_of_two():
@@ -776,7 +900,7 @@ def per_pair_budgets(profile, curve, m, points, ts, quad):
          for p, tp in zip(points, ts)]
     ).reshape(len(ts), len(factors))
     budgets = [
-        [node_budget(float(g), float(tp), m, f, quad) for g, f in zip(row, factors)]
+        [node_budget(float(g), float(g), float(tp), m, f, quad) for g, f in zip(row, factors)]
         for row, tp in zip(gam, ts)
     ]
     return gam, budgets, [2 * sum(row) for row in budgets]
@@ -903,7 +1027,7 @@ def test_both_kernels_reject_a_time_outside_the_unit_interval(t):
 def test_over_cap_error_names_the_doubled_budget(kernel):
     tight = QuadratureSpec(base_nodes=64, max_nodes=128)
     (factor,) = coordinate_factors(gaussian_like())
-    budget = node_budget(40.0, 1.0, 2.0, factor, tight)
+    budget = node_budget(40.0, 40.0, 1.0, 2.0, factor, tight)
     with pytest.raises(AccuracyError) as err:
         if kernel == "pointwise":
             one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
