@@ -32,7 +32,7 @@ from .initial_data import (  # noqa: F401
     physical_eval,
     sobolev_norm,
 )
-from .propagator import QuadratureSpec, FieldSample, evaluate, evaluate_grid  # noqa: F401
+from .propagator import FieldSample, evaluate, evaluate_grid  # noqa: F401
 from .maximal import (  # noqa: F401
     TimeGrid,
     MaximalField,

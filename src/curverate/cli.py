@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +34,7 @@ from .maximal import (
     rate_ceiling_demo,
     window_grid,
 )
-from .propagator import DEFAULT_QUAD, QuadratureSpec, evaluate
+from .propagator import evaluate
 from .reports import envelope, write_csv, write_gnuplot, write_report
 
 _CURVES = {"minus": MINUS_SHIFT, "plus": PLUS_SHIFT, "straight": STRAIGHT}
@@ -67,33 +66,23 @@ def _check_finite(args) -> None:
                 _finite(v, "x coordinate" if name == "x" else "--" + name.replace("_", "-"))
 
 
-def _quad_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        base_nodes=args.quad_base_nodes,
-        nodes_per_radian=args.quad_nodes_per_radian,
-        max_nodes=args.quad_max_nodes,
-    )
-
-
-def _add_quad_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quad-base-nodes", type=int, default=DEFAULT_QUAD.base_nodes)
-    p.add_argument("--quad-nodes-per-radian", type=float, default=DEFAULT_QUAD.nodes_per_radian)
-    p.add_argument("--quad-max-nodes", type=int, default=DEFAULT_QUAD.max_nodes)
-    p.add_argument("--out", type=str, default=None, help="write the JSON report here")
-
-
 def _emit(args, command: str, config: dict, result: dict) -> None:
-    if hasattr(args, "quad_base_nodes"):  # a command that takes the quadrature flags echoes them
-        config = {**config, "quad": asdict(_quad_from_args(args))}
     text = write_report(getattr(args, "out", None), envelope(command, config, result))
     sys.stdout.write(text)
 
 
-def _default_workers() -> int:
+def _workers(args) -> int:
+    """--workers, else CURVERATE_WORKERS, else 1: a positive integer, as --workers must be."""
+    if args.workers is not None:
+        return args.workers
+    text = os.environ.get("CURVERATE_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("CURVERATE_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise DomainValidationError(f"CURVERATE_WORKERS={text!r} must be a positive integer")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +181,7 @@ def cmd_eval(args) -> int:
         else family_spec(args.family).profile(args.R, args.epsilon, 1)
     )
     curve = CurveSpec(_CURVES[args.curve], alpha=args.alpha, d=1)
-    quad = _quad_from_args(args)
-    sample = evaluate(profile, curve, args.m, args.x, args.t, quad)
+    sample = evaluate(profile, curve, args.m, args.x, args.t)
     config = {
         "family": args.family,
         "R": args.R,
@@ -216,7 +204,6 @@ def cmd_maximal(args) -> int:
     R = args.R
     lo, hi = admissible_window(family, R, args.alpha, args.epsilon, c)
     xs = window_grid(lo, hi, args.x_points)
-    quad = _quad_from_args(args)
     grid = TimeGrid(args.j_min, args.j_max, points_per_octave=args.points_per_octave)
     tc = None
     if args.inject_critical:
@@ -224,7 +211,7 @@ def cmd_maximal(args) -> int:
             [critical_time(family, curve, R, args.epsilon, float(x), window_constant=c) for x in xs]
         )
     profile = spec.profile(R, args.epsilon, 1)
-    fld = maximal_field(profile, curve, args.m, args.delta, xs, grid, quad, critical_times=tc)
+    fld = maximal_field(profile, curve, args.m, args.delta, xs, grid, critical_times=tc)
     config = {
         "family": family,
         "R": R,
@@ -262,8 +249,7 @@ def cmd_lemma_check(args) -> int:
         raise DomainValidationError(f"--alpha {args.alpha} gives {got}, not lemma {args.lemma}'s {want}")
     bound = lemma_bound(regime, args.k, args.j)
     curve = CurveSpec(MINUS_SHIFT, alpha=regime.alpha if holder else 1.0, d=1)
-    quad = _quad_from_args(args)
-    empirical = lemma_empirical(regime, args.k, args.j, curve, quad)
+    empirical = lemma_empirical(regime, args.k, args.j, curve)
     config = {"lemma": args.lemma, "k": args.k, "j": args.j, "alpha": args.alpha, "d": args.d}
     result = {"empirical": empirical, "bound": bound, "ratio": empirical / bound}
     _emit(args, "lemma-check", config, result)
@@ -276,10 +262,8 @@ def _plan_from_args(args) -> ExperimentPlan:
 
         with open(args.plan) as fh:
             data = json.load(fh)
-        try:  # plan files carry no worker count unless they set one
-            return ExperimentPlan.from_dict({"workers": args.workers, **data})
-        except TypeError as exc:
-            raise DomainValidationError(f"bad plan config: {exc}") from None
+        # plan files carry no worker count unless they set one
+        return ExperimentPlan.from_dict({"workers": _workers(args), **data})
     Rs = tuple(float(2 ** j) for j in range(args.R_min_pow, args.R_max_pow + 1))
     return ExperimentPlan(
         family=args.family,
@@ -289,7 +273,7 @@ def _plan_from_args(args) -> ExperimentPlan:
         epsilon=args.epsilon,
         R_sequence=Rs,
         c=args.c,
-        workers=args.workers,
+        workers=_workers(args),
     )
 
 
@@ -329,8 +313,7 @@ def cmd_sweep(args) -> int:
 def cmd_ceiling_demo(args) -> int:
     curve = CurveSpec(MINUS_SHIFT, alpha=args.alpha, d=1)
     profile = gaussian_like()
-    quad = _quad_from_args(args)
-    pairs, running = rate_ceiling_demo(profile, curve, quad, x_star=args.x_star)
+    pairs, running = rate_ceiling_demo(profile, curve, x_star=args.x_star)
     config = {"alpha": args.alpha, "x_star": args.x_star}
     result = {
         "pairs": [[t, r] for t, r in pairs],
@@ -399,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=2.0)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    _add_quad_args(p)
+    p.add_argument("--out", type=str, default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("maximal", help="rate-weighted maximal field over a window")
@@ -416,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-critical", action="store_true")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--csv", type=str, default=None)
-    _add_quad_args(p)
+    p.add_argument("--out", type=str, default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_maximal)
 
     p = sub.add_parser("lemma-check", help="local maximal bound vs empirical value")
@@ -428,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--d", type=int, default=1,
                    help="dimension; the empirical check runs at d = 1, any other value exits 1")
-    _add_quad_args(p)
+    p.add_argument("--out", type=str, default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_lemma_check)
 
     for name, fn in (("scaling", cmd_scaling), ("sweep", cmd_sweep)):
@@ -442,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, default=None)
         p.add_argument("--R-min-pow", type=int, default=5)
         p.add_argument("--R-max-pow", type=int, default=10)
-        p.add_argument("--workers", type=int, default=_default_workers())
+        p.add_argument("--workers", type=int, default=None)
         if name == "sweep":
             p.add_argument("--s-list", type=float_list, required=True)
         p.add_argument("--out", type=str, default=None)
@@ -451,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ceiling-demo", help="rate-ceiling rigidity demonstration")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--x-star", type=float, default=0.3)
-    _add_quad_args(p)
+    p.add_argument("--out", type=str, default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_ceiling_demo)
 
     return parser

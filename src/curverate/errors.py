@@ -45,8 +45,8 @@ class AccuracyError(CurverateError):
     """Requested numerical accuracy could not be certified.
 
     Carries the two conflicting estimates (coarse/fine) and a context
-    string. Silent degradation is forbidden; callers must either accept
-    these values explicitly or change the quadrature budget.
+    string. Silent degradation is forbidden; a caller that will accept
+    an uncertified value reads it from these estimates.
     """
 
     def __init__(self, message, coarse=None, fine=None, context=""):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, fields, asdict, replace
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,7 +30,7 @@ from .maximal import (
     maximal_field,
     window_grid,
 )
-from .propagator import QuadratureSpec, pool_map
+from .propagator import pool_map
 
 SLOPE_TOLERANCE = 0.15
 
@@ -80,7 +80,6 @@ class ExperimentPlan:
     c: Optional[float] = None            # window constant; None -> calibrated
     x_points: int = 129
     points_per_octave: int = 6
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     workers: int = 1
 
     def __post_init__(self):
@@ -115,20 +114,21 @@ class ExperimentPlan:
     def to_dict(self) -> dict:
         out = asdict(self)
         out["R_sequence"] = [float(R) for R in self.R_sequence]
-        out["quad"] = asdict(self.quad)
         out.pop("workers")  # execution detail: reports are worker-count free
         return out
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentPlan":
         data = dict(data)
-        quad = data.pop("quad", None)
-        if "R_sequence" in data:
-            data["R_sequence"] = tuple(data["R_sequence"])
-        plan = ExperimentPlan(**data)
-        if quad is not None:
-            plan = replace(plan, quad=QuadratureSpec(**quad))
-        return plan
+        unknown = sorted(set(data) - {f.name for f in fields(ExperimentPlan)})
+        if unknown:
+            raise DomainValidationError(f"bad plan config: unknown keys {', '.join(unknown)}")
+        try:
+            if "R_sequence" in data:
+                data["R_sequence"] = tuple(data["R_sequence"])
+            return ExperimentPlan(**data)
+        except TypeError as exc:  # a missing key or a value of the wrong type
+            raise DomainValidationError(f"bad plan config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,7 @@ def _numerator_one_R(plan: ExperimentPlan, c: float, R: float) -> dict:
     )
     octaves = spec.octaves(R, plan.alpha, plan.epsilon, c) if spec.octaves else (None, None)
     grid = TimeGrid(*octaves, points_per_octave=plan.points_per_octave)
-    fld = maximal_field(
-        profile, curve, plan.m, plan.delta, xs, grid, plan.quad, critical_times=tc
-    )
+    fld = maximal_field(profile, curve, plan.m, plan.delta, xs, grid, critical_times=tc)
     l2 = l2_over_ball(fld)
     return {
         "R": float(R),

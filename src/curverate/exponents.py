@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DeltaRangeError, DomainValidationError, UnsupportedRegimeError
 
@@ -295,21 +295,3 @@ def region_curve(regime: Regime, delta_samples: Iterable):
     )
     return samples, annotations
 
-
-def delta_grid(regime: Regime, n: int, delta_min=0.0, delta_max=None) -> Sequence:
-    """Uniform grid of n deltas in [delta_min, delta_max) for a regime."""
-
-    law = law_for(regime)
-    hi = float(law.delta_max) if delta_max is None else float(delta_max)
-    lo = float(delta_min)
-    if not 0 <= lo < float(law.delta_max):
-        raise DeltaRangeError(delta_min, law.delta_max)
-    if not lo < hi <= float(law.delta_max):
-        raise DeltaRangeError(delta_max, law.delta_max)
-    if n <= 0:
-        return []
-    if n == 1:
-        return [lo]
-    # half-open on the right: never emit delta_max itself
-    step = (hi - lo) / n
-    return [lo + i * step for i in range(n)]

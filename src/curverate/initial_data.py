@@ -220,10 +220,6 @@ def gaussian_like(center: float = 0.0, amplitude: float = 1.0) -> FrequencyProfi
     return FrequencyProfile(GAUSSIAN_LIKE, center=float(center), amplitude=float(amplitude))
 
 
-def zero_profile() -> FrequencyProfile:
-    return gaussian_like(amplitude=0.0)
-
-
 def lattice_scale(R: float, d: int) -> float:
     """The lattice spacing D = R^{(d+2)/(2(d+1))}."""
     return float(R) ** ((d + 2) / (2.0 * (d + 1)))

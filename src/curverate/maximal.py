@@ -52,7 +52,7 @@ from .initial_data import (
     decay_threshold,
     indicator_band,
 )
-from .propagator import DEFAULT_QUAD, X_CHUNK, QuadratureSpec
+from .propagator import X_CHUNK
 from .propagator import batch_values, certified_value, point_values
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -326,7 +326,7 @@ def critical_time(
 # rate-weighted suprema
 
 
-def _refine(profile, curve, m, delta, xs, initial, quad, ts, sup, arg):
+def _refine(profile, curve, m, delta, xs, initial, ts, sup, arg):
     """Golden-section refinement between the grid neighbours of each argmax.
 
     For every point x_i, maximizes |U f(x_i, t) - f(x_i)| / t^delta between
@@ -349,7 +349,7 @@ def _refine(profile, curve, m, delta, xs, initial, quad, ts, sup, arg):
     xs, f0, a, b = xs[live], initial[live], a[live], b[live]
 
     def score(t):
-        values, _ = certified_value(profile, curve, m, xs, t, quad)
+        values, _ = certified_value(profile, curve, m, xs, t)
         return np.abs(values - f0) / t ** delta
 
     c = b - (b - a) / _GOLDEN_RATIO
@@ -380,7 +380,6 @@ def maximal_field(
     delta: float,
     xs: np.ndarray,
     grid: TimeGrid,
-    quad: Optional[QuadratureSpec] = None,
     critical_times: Optional[np.ndarray] = None,
 ) -> MaximalField:
     """Rate-weighted sup over a nonempty set of points.
@@ -397,7 +396,6 @@ def maximal_field(
     the interval the midpoint grid xs covers (first coordinate for d > 1).
     """
 
-    quad = quad or DEFAULT_QUAD
     if not 0.0 <= delta < 1.0:
         raise DomainValidationError("delta must lie in [0, 1)")
     xs = np.asarray(xs, dtype=float)
@@ -429,7 +427,7 @@ def maximal_field(
     if on_grid:
         ts = grid.times()
         kernel = batch_values if window else point_values
-        values, initial, node_counts = kernel(profile, curve, m, xs, ts, quad)
+        values, initial, node_counts = kernel(profile, curve, m, xs, ts)
         node_max = int(node_counts.max())
         scores = np.abs(values - initial[:, None]) / ts[None, :] ** delta
         idx = np.argmax(scores, axis=1)
@@ -439,7 +437,7 @@ def maximal_field(
     if critical_times is not None:  # one window pass per block of at most X_CHUNK points
         for blk in np.array_split(np.arange(len(xs)), -(-len(xs) // X_CHUNK)):
             tcs, col = np.unique(critical_times[blk], return_inverse=True)
-            vals, init, counts = batch_values(profile, curve, m, xs[blk], tcs, quad)
+            vals, init, counts = batch_values(profile, curve, m, xs[blk], tcs)
             tc = tcs[col]  # each point reads the column of its own critical time
             sc = np.abs(vals[np.arange(len(blk)), col] - init) / tc ** delta
             better = sc > sup[blk]
@@ -447,7 +445,7 @@ def maximal_field(
             node_max = max(node_max, int(counts.max()))
 
     if grid.local_refinement and on_grid and len(ts) >= 3:
-        sup, arg = _refine(profile, curve, m, delta, xs, initial, quad, ts, sup, arg)
+        sup, arg = _refine(profile, curve, m, delta, xs, initial, ts, sup, arg)
 
     return MaximalField(
         xs=xs,
@@ -542,7 +540,6 @@ def lemma_profile(
     k: int,
     js: Sequence[float],
     curve: CurveSpec,
-    quad: Optional[QuadratureSpec] = None,
 ) -> Dict[float, float]:
     """Empirical ||sup_{t in (0, 2^{-j})} |U f_k| ||_{L^2([-1,1])} for several j.
 
@@ -551,7 +548,6 @@ def lemma_profile(
     the nesting monotonicity (larger j, smaller value) holds exactly.
     """
 
-    quad = quad or DEFAULT_QUAD
     if regime.d != 1:
         raise DomainValidationError("empirical local-bound checks run at desk scale d = 1")
     for j in js:
@@ -565,7 +561,7 @@ def lemma_profile(
 
     nx = 2 ** (k + 2)
     xs = window_grid(-1.0, 1.0, nx)
-    values, _, _ = batch_values(profile, curve, 2.0, xs, list(ts), quad)
+    values, _, _ = batch_values(profile, curve, 2.0, xs, list(ts))
     mags = np.abs(values)
 
     h = 2.0 / nx
@@ -584,11 +580,10 @@ def lemma_empirical(
     k: int,
     j: float,
     curve: CurveSpec,
-    quad: Optional[QuadratureSpec] = None,
 ) -> float:
     """Single-(k, j) empirical local maximal norm (see lemma_profile)."""
 
-    return lemma_profile(regime, k, [j], curve, quad)[float(j)]
+    return lemma_profile(regime, k, [j], curve)[float(j)]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +593,6 @@ def lemma_empirical(
 def rate_ceiling_demo(
     profile: FrequencyProfile,
     curve: CurveSpec,
-    quad: Optional[QuadratureSpec] = None,
     x_star: float = 0.3,
     j_lo: int = 4,
     j_hi: int = 20,
@@ -609,12 +603,11 @@ def rate_ceiling_demo(
     returns (pairs, running_infimum) where pairs is a list of (t, ratio).
     """
 
-    quad = quad or DEFAULT_QUAD
     if curve.kind not in (MINUS_SHIFT, PLUS_SHIFT):
         raise DomainValidationError("the rate ceiling concerns genuinely shifted curves")
     alpha = curve.alpha
     ts = 2.0 ** (-np.arange(j_lo, j_hi + 1, dtype=float))
-    values, initial, _ = batch_values(profile, curve, 2.0, np.atleast_1d(float(x_star)), list(ts), quad)
+    values, initial, _ = batch_values(profile, curve, 2.0, np.atleast_1d(float(x_star)), list(ts))
     ratios = np.abs(values[0] - initial[0]) / ts ** alpha
     running = np.minimum.accumulate(ratios)
     pairs = [(float(t), float(r)) for t, r in zip(ts, ratios)]

@@ -54,9 +54,13 @@ its weights, as read-only arrays.
 
 Node budgets. A column's phase is theta(xi) = gamma xi + t|xi|^m, with
 gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
-window, and xi in the hull of the segments. Its budget is the largest
-|theta'| on that box times the segments' width. For m >= 1 theta' is
-monotone in gamma and in xi, so two corners of the box give it
+window, and xi in the hull of the segments. Its phase variation is the
+largest |theta'| on that box times the segments' width, and its budget
+NODES_PER_RADIAN (10 nodes per 2 pi radians) times that, BASE_NODES
+(256) at least; a certified pass over MAX_NODES (2^22) nodes raises
+AccuracyError. The budget is fixed, not a setting: it trades only cost
+against that error, and the self-check decides every value. For m >= 1
+theta' is monotone in gamma and in xi, so two corners of the box give it
 (phase_variation). At the stationary ("critical") times of the
 lower-bound arguments gamma + 2t xi nearly cancels over the support and
 the budget shrinks with it; it never exceeds the triangle-inequality
@@ -69,7 +73,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,27 +94,10 @@ FFT_BLOCK = 2 ** 16   # complex elements per chirp-z FFT block
 RULE_CACHE_SIZE = 256  # weighted Gauss-Legendre rules kept by _weighted_rule
 CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
 GRADING_DEPTH = 40    # zero-graded rules break at 2^-k of the width, k = 40..0
+BASE_NODES = 256      # node floor of every budget
+NODES_PER_RADIAN = 10.0 / TWO_PI  # nodes per radian of phase variation
+MAX_NODES = 2 ** 22   # node cap of a certified pass
 _STRAIGHT = CurveSpec(STRAIGHT)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Oscillation-aware quadrature budget."""
-
-    base_nodes: int = 256
-    nodes_per_radian: float = 10.0 / TWO_PI
-    max_nodes: int = 2 ** 22
-
-    def __post_init__(self):
-        if self.base_nodes < 64:
-            raise DomainValidationError("base_nodes must be >= 64")
-        if not 0 < self.nodes_per_radian < math.inf:
-            raise DomainValidationError("nodes_per_radian must be finite and positive")
-        if self.max_nodes < self.base_nodes:
-            raise DomainValidationError("max_nodes must be >= base_nodes")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -173,13 +160,13 @@ def phase_variation(gamma_lo, gamma_hi, t, m: float, factor):
     return speed * width
 
 
-def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor, quad: QuadratureSpec):
+def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor):
     """Node budgets in whole panels for displacements in [gamma_lo, gamma_hi] at times ts.
 
     Elementwise; budgets past 2^52 nodes, far over any cap, read as 2^52.
     """
     V = phase_variation(gamma_lo, gamma_hi, ts, m, factor)
-    n = np.fmin(np.maximum(quad.base_nodes, np.ceil(quad.nodes_per_radian * V)), 2.0 ** 52)
+    n = np.fmin(np.maximum(BASE_NODES, np.ceil(NODES_PER_RADIAN * V)), 2.0 ** 52)
     return -(-n.astype(np.int64) // PANEL_ORDER) * PANEL_ORDER
 
 
@@ -399,20 +386,20 @@ def _check_domain(m: float, xs, ts) -> None:
         raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
 
 
-def _over_cap(used, budgets, quad: QuadratureSpec):
+def _over_cap(used, budgets):
     """Both kernels' node cap, as (i, message, clamped); message is "" when every entry fits.
 
     used[i] is twice the sum of budgets[i]. i is the first entry over
-    quad.max_nodes and clamped its budgets scaled to the cap, one panel at
+    MAX_NODES and clamped its budgets scaled to the cap, one panel at
     least, as a (1, coordinates) array.
     """
-    over = np.flatnonzero(used > quad.max_nodes)
+    over = np.flatnonzero(used > MAX_NODES)
     if not len(over):
         return None, "", None
     i = int(over[0])
     row = budgets[i].tolist()
-    clamped = [max(PANEL_ORDER, b * quad.max_nodes // (2 * sum(row))) for b in row]
-    return i, f"node budget {used[i]} exceeds cap {quad.max_nodes}", np.array([clamped])
+    clamped = [max(PANEL_ORDER, b * MAX_NODES // (2 * sum(row))) for b in row]
+    return i, f"node budget {used[i]} exceeds cap {MAX_NODES}", np.array([clamped])
 
 
 def _certify(run, context: str, label, over_cap: str = ""):
@@ -438,7 +425,7 @@ def _certify(run, context: str, label, over_cap: str = ""):
     raise AccuracyError(over_cap or "node-doubling self-check failed", coarse, fine, context + label(k))
 
 
-def _pair_budgets(factors, curve, m: float, points, ts, quad: QuadratureSpec):
+def _pair_budgets(factors, curve, m: float, points, ts):
     """Budgets of the pairs (points[i], ts[i]) on the coordinate factors.
 
     Returns gamma(x_i, t_i) as a (pairs, coordinates) array, each pair's
@@ -449,7 +436,7 @@ def _pair_budgets(factors, curve, m: float, points, ts, quad: QuadratureSpec):
     """
 
     gam = gamma_pairs(curve, points, ts)
-    budgets = np.column_stack([_node_budgets(g, g, ts, m, f, quad) for g, f in zip(gam.T, factors)])
+    budgets = np.column_stack([_node_budgets(g, g, ts, m, f) for g, f in zip(gam.T, factors)])
     return gam, budgets, 2 * budgets.sum(axis=1)
 
 
@@ -459,7 +446,6 @@ def certified_value(
     m: float,
     x,
     t,
-    quad: Optional[QuadratureSpec] = None,
 ):
     """U f at the pairs (x[i], t[i]), with budget/self-check, without f(x).
 
@@ -474,7 +460,6 @@ def certified_value(
     context.
     """
 
-    quad = quad or DEFAULT_QUAD
     if np.ndim(t) != 1 or np.ndim(x) == 0 or len(x) != len(t):
         got = [len(v) if np.ndim(v) else "a scalar" for v in (x, t)]
         raise DomainValidationError(
@@ -489,8 +474,8 @@ def certified_value(
         raise DomainValidationError("fractional dispersion (m != 2) is one-dimensional")
 
     factors = coordinate_factors(profile)
-    gam, budgets, used = _pair_budgets(factors, curve, m, x, ts, quad)
-    i, over_cap, clamped = _over_cap(used, budgets, quad)
+    gam, budgets, used = _pair_budgets(factors, curve, m, x, ts)
+    i, over_cap, clamped = _over_cap(used, budgets)
     if over_cap:
         x, ts, gam, budgets = [x[i]], ts[i : i + 1], gam[i : i + 1], clamped
     scale = TWO_PI ** (-profile.d)
@@ -522,7 +507,7 @@ def certified_value(
     return values, int(used.sum())
 
 
-def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts, quad=None):
+def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts):
     """batch_values' contract on the pointwise kernel, for any curve and dimension.
 
     Returns (values[nx, nt], initial[nx], node_counts[nx, nt]) from one
@@ -534,8 +519,8 @@ def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts, 
     nx, nt = len(xs), len(ts)
     points = np.concatenate([np.repeat(xs, nt, axis=0), xs])
     times = np.concatenate([np.tile(ts, nx), np.zeros(nx)])
-    values, _ = certified_value(profile, curve, m, points, times, quad)
-    used = _pair_budgets(coordinate_factors(profile), curve, m, points, times, quad or DEFAULT_QUAD)[2]
+    values, _ = certified_value(profile, curve, m, points, times)
+    used = _pair_budgets(coordinate_factors(profile), curve, m, points, times)[2]
     return values[: nx * nt].reshape(nx, nt), values[nx * nt :], used[: nx * nt].reshape(nx, nt)
 
 
@@ -545,11 +530,10 @@ def evaluate(
     m: float,
     x,
     t: float,
-    quad: Optional[QuadratureSpec] = None,
 ) -> FieldSample:
     """U f(x, t) and f(x), certified: point_values at its one pair, so U f(x, 0) == f(x)."""
 
-    values, initial, used = point_values(profile, curve, m, [x], [t], quad)
+    values, initial, used = point_values(profile, curve, m, [x], [t])
     return FieldSample(x, t, complex(values[0, 0]), complex(initial[0]), int(used[0, 0]))
 
 
@@ -568,9 +552,9 @@ def pool_map(fn, items, workers: int, chunksize: int = 1):
 
 
 def _grid_task(args):
-    profile, curve, m, x, t, quad = args
+    profile, curve, m, x, t = args
     try:
-        return ("ok", evaluate(profile, curve, m, x, t, quad))
+        return ("ok", evaluate(profile, curve, m, x, t))
     except (AccuracyError, DomainValidationError) as exc:
         return ("err", (x, t, str(exc)))
 
@@ -581,7 +565,6 @@ def evaluate_grid(
     m: float,
     x_grid: Sequence,
     t_list: Sequence[float],
-    quad: Optional[QuadratureSpec] = None,
     workers: int = 1,
 ):
     """Evaluate at every (x, t) pair; pointwise-identical to evaluate().
@@ -590,8 +573,7 @@ def evaluate_grid(
     are kept. Results are assembled in grid order regardless of workers.
     """
 
-    quad = quad or DEFAULT_QUAD
-    tasks = [(profile, curve, m, x, t, quad) for x in x_grid for t in t_list]
+    tasks = [(profile, curve, m, x, t) for x in x_grid for t in t_list]
     chunksize = max(1, len(tasks) // (4 * workers))
     results = list(pool_map(_grid_task, tasks, workers, chunksize))
     samples = [payload for tag, payload in results if tag == "ok"]
@@ -610,7 +592,6 @@ def batch_values(
     m: float,
     xs: np.ndarray,
     ts: Sequence[float],
-    quad: Optional[QuadratureSpec] = None,
 ):
     """U f(x, t) on a 1-d spatial window times a list of times.
 
@@ -623,7 +604,6 @@ def batch_values(
     self-check certifies every sample.
     """
 
-    quad = quad or DEFAULT_QUAD
     if profile.d != 1:
         raise DomainValidationError("batch evaluation is one-dimensional")
     if not curve.is_shift:
@@ -637,8 +617,8 @@ def batch_values(
     (factor,) = coordinate_factors(profile)
     shifts = np.array([curve.shift(t) for t in ts], dtype=float)
     xlo, xhi = (float(np.min(xs)), float(np.max(xs))) if len(xs) else (0.0, 0.0)
-    counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor, quad))
-    j, over_cap, clamped = _over_cap(2 * counts, counts[:, None], quad)
+    counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor))
+    j, over_cap, clamped = _over_cap(2 * counts, counts[:, None])
     if over_cap:
         # both estimates at the window's farthest point from the origin
         i = int(np.argmax(np.abs(xs)))
@@ -665,7 +645,7 @@ def batch_values(
     return values[:, :-1], values[:, -1], 2 * counts[:-1]
 
 
-def batch_initial(profile: FrequencyProfile, xs: np.ndarray, quad: Optional[QuadratureSpec] = None):
+def batch_initial(profile: FrequencyProfile, xs: np.ndarray):
     """f(x) on a window: batch_values with no times, on the straight curve."""
 
-    return batch_values(profile, _STRAIGHT, 2.0, xs, [], quad)[1]
+    return batch_values(profile, _STRAIGHT, 2.0, xs, [])[1]

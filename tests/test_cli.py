@@ -141,11 +141,10 @@ def test_eval_success_and_accuracy_exit_codes():
     report = load_report(ok.stdout)
     assert len(report["result"]["value"]) == 2
 
-    hard = run_cli(
-        "eval", "--family", "gaussian-like", "--x", "40.0", "--t", "1.0",
-        "--quad-base-nodes", "64", "--quad-max-nodes", "128",
-    )
+    # the budget at x = 3e5, t = 1 is past the 2^22-node cap
+    hard = run_cli("eval", "--family", "gaussian-like", "--x", "3e5", "--t", "1")
     assert hard.returncode == 2
+    assert hard.stderr.startswith("accuracy error: node budget ") and "exceeds cap 4194304" in hard.stderr
     assert "coarse=" in hard.stderr
 
 
@@ -158,7 +157,7 @@ def test_eval_rejects_a_non_finite_x(x):
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--family", "gaussian-like", "--x", "0.1", "--t", "0.5", "--m", "nan"],
-    ["eval", "--family", "gaussian-like", "--x", "0.1", "--t", "0.5", "--quad-nodes-per-radian", "nan"],
+    ["eval", "--family", "gaussian-like", "--x", "0.1", "--t", "0.5", "--alpha", "nan"],
     ["eval", "--family", "bump-dilated", "--R", "nan", "--x", "0.1", "--t", "0.5"],
     ["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25", "--m", "nan",
      "--j-min", "16", "--j-max", "18", "--x-points", "9"],
@@ -204,12 +203,12 @@ MAXIMAL_BAND = ["maximal", "--family", "indicator-band", "--R", "64", "--alpha",
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["eval", "--family", "gaussian-like", "--x", "0.3", "--t", "0.2"], ["--quad-base-nodes", "64"]),
+    (["eval", "--family", "gaussian-like", "--x", "0.3", "--t", "0.2"], ["--curve", "minus"]),
     (MAXIMAL_BAND, ["--points-per-octave", "2"]),
     (MAXIMAL_BAND, ["--epsilon", "0.1"]),
-    (MAXIMAL_BAND, ["--quad-nodes-per-radian", "2"]),
-    (["lemma-check", "--lemma", "2", "--k", "3", "--j", "4"], ["--quad-base-nodes", "64"]),
-    (["ceiling-demo"], ["--quad-max-nodes", "8388608"]),
+    (MAXIMAL_BAND, ["--inject-critical"]),
+    (["lemma-check", "--lemma", "2", "--k", "3", "--j", "4"], ["--alpha", "0.75"]),
+    (["ceiling-demo"], ["--x-star", "0.2"]),
 ])
 def test_reports_echo_every_argument_that_changes_them(argv, flag):
     plain, flagged = run_cli(*argv), run_cli(*argv, *flag)
@@ -320,12 +319,13 @@ def test_scaling_rejects_unknown_plan_keys(tmp_path):
 
 @pytest.mark.parametrize("key,value", [("panel_order", 16), ("self_check", False)])
 def test_plan_file_rejects_the_dropped_quadrature_keys(tmp_path, key, value):
+    # the node budget is no plan setting: a quad key of any content is unknown
     plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0,
             "R_sequence": [8.0, 16.0, 32.0, 64.0], "quad": {"base_nodes": 256, key: value}}
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     proc = run_cli("scaling", "--plan", str(tmp_path / "plan.json"))
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: bad plan config") and key in proc.stderr, proc.stderr
+    assert proc.stderr == "error: bad plan config: unknown keys quad\n", proc.stderr
 
 
 @pytest.mark.parametrize("source", ["flag", "environment", "plan"])
@@ -358,16 +358,31 @@ def test_plan_file_without_R_sequence_takes_the_default(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "--family", "gaussian-like", "--x", "0", "--t", "0.1"],
-    ["maximal", "--family", "bump-modulated", "--R", "64", "--alpha", "0.5"],
-    ["lemma-check", "--lemma", "2", "--k", "6", "--j", "8"],
-    ["ceiling-demo"],
+    ["eval", "--family", "gaussian-like", "--x", "0", "--t", "0.1", "--quad-base-nodes", "64"],
+    ["maximal", "--family", "bump-modulated", "--R", "64", "--alpha", "0.5",
+     "--quad-nodes-per-radian", "2"],
+    ["lemma-check", "--lemma", "2", "--k", "6", "--j", "8", "--quad-max-nodes", "128"],
+    ["ceiling-demo", "--quad-base-nodes", "64"],
 ])
-def test_quad_flags_default_to_the_default_budget(argv):
-    from curverate.cli import _quad_from_args, build_parser
-    from curverate.propagator import DEFAULT_QUAD
+def test_quad_flags_are_rejected(argv):
+    # the node budget is fixed: no command takes a --quad-* flag
+    proc = run_cli(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: unrecognized arguments: --quad-"), proc.stderr
+    assert proc.stderr.count("\n") == 1
 
-    assert _quad_from_args(build_parser().parse_args(argv)) == DEFAULT_QUAD
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_a_bad_worker_environment_exits_one(monkeypatch, capsys, value):
+    from curverate.cli import build_parser, main
+
+    monkeypatch.setenv("CURVERATE_WORKERS", value)
+    build_parser().parse_args(["exponent", "table", "--delta-max", "0.5"])  # not read there
+    scaling = ["--family", "indicator-band", "--alpha", "0.25", "--delta", "0.125"]
+    for argv in (["scaling", *scaling], ["sweep", *scaling, "--s-list", "0,1"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: CURVERATE_WORKERS={value!r} must be a positive integer\n"
 
 
 def test_maximal_field_command(tmp_path):

@@ -1,7 +1,11 @@
 """Experiment harness: predicted slopes, OLS, round-trips, determinism."""
 
+import json
+import math
+
 import pytest
 
+from curverate import propagator
 from curverate.errors import DomainValidationError
 from curverate.experiments import (
     ExperimentPlan,
@@ -104,6 +108,33 @@ def test_run_small_plan_structure_and_roundtrip():
     assert back.samples == report.samples
 
 
+def test_plan_from_dict_names_unknown_keys():
+    data = {**SMALL_PLAN.to_dict(), "mystery": 1, "another": 2}
+    with pytest.raises(DomainValidationError, match="^bad plan config: unknown keys another, mystery$"):
+        ExperimentPlan.from_dict(data)
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"family": None}, "missing 1 required positional argument: 'family'"),
+    ({"alpha": "0.5"}, "not supported between"),
+    ({"R_sequence": 5}, "not iterable"),
+])
+def test_plan_from_dict_turns_a_missing_key_or_a_bad_value_into_a_domain_error(change, named):
+    data = {**SMALL_PLAN.to_dict(), **change}
+    data = {k: v for k, v in data.items() if v is not None}
+    with pytest.raises(DomainValidationError, match="^bad plan config: ") as err:
+        ExperimentPlan.from_dict(data)
+    assert named in str(err.value)
+
+
+def test_report_with_a_quadrature_plan_is_rejected_by_name():
+    # reports written while the node budget was a plan setting carry plan.quad
+    old = json.loads(run(SMALL_PLAN).to_json())
+    old["plan"]["quad"] = {"base_nodes": 256, "max_nodes": 2 ** 22, "nodes_per_radian": 5.0 / math.pi}
+    with pytest.raises(DomainValidationError, match="^bad plan config: unknown keys quad$"):
+        ScalingReport.from_json(json.dumps(old))
+
+
 def test_run_deterministic_across_cache_clears():
     r1 = run(SMALL_PLAN)
     _NUMERATOR_CACHE.clear()
@@ -164,10 +195,14 @@ def test_numerator_cache_is_a_bounded_lru(monkeypatch):
     assert calls == [(1.0, R) for R in SMALL_PLAN.R_sequence]
 
 
-def capped_plan(workers=1):
-    """A plan whose node cap is exceeded at R = 128."""
-    from curverate.propagator import QuadratureSpec
+def capped_plan(monkeypatch, workers=1):
+    """A plan whose node cap, lowered to 2^13 nodes, is exceeded at R = 128.
 
+    The numerator cache is emptied so the rows are computed under that cap;
+    pool workers inherit the lowered cap by fork.
+    """
+    monkeypatch.setattr(propagator, "MAX_NODES", 2 ** 13)
+    _NUMERATOR_CACHE.clear()
     return ExperimentPlan(
         family="bump-modulated",
         alpha=0.5,
@@ -175,28 +210,27 @@ def capped_plan(workers=1):
         s=0.0,
         R_sequence=(32.0, 64.0, 128.0, 256.0),
         points_per_octave=4,
-        quad=QuadratureSpec(max_nodes=2 ** 13),
         workers=workers,
     )
 
 
-def test_run_failure_preserves_partial_diagnostics():
+def test_run_failure_preserves_partial_diagnostics(monkeypatch):
     from curverate.errors import AccuracyError
 
     with pytest.raises(AccuracyError) as err:
-        run(capped_plan())
+        run(capped_plan(monkeypatch))
     partial = err.value.partial_diagnostics
     assert 1 <= len(partial) < 4
     assert [row["R"] for row in partial] == [32.0, 64.0][: len(partial)]
 
 
-def test_run_failure_partial_diagnostics_independent_of_workers():
+def test_run_failure_partial_diagnostics_independent_of_workers(monkeypatch):
     from curverate.errors import AccuracyError
 
     partials = []
     for workers in (1, 2):
         with pytest.raises(AccuracyError) as err:
-            run(capped_plan(workers))
+            run(capped_plan(monkeypatch, workers))
         assert err.value.coarse is not None and err.value.fine is not None
         partials.append(err.value.partial_diagnostics)
     assert partials[0] == partials[1]

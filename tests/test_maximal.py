@@ -20,7 +20,6 @@ from curverate.initial_data import (
     bump_tensor,
     gaussian_like,
     indicator_band,
-    zero_profile,
 )
 from curverate.maximal import (
     FAMILIES,
@@ -40,7 +39,7 @@ from curverate.maximal import (
 )
 from curverate import maximal, propagator
 from curverate.maximal import _refine
-from curverate.propagator import DEFAULT_QUAD, batch_values, certified_value
+from curverate.propagator import batch_values, certified_value
 
 MINUS_HALF = CurveSpec(MINUS_SHIFT, alpha=0.5)
 PLUS_HALF = CurveSpec(PLUS_SHIFT, alpha=0.5)
@@ -399,7 +398,7 @@ def test_lockstep_refinement_is_the_serial_golden_section_search(family, alpha):
     _, initial, _ = batch_values(profile, curve, 2.0, xs, ts)
     coarse = maximal_field(profile, curve, 2.0, delta, xs, replace(grid, local_refinement=False),
                            critical_times=tc)
-    sup, arg = _refine(profile, curve, 2.0, delta, xs, initial, DEFAULT_QUAD, ts,
+    sup, arg = _refine(profile, curve, 2.0, delta, xs, initial, ts,
                        coarse.sup_values, coarse.argmax_times)
     assert np.any(sup > coarse.sup_values)  # the search does raise some sups
     for i, x in enumerate(xs):
@@ -427,9 +426,9 @@ def count_window_calls(monkeypatch):
 
     calls, real = [], batch_values
 
-    def counting(profile, curve, m, xs, ts, quad=None):
+    def counting(profile, curve, m, xs, ts):
         calls.append((np.asarray(xs), np.asarray(ts)))
-        return real(profile, curve, m, xs, ts, quad)
+        return real(profile, curve, m, xs, ts)
 
     monkeypatch.setattr(maximal, "batch_values", counting)
     return calls
@@ -485,7 +484,7 @@ def test_lemma_empirical_rejects_higher_dimensions():
 
 def test_rate_ceiling_demo():
     curve = MINUS_HALF
-    pairs, running = rate_ceiling_demo(zero_profile(), curve, j_lo=4, j_hi=8)
+    pairs, running = rate_ceiling_demo(gaussian_like(amplitude=0.0), curve, j_lo=4, j_hi=8)
     assert all(r == 0.0 for _, r in pairs)
     pairs, running = rate_ceiling_demo(gaussian_like(), curve, x_star=0.3, j_lo=4, j_hi=12)
     assert running[-1] > 0.0

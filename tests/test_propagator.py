@@ -22,17 +22,14 @@ from curverate.initial_data import (
     gaussian_like,
     indicator_band,
     sobolev_norm,
-    zero_profile,
 )
 from curverate import propagator
 from curverate.maximal import FAMILIES, calibrate_window_constant, critical_time, window_grid
 from curverate.propagator import (
     CACHED_RULE_NODES,
-    DEFAULT_QUAD,
     PHASE_GUARD,
     RULE_CACHE_SIZE,
     UNIT_ROUNDOFF,
-    QuadratureSpec,
     _bucket,
     _cached_weighted_rule,
     _chirp,
@@ -54,20 +51,35 @@ STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
 
 
-def node_budget(gamma_lo, gamma_hi, t, m, factor, quad=DEFAULT_QUAD):
-    """The node-budget formula for gamma in [gamma_lo, gamma_hi] at one time, in Python integers."""
-    V = phase_variation(gamma_lo, gamma_hi, t, m, factor)
-    n = max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * V)))
+def panels(V):
+    """Nodes for a phase variation V, in whole panels, at the propagator's current constants."""
+    n = max(propagator.BASE_NODES, int(math.ceil(propagator.NODES_PER_RADIAN * V)))
     return -(-n // PANEL_ORDER) * PANEL_ORDER
 
 
-def spec_budget(reach, t, m, factor, quad=DEFAULT_QUAD):
+def node_budget(gamma_lo, gamma_hi, t, m, factor):
+    """The node-budget formula for gamma in [gamma_lo, gamma_hi] at one time, in Python integers."""
+    return panels(phase_variation(gamma_lo, gamma_hi, t, m, factor))
+
+
+def spec_budget(reach, t, m, factor):
     """The triangle-inequality budget at |gamma| <= reach: (reach + m t max|xi|^{m-1}) * width."""
     xi_max = max(max(abs(lo), abs(hi)) for lo, hi in factor.segments)
     width = sum(hi - lo for lo, hi in factor.segments)
-    V = (abs(reach) + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)) * width
-    n = max(quad.base_nodes, int(math.ceil(quad.nodes_per_radian * V)))
-    return -(-n // PANEL_ORDER) * PANEL_ORDER
+    return panels((abs(reach) + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)) * width)
+
+
+@pytest.fixture
+def tight_cap(monkeypatch):
+    """A 64-node floor under a 128-node cap, which a point 40 from the origin at t = 1 exceeds."""
+    monkeypatch.setattr(propagator, "BASE_NODES", 64)
+    monkeypatch.setattr(propagator, "MAX_NODES", 128)
+
+
+def coarse_density(monkeypatch, nodes_per_radian):
+    """A 64-node floor and a density below the default, too coarse for large phases."""
+    monkeypatch.setattr(propagator, "BASE_NODES", 64)
+    monkeypatch.setattr(propagator, "NODES_PER_RADIAN", nodes_per_radian)
 
 
 def bucket(n):
@@ -75,9 +87,9 @@ def bucket(n):
     return PANEL_ORDER * (1 << max(0, (max(1, -(-n // PANEL_ORDER)) - 1).bit_length()))
 
 
-def one_pair(profile, curve, m, x, t, quad=None):
+def one_pair(profile, curve, m, x, t):
     """certified_value at the one pair (x, t): (value, node count)."""
-    values, used = certified_value(profile, curve, m, [x], [t], quad)
+    values, used = certified_value(profile, curve, m, [x], [t])
     return complex(values[0]), used
 
 
@@ -102,19 +114,6 @@ def band_fresnel_closed_form(R, gamma, t):
         fresnel = (mp.fresnelc(v2) - mp.fresnelc(v1)) + 1j * (mp.fresnels(v2) - mp.fresnels(v1))
         value = fresnel / k * mp.exp(-1j * gamma ** 2 / (4 * t)) / (2 * mp.pi)
         return complex(value)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(DomainValidationError):
-        QuadratureSpec(base_nodes=32)
-    with pytest.raises(DomainValidationError):
-        QuadratureSpec(max_nodes=128)
-
-
-@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
-def test_quadrature_spec_rejects_a_nodes_per_radian_that_is_not_finite_and_positive(rate):
-    with pytest.raises(DomainValidationError, match="nodes_per_radian must be finite and positive"):
-        QuadratureSpec(nodes_per_radian=rate)
 
 
 def test_time_zero_identity_exact():
@@ -180,10 +179,9 @@ def test_domain_errors():
                  np.array([0.1, 0.2]), 0.1)
 
 
-def test_node_cap_accuracy_error_carries_both_estimates():
-    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+def test_node_cap_accuracy_error_carries_both_estimates(tight_cap):
     with pytest.raises(AccuracyError) as err:
-        evaluate(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+        evaluate(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0)
     assert err.value.coarse is not None and err.value.fine is not None
 
 
@@ -194,7 +192,7 @@ def test_fractional_dispersion_runs():
     assert abs(s2.value) > 0.0
 
 
-def test_evaluate_grid_matches_pointwise_and_collects_failures():
+def test_evaluate_grid_matches_pointwise_and_collects_failures(monkeypatch):
     profile = gaussian_like()
     xs = [0.0, 0.4]
     ts = [0.0, 0.25]
@@ -205,8 +203,9 @@ def test_evaluate_grid_matches_pointwise_and_collects_failures():
         direct = evaluate(profile, STRAIGHT_1D, 2.0, s.x, s.t)
         assert s.value == direct.value and s.initial == direct.initial
 
-    tight = QuadratureSpec(base_nodes=64, max_nodes=256)
-    samples, failures = evaluate_grid(profile, STRAIGHT_1D, 2.0, [0.0, 40.0], [0.01], tight)
+    monkeypatch.setattr(propagator, "BASE_NODES", 64)
+    monkeypatch.setattr(propagator, "MAX_NODES", 256)
+    samples, failures = evaluate_grid(profile, STRAIGHT_1D, 2.0, [0.0, 40.0], [0.01])
     assert len(failures) == 1 and len(samples) == 1
     assert failures[0][0] == 40.0
 
@@ -227,7 +226,7 @@ def test_batch_matches_pointwise():
 
 
 def test_batch_zero_profile():
-    vals, init, _ = batch_values(zero_profile(), STRAIGHT_1D, 2.0, np.array([0.1, 0.2]), [0.1])
+    vals, init, _ = batch_values(gaussian_like(amplitude=0.0), STRAIGHT_1D, 2.0, np.array([0.1, 0.2]), [0.1])
     assert np.all(vals == 0.0) and np.all(init == 0.0)
 
 
@@ -239,7 +238,7 @@ def test_cost_model_large_grid_stays_under_node_cap():
     for x in np.linspace(-1.0, 1.0, 10):       # |gamma| <= 1 + t^alpha <= 2
         for t in np.linspace(0.0, 1.0, 10):
             worst = max(worst, 2 * node_budget(-abs(x) - 1.0, abs(x) + 1.0, t, 2.0, factor))
-    assert worst <= DEFAULT_QUAD.max_nodes
+    assert worst <= propagator.MAX_NODES
 
 
 def test_bourgain_d2_product_evaluation():
@@ -249,10 +248,9 @@ def test_bourgain_d2_product_evaluation():
     assert np.isfinite(abs(s.value)) and abs(s.value) > 0.0
 
 
-def test_batch_node_cap_accuracy_error_carries_both_estimates():
-    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+def test_batch_node_cap_accuracy_error_carries_both_estimates(tight_cap):
     with pytest.raises(AccuracyError) as err:
-        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0], tight)
+        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0])
     assert err.value.coarse is not None and err.value.fine is not None
     assert "x=40.0" in err.value.context and "t=1.0" in err.value.context
 
@@ -323,10 +321,9 @@ def test_window_initial_rejects_what_the_window_pass_rejects():
         batch_values(gaussian_like(), off_origin, 2.0, np.array([0.1, 0.2]), [0.01])
 
 
-def test_failing_window_initial_reports_time_zero():
-    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+def test_failing_window_initial_reports_time_zero(tight_cap):
     with pytest.raises(AccuracyError) as err:
-        batch_initial(gaussian_like(), np.array([0.0, 40.0]), tight)
+        batch_initial(gaussian_like(), np.array([0.0, 40.0]))
     assert "x=40.0" in err.value.context and "t=0.0" in err.value.context
 
 
@@ -563,12 +560,12 @@ def test_factorization_guard_bounds_the_phase_error():
         assert set(paths) == {path}
 
 
-def test_chirp_window_self_check_failure_carries_both_estimates():
+def test_chirp_window_self_check_failure_carries_both_estimates(monkeypatch):
     # 64 and 128 nodes on gaussian_like's 16-wide hull alias e^{i x xi} at |x| ~ 50
-    coarse_budget = QuadratureSpec(base_nodes=64, nodes_per_radian=0.02)
+    coarse_density(monkeypatch, 0.02)
     xs = window_grid(-50.0, 50.0, 129)
     with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
-        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0], coarse_budget)
+        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0])
     assert set(paths) == {"chirp"}
     assert "self-check failed" in str(err.value)
     assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
@@ -576,13 +573,12 @@ def test_chirp_window_self_check_failure_carries_both_estimates():
     assert re.fullmatch(r"kind=gaussian-like, x=\S+, t=1\.0", err.value.context)
 
 
-def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table():
-    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table(tight_cap):
     (factor,) = coordinate_factors(gaussian_like())
-    budget = bucket(node_budget(0.0, 40.0, 1.0, 2.0, factor, tight))
+    budget = bucket(node_budget(0.0, 40.0, 1.0, 2.0, factor))
     xs = np.array([0.0, 20.0, 40.0])
     with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
-        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0], tight)
+        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0])
     assert paths == ["gl", "gl"]
     assert str(err.value).startswith(f"node budget {2 * budget} exceeds cap 128 (coarse=")
     assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
@@ -699,7 +695,7 @@ def test_bourgain_d2_grid_evaluates_its_factors_once_per_budget(monkeypatch):
     factors = coordinate_factors(profile)
     points = [x for x in xs for _ in ts] + xs
     times = np.array([t for _ in xs for t in ts] + [0.0] * len(xs))
-    _, budgets, _ = _pair_budgets(factors, curve, 2.0, points, times, DEFAULT_QUAD)
+    _, budgets, _ = _pair_budgets(factors, curve, 2.0, points, times)
     assert budgets.max() <= CACHED_RULE_NODES // 2  # both passes' rules are cached
     rules = {(j, n * doubling) for j in range(2) for n in budgets[:, j].tolist() for doubling in (1, 2)}
     segments = sum(len(factors[j].segments) for j, _ in rules)
@@ -892,7 +888,7 @@ def test_paired_call_is_one_scalar_call_per_pair(case):
     assert np.max(np.abs(values - np.array([v for v, _ in single]))) <= tol
 
 
-def per_pair_budgets(profile, curve, m, points, ts, quad):
+def per_pair_budgets(profile, curve, m, points, ts):
     """The pair budgets one pair at a time: gamma, then node_budget per coordinate."""
     factors = coordinate_factors(profile)
     gam = np.array(
@@ -900,7 +896,7 @@ def per_pair_budgets(profile, curve, m, points, ts, quad):
          for p, tp in zip(points, ts)]
     ).reshape(len(ts), len(factors))
     budgets = [
-        [node_budget(float(g), float(g), float(tp), m, f, quad) for g, f in zip(row, factors)]
+        [node_budget(float(g), float(g), float(tp), m, f) for g, f in zip(row, factors)]
         for row, tp in zip(gam, ts)
     ]
     return gam, budgets, [2 * sum(row) for row in budgets]
@@ -908,12 +904,13 @@ def per_pair_budgets(profile, curve, m, points, ts, quad):
 
 @pytest.mark.parametrize("default_budget", [True, False])
 @pytest.mark.parametrize("case", sorted(PAIRED_CASES))
-def test_pair_budgets_are_the_per_pair_formula(case, default_budget):
+def test_pair_budgets_are_the_per_pair_formula(monkeypatch, case, default_budget):
     profile, curve, m, xs, ts = PAIRED_CASES[case]
-    quad = DEFAULT_QUAD if default_budget else QuadratureSpec(base_nodes=64, nodes_per_radian=0.25)
+    if not default_budget:
+        coarse_density(monkeypatch, 0.25)
     ts = np.asarray(ts, dtype=float)
-    gam, budgets, used = _pair_budgets(coordinate_factors(profile), curve, m, xs, ts, quad)
-    ref_gam, ref_budgets, ref_used = per_pair_budgets(profile, curve, m, xs, ts, quad)
+    gam, budgets, used = _pair_budgets(coordinate_factors(profile), curve, m, xs, ts)
+    ref_gam, ref_budgets, ref_used = per_pair_budgets(profile, curve, m, xs, ts)
     assert gam.tobytes() == ref_gam.tobytes()  # bit for bit, signed zeros included
     assert budgets.tolist() == ref_budgets and used.tolist() == ref_used
 
@@ -942,25 +939,24 @@ def test_empty_paired_call():
     assert values.shape == (0,) and total == 0
 
 
-def test_paired_node_cap_names_the_first_pair_over_it():
-    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+def test_paired_node_cap_names_the_first_pair_over_it(tight_cap):
     with pytest.raises(AccuracyError) as single:
-        one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+        one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0)
     with pytest.raises(AccuracyError) as err:  # (0, 0) fits the cap, (40, 1) and (50, 1) do not
-        certified_value(gaussian_like(), STRAIGHT_1D, 2.0, [0.0, 40.0, 50.0], [0.0, 1.0, 1.0], tight)
+        certified_value(gaussian_like(), STRAIGHT_1D, 2.0, [0.0, 40.0, 50.0], [0.0, 1.0, 1.0])
     assert err.value.coarse is not None and err.value.fine is not None
     assert (err.value.coarse, err.value.fine) == (single.value.coarse, single.value.fine)
     assert str(err.value) == str(single.value)
     assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
-def test_paired_self_check_failure_names_the_failing_pair():
-    coarse_budget = QuadratureSpec(base_nodes=64, nodes_per_radian=0.25)  # too few nodes at t = 1
+def test_paired_self_check_failure_names_the_failing_pair(monkeypatch):
+    coarse_density(monkeypatch, 0.25)  # too few nodes at t = 1
     profile = indicator_band(256.0)
     with pytest.raises(AccuracyError) as single:
-        one_pair(profile, STRAIGHT_1D, 2.0, 0.01, 1.0, coarse_budget)
+        one_pair(profile, STRAIGHT_1D, 2.0, 0.01, 1.0)
     with pytest.raises(AccuracyError) as err:  # f(0.01) converges, U f(0.01, 1) does not
-        certified_value(profile, STRAIGHT_1D, 2.0, [0.01, 0.01], [0.0, 1.0], coarse_budget)
+        certified_value(profile, STRAIGHT_1D, 2.0, [0.01, 0.01], [0.0, 1.0])
     assert "self-check failed" in str(err.value)
     assert (err.value.coarse, err.value.fine) == (single.value.coarse, single.value.fine)
     assert err.value.context == single.value.context == "kind=indicator-band, x=0.01, t=1.0"
@@ -1024,16 +1020,15 @@ def test_both_kernels_reject_a_time_outside_the_unit_interval(t):
 
 
 @pytest.mark.parametrize("kernel", ["pointwise", "window"])
-def test_over_cap_error_names_the_doubled_budget(kernel):
-    tight = QuadratureSpec(base_nodes=64, max_nodes=128)
+def test_over_cap_error_names_the_doubled_budget(tight_cap, kernel):
     (factor,) = coordinate_factors(gaussian_like())
-    budget = node_budget(40.0, 40.0, 1.0, 2.0, factor, tight)
+    budget = node_budget(40.0, 40.0, 1.0, 2.0, factor)
     with pytest.raises(AccuracyError) as err:
         if kernel == "pointwise":
-            one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0, tight)
+            one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0)
         else:  # a window budgets the bucketed count
             budget = bucket(budget)
-            batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0], tight)
+            batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0])
     assert str(err.value).startswith(f"node budget {2 * budget} exceeds cap 128 (coarse=")
     assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
 
@@ -1086,15 +1081,15 @@ def test_evaluate_makes_one_certified_call(monkeypatch):
     assert [list(t) for _, t in calls] == [[0.2, 0.0], [0.0, 0.0]]
 
 
-def test_evaluate_names_x_and_time_zero_when_f_fails():
+def test_evaluate_names_x_and_time_zero_when_f_fails(monkeypatch):
     # the curve carries x = 40 back to 0 at t = 1, so U f(40, 1) needs fewer
     # nodes than f(40); a cap between the two budgets fails f(x) alone
     back = CurveSpec(CUSTOM, shift_fn=lambda t: -40.0 * t)
     _, used = one_pair(gaussian_like(), back, 2.0, 40.0, 1.0)
-    capped = QuadratureSpec(max_nodes=used)
-    assert one_pair(gaussian_like(), back, 2.0, 40.0, 1.0, capped)[1] == used
+    monkeypatch.setattr(propagator, "MAX_NODES", used)
+    assert one_pair(gaussian_like(), back, 2.0, 40.0, 1.0)[1] == used
     with pytest.raises(AccuracyError) as err:
-        evaluate(gaussian_like(), back, 2.0, 40.0, 1.0, capped)
+        evaluate(gaussian_like(), back, 2.0, 40.0, 1.0)
     assert err.value.context == "kind=gaussian-like, x=40.0, t=0.0"
 
 
