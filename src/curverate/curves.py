@@ -77,13 +77,22 @@ class CurveSpec:
                         "custom curve violates gamma(x,0) = x (shift_fn(0) != 0)"
                     )
             return 0.0
+        return self._displacements([t])[0]
+
+    def _displacements(self, times) -> list:
+        """shift(t) for each nonzero time, one list comprehension for all of them.
+
+        Python's float ** for the built-in kinds: numpy's power rounds
+        differently, so this is the one place the formula lives.
+        """
+        a = self.alpha
         if self.kind == MINUS_SHIFT:
-            return -(abs(t) ** self.alpha) if t > 0 else -((-t) ** self.alpha) * (-1)
+            return [-(t ** a) if t > 0 else (-t) ** a for t in times]
         if self.kind == PLUS_SHIFT:
-            return abs(t) ** self.alpha if t > 0 else -((-t) ** self.alpha)
+            return [t ** a if t > 0 else -((-t) ** a) for t in times]
         if self.kind == CUSTOM:
-            return self.shift_fn(t)
-        return 0.0
+            return [self.shift_fn(t) for t in times]
+        return [0.0] * len(times)
 
 
 def gamma(spec: CurveSpec, x, t: float):
@@ -114,7 +123,8 @@ def gamma_pairs(spec: CurveSpec, points, ts) -> np.ndarray:
     """gamma(points[i], ts[i]) for each pair, bit for bit, as a (pairs, d) array.
 
     A shift curve adds its displacements to the first coordinates in one
-    step; a general curve calls gamma_fn pair by pair.
+    step, with no method call per time; a general curve calls gamma_fn
+    pair by pair.
     """
 
     ts = np.asarray(ts, dtype=float)
@@ -127,7 +137,7 @@ def gamma_pairs(spec: CurveSpec, points, ts) -> np.ndarray:
         raise DomainValidationError(f"|t|={np.max(np.abs(ts))} exceeds the curve's time domain [-1, 1]")
     out = np.array(points, dtype=float).reshape(len(ts), spec.d)
     moved = ts != 0.0  # gamma(x, 0) is x itself, with no arithmetic
-    out[moved, 0] += [spec.shift(float(t)) for t in ts[moved]]
+    out[moved, 0] += spec._displacements(ts[moved].tolist())
     if not moved.all():
         spec.shift(0.0)  # still runs the custom-curve contract check
     return out

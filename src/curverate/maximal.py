@@ -326,6 +326,16 @@ def critical_time(
 # rate-weighted suprema
 
 
+def rate_score(values, initial, ts, delta):
+    """|U f(x, t) - f(x)| / t^delta, elementwise on arrays: the score of every field pass.
+
+    numpy's array abs and power round unlike Python's scalar abs and **
+    (and unlike numpy's own scalar paths) but alike in every lane, so a
+    pair's score does not depend on the array it sits in.
+    """
+    return np.abs(values - initial) / ts ** delta
+
+
 def _refine(profile, curve, m, delta, xs, initial, ts, sup, arg):
     """Golden-section refinement between the grid neighbours of each argmax.
 
@@ -335,9 +345,9 @@ def _refine(profile, curve, m, delta, xs, initial, ts, sup, arg):
     maximum if larger. The points step in lockstep: the brackets a, b,
     the probes c, d and their scores fc, fd are arrays, and each step is
     one paired certified_value call, so a field costs 2 + GOLDEN_ITERATIONS
-    calls whatever its size. Per point, the steps are those of a serial
-    golden-section search; only the score's last bit may differ from
-    scalar arithmetic. Returns the new (sup, arg).
+    calls whatever its size. Per point, the steps and scores are those of
+    a serial golden-section search scored by rate_score. Returns the new
+    (sup, arg).
     """
 
     pos = np.searchsorted(ts, arg)
@@ -349,8 +359,7 @@ def _refine(profile, curve, m, delta, xs, initial, ts, sup, arg):
     xs, f0, a, b = xs[live], initial[live], a[live], b[live]
 
     def score(t):
-        values, _ = certified_value(profile, curve, m, xs, t)
-        return np.abs(values - f0) / t ** delta
+        return rate_score(certified_value(profile, curve, m, xs, t)[0], f0, t, delta)
 
     c = b - (b - a) / _GOLDEN_RATIO
     d = a + (b - a) / _GOLDEN_RATIO
@@ -429,7 +438,7 @@ def maximal_field(
         kernel = batch_values if window else point_values
         values, initial, node_counts = kernel(profile, curve, m, xs, ts)
         node_max = int(node_counts.max())
-        scores = np.abs(values - initial[:, None]) / ts[None, :] ** delta
+        scores = rate_score(values, initial[:, None], ts[None, :], delta)
         idx = np.argmax(scores, axis=1)
         sup = scores[np.arange(len(xs)), idx]
         arg = ts[idx]
@@ -439,7 +448,7 @@ def maximal_field(
             tcs, col = np.unique(critical_times[blk], return_inverse=True)
             vals, init, counts = batch_values(profile, curve, m, xs[blk], tcs)
             tc = tcs[col]  # each point reads the column of its own critical time
-            sc = np.abs(vals[np.arange(len(blk)), col] - init) / tc ** delta
+            sc = rate_score(vals[np.arange(len(blk)), col], init, tc, delta)
             better = sc > sup[blk]
             sup[blk[better]], arg[blk[better]] = sc[better], tc[better]
             node_max = max(node_max, int(counts.max()))
@@ -608,7 +617,7 @@ def rate_ceiling_demo(
     alpha = curve.alpha
     ts = 2.0 ** (-np.arange(j_lo, j_hi + 1, dtype=float))
     values, initial, _ = batch_values(profile, curve, 2.0, np.atleast_1d(float(x_star)), list(ts))
-    ratios = np.abs(values[0] - initial[0]) / ts ** alpha
+    ratios = rate_score(values[0], initial[0], ts, alpha)
     running = np.minimum.accumulate(ratios)
     pairs = [(float(t), float(r)) for t, r in zip(ts, ratios)]
     return pairs, [float(v) for v in running]

@@ -57,14 +57,20 @@ gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
 window, and xi in the hull of the segments. Its phase variation is the
 largest |theta'| on that box times the segments' width, and its budget
 NODES_PER_RADIAN (10 nodes per 2 pi radians) times that, BASE_NODES
-(256) at least; a certified pass over MAX_NODES (2^22) nodes raises
-AccuracyError. The budget is fixed, not a setting: it trades only cost
-against that error, and the self-check decides every value. For m >= 1
-theta' is monotone in gamma and in xi, so two corners of the box give it
-(phase_variation). At the stationary ("critical") times of the
-lower-bound arguments gamma + 2t xi nearly cancels over the support and
-the budget shrinks with it; it never exceeds the triangle-inequality
-bound (max|gamma| + m t max|xi|^{m-1}) * width.
+(64) at least, and SEGMENT_NODES (32) per segment where that is more; a
+certified pass over MAX_NODES (2^22) nodes raises AccuracyError. The
+budget is fixed, not a setting: it trades only cost against that error,
+and the self-check decides every value. BASE_NODES is the largest floor
+any family's data needs: on f^ alone (x = 0, t = 0) every coordinate
+factor's rule passes the node-doubling check at its floor, and
+bump-modulated fails it at 32 (tests/test_propagator.py pins both). The
+per-segment floor matters on bourgain's d = 2 lattice factor, with
+three or more segments from R = 128. For m >= 1 theta' is monotone in
+gamma and in xi, so two corners of the box give it (phase_variation).
+At the stationary ("critical") times of the lower-bound arguments
+gamma + 2t xi nearly cancels over the support and the budget shrinks
+with it; it never exceeds the triangle-inequality bound (max|gamma| +
+m t max|xi|^{m-1}) * width.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ FFT_BLOCK = 2 ** 16   # complex elements per chirp-z FFT block
 RULE_CACHE_SIZE = 256  # weighted Gauss-Legendre rules kept by _weighted_rule
 CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
 GRADING_DEPTH = 40    # zero-graded rules break at 2^-k of the width, k = 40..0
-BASE_NODES = 256      # node floor of every budget
+BASE_NODES = 64       # node floor of every budget: the largest any family's f^ needs
+SEGMENT_NODES = 2 * PANEL_ORDER  # node floor per segment, so the doubled pass refines each
 NODES_PER_RADIAN = 10.0 / TWO_PI  # nodes per radian of phase variation
 MAX_NODES = 2 ** 22   # node cap of a certified pass
 _STRAIGHT = CurveSpec(STRAIGHT)
@@ -164,9 +171,15 @@ def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor):
     """Node budgets in whole panels for displacements in [gamma_lo, gamma_hi] at times ts.
 
     Elementwise; budgets past 2^52 nodes, far over any cap, read as 2^52.
+    The floor is BASE_NODES, and SEGMENT_NODES per segment where that is
+    more: a segment's share of the budget is one panel at least, so on a
+    factor of many narrow segments (bourgain's d = 2 lattice) a smaller
+    budget and its double could run the same one-panel rule, which the
+    node-doubling check would compare with itself.
     """
     V = phase_variation(gamma_lo, gamma_hi, ts, m, factor)
-    n = np.fmin(np.maximum(BASE_NODES, np.ceil(NODES_PER_RADIAN * V)), 2.0 ** 52)
+    floor = max(BASE_NODES, SEGMENT_NODES * len(factor.segments))
+    n = np.fmin(np.maximum(floor, np.ceil(NODES_PER_RADIAN * V)), 2.0 ** 52)
     return -(-n.astype(np.int64) // PANEL_ORDER) * PANEL_ORDER
 
 

@@ -10,6 +10,7 @@ from curverate.curves import (
     PLUS_SHIFT,
     STRAIGHT,
     gamma,
+    gamma_pairs,
     verify_regularity,
 )
 from curverate.errors import DomainValidationError
@@ -71,6 +72,45 @@ def test_custom_curve_general_gamma_fn():
     broken = CurveSpec(CUSTOM, alpha=0.5, gamma_fn=lambda x, t: x + 1.0)
     with pytest.raises(DomainValidationError):
         gamma(broken, 0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CurveSpec(MINUS_SHIFT, alpha=0.5),
+        CurveSpec(MINUS_SHIFT, alpha=0.37, d=2),
+        CurveSpec(PLUS_SHIFT, alpha=0.25),
+        CurveSpec(PLUS_SHIFT, alpha=1.0, d=2),
+        CurveSpec(STRAIGHT),
+        CurveSpec(STRAIGHT, d=2),
+        CurveSpec(CUSTOM, alpha=0.5, shift_fn=lambda t: -(abs(t) ** 0.5) * 1.1),
+    ],
+    ids=lambda spec: f"{spec.kind}-d{spec.d}",
+)
+def test_gamma_pairs_is_shift_per_time_bit_for_bit(spec):
+    def scalar_shift(t):
+        """The displacement as one scalar expression per time, the reference."""
+        if t == 0.0 or spec.kind == STRAIGHT:
+            return 0.0
+        if spec.kind == MINUS_SHIFT:
+            return -(abs(t) ** spec.alpha) if t > 0 else -((-t) ** spec.alpha) * (-1)
+        if spec.kind == PLUS_SHIFT:
+            return abs(t) ** spec.alpha if t > 0 else -((-t) ** spec.alpha)
+        return spec.shift_fn(t)
+
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([rng.uniform(-1.0, 1.0, 200), 2.0 ** -np.arange(1.0, 40.0), [0.0, -0.0, 1.0, -1.0]])
+    for t in ts:  # Python floats, and the numpy floats a window passes
+        for time in (float(t), t):
+            assert np.float64(spec.shift(time)).tobytes() == np.float64(scalar_shift(time)).tobytes()
+    points = rng.normal(size=(len(ts), spec.d))
+    points[::5, 0] = -0.0  # x + 0.0 turns -0.0 into 0.0 wherever t != 0
+    got = gamma_pairs(spec, points if spec.d > 1 else points[:, 0], ts)
+    want = points.copy()
+    for row, t in zip(want, ts.tolist()):
+        if t != 0.0:  # gamma(x, 0) is x itself
+            row[0] = row[0] + scalar_shift(t)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_holder_difference_inequality_dense_oracle():

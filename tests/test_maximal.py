@@ -39,7 +39,7 @@ from curverate.maximal import (
 )
 from curverate import maximal, propagator
 from curverate.maximal import _refine
-from curverate.propagator import batch_values, certified_value
+from curverate.propagator import batch_values, certified_value, point_values
 
 MINUS_HALF = CurveSpec(MINUS_SHIFT, alpha=0.5)
 PLUS_HALF = CurveSpec(PLUS_SHIFT, alpha=0.5)
@@ -276,12 +276,15 @@ MINUS_HALF_2D = CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
 def test_pointwise_sup_is_the_direct_grid_maximum(profile, curve, x):
     delta = 0.1
     grid = TimeGrid(4, 8, points_per_octave=2, local_refinement=False)
+    ts = grid.times()
     f0, _ = one_pair(profile, curve, 2.0, x, 0.0)
-    direct = [
-        (abs(one_pair(profile, curve, 2.0, x, float(t))[0] - f0) / t ** delta, float(t))
-        for t in grid.times()
-    ]
-    assert one_point(profile, curve, delta, x, grid) == max(direct)
+    direct = np.array([one_pair(profile, curve, 2.0, x, float(t))[0] for t in ts])
+    # the field's one paired call gives each pair its one-pair value, bit for bit
+    values, initial, _ = point_values(profile, curve, 2.0, [x], ts)
+    assert np.array_equal(values[0], direct) and initial[0] == f0
+    # scored as the field scores (numpy's abs and power, not Python's scalar ones)
+    scores = maximal.rate_score(direct, f0, ts, delta)
+    assert one_point(profile, curve, delta, x, grid) == max(zip(scores.tolist(), ts.tolist()))
 
 
 def test_maximal_field_matches_rate_weighted_sup_pointwise():

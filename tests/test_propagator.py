@@ -29,11 +29,14 @@ from curverate.propagator import (
     CACHED_RULE_NODES,
     PHASE_GUARD,
     RULE_CACHE_SIZE,
+    SELF_CHECK_TOL,
     UNIT_ROUNDOFF,
     _bucket,
     _cached_weighted_rule,
     _chirp,
     _chirp_phase_error,
+    _hull,
+    _node_budgets,
     _pair_budgets,
     _quadrature,
     _weighted_rule,
@@ -51,34 +54,33 @@ STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
 
 
-def panels(V):
-    """Nodes for a phase variation V, in whole panels, at the propagator's current constants."""
-    n = max(propagator.BASE_NODES, int(math.ceil(propagator.NODES_PER_RADIAN * V)))
+def panels(V, factor):
+    """factor's nodes for a phase variation V, in whole panels, at the propagator's current constants."""
+    floor = max(propagator.BASE_NODES, propagator.SEGMENT_NODES * len(factor.segments))
+    n = max(floor, int(math.ceil(propagator.NODES_PER_RADIAN * V)))
     return -(-n // PANEL_ORDER) * PANEL_ORDER
 
 
 def node_budget(gamma_lo, gamma_hi, t, m, factor):
     """The node-budget formula for gamma in [gamma_lo, gamma_hi] at one time, in Python integers."""
-    return panels(phase_variation(gamma_lo, gamma_hi, t, m, factor))
+    return panels(phase_variation(gamma_lo, gamma_hi, t, m, factor), factor)
 
 
 def spec_budget(reach, t, m, factor):
     """The triangle-inequality budget at |gamma| <= reach: (reach + m t max|xi|^{m-1}) * width."""
     xi_max = max(max(abs(lo), abs(hi)) for lo, hi in factor.segments)
     width = sum(hi - lo for lo, hi in factor.segments)
-    return panels((abs(reach) + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)) * width)
+    return panels((abs(reach) + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)) * width, factor)
 
 
 @pytest.fixture
 def tight_cap(monkeypatch):
-    """A 64-node floor under a 128-node cap, which a point 40 from the origin at t = 1 exceeds."""
-    monkeypatch.setattr(propagator, "BASE_NODES", 64)
+    """A 128-node cap over the 64-node floor, which a point 40 from the origin at t = 1 exceeds."""
     monkeypatch.setattr(propagator, "MAX_NODES", 128)
 
 
 def coarse_density(monkeypatch, nodes_per_radian):
-    """A 64-node floor and a density below the default, too coarse for large phases."""
-    monkeypatch.setattr(propagator, "BASE_NODES", 64)
+    """A density below the default, too coarse for large phases."""
     monkeypatch.setattr(propagator, "NODES_PER_RADIAN", nodes_per_radian)
 
 
@@ -203,7 +205,6 @@ def test_evaluate_grid_matches_pointwise_and_collects_failures(monkeypatch):
         direct = evaluate(profile, STRAIGHT_1D, 2.0, s.x, s.t)
         assert s.value == direct.value and s.initial == direct.initial
 
-    monkeypatch.setattr(propagator, "BASE_NODES", 64)
     monkeypatch.setattr(propagator, "MAX_NODES", 256)
     samples, failures = evaluate_grid(profile, STRAIGHT_1D, 2.0, [0.0, 40.0], [0.01])
     assert len(failures) == 1 and len(samples) == 1
@@ -785,6 +786,94 @@ def test_gaussian_at_its_stationary_point(c, t):
     assert s.node_count == 2 * node_budget(x, x, t, 2.0, factor) < 2 * spec_budget(x, t, 2.0, factor)
 
 
+# the node floor: BASE_NODES is the largest floor any family's data need,
+# and SEGMENT_NODES per segment keeps the doubled pass from rerunning a
+# many-segment factor's one-panel rule
+
+FLOOR_PROFILES = [  # every family at two scales, d = 2 where it has it
+    bump_dilated(16.0), bump_dilated(4096.0),
+    bump_modulated(16.0), bump_modulated(4096.0),
+    bump_tensor(16.0, 0.1, d=2), bump_tensor(4096.0, 0.1, d=2),
+    indicator_band(16.0), indicator_band(4096.0),
+    bourgain_profile(16.0, d=2), bourgain_profile(4096.0, d=2),
+    annulus_bump(2), annulus_bump(10),
+    gaussian_like(), gaussian_like(center=-50.0),
+]
+
+
+def floor_budget(factor):
+    """factor's node budget where the phase vanishes (x = 0, t = 0): its floor."""
+    zero = np.zeros(1)
+    return int(_node_budgets(zero, zero, zero, 2.0, factor)[0])
+
+
+def data_certify(factor, n):
+    """f^ alone (x = 0, t = 0): do its integral and L^1 mass pass node doubling on n nodes?"""
+    coarse, coarse_mass = _quadrature(factor, n, 2.0, 0.0, 0.0)
+    fine, fine_mass = _quadrature(factor, 2 * n, 2.0, 0.0, 0.0)
+    return (abs(fine - coarse) <= SELF_CHECK_TOL * max(abs(coarse), abs(fine), fine_mass)
+            and abs(fine_mass - coarse_mass) <= SELF_CHECK_TOL * fine_mass)
+
+
+@pytest.mark.parametrize(
+    "profile", FLOOR_PROFILES, ids=lambda p: f"{p.kind}-d{p.d}-R{p.R:g}-k{p.scale_index}-c{p.center:g}")
+def test_every_factor_certifies_its_data_at_the_node_floor(profile):
+    for factor in coordinate_factors(profile):
+        n = floor_budget(factor)
+        assert n == max(propagator.BASE_NODES, propagator.SEGMENT_NODES * len(factor.segments))
+        assert data_certify(factor, n)
+        # on every segment the doubled rule has more nodes: the check compares two rules
+        coarse, fine = _weighted_rule(factor, n, False), _weighted_rule(factor, 2 * n, False)
+        assert all(len(f[1]) > len(c[1]) for c, f in zip(coarse, fine))
+
+
+@pytest.mark.parametrize("R", [16.0, 4096.0])
+def test_bump_modulated_data_fail_below_the_node_floor(R):
+    # so no lower floor serves every family: BASE_NODES is what the data need
+    (factor,) = coordinate_factors(bump_modulated(R))
+    assert not data_certify(factor, propagator.BASE_NODES // 2)
+
+
+def test_many_segment_data_fail_on_one_panel_per_segment():
+    # bourgain's d = 2 lattice factor at R = 4096 has 8 segments, on which
+    # BASE_NODES alone gives one panel each, and its double one or two
+    lattice = coordinate_factors(bourgain_profile(4096.0, d=2))[1]
+    assert len(lattice.segments) * propagator.SEGMENT_NODES > propagator.BASE_NODES
+    assert not data_certify(lattice, propagator.BASE_NODES)
+
+
+def segment_oracle(factor, g, t):
+    """(2 pi)^{-1} sum over factor's segments of the integral of f^(xi) e^{i(g xi + t xi^2)}, by mpmath.quad."""
+    mp = pytest.importorskip("mpmath")
+
+    def integrand(xi):
+        return complex(np.ravel(factor.func(np.array([float(xi)])))[0]) * mp.expj(g * xi + t * xi * xi)
+
+    return complex(sum(mp.quad(integrand, [lo, hi], method="gauss-legendre") for lo, hi in factor.segments)) / TWO_PI
+
+
+@pytest.mark.parametrize("profile", [
+    bump_dilated(16.0), bump_modulated(16.0), bump_tensor(16.0, 0.1), indicator_band(16.0),
+    bourgain_profile(16.0), annulus_bump(3), gaussian_like(), bourgain_profile(4096.0, d=2),
+], ids=lambda p: f"{p.kind}-d{p.d}")
+def test_families_at_the_node_floor_match_an_oracle(profile):
+    # x_j = -2tC_j + 0.1 keeps theta' = x_j + 2t xi within 0.1 + t * (hull
+    # width) of 0 over coordinate j's support, so the floor sets its budget
+    factors = coordinate_factors(profile)
+    t = 1e-3
+    x = np.array([-2.0 * t * _hull(f)[0] + 0.1 for f in factors])
+    for g, factor in zip(x, factors):
+        assert _node_budgets(np.array([g]), np.array([g]), np.array([t]), 2.0, factor).tolist() == [
+            floor_budget(factor)]
+    s = evaluate(profile, CurveSpec(STRAIGHT, d=profile.d), 2.0, x if profile.d > 1 else x[0], t)
+    assert s.node_count == 2 * sum(floor_budget(f) for f in factors)
+    if profile.kind == "gaussian-like":
+        exact = gaussian_closed_form(x[0], t)
+    else:
+        exact = np.prod([segment_oracle(f, g, t) for g, f in zip(x, factors)])
+    assert abs(s.value - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
 def test_bucket_is_the_next_panel_count_power_of_two():
     ns = list(range(0, 5000)) + [2 ** k + d for k in range(12, 53) for d in (-1, 0, 1)]
     assert _bucket(np.array(ns)).tolist() == [bucket(n) for n in ns]
@@ -873,6 +962,8 @@ PAIRED_CASES = {
             [2e-4, 5e-4, 8e-4, 0.0, 1e-3]),
     "shift_fn": (bump_dilated(16.0), SQUEEZED, 2.0,
                  [0.05, 0.05, 0.1, -0.2], [0.0, 2.0 ** -6, 2.0 ** -8, 0.01]),
+    "d=2 lattice": (bourgain_profile(4096.0, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2), 2.0,
+                    [[-0.5, 0.0], [-0.3, 0.2], [-0.5, 0.0]], [1e-9, 1e-6, 0.0]),
 }
 
 
