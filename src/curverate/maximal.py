@@ -60,6 +60,7 @@ GOLDEN_ITERATIONS = 24
 BISECTION_ITERATIONS = 100  # critical-time root halvings, far past double precision
 LEMMA_POINTS_PER_OCTAVE = 5  # lemma_profile master-grid density
 LEMMA_PAD_OCTAVES = 5.0      # lemma_profile grid extension past the largest j
+LEMMA_BLOCK_ELEMENTS = 2 ** 19  # lemma_profile window values per batch_values call
 
 
 @dataclass(frozen=True)
@@ -554,7 +555,11 @@ def lemma_profile(
 
     Uses the unit-L^2 annulus bump at scale k and one shared master time
     grid, accumulating prefix suprema from the smallest times upward, so
-    the nesting monotonicity (larger j, smaller value) holds exactly.
+    the nesting monotonicity (larger j, smaller value) holds exactly. The
+    times run in ceil(nx (nt + 1) / LEMMA_BLOCK_ELEMENTS) equal blocks, at
+    most one per time, one batch_values call each, smallest times first,
+    so memory stays bounded as k grows; a column's values do not depend
+    on its block.
     """
 
     if regime.d != 1:
@@ -570,17 +575,17 @@ def lemma_profile(
 
     nx = 2 ** (k + 2)
     xs = window_grid(-1.0, 1.0, nx)
-    values, _, _ = batch_values(profile, curve, 2.0, xs, list(ts))
-    mags = np.abs(values)
-
+    blocks = min(len(ts), -(-nx * (len(ts) + 1) // LEMMA_BLOCK_ELEMENTS))
     h = 2.0 / nx
     out = {}
     sup = np.zeros(nx)
-    for col in range(len(master) - 1, -1, -1):  # largest j (smallest t) first
-        np.maximum(sup, mags[:, col], out=sup)
-        jv = master[col]
-        if any(abs(jv - tj) < 1e-9 for tj in targets):
-            out[float(jv)] = float(math.sqrt(np.sum(sup ** 2) * h))
+    for cols in reversed(np.array_split(np.arange(len(ts)), blocks)):
+        mags = np.abs(batch_values(profile, curve, 2.0, xs, list(ts[cols]))[0])
+        for c in range(len(cols) - 1, -1, -1):  # largest j (smallest t) first
+            np.maximum(sup, mags[:, c], out=sup)
+            jv = master[cols[c]]
+            if any(abs(jv - tj) < 1e-9 for tj in targets):
+                out[float(jv)] = float(math.sqrt(np.sum(sup ** 2) * h))
     return {float(j): out[float(j)] for j in js}
 
 

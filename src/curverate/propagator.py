@@ -30,24 +30,31 @@ the node-doubling comparison immune to the rounding of astronomically
 large phases (modulated profiles reach t*C^2 ~ 1e7 radians). For
 non-integer m, segments ending at 0 are graded geometrically toward it.
 
-A window takes one of two kernels. At m = 2, a uniform window of three
-points or more on a smooth factor (CoordinateFactor.smooth: every family
-but indicator-band) goes to _chirp_window: n midpoint nodes on the hull
-of the factor's segments, centred on the hull midpoint C, where the
-trapezoid rule converges faster than any power. With the window centred
-too, the window sum is a chirp-z transform, one FFT convolution per time
-column, and no nx-by-n table is formed. n is the Gauss-Legendre budget,
-so node counts do not depend on the kernel. The node-doubling self-check
-compares two chirp-z passes, so it cannot see an error both share. The
-chirp phases are exact to rounding (_chirp), and a guard
+A window takes one of two kernels, chosen before it is budgeted. At
+m = 2, a uniform window of three points or more on a smooth factor
+(CoordinateFactor.smooth: every family but indicator-band) goes to
+_chirp_window: n midpoint nodes on the hull of the factor's segments,
+centred on the hull midpoint C. With the window centred too, the window
+sum is a chirp-z transform, one FFT convolution per time column, and no
+nx-by-n table is formed. On data that vanish smoothly at the hull ends
+the midpoint rule is exact to rounding once its nodes sample faster
+than the integrand's largest local frequency; below one node per 2 pi
+radians it aliases. So a chirp-z window is budgeted at
+CHIRP_NODES_PER_RADIAN, a quarter of the Gauss-Legendre rate: 2.5
+nodes per 2 pi radians, 2.5 times the aliasing rate. At an eighth the
+self-check fails on the k = 6 and 8 lemma windows. The node-doubling
+self-check compares two chirp-z passes, so it cannot see an error both
+share. The chirp phases are exact to rounding (_chirp), and a guard
 (_chirp_phase_error) sends the window to Gauss-Legendre unless the
 window's distance from its uniform grid times the hull half-width, plus
 what rounding the chirp step h h_xi can move a phase, stays within
-PHASE_GUARD (1e-12 radians). Every other window (indicator-band, one- and two-point
-windows, non-uniform windows, m != 2) runs _quadrature with the centred
-direct table: each segment's table is e^{i x u}, u = xi - C about the
-same midpoint C, and each window point's output is multiplied by
-e^{i x C} next to the column scalars. Gauss-Legendre rules come from
+PHASE_GUARD (1e-12 radians). Neither term depends on n, so the guard
+runs once per window, ahead of the budget. Every other window
+(indicator-band, one- and two-point windows, non-uniform windows,
+m != 2, and a window over the node cap) runs _quadrature with the
+centred direct table: each segment's table is e^{i x u}, u = xi - C
+about the same midpoint C, and each window point's output is multiplied
+by e^{i x C} next to the column scalars. Gauss-Legendre rules come from
 _weighted_rule, which caches up to RULE_CACHE_SIZE rules of at most
 CACHED_RULE_NODES budgeted nodes, each with f^ already multiplied into
 its weights, as read-only arrays.
@@ -56,7 +63,8 @@ Node budgets. A column's phase is theta(xi) = gamma xi + t|xi|^m, with
 gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
 window, and xi in the hull of the segments. Its phase variation is the
 largest |theta'| on that box times the segments' width, and its budget
-NODES_PER_RADIAN (10 nodes per 2 pi radians) times that, BASE_NODES
+NODES_PER_RADIAN (10 nodes per 2 pi radians; CHIRP_NODES_PER_RADIAN on a
+chirp-z window) times that, BASE_NODES
 (64) at least, and SEGMENT_NODES (32) per segment where that is more; a
 certified pass over MAX_NODES (2^22) nodes raises AccuracyError. The
 budget is fixed, not a setting: it trades only cost against that error,
@@ -103,6 +111,7 @@ GRADING_DEPTH = 40    # zero-graded rules break at 2^-k of the width, k = 40..0
 BASE_NODES = 64       # node floor of every budget: the largest any family's f^ needs
 SEGMENT_NODES = 2 * PANEL_ORDER  # node floor per segment, so the doubled pass refines each
 NODES_PER_RADIAN = 10.0 / TWO_PI  # nodes per radian of phase variation
+CHIRP_NODES_PER_RADIAN = NODES_PER_RADIAN / 4  # the midpoint rule's: 2.5 nodes per 2 pi radians
 MAX_NODES = 2 ** 22   # node cap of a certified pass
 _STRAIGHT = CurveSpec(STRAIGHT)
 
@@ -167,10 +176,11 @@ def phase_variation(gamma_lo, gamma_hi, t, m: float, factor):
     return speed * width
 
 
-def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor):
+def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor, chirp: bool = False):
     """Node budgets in whole panels for displacements in [gamma_lo, gamma_hi] at times ts.
 
-    Elementwise; budgets past 2^52 nodes, far over any cap, read as 2^52.
+    NODES_PER_RADIAN per radian of phase variation, CHIRP_NODES_PER_RADIAN
+    for a chirp-z window (chirp). Elementwise; budgets past 2^52 nodes, far over any cap, read as 2^52.
     The floor is BASE_NODES, and SEGMENT_NODES per segment where that is
     more: a segment's share of the budget is one panel at least, so on a
     factor of many narrow segments (bourgain's d = 2 lattice) a smaller
@@ -179,7 +189,8 @@ def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor):
     """
     V = phase_variation(gamma_lo, gamma_hi, ts, m, factor)
     floor = max(BASE_NODES, SEGMENT_NODES * len(factor.segments))
-    n = np.fmin(np.maximum(floor, np.ceil(NODES_PER_RADIAN * V)), 2.0 ** 52)
+    rate = CHIRP_NODES_PER_RADIAN if chirp else NODES_PER_RADIAN
+    n = np.fmin(np.maximum(floor, np.ceil(rate * V)), 2.0 ** 52)
     return -(-n.astype(np.int64) // PANEL_ORDER) * PANEL_ORDER
 
 
@@ -328,20 +339,21 @@ def _chirp(beta: float, r):
     return np.exp(1j * hi) * (1.0 + 1j * lo)
 
 
-def _chirp_phase_error(xs, half_width: float, n: int) -> float:
-    """Phase error (radians) that both passes of _chirp_window share on xs.
+def _chirp_phase_error(xs, half_width: float) -> float:
+    """Phase error (radians) that both passes of _chirp_window share on xs, at any n.
 
     The node-doubling check cannot see it. Two terms: the window's
     distance from the uniform grid x_c + p h (p centred), times
     half_width, which bounds |u|; and the rounding of beta = h h_xi, the
     same relative error in both passes (halving h_xi is exact), which
     moves each phase beta p q by at most UNIT_ROUNDOFF |beta| n nx / 4.
+    With h_xi = 2 half_width / n, n cancels: UNIT_ROUNDOFF |h| half_width
+    nx / 2.
     """
     nx = len(xs)
     h = (xs[-1] - xs[0]) / (nx - 1)
     grid = xs - (0.5 * (xs[0] + xs[-1]) + (np.arange(nx) - 0.5 * (nx - 1)) * h)
-    beta = h * (2.0 * half_width / n)
-    return float(np.max(np.abs(grid))) * half_width + UNIT_ROUNDOFF * abs(beta) * n * nx / 4.0
+    return float(np.max(np.abs(grid))) * half_width + UNIT_ROUNDOFF * abs(h) * half_width * nx / 2.0
 
 
 def _chirp_window(factor, n: int, shifts, ts, xs):
@@ -608,10 +620,11 @@ def batch_values(
 ):
     """U f(x, t) on a 1-d spatial window times a list of times.
 
-    Returns (values[nx, nt], initial[nx], node_counts[nt]). initial is
-    f(x), the t = 0 column of the same pass: it shares the requested
-    times' self-check, and their kernel call where its rule size matches
-    one of theirs. The quadrature rule for each time depends only on the
+    Returns (values[nx, nt], initial[nx], node_counts[nt]), node_counts
+    being the nodes of each time's certified (doubled) pass, at the
+    chirp-z rate on a chirp-z window. initial is f(x), the t = 0 column
+    of the same pass: it shares the requested times' self-check, and
+    their kernel call where its rule size matches one of theirs. The quadrature rule for each time depends only on the
     window's displacements [min x, max x] + s(t), never on chunking, so
     results are independent of how work is split. The node-doubling
     self-check certifies every sample.
@@ -630,22 +643,22 @@ def batch_values(
     (factor,) = coordinate_factors(profile)
     shifts = np.array([curve.shift(t) for t in ts], dtype=float)
     xlo, xhi = (float(np.min(xs)), float(np.max(xs))) if len(xs) else (0.0, 0.0)
-    counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor))
+    chirp = (m == 2.0 and factor.smooth and len(xs) >= 3
+             and _chirp_phase_error(xs, _hull(factor)[1]) <= PHASE_GUARD)
+    counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor, chirp))
     j, over_cap, clamped = _over_cap(2 * counts, counts[:, None])
     if over_cap:
-        # both estimates at the window's farthest point from the origin
+        # both estimates at the window's farthest point from the origin, on the direct table
         i = int(np.argmax(np.abs(xs)))
         xs, ts, shifts, counts = xs[i : i + 1], ts[j : j + 1], shifts[j : j + 1], clamped[0]
-
-    chirp = m == 2.0 and factor.smooth and len(xs) >= 3
-    half_width = _hull(factor)[1]
+        chirp = False
 
     def run(doubling):
         values = np.empty((len(xs), len(ts)), dtype=np.complex128)
         for n in np.unique(counts):  # ascending: mass ends on the largest rule
             cols = np.flatnonzero(counts == n)
             n = int(n) * doubling
-            if chirp and _chirp_phase_error(xs, half_width, n) <= PHASE_GUARD:
+            if chirp:
                 values[:, cols], mass = _chirp_window(factor, n, shifts[cols], ts[cols], xs)
             else:
                 values[:, cols], mass = _quadrature(factor, n, m, shifts[cols], ts[cols], xs)

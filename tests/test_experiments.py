@@ -196,12 +196,14 @@ def test_numerator_cache_is_a_bounded_lru(monkeypatch):
 
 
 def capped_plan(monkeypatch, workers=1):
-    """A plan whose node cap, lowered to 2^13 nodes, is exceeded at R = 128.
+    """A plan whose node cap, lowered to 2^11 nodes, is exceeded at R = 128.
 
     The numerator cache is emptied so the rows are computed under that cap;
-    pool workers inherit the lowered cap by fork.
+    pool workers inherit the lowered cap by fork. Its chirp-z windows run a
+    quarter of the Gauss-Legendre nodes, so the cap is a quarter of the
+    2^13 that the Gauss-Legendre budget exceeded at R = 128.
     """
-    monkeypatch.setattr(propagator, "MAX_NODES", 2 ** 13)
+    monkeypatch.setattr(propagator, "MAX_NODES", 2 ** 11)
     _NUMERATOR_CACHE.clear()
     return ExperimentPlan(
         family="bump-modulated",

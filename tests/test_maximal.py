@@ -249,6 +249,36 @@ def test_lemma_empirical_nested_monotone():
     assert single > 0.0
 
 
+@pytest.mark.parametrize("alpha, k, js", [(0.5, 8, [8, 11, 16]), (0.25, 6, [12, 18, 24])])
+def test_lemma_profile_does_not_depend_on_its_time_blocks(monkeypatch, alpha, k, js):
+    regime, curve = Regime(d=1, alpha=alpha, m=2), CurveSpec(MINUS_SHIFT, alpha=alpha)
+    calls = []
+    monkeypatch.setattr(maximal, "batch_values", lambda *a: calls.append(len(a[4])) or batch_values(*a))
+    whole = lemma_profile(regime, k, js, curve)
+    nt = calls.pop()
+    assert calls == []  # one block at the default
+    for cols in (1, 3, 7):  # a few time columns per block
+        monkeypatch.setattr(maximal, "LEMMA_BLOCK_ELEMENTS", cols * 2 ** (k + 2))
+        assert lemma_profile(regime, k, js, curve) == whole
+        assert len(calls) == min(nt, -(-(nt + 1) // cols)) and sum(calls) == nt
+        del calls[:]
+
+
+def test_lemma_profile_memory_is_bounded_by_its_blocks():
+    # k = 11, alpha = 1/4: 8192 points times 136 times, 17.8 MB of complex
+    # values kept whole, and several times that in the pass's temporaries
+    import tracemalloc
+
+    regime, curve = Regime(d=1, alpha=0.25, m=2), CurveSpec(MINUS_SHIFT, alpha=0.25)
+    tracemalloc.start()
+    try:
+        lemma_profile(regime, 11, list(range(22, 45, 2)), curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def test_general_curve_falls_back_to_pointwise_sup():
     from curverate.curves import CUSTOM
     from curverate.propagator import batch_values

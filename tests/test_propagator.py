@@ -24,7 +24,8 @@ from curverate.initial_data import (
     sobolev_norm,
 )
 from curverate import propagator
-from curverate.maximal import FAMILIES, calibrate_window_constant, critical_time, window_grid
+from curverate.exponents import Regime
+from curverate.maximal import FAMILIES, calibrate_window_constant, critical_time, lemma_profile, window_grid
 from curverate.propagator import (
     CACHED_RULE_NODES,
     PHASE_GUARD,
@@ -54,16 +55,20 @@ STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
 
 
-def panels(V, factor):
-    """factor's nodes for a phase variation V, in whole panels, at the propagator's current constants."""
+def panels(V, factor, chirp=False):
+    """factor's nodes for a phase variation V, in whole panels, at the propagator's current constants.
+
+    At the chirp-z rate with chirp, else at the Gauss-Legendre rate.
+    """
     floor = max(propagator.BASE_NODES, propagator.SEGMENT_NODES * len(factor.segments))
-    n = max(floor, int(math.ceil(propagator.NODES_PER_RADIAN * V)))
+    rate = propagator.CHIRP_NODES_PER_RADIAN if chirp else propagator.NODES_PER_RADIAN
+    n = max(floor, int(math.ceil(rate * V)))
     return -(-n // PANEL_ORDER) * PANEL_ORDER
 
 
-def node_budget(gamma_lo, gamma_hi, t, m, factor):
+def node_budget(gamma_lo, gamma_hi, t, m, factor, chirp=False):
     """The node-budget formula for gamma in [gamma_lo, gamma_hi] at one time, in Python integers."""
-    return panels(phase_variation(gamma_lo, gamma_hi, t, m, factor), factor)
+    return panels(phase_variation(gamma_lo, gamma_hi, t, m, factor), factor, chirp)
 
 
 def spec_budget(reach, t, m, factor):
@@ -80,7 +85,7 @@ def tight_cap(monkeypatch):
 
 
 def coarse_density(monkeypatch, nodes_per_radian):
-    """A density below the default, too coarse for large phases."""
+    """A Gauss-Legendre density below the default, too coarse for large phases."""
     monkeypatch.setattr(propagator, "NODES_PER_RADIAN", nodes_per_radian)
 
 
@@ -365,9 +370,9 @@ def kernel_paths():
             setattr(propagator, name, fn)
 
 
-def chirp_admits(xs, half_width, n):
-    """Whether the phase guard lets an n-node chirp-z pass run on xs."""
-    return _chirp_phase_error(np.asarray(xs, dtype=float), half_width, n) <= PHASE_GUARD
+def chirp_admits(xs, half_width):
+    """Whether the phase guard lets a chirp-z pass, of any node count, run on xs."""
+    return _chirp_phase_error(np.asarray(xs, dtype=float), half_width) <= PHASE_GUARD
 
 
 # (family, alpha, epsilon) of each family's c05 run
@@ -507,8 +512,8 @@ def test_factorized_window_is_pointwise_at_positive_times(nx, ends, t, m, picks)
 def test_jittered_window_takes_the_direct_table():
     rng = np.random.default_rng(7)
     xs = window_grid(-1.0, 1.0, 300) + rng.uniform(-1e-7, 1e-7, 300)
-    assert not chirp_admits(xs, 8.0, 512)
-    assert chirp_admits(window_grid(-1.0, 1.0, 300), 8.0, 512)
+    assert not chirp_admits(xs, 8.0)
+    assert chirp_admits(window_grid(-1.0, 1.0, 300), 8.0)
     profile, ts = gaussian_like(), [0.0, 0.01, 0.4]
     with kernel_paths() as paths:
         (vals, _, _) = batch_values(profile, STRAIGHT_1D, 2.0, xs, ts)
@@ -520,13 +525,11 @@ def test_jittered_window_takes_the_direct_table():
 
 
 def test_window_past_the_chirp_bound_takes_the_direct_table():
-    # three points on [-1, 1] against a hull of half-width 2^14 and a
-    # 131072-node rule: rounding beta = h h_xi could move the phases
-    # beta p q by 2^-53 |beta| n nx / 4 ~ 3.6e-12 radians in both passes
+    # three points on [-1, 1] against a hull of half-width 2^14: rounding
+    # beta = h h_xi could move the phases beta p q by 2^-53 |beta| n nx / 4
+    # = 2^-53 |h| W nx / 2 ~ 2.7e-12 radians in both passes, whatever n is
     profile, xs = bump_dilated(2.0 ** 15), np.array([-1.0, 0.0, 1.0])
-    (factor,) = coordinate_factors(profile)
-    n = bucket(node_budget(-1.0, 1.0, 0.0, 2.0, factor))
-    assert not chirp_admits(xs, 2.0 ** 14, n) and not chirp_admits(xs, 2.0 ** 14, 2 * n)
+    assert not chirp_admits(xs, 2.0 ** 14)
     with kernel_paths() as paths:
         init = batch_initial(profile, xs)
     assert set(paths) == {"gl"}
@@ -546,15 +549,15 @@ def test_chirp_phases_are_exact_to_rounding():
 def test_factorization_guard_bounds_the_phase_error():
     xs = window_grid(-1.0, 1.0, 256)  # dyadic: the uniform grid is exact
     h = 2.0 / 256
-    for W, n in ((8.0, 512), (8.0, 4096), (1e3, 512)):  # then the guard reads the beta rounding alone
-        assert _chirp_phase_error(xs, W, n) == UNIT_ROUNDOFF * h * (2.0 * W / n) * n * 256 / 4.0
-    assert chirp_admits(xs, 4e3, 512) and not chirp_admits(xs, 1e4, 512)
+    for W in (8.0, 1e3):  # then the guard reads the beta rounding alone, in which n cancels
+        assert _chirp_phase_error(xs, W) == UNIT_ROUNDOFF * h * W * 256 / 2.0
+    assert chirp_admits(xs, 4e3) and not chirp_admits(xs, 1e4)
     moved = xs.copy()
     moved[100] += 1e-9
     # the guard admits a window while (distance from the grid) * half-width <= ~1e-12
-    assert chirp_admits(moved, 1e-4, 512)
-    assert not chirp_admits(moved, 1e-2, 512)
-    assert chirp_admits(window_grid(-1.0, 1.0, 300), 1e2, 512)  # grid rounding, ~2e-16
+    assert chirp_admits(moved, 1e-4)
+    assert not chirp_admits(moved, 1e-2)
+    assert chirp_admits(window_grid(-1.0, 1.0, 300), 1e2)  # grid rounding, ~2e-16
     for nx, path in ((1, "gl"), (2, "gl"), (3, "chirp"), (129, "chirp")):  # one and two points: the table
         with kernel_paths() as paths:
             batch_initial(gaussian_like(), window_grid(-1.0, 1.0, nx))
@@ -563,7 +566,7 @@ def test_factorization_guard_bounds_the_phase_error():
 
 def test_chirp_window_self_check_failure_carries_both_estimates(monkeypatch):
     # 64 and 128 nodes on gaussian_like's 16-wide hull alias e^{i x xi} at |x| ~ 50
-    coarse_density(monkeypatch, 0.02)
+    monkeypatch.setattr(propagator, "CHIRP_NODES_PER_RADIAN", 0.02)
     xs = window_grid(-50.0, 50.0, 129)
     with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
         batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0])
@@ -575,8 +578,9 @@ def test_chirp_window_self_check_failure_carries_both_estimates(monkeypatch):
 
 
 def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table(tight_cap):
+    # the cap applies to the chirp-z budget, which the message names
     (factor,) = coordinate_factors(gaussian_like())
-    budget = bucket(node_budget(0.0, 40.0, 1.0, 2.0, factor))
+    budget = bucket(node_budget(0.0, 40.0, 1.0, 2.0, factor, chirp=True))
     xs = np.array([0.0, 20.0, 40.0])
     with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
         batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0])
@@ -584,6 +588,81 @@ def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table(tight_cap):
     assert str(err.value).startswith(f"node budget {2 * budget} exceeds cap 128 (coarse=")
     assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
     assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
+
+
+# the chirp-z budget: CHIRP_NODES_PER_RADIAN, a quarter of the
+# Gauss-Legendre rate, 2.5 nodes per 2 pi radians of phase variation
+
+
+def direct_table(profile, curve, xs, ts):
+    """The window values of the direct Gauss-Legendre table on each time's Gauss-Legendre budget."""
+    (factor,) = coordinate_factors(profile)
+    ts = np.asarray(ts)
+    shifts = np.array([curve.shift(t) for t in ts])
+    budgets = np.array([bucket(node_budget(xs[0] + s, xs[-1] + s, t, 2.0, factor)) for s, t in zip(shifts, ts)])
+    out = np.empty((len(xs), len(ts)), dtype=np.complex128)
+    for n in set(budgets.tolist()):  # the times of one budget share a table
+        cols = budgets == n
+        out[:, cols] = _quadrature(factor, 2 * n, 2.0, shifts[cols], ts[cols], xs)[0] / TWO_PI
+    return out
+
+
+def test_chirp_rate_is_a_quarter_of_the_gauss_legendre_rate():
+    assert propagator.CHIRP_NODES_PER_RADIAN == propagator.NODES_PER_RADIAN / 4
+    assert propagator.CHIRP_NODES_PER_RADIAN * TWO_PI == 2.5
+
+
+@pytest.mark.parametrize("family, alpha, eps", [f for f in SCALING_FAMILIES if f[0] != "indicator-band"])
+def test_chirp_budget_matches_the_direct_table_on_the_scaling_windows(family, alpha, eps):
+    spec, R = FAMILIES[family], 256.0
+    c = calibrate_window_constant(family, alpha, R_min=32.0, R_max=1024.0)
+    xs = window_grid(*spec.window(R, alpha, eps, c), 129)
+    profile, curve = spec.profile(R, eps, 1), CurveSpec(spec.curve, alpha=alpha)
+    ts = [critical_time(family, curve, R, eps, float(xs[i])) for i in (0, 64, 128)]
+    ts += [0.25 / R ** 2, 1.0 / R ** 2, 4.0 / R ** 2]
+    with kernel_paths() as paths:
+        vals, _, _ = batch_values(profile, curve, 2.0, xs, ts)
+    assert set(paths) == {"chirp"}
+    assert np.max(np.abs(vals - direct_table(profile, curve, xs, ts))) <= 1e-12 * mass_scale(profile)
+
+
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_chirp_budget_matches_the_direct_table_on_the_lemma_windows(k):
+    profile, curve = annulus_bump(k), CurveSpec(MINUS_SHIFT, alpha=0.5)
+    xs = window_grid(-1.0, 1.0, 2 ** (k + 2))
+    ts = [2.0 ** -(1.5 * k), 2.0 ** -(2 * k), 2.0 ** -(3 * k), 2.0 ** -(4 * k)]
+    with kernel_paths() as paths:
+        vals, _, _ = batch_values(profile, curve, 2.0, xs, ts)
+    assert set(paths) == {"chirp"}
+    assert np.max(np.abs(vals - direct_table(profile, curve, xs, ts))) <= 1e-12 * mass_scale(profile)
+
+
+def test_lemma_windows_fail_the_self_check_at_an_eighth_of_the_gauss_legendre_rate(monkeypatch):
+    # so a quarter is the smallest power-of-two fraction that certifies them
+    regime, curve, js = Regime(d=1, alpha=0.5, m=2), CurveSpec(MINUS_SHIFT, alpha=0.5), list(range(8, 17))
+    assert len(lemma_profile(regime, 8, js, curve)) == len(js)
+    monkeypatch.setattr(propagator, "CHIRP_NODES_PER_RADIAN", propagator.NODES_PER_RADIAN / 8)
+    with kernel_paths() as paths, pytest.raises(AccuracyError, match="self-check failed"):
+        lemma_profile(regime, 8, js, curve)
+    assert set(paths) == {"chirp"}
+
+
+def test_window_node_counts_are_the_budget_of_the_kernel_that_ran():
+    # the same ends as a uniform window (chirp-z) and as two points (the
+    # direct table), on smooth data and on the indicator band's jumps
+    xs, ts = window_grid(-20.0, 20.0, 129), [1e-3, 0.05, 0.4, 1.0]
+    for profile, window, kernel in ((gaussian_like(), xs, "chirp"), (gaussian_like(), xs[[0, -1]], "gl"),
+                                    (indicator_band(16.0), xs, "gl")):
+        (factor,) = coordinate_factors(profile)
+        with kernel_paths() as paths:
+            _, _, counts = batch_values(profile, STRAIGHT_1D, 2.0, window, ts)
+        assert set(paths) == {kernel}
+        assert counts.tolist() == [
+            2 * bucket(node_budget(window[0], window[-1], t, 2.0, factor, chirp=kernel == "chirp")) for t in ts]
+    # past the floor, the chirp-z window runs a quarter of the direct table's nodes
+    chirp = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)[2]
+    table = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs[[0, -1]], ts)[2]
+    assert (4 * chirp).tolist() == table.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +806,9 @@ def test_window_budgets_are_the_scalar_formula(curve, m, window):
     ts = [1e-3, 0.05, 0.4, 1.0]
     (factor,) = coordinate_factors(profile)
     _, _, counts = batch_values(profile, curve, m, xs, ts)
-    want = [2 * bucket(node_budget(xs[0] + curve.shift(t), xs[-1] + curve.shift(t), t, m, factor))
+    # both windows are uniform: at m = 2 they take the chirp-z kernel and its budget
+    want = [2 * bucket(node_budget(xs[0] + curve.shift(t), xs[-1] + curve.shift(t), t, m, factor,
+                                   chirp=m == 2.0))
             for t in ts]
     assert counts.dtype == np.int64 and counts.tolist() == want
 
