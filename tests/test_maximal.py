@@ -279,6 +279,24 @@ def test_lemma_profile_memory_is_bounded_by_its_blocks():
     assert peak < 40e6
 
 
+def test_lemma_profile_memory_is_two_passes_and_their_gap():
+    # k = 10, alpha = 1/4: one block of 4096 points times 127 columns (126 times
+    # and t = 0), 8.3 MB of complex values per pass. The self-check holds both
+    # passes and their gap: 29.2 MB at the peak, 31.1 MB in a fresh process. A
+    # one-stage check, which forms |coarse| and |fine| at every entry, peaks at
+    # 33.4 and 35.2 MB.
+    import tracemalloc
+
+    regime, curve = Regime(d=1, alpha=0.25, m=2), CurveSpec(MINUS_SHIFT, alpha=0.25)
+    tracemalloc.start()
+    try:
+        lemma_profile(regime, 10, [20, 30, 40], curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 def test_general_curve_falls_back_to_pointwise_sup():
     from curverate.curves import CUSTOM
     from curverate.propagator import batch_values

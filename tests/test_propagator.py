@@ -590,6 +590,147 @@ def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table(tight_cap):
     assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
+# the window pass writes its values time-major and returns them transposed;
+# _certify screens the gap against tol * mass before it forms the full bound
+
+
+def one_stage_check(coarse, fine, mass):
+    """The self-check in one stage: which entries fail |f - c| > tol * max(|c|, |f|, mass)."""
+    return np.abs(fine - coarse) > SELF_CHECK_TOL * np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), mass)
+
+
+# an entry: |c| (NaN for a NaN entry), its argument, |f - c| over tol * max(|c|, mass),
+# straddling 1 by more than the rounding of f - c, and the argument of f - c
+ENTRIES = st.tuples(
+    st.sampled_from([0.0, 1e-6, 1.0, 1e3, math.nan]),
+    st.floats(0.0, TWO_PI),
+    st.sampled_from([0.0, 0.5, 1.0 - 1e-5, 1.0, 1.0 + 1e-5, 2.0, math.nan]),
+    st.floats(0.0, TWO_PI),
+)
+MASSES = st.sampled_from([1e-6, 1.0, 10.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(ENTRIES, min_size=1, max_size=12),
+    masses=st.one_of(MASSES, st.lists(MASSES, min_size=12, max_size=12)),
+    x_major=st.booleans(),
+)
+def test_two_stage_self_check_is_the_one_stage_formula(entries, masses, x_major):
+    mass = masses if np.isscalar(masses) else np.array(masses[: len(entries)])
+    reach = np.array([max(a, m) for (a, _, _, _), m in zip(entries, np.broadcast_to(mass, len(entries)))])
+    coarse = np.array([a * np.exp(1j * p) for a, p, _, _ in entries])
+    fine = coarse + SELF_CHECK_TOL * reach * np.array([r * np.exp(1j * p) for _, _, r, p in entries])
+    if x_major and len(entries) % 2 == 0:  # a (2, n/2) x-major view of time-major arrays, as on a window
+        coarse, fine = (v.reshape(-1, 2).T for v in (coarse, fine))
+        mass = mass if np.isscalar(mass) else mass.reshape(-1, 2).T
+    bad = one_stage_check(coarse, fine, mass)
+    run = {1: (coarse, None), 2: (fine, mass)}.get
+    if not bad.any():
+        assert propagator._certify(run, "ctx", str) is fine
+        return
+    k = int(np.flatnonzero(bad)[0])
+    with pytest.raises(AccuracyError) as err:
+        propagator._certify(run, "ctx", str)
+    assert err.value.context == f"ctx{k}"
+    assert (err.value.coarse, err.value.fine) == (np.ravel(coarse)[k], np.ravel(fine)[k])
+
+
+def test_two_stage_self_check_on_each_entry_kind():
+    # |c| above the mass and below it, each on both sides of the bound, and NaN entries
+    coarse = np.array([1e3, 1e3, 0.5, 0.5, math.nan, 1.0])
+    fine = coarse - SELF_CHECK_TOL * np.array([1e3 * (1 - 1e-5), 1e3 * (1 + 1e-5), 1 - 1e-5, 1 + 1e-5, 0.0, math.nan])
+    assert one_stage_check(coarse, fine, 1.0).tolist() == [False, True, False, True, False, False]
+    for mass in (1.0, np.ones(6)):
+        passing = fine.copy()
+        for first in (1, 3):
+            with pytest.raises(AccuracyError) as err:
+                propagator._certify({1: (coarse, None), 2: (passing, mass)}.get, "", str)
+            assert err.value.context == str(first)
+            passing[first] = coarse[first]
+        assert propagator._certify({1: (coarse, None), 2: (passing, mass)}.get, "", str) is passing
+
+
+LAYOUT_CASES = [  # (profile, curve, window, times): each a chirp-z window
+    (annulus_bump(6), CurveSpec(MINUS_SHIFT, alpha=0.5), window_grid(-1.0, 1.0, 256), 2.0 ** -np.arange(6.0, 12.5, 0.5)),
+    (gaussian_like(), STRAIGHT_1D, window_grid(-3.0, 2.0, 129), [0.1, 0.3, 0.5, 1.0]),
+    (bump_modulated(64.0), CurveSpec(MINUS_SHIFT, alpha=0.5), window_grid(-0.5, 0.5, 37), [1e-3, 3e-3, 1e-2]),
+]
+
+
+def chirp_reference(factor, n, shifts, ts, xs):
+    """_chirp_window's sum as written, one column at a time and out of place, as values[nx, ncols]."""
+    C, W = _hull(factor)
+    nx, h_xi = len(xs), 2.0 * W / n
+    beta = (xs[-1] - xs[0]) / (nx - 1) * h_xi
+    q, p = np.arange(n) - 0.5 * (n - 1), np.arange(nx) - 0.5 * (nx - 1)
+    u = q * h_xi
+    fv = np.asarray(factor.func(C + u), dtype=np.complex128)
+    L = propagator._fft_length(n + nx - 1)
+    d = np.arange(L)
+    kernel = np.fft.fft(_chirp(-beta, np.where(d < nx, d, d - L) + 0.5 * (n - nx)))  # r = p - q
+    weights = h_xi * fv * _chirp(beta, q)
+    out = np.empty((nx, len(ts)), dtype=np.complex128)
+    for j, (s, t) in enumerate(zip(shifts + 0.5 * (xs[0] + xs[-1]), ts)):
+        a = np.zeros(L, dtype=np.complex128)
+        a[:n] = weights * np.exp(1j * ((s + 2.0 * t * C) * u + t * u * u))
+        out[:, j] = np.fft.ifft(np.fft.fft(a) * kernel)[:nx]
+    scalars = np.exp(1j * (shifts * C + ts * C * C))
+    return out * ((_chirp(beta, p) * np.exp(1j * xs * C))[:, None] * scalars)
+
+
+@pytest.mark.parametrize("case", range(len(LAYOUT_CASES)))
+def test_chirp_window_is_its_formula_bit_for_bit(case):
+    # the in-place blocks round every product as the formula does, operand order included
+    profile, curve, xs, ts = LAYOUT_CASES[case]
+    (factor,) = coordinate_factors(profile)
+    ts = np.asarray(ts)
+    shifts = np.array([curve.shift(t) for t in ts])
+    for n in (64, 1024):
+        values, _ = propagator._chirp_window(factor, n, shifts, ts, xs)
+        assert values.shape == (len(ts), len(xs))
+        assert np.array_equal(values.T, chirp_reference(factor, n, shifts, ts, xs))
+
+
+@pytest.mark.parametrize("case", range(len(LAYOUT_CASES)))
+def test_chirp_window_does_not_depend_on_its_fft_blocks(monkeypatch, case):
+    profile, curve, xs, ts = LAYOUT_CASES[case]
+    with kernel_paths() as paths:
+        whole = batch_values(profile, curve, 2.0, xs, list(ts))
+    assert set(paths) == {"chirp"}
+    for block in (1, 2 ** 22):  # one column per block; every column in one block
+        monkeypatch.setattr(propagator, "FFT_BLOCK", block)
+        got = batch_values(profile, curve, 2.0, xs, list(ts))
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3, 129])  # the table at one and two points, else chirp-z
+@pytest.mark.parametrize("nt", [0, 1, 5])
+def test_window_shapes(nx, nt):
+    xs, ts = window_grid(-1.0, 1.0, nx), list(np.linspace(0.1, 1.0, nt))
+    values, initial, counts = batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    assert (values.shape, initial.shape, counts.shape) == ((nx, nt), (nx,), (nt,))
+    assert batch_initial(gaussian_like(), xs).shape == (nx,)
+
+
+def test_chirp_window_self_check_names_the_first_failing_pair_in_x_major_order(monkeypatch):
+    # aliasing chirp-z passes on [0, 50]: at t = 1.0 the failures start at a smaller x
+    # than at t = 0.5, so the x-major and time-major first pairs differ
+    monkeypatch.setattr(propagator, "CHIRP_NODES_PER_RADIAN", 0.02)
+    passes, real = [], propagator._certify
+    monkeypatch.setattr(propagator, "_certify", lambda run, *a: passes.append((run(1)[0], *run(2))) or real(run, *a))
+    xs, ts = window_grid(0.0, 50.0, 129), [0.5, 1.0]
+    with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
+        batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, ts)
+    assert set(paths) == {"chirp"}
+    ((coarse, fine, mass),) = passes
+    bad = one_stage_check(coarse, fine, mass)
+    (i, j), (it, jt) = np.argwhere(bad)[0], np.argwhere(bad.T)[0][::-1]
+    assert (i, j) != (it, jt) and j < len(ts) and jt < len(ts)
+    assert err.value.context == f"kind=gaussian-like, x={xs[i]}, t={ts[j]}"
+    assert (err.value.coarse, err.value.fine) == (coarse[i, j], fine[i, j])
+
+
 # the chirp-z budget: CHIRP_NODES_PER_RADIAN, a quarter of the
 # Gauss-Legendre rate, 2.5 nodes per 2 pi radians of phase variation
 
