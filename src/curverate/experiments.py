@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, asdict, replace
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -30,7 +31,6 @@ from .maximal import (
     maximal_field,
     window_grid,
 )
-from .propagator import pool_map
 
 SLOPE_TOLERANCE = 0.15
 
@@ -201,6 +201,21 @@ def _numerator_one_R(plan: ExperimentPlan, c: float, R: float) -> dict:
         "node_count_max": int(fld.node_count_max),
         "window": [float(lo), float(hi)],
     }
+
+
+def pool_map(fn, items, workers: int):
+    """Yield fn(item) for each item in order, on min(workers, len(items)) processes.
+
+    Results arrive in item order whatever the worker count, so a caller
+    that stops at an exception keeps every earlier result.
+    """
+
+    workers = min(workers, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
 #: numerator rows of the most recently used (plan, window constant) pairs

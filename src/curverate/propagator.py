@@ -87,7 +87,6 @@ m t max|xi|^{m-1}) * width.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -574,28 +573,6 @@ def evaluate(
     return FieldSample(x, t, complex(values[0, 0]), complex(initial[0]), int(used[0, 0]))
 
 
-def pool_map(fn, items, workers: int, chunksize: int = 1):
-    """Yield fn(item) for each item in order, on a process pool when workers > 1.
-
-    Results arrive in item order whatever the worker count, so a caller
-    that stops at an exception keeps every earlier result.
-    """
-
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
-
-
-def _grid_task(args):
-    profile, curve, m, x, t = args
-    try:
-        return ("ok", evaluate(profile, curve, m, x, t))
-    except (AccuracyError, DomainValidationError) as exc:
-        return ("err", (x, t, str(exc)))
-
-
 def evaluate_grid(
     profile: FrequencyProfile,
     curve: CurveSpec,
@@ -604,17 +581,22 @@ def evaluate_grid(
     t_list: Sequence[float],
     workers: int = 1,
 ):
-    """Evaluate at every (x, t) pair; pointwise-identical to evaluate().
+    """One evaluate() call per (x, t) pair, x-major, in the calling process.
 
-    Returns (samples, failures). Failures carry (x, t, message); successes
-    are kept. Results are assembled in grid order regardless of workers.
+    Returns (samples, failures) in grid order; a failure is (x, t, message)
+    of an AccuracyError or DomainValidationError. `workers` must be an
+    integer >= 1 (else DomainValidationError), but it starts no process.
     """
 
-    tasks = [(profile, curve, m, x, t) for x in x_grid for t in t_list]
-    chunksize = max(1, len(tasks) // (4 * workers))
-    results = list(pool_map(_grid_task, tasks, workers, chunksize))
-    samples = [payload for tag, payload in results if tag == "ok"]
-    failures = [payload for tag, payload in results if tag == "err"]
+    if not isinstance(workers, int) or workers < 1:
+        raise DomainValidationError("workers must be an integer >= 1")
+    samples, failures = [], []
+    for x in x_grid:
+        for t in t_list:
+            try:
+                samples.append(evaluate(profile, curve, m, x, t))
+            except (AccuracyError, DomainValidationError) as exc:
+                failures.append((x, t, str(exc)))
     return samples, failures
 
 

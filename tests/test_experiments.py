@@ -195,6 +195,39 @@ def test_numerator_cache_is_a_bounded_lru(monkeypatch):
     assert calls == [(1.0, R) for R in SMALL_PLAN.R_sequence]
 
 
+def test_pool_map_starts_no_more_processes_than_rows(monkeypatch):
+    from collections import OrderedDict
+    from dataclasses import replace
+
+    from curverate import experiments
+
+    asked = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(experiments, "_numerator_one_R", lambda plan, c, R: {"R": R})
+    monkeypatch.setattr(experiments, "_NUMERATOR_CACHE", OrderedDict())
+    rows = experiments._numerators(replace(SMALL_PLAN, workers=8), 0.0)
+    assert asked == [len(SMALL_PLAN.R_sequence)] == [4]
+    assert rows == [{"R": R} for R in SMALL_PLAN.R_sequence]
+    # one worker, or one row, runs in the calling process
+    assert list(experiments.pool_map(abs, [-1.0], 8)) == [1.0]
+    assert list(experiments.pool_map(abs, [-1.0, 2.0], 1)) == [1.0, 2.0]
+    assert asked == [4]
+
+
 def capped_plan(monkeypatch, workers=1):
     """A plan whose node cap, lowered to 2^11 nodes, is exceeded at R = 128.
 

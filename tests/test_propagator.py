@@ -216,6 +216,35 @@ def test_evaluate_grid_matches_pointwise_and_collects_failures(monkeypatch):
     assert failures[0][0] == 40.0
 
 
+def test_evaluate_grid_runs_in_the_calling_process(monkeypatch):
+    # workers is validated but starts no process, so a grid with a failure in
+    # the middle gives the workers=1 samples and failures, in grid order
+    import multiprocessing
+    from multiprocessing.process import BaseProcess
+
+    from curverate import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_grid started a process")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(BaseProcess, "start", refuse)
+    monkeypatch.setattr(propagator, "MAX_NODES", 256)
+    profile, xs, ts = gaussian_like(), [0.0, 40.0, 0.3], [0.01, 0.2]
+    serial = evaluate_grid(profile, STRAIGHT_1D, 2.0, xs, ts, workers=1)
+    samples, failures = evaluate_grid(profile, STRAIGHT_1D, 2.0, xs, ts, workers=2)
+    assert multiprocessing.active_children() == []
+    assert [(f[0], f[1]) for f in failures] == [(40.0, 0.01), (40.0, 0.2)]
+    assert repr((samples, failures)) == repr(serial)  # bit for bit, signed zeros too
+    assert [(s.x, s.t) for s in samples] == [(0.0, 0.01), (0.0, 0.2), (0.3, 0.01), (0.3, 0.2)]
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.0, "2"])
+def test_evaluate_grid_rejects_bad_worker_counts(workers):
+    with pytest.raises(DomainValidationError, match="workers"):
+        evaluate_grid(gaussian_like(), STRAIGHT_1D, 2.0, [0.0], [0.1], workers=workers)
+
+
 def test_batch_matches_pointwise():
     curve = CurveSpec(MINUS_SHIFT, alpha=0.5)
     profile = bump_dilated(64.0)
