@@ -2,9 +2,10 @@
 
 Two top-level classes matter for the CLI exit-code contract: domain or
 validation problems (exit code 1) and numerical-accuracy failures (exit
-code 2). Every accuracy error from a certified pass carries both the
+code 2). An accuracy error from a failed self-check carries both the
 coarse and the fine estimate, so a caller that accepts degraded accuracy
 does so explicitly: it catches AccuracyError and reads .coarse / .fine.
+A node budget past the cap raises before any pass runs: no estimates.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class ResolutionError(DomainValidationError):
 class AccuracyError(CurverateError):
     """Requested numerical accuracy could not be certified.
 
-    Carries the two conflicting estimates (coarse/fine) and a context
-    string. Silent degradation is forbidden; a caller that will accept
-    an uncertified value reads it from these estimates.
+    Carries a context string and, from a failed self-check, the two
+    conflicting estimates (coarse/fine; both None past the node cap, where
+    no pass ran). Silent degradation is forbidden; a caller that will
+    accept an uncertified value reads it from these estimates.
     """
 
     def __init__(self, message, coarse=None, fine=None, context=""):

@@ -14,15 +14,16 @@ golden-section step over a whole field is one call. A window
 (batch_values) sums each column over its points at once (see below).
 Both kernels share one front end: _check_domain rejects a bad m, t or x
 with DomainValidationError before any work, _node_budgets sets each node
-count from the phase's largest local frequency and _over_cap applies the
-node cap. f(x) comes from the pass that computes U f, so a failing f(x)
-reports t=0.0 in the AccuracyError context: the t = 0 column on a
-window, and on the pointwise kernel the (x, 0) pairs of point_values'
-one paired call (evaluate is point_values at one pair). Every value is
-certified: _certify re-runs the kernel at doubled nodes and demands
-agreement relative to the profile's L^1 mass scale (computed on the same
-rule) before reporting it; it forms the full bound only where the gap
-passes SELF_CHECK_TOL * mass.
+count from the phase's largest local frequency and _check_cap raises
+AccuracyError, with no estimates, for a budget past the node cap before
+either kernel runs. f(x) comes from the pass that computes U f, so a
+failing f(x) reports t=0.0 in the AccuracyError context: the t = 0
+column on a window, and on the pointwise kernel the (x, 0) pairs of
+point_values' one paired call (evaluate is point_values at one pair).
+Every value is certified: _certify re-runs the kernel at doubled nodes
+and demands agreement relative to the profile's L^1 mass scale (computed
+on the same rule) before reporting it; it forms the full bound only
+where the gap passes SELF_CHECK_TOL * mass.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
@@ -39,49 +40,47 @@ centred on the hull midpoint C. With the window centred too, the window
 sum is a chirp-z transform, one FFT convolution per time column, and no
 nx-by-n table is formed. Its column blocks run in place, written once
 into a time-major (times, points) pass that hands on its transpose. On
-data that vanish smoothly at the hull ends the midpoint rule is exact
-to rounding once its nodes sample faster than the integrand's largest
-local frequency; below one node per 2 pi
-radians it aliases. So a chirp-z window is budgeted at
-CHIRP_NODES_PER_RADIAN, a quarter of the Gauss-Legendre rate: 2.5
-nodes per 2 pi radians, 2.5 times the aliasing rate. At an eighth the
-self-check fails on the k = 6 and 8 lemma windows. The node-doubling
-self-check compares two chirp-z passes, so it cannot see an error both
-share. The chirp phases are exact to rounding (_chirp), and a guard
-(_chirp_phase_error) sends the window to Gauss-Legendre unless the
-window's distance from its uniform grid times the hull half-width, plus
-what rounding the chirp step h h_xi can move a phase, stays within
-PHASE_GUARD (1e-12 radians). Neither term depends on n, so the guard
-runs once per window, ahead of the budget. Every other window
-(indicator-band, one- and two-point windows, non-uniform windows,
-m != 2, and a window over the node cap) runs _quadrature with the
-centred direct table: each segment's table is e^{i x u}, u = xi - C
-about the same midpoint C, and each window point's output is multiplied
-by e^{i x C} next to the column scalars. Gauss-Legendre rules come from
-_weighted_rule, which caches up to RULE_CACHE_SIZE rules of at most
-CACHED_RULE_NODES budgeted nodes, each with f^ already multiplied into
-its weights, as read-only arrays.
+data that vanish smoothly at the hull ends the midpoint rule is exact to
+rounding once its nodes sample faster than the integrand's largest local
+frequency; below one node per 2 pi radians it aliases. So a chirp-z
+window is budgeted at CHIRP_NODES_PER_RADIAN, a quarter of the
+Gauss-Legendre rate: 2.5 nodes per 2 pi radians, 2.5 times the aliasing
+rate. At an eighth the self-check fails on the k = 6 and 8 lemma
+windows. The node-doubling self-check compares two chirp-z passes, so it
+cannot see an error both share. The chirp phases are exact to rounding
+(_chirp), and a guard (_chirp_phase_error) sends the window to
+Gauss-Legendre unless the window's distance from its uniform grid times
+the hull half-width, plus what rounding the chirp step h h_xi can move a
+phase, stays within PHASE_GUARD (1e-12 radians). Neither term depends on
+n, so the guard runs once per window, ahead of the budget. Every other
+window (indicator-band, one- and two-point windows, non-uniform windows
+and m != 2) runs _quadrature with the centred direct table: each
+segment's table is e^{i x u}, u = xi - C about the same midpoint C, and
+each window point's output is multiplied by e^{i x C} next to the column
+scalars. Gauss-Legendre rules come from _weighted_rule, which caches up
+to RULE_CACHE_SIZE rules of at most CACHED_RULE_NODES budgeted nodes,
+each with f^ already multiplied into its weights, as read-only arrays.
 
 Node budgets. A column's phase is theta(xi) = gamma xi + t|xi|^m, with
 gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
 window, and xi in the hull of the segments. Its phase variation is the
 largest |theta'| on that box times the segments' width, and its budget
 NODES_PER_RADIAN (10 nodes per 2 pi radians; CHIRP_NODES_PER_RADIAN on a
-chirp-z window) times that, BASE_NODES
-(64) at least, and SEGMENT_NODES (32) per segment where that is more; a
-certified pass over MAX_NODES (2^22) nodes raises AccuracyError. The
-budget is fixed, not a setting: it trades only cost against that error,
-and the self-check decides every value. BASE_NODES is the largest floor
-any family's data needs: on f^ alone (x = 0, t = 0) every coordinate
+chirp-z window) times that, BASE_NODES (64) at least, and SEGMENT_NODES
+(32) per segment where that is more; a certified pass over MAX_NODES
+(2^22) nodes raises AccuracyError before any kernel runs. The budget is
+fixed, not a setting: it trades only cost against that error, and the
+self-check decides every value. BASE_NODES is the largest floor any
+family's data needs: on f^ alone (x = 0, t = 0) every coordinate
 factor's rule passes the node-doubling check at its floor, and
 bump-modulated fails it at 32 (tests/test_propagator.py pins both). The
-per-segment floor matters on bourgain's d = 2 lattice factor, with
-three or more segments from R = 128. For m >= 1 theta' is monotone in
-gamma and in xi, so two corners of the box give it (phase_variation).
-At the stationary ("critical") times of the lower-bound arguments
-gamma + 2t xi nearly cancels over the support and the budget shrinks
-with it; it never exceeds the triangle-inequality bound (max|gamma| +
-m t max|xi|^{m-1}) * width.
+per-segment floor matters on bourgain's d = 2 lattice factor, with three
+or more segments from R = 128. For m >= 1 theta' is monotone in gamma
+and in xi, so two corners of the box give it (phase_variation). At the
+stationary ("critical") times of the lower-bound arguments gamma + 2t xi
+nearly cancels over the support and the budget shrinks with it; it never
+exceeds the triangle-inequality bound (max|gamma| + m t
+max|xi|^{m-1}) * width.
 """
 
 from __future__ import annotations
@@ -418,34 +417,29 @@ def _check_domain(m: float, xs, ts) -> None:
         raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
 
 
-def _over_cap(used, budgets):
-    """Both kernels' node cap, as (i, message, clamped); message is "" when every entry fits.
+def _check_cap(used, context: str, label) -> None:
+    """Both kernels' node cap, checked before either kernel runs.
 
-    used[i] is twice the sum of budgets[i]. i is the first entry over
-    MAX_NODES and clamped its budgets scaled to the cap, one panel at
-    least, as a (1, coordinates) array.
+    used[i] is the node count of entry i's certified (doubled) pass. The
+    first entry over MAX_NODES raises AccuracyError, named by context +
+    label(i). The error carries no estimates: no pass ran.
     """
     over = np.flatnonzero(used > MAX_NODES)
-    if not len(over):
-        return None, "", None
-    i = int(over[0])
-    row = budgets[i].tolist()
-    clamped = [max(PANEL_ORDER, b * MAX_NODES // (2 * sum(row))) for b in row]
-    return i, f"node budget {used[i]} exceeds cap {MAX_NODES}", np.array([clamped])
+    if len(over):
+        i = int(over[0])
+        raise AccuracyError(f"node budget {used[i]} exceeds cap {MAX_NODES}", context=context + label(i))
 
 
-def _certify(run, context: str, label, over_cap: str = ""):
+def _certify(run, context: str, label):
     """Node-doubling self-check shared by every evaluation path.
 
     run(doubling) returns (values, mass) on the rules with doubling times
     the budgeted nodes; mass is a scalar or has one entry per value.
     Returns the run(2) values once every entry agrees with run(1) to
     SELF_CHECK_TOL * max(|coarse|, |fine|, mass), formed only where the
-    gap passes the floor SELF_CHECK_TOL * mass. over_cap is the message
-    for a budget past the node cap, with run clamped to the cap: the pair
-    still runs so the AccuracyError carries both estimates (of the first
-    entry). label(k) names the k-th entry of the flattened values in the
-    error context.
+    gap passes the floor SELF_CHECK_TOL * mass. Otherwise it raises
+    AccuracyError with both estimates of the first failing entry, named
+    by context + label(k), k its index in the flattened values.
     """
 
     coarse, _ = run(1)
@@ -454,11 +448,11 @@ def _certify(run, context: str, label, over_cap: str = ""):
     bad = gap > SELF_CHECK_TOL * mass
     if bad.any():  # a gap past tol * mass fails unless tol * max(|coarse|, |fine|) covers it
         bad[bad] = gap[bad] > SELF_CHECK_TOL * np.maximum(abs(coarse[bad]), abs(fine[bad]))
-    if not (over_cap or bad.any()):
+    if not bad.any():
         return fine
-    k = 0 if over_cap else int(np.flatnonzero(bad)[0])
+    k = int(np.flatnonzero(bad)[0])
     coarse, fine = complex(np.ravel(coarse)[k]), complex(np.ravel(fine)[k])
-    raise AccuracyError(over_cap or "node-doubling self-check failed", coarse, fine, context + label(k))
+    raise AccuracyError("node-doubling self-check failed", coarse, fine, context + label(k))
 
 
 def _pair_budgets(factors, curve, m: float, points, ts):
@@ -493,7 +487,7 @@ def certified_value(
     call per coordinate, in chunks of at most PAIR_ELEMENTS columns times
     nodes, and one _certify covers them all with a per-pair mass. A
     failure names the first failing pair's x and t in the AccuracyError
-    context.
+    context; a pair past the node cap fails before any pair runs.
     """
 
     if np.ndim(t) != 1 or np.ndim(x) == 0 or len(x) != len(t):
@@ -511,9 +505,12 @@ def certified_value(
 
     factors = coordinate_factors(profile)
     gam, budgets, used = _pair_budgets(factors, curve, m, x, ts)
-    i, over_cap, clamped = _over_cap(used, budgets)
-    if over_cap:
-        x, ts, gam, budgets = [x[i]], ts[i : i + 1], gam[i : i + 1], clamped
+
+    def label(k):
+        return f", x={x[k]}, t={ts[k]}"
+
+    context = f"kind={profile.kind}"
+    _check_cap(used, context, label)
     scale = TWO_PI ** (-profile.d)
 
     def run(doubling):
@@ -536,10 +533,7 @@ def certified_value(
                     mass[chunk] *= l1
         return values * scale, mass * scale
 
-    def label(k):
-        return f", x={x[k]}, t={ts[k]}"
-
-    values = _certify(run, f"kind={profile.kind}", label, over_cap)
+    values = _certify(run, context, label)
     return values, int(used.sum())
 
 
@@ -641,12 +635,9 @@ def batch_values(
     chirp = (m == 2.0 and factor.smooth and len(xs) >= 3
              and _chirp_phase_error(xs, _hull(factor)[1]) <= PHASE_GUARD)
     counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor, chirp))
-    j, over_cap, clamped = _over_cap(2 * counts, counts[:, None])
-    if over_cap:
-        # both estimates at the window's farthest point from the origin, on the direct table
-        i = int(np.argmax(np.abs(xs)))
-        xs, ts, shifts, counts = xs[i : i + 1], ts[j : j + 1], shifts[j : j + 1], clamped[0]
-        chirp = False
+    context = f"kind={profile.kind}"
+    # an over-cap time names the window's farthest point from the origin
+    _check_cap(2 * counts, context, lambda j: f", x={xs[np.argmax(np.abs(xs))]}, t={ts[j]}")
 
     def run(doubling):
         values = np.empty((len(ts), len(xs)), dtype=np.complex128)  # time-major
@@ -664,7 +655,7 @@ def batch_values(
     def label(k):
         return f", x={xs[k // len(ts)]}, t={ts[k % len(ts)]}"
 
-    values = _certify(run, f"kind={profile.kind}", label, over_cap)
+    values = _certify(run, context, label)
     return values[:, :-1], values[:, -1], 2 * counts[:-1]
 
 

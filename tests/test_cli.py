@@ -145,7 +145,8 @@ def test_eval_success_and_accuracy_exit_codes():
     hard = run_cli("eval", "--family", "gaussian-like", "--x", "3e5", "--t", "1")
     assert hard.returncode == 2
     assert hard.stderr.startswith("accuracy error: node budget ") and "exceeds cap 4194304" in hard.stderr
-    assert "coarse=" in hard.stderr
+    assert "coarse=" not in hard.stderr  # no pass ran, so the error carries no estimates
+    assert hard.stderr.rstrip().endswith("[kind=gaussian-like, x=300000.0, t=1.0]")
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])

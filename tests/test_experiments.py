@@ -266,7 +266,8 @@ def test_run_failure_partial_diagnostics_independent_of_workers(monkeypatch):
     for workers in (1, 2):
         with pytest.raises(AccuracyError) as err:
             run(capped_plan(monkeypatch, workers))
-        assert err.value.coarse is not None and err.value.fine is not None
+        assert str(err.value).startswith("node budget ") and "exceeds cap 2048" in str(err.value)
+        assert err.value.coarse is None and err.value.fine is None
         partials.append(err.value.partial_diagnostics)
     assert partials[0] == partials[1]
 

@@ -116,6 +116,23 @@ def test_bourgain_window_properties():
     assert np.max(np.abs(window_transform(uu) - window_transform_direct(uu))) < 1e-12
 
 
+def test_window_transform_table_is_built_in_row_blocks():
+    # the 401-point build tables the shifted bump 16 points at a time: about
+    # 1.3 MB at the peak, where one 401 x 1536 table peaked at 15.9 MB
+    import tracemalloc
+
+    from curverate import initial_data
+
+    initial_data._window_transform_cheb.cache_clear()
+    tracemalloc.start()
+    try:
+        initial_data._window_transform_cheb()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_lattice_construction():
     assert lattice_scale(64.0, 2) == pytest.approx(64.0 ** (2.0 / 3.0))
     ells = lattice_points(64.0, 2)

@@ -186,10 +186,13 @@ def test_domain_errors():
                  np.array([0.1, 0.2]), 0.1)
 
 
-def test_node_cap_accuracy_error_carries_both_estimates(tight_cap):
+def test_node_cap_accuracy_error_carries_no_estimates(tight_cap):
+    # no pass runs past the cap, so there is nothing to attach
     with pytest.raises(AccuracyError) as err:
         evaluate(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0)
-    assert err.value.coarse is not None and err.value.fine is not None
+    assert err.value.coarse is None and err.value.fine is None
+    assert "coarse=" not in str(err.value)
+    assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
 def test_fractional_dispersion_runs():
@@ -283,10 +286,11 @@ def test_bourgain_d2_product_evaluation():
     assert np.isfinite(abs(s.value)) and abs(s.value) > 0.0
 
 
-def test_batch_node_cap_accuracy_error_carries_both_estimates(tight_cap):
+def test_batch_node_cap_accuracy_error_carries_no_estimates(tight_cap):
     with pytest.raises(AccuracyError) as err:
         batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0])
-    assert err.value.coarse is not None and err.value.fine is not None
+    assert err.value.coarse is None and err.value.fine is None
+    assert "coarse=" not in str(err.value)
     assert "x=40.0" in err.value.context and "t=1.0" in err.value.context
 
 
@@ -606,16 +610,18 @@ def test_chirp_window_self_check_failure_carries_both_estimates(monkeypatch):
     assert re.fullmatch(r"kind=gaussian-like, x=\S+, t=1\.0", err.value.context)
 
 
-def test_over_cap_on_a_chirp_window_falls_to_the_one_point_table(tight_cap):
-    # the cap applies to the chirp-z budget, which the message names
+def test_over_cap_on_a_chirp_window_raises_before_any_pass(tight_cap):
+    # the cap applies to the chirp-z budget, which the message names; the
+    # error names the window's farthest point and runs neither kernel
     (factor,) = coordinate_factors(gaussian_like())
     budget = bucket(node_budget(0.0, 40.0, 1.0, 2.0, factor, chirp=True))
     xs = np.array([0.0, 20.0, 40.0])
+    assert chirp_admits(xs, _hull(factor)[1])
     with kernel_paths() as paths, pytest.raises(AccuracyError) as err:
         batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0])
-    assert paths == ["gl", "gl"]
-    assert str(err.value).startswith(f"node budget {2 * budget} exceeds cap 128 (coarse=")
-    assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
+    assert paths == []
+    assert str(err.value) == f"node budget {2 * budget} exceeds cap 128 [kind=gaussian-like, x=40.0, t=1.0]"
+    assert err.value.coarse is None and err.value.fine is None
     assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
@@ -1286,8 +1292,8 @@ def test_paired_node_cap_names_the_first_pair_over_it(tight_cap):
         one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0)
     with pytest.raises(AccuracyError) as err:  # (0, 0) fits the cap, (40, 1) and (50, 1) do not
         certified_value(gaussian_like(), STRAIGHT_1D, 2.0, [0.0, 40.0, 50.0], [0.0, 1.0, 1.0])
-    assert err.value.coarse is not None and err.value.fine is not None
-    assert (err.value.coarse, err.value.fine) == (single.value.coarse, single.value.fine)
+    assert err.value.coarse is None and err.value.fine is None
+    assert single.value.coarse is None and single.value.fine is None
     assert str(err.value) == str(single.value)
     assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
@@ -1371,8 +1377,27 @@ def test_over_cap_error_names_the_doubled_budget(tight_cap, kernel):
         else:  # a window budgets the bucketed count
             budget = bucket(budget)
             batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0])
-    assert str(err.value).startswith(f"node budget {2 * budget} exceeds cap 128 (coarse=")
-    assert isinstance(err.value.coarse, complex) and isinstance(err.value.fine, complex)
+    assert str(err.value) == f"node budget {2 * budget} exceeds cap 128 [kind=gaussian-like, x=40.0, t=1.0]"
+    assert err.value.coarse is None and err.value.fine is None
+
+
+@pytest.mark.parametrize("kernel", ["pointwise", "window"])
+def test_over_cap_raises_before_either_kernel_runs(tight_cap, monkeypatch, kernel):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran past the node cap")
+
+    for name in ("_quadrature", "_chirp_window"):
+        monkeypatch.setattr(propagator, name, refuse)
+    with pytest.raises(AccuracyError) as err:
+        if kernel == "pointwise":  # (0, 0) fits the cap, (40, 1) does not
+            certified_value(gaussian_like(), STRAIGHT_1D, 2.0, [0.0, 40.0], [0.0, 1.0])
+        else:  # a uniform window of 129 points, which the chirp-z kernel would take
+            xs = np.linspace(0.0, 40.0, 129)
+            assert chirp_admits(xs, _hull(coordinate_factors(gaussian_like())[0])[1])
+            batch_values(gaussian_like(), STRAIGHT_1D, 2.0, xs, [1.0])
+    assert err.value.coarse is None and err.value.fine is None
+    assert str(err.value).startswith("node budget ") and "exceeds cap 128" in str(err.value)
+    assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
 # point_values: U f and f(x) on the pointwise kernel, in one certified pass
