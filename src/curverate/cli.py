@@ -13,26 +13,21 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .curves import CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, verify_regularity
 from .errors import AccuracyError, CurverateError, DomainValidationError
 from .exponents import HOLDER, LIPSCHITZ, Regime, law_for, region_curve
 from .experiments import ExperimentPlan, run as run_experiment, sharpness_sweep
-from .initial_data import BUMP_MODULATED, GAUSSIAN_LIKE, gaussian_like, sobolev_norm
+from .initial_data import BUMP_MODULATED, GAUSSIAN_LIKE, FrequencyProfile, gaussian_like, sobolev_norm
 from .maximal import (
     LEMMA_REGIMES,
     TimeGrid,
-    admissible_window,
     calibrate_window_constant,
-    critical_time,
+    family_field,
     family_spec,
     lemma_bound,
     lemma_empirical,
-    maximal_field,
     rate_ceiling_demo,
-    window_grid,
 )
 from .propagator import evaluate
 from .reports import envelope, write_csv, write_gnuplot, write_report
@@ -64,6 +59,19 @@ def _check_finite(args) -> None:
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float):
                 _finite(v, "x coordinate" if name == "x" else "--" + name.replace("_", "-"))
+
+
+def _flags(args, **overrides) -> dict:
+    """The config a report echoes: every parsed flag but the subcommand words and output paths."""
+    skip = {"command", "func", "mode", "out", "csv"}
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, **overrides}
+
+
+def _profile(args, d: int) -> FrequencyProfile:
+    """--family's datum at --R and --epsilon in dimension d."""
+    if args.family == GAUSSIAN_LIKE:
+        return FrequencyProfile(GAUSSIAN_LIKE, d=d)
+    return family_spec(args.family).profile(args.R, args.epsilon, d)
 
 
 def _emit(args, command: str, config: dict, result: dict) -> None:
@@ -116,15 +124,6 @@ def cmd_exponent(args) -> int:
         if args.out:
             write_csv(args.out, ["delta", "s", "piece_index"], rows)
         return 0
-    config = {
-        "d": args.d,
-        "alpha": str(args.alpha),
-        "m": str(args.m),
-        "smoothness": args.smoothness,
-        "delta_min": str(args.delta_min),
-        "delta_max": str(args.delta_max),
-        "steps": args.steps,
-    }
     result = {
         "regime_id": law.regime_id,
         "delta_max": float(law.delta_max),
@@ -135,7 +134,7 @@ def cmd_exponent(args) -> int:
             for a in annotations
         ],
     }
-    _emit(args, "exponent-region", config, result)
+    _emit(args, "exponent-region", _flags(args), result)
     if args.out:
         write_csv(args.out.rsplit(".", 1)[0] + ".csv", ["delta", "s", "piece_index"], rows)
     return 0
@@ -143,90 +142,40 @@ def cmd_exponent(args) -> int:
 
 def cmd_curve(args) -> int:
     spec = CurveSpec(_CURVES[args.kind], alpha=args.alpha, d=args.d)
-    n = max(10, int(math.isqrt(args.samples)))
+    if args.samples < 1000:
+        raise DomainValidationError(f"--samples={args.samples} must be at least 1000")
+    n = max(32, math.isqrt(args.samples))  # n^2 >= 1000 point/time pairs
     report = verify_regularity(spec, n_space=n, n_time=n)
-    config = {"kind": args.kind, "alpha": args.alpha, "d": args.d, "samples": args.samples}
-    _emit(args, "curve-verify", config, report.to_dict())
+    _emit(args, "curve-verify", _flags(args), report.to_dict())
     return 0
 
 
 def cmd_data(args) -> int:
-    if args.family == GAUSSIAN_LIKE:
-        if args.d != 1:
-            raise DomainValidationError(f"{GAUSSIAN_LIKE} data are one-dimensional, not d={args.d}")
-        profile = gaussian_like()
-    else:
-        profile = family_spec(args.family).profile(args.R, args.epsilon, args.d)
-    svals = args.s_values
-    norms = {str(s): sobolev_norm(profile, s) for s in svals}
-    config = {
-        "family": args.family,
-        "R": args.R,
-        "epsilon": args.epsilon,
-        "d": args.d,
-        "s_values": svals,
-    }
+    profile = _profile(args, args.d)
     result = {
         "support_box": [list(iv) for iv in profile.support_box],
-        "sobolev_norms": norms,
+        "sobolev_norms": {str(s): sobolev_norm(profile, s) for s in args.s_values},
     }
-    _emit(args, "data-info", config, result)
+    _emit(args, "data-info", _flags(args), result)
     return 0
 
 
 def cmd_eval(args) -> int:
-    profile = (
-        gaussian_like()
-        if args.family == GAUSSIAN_LIKE
-        else family_spec(args.family).profile(args.R, args.epsilon, 1)
-    )
+    profile = _profile(args, 1)
     curve = CurveSpec(_CURVES[args.curve], alpha=args.alpha, d=1)
     sample = evaluate(profile, curve, args.m, args.x, args.t)
-    config = {
-        "family": args.family,
-        "R": args.R,
-        "epsilon": args.epsilon,
-        "curve": args.curve,
-        "alpha": args.alpha,
-        "m": args.m,
-        "x": args.x,
-        "t": args.t,
-    }
-    _emit(args, "eval", config, sample.to_dict())
+    _emit(args, "eval", _flags(args), sample.to_dict())
     return 0
 
 
 def cmd_maximal(args) -> int:
-    family = args.family
-    spec = family_spec(family)
-    curve = CurveSpec(spec.curve, alpha=args.alpha, d=1)
-    c = args.c if args.c is not None else calibrate_window_constant(family, args.alpha)
-    R = args.R
-    lo, hi = admissible_window(family, R, args.alpha, args.epsilon, c)
-    xs = window_grid(lo, hi, args.x_points)
+    c = args.c if args.c is not None else calibrate_window_constant(args.family, args.alpha)
     grid = TimeGrid(args.j_min, args.j_max, points_per_octave=args.points_per_octave)
-    tc = None
-    if args.inject_critical:
-        tc = np.array(
-            [critical_time(family, curve, R, args.epsilon, float(x), window_constant=c) for x in xs]
-        )
-    profile = spec.profile(R, args.epsilon, 1)
-    fld = maximal_field(profile, curve, args.m, args.delta, xs, grid, critical_times=tc)
-    config = {
-        "family": family,
-        "R": R,
-        "alpha": args.alpha,
-        "m": args.m,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "x_points": args.x_points,
-        "j_min": args.j_min,
-        "j_max": args.j_max,
-        "points_per_octave": args.points_per_octave,
-        "inject_critical": bool(args.inject_critical),
-        "c": c,
-    }
-    _emit(args, "maximal", config, fld.to_dict())
+    fld = family_field(
+        args.family, args.R, args.alpha, args.epsilon, c, args.m, args.delta, args.x_points, grid,
+        args.inject_critical,
+    )
+    _emit(args, "maximal", _flags(args, c=c), fld.to_dict())
     if args.csv:
         write_csv(
             args.csv,
@@ -250,9 +199,8 @@ def cmd_lemma_check(args) -> int:
     bound = lemma_bound(regime, args.k, args.j)
     curve = CurveSpec(MINUS_SHIFT, alpha=regime.alpha if holder else 1.0, d=1)
     empirical = lemma_empirical(regime, args.k, args.j, curve)
-    config = {"lemma": args.lemma, "k": args.k, "j": args.j, "alpha": args.alpha, "d": args.d}
     result = {"empirical": empirical, "bound": bound, "ratio": empirical / bound}
-    _emit(args, "lemma-check", config, result)
+    _emit(args, "lemma-check", _flags(args), result)
     return 0
 
 
@@ -314,13 +262,12 @@ def cmd_ceiling_demo(args) -> int:
     curve = CurveSpec(MINUS_SHIFT, alpha=args.alpha, d=1)
     profile = gaussian_like()
     pairs, running = rate_ceiling_demo(profile, curve, x_star=args.x_star)
-    config = {"alpha": args.alpha, "x_star": args.x_star}
     result = {
         "pairs": [[t, r] for t, r in pairs],
         "running_infimum": running,
         "floor": running[-1],
     }
-    _emit(args, "ceiling-demo", config, result)
+    _emit(args, "ceiling-demo", _flags(args), result)
     return 0
 
 

@@ -19,18 +19,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import SCHEMA_VERSION
-from .curves import CurveSpec
 from .errors import CurverateError, DomainValidationError
 from .initial_data import sobolev_norm
-from .maximal import (
-    TimeGrid,
-    calibrate_window_constant,
-    critical_time,
-    family_spec,
-    l2_over_ball,
-    maximal_field,
-    window_grid,
-)
+from .maximal import TimeGrid, calibrate_window_constant, family_field, family_spec, l2_over_ball
+from .reports import dumps
 
 SLOPE_TOLERANCE = 0.15
 
@@ -171,7 +163,7 @@ class ScalingReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "ScalingReport":
@@ -182,24 +174,19 @@ def _numerator_one_R(plan: ExperimentPlan, c: float, R: float) -> dict:
     """L^2-over-window of the rate-weighted sup for one R (s-independent)."""
 
     spec = family_spec(plan.family)
-    curve = CurveSpec(spec.curve, alpha=plan.alpha, d=1)
-    profile = spec.profile(R, plan.epsilon, 1)
-    lo, hi = spec.window(R, plan.alpha, plan.epsilon, c)
-    xs = window_grid(lo, hi, plan.x_points)
-    tc = np.array(
-        [critical_time(plan.family, curve, R, plan.epsilon, float(x), window_constant=c) for x in xs]
-    )
     octaves = spec.octaves(R, plan.alpha, plan.epsilon, c) if spec.octaves else (None, None)
     grid = TimeGrid(*octaves, points_per_octave=plan.points_per_octave)
-    fld = maximal_field(profile, curve, plan.m, plan.delta, xs, grid, critical_times=tc)
-    l2 = l2_over_ball(fld)
+    fld = family_field(
+        plan.family, R, plan.alpha, plan.epsilon, c, plan.m, plan.delta, plan.x_points, grid,
+        inject=True,
+    )
     return {
         "R": float(R),
-        "l2": float(l2),
+        "l2": l2_over_ball(fld),
         "argmax_t_min": float(np.min(fld.argmax_times)),
         "argmax_t_max": float(np.max(fld.argmax_times)),
         "node_count_max": int(fld.node_count_max),
-        "window": [float(lo), float(hi)],
+        "window": [float(v) for v in spec.window(R, plan.alpha, plan.epsilon, c)],
     }
 
 

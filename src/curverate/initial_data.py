@@ -173,6 +173,8 @@ class FrequencyProfile:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainValidationError(f"unknown profile kind {self.kind!r}")
+        if self.kind not in (BUMP_TENSOR, BOURGAIN) and self.d != 1:
+            raise DomainValidationError(f"{self.kind} data are one-dimensional, not d={self.d}")
         if not (math.isfinite(self.R) and math.isfinite(self.epsilon)):
             raise DomainValidationError(f"R={self.R} and epsilon={self.epsilon} must be finite")
         if self.kind in (BUMP_DILATED, BUMP_MODULATED, BUMP_TENSOR, INDICATOR_BAND, BOURGAIN):
@@ -182,8 +184,6 @@ class FrequencyProfile:
             raise DomainValidationError("epsilon must be >= 0")
         if self.kind == BOURGAIN and self.d not in (1, 2):
             raise DomainValidationError("bourgain profiles are built for d in {1, 2} only")
-        if self.kind not in (BUMP_TENSOR, BOURGAIN) and self.d != 1:
-            raise DomainValidationError(f"{self.kind} is one-dimensional")
         if self.kind == ANNULUS_BUMP and self.scale_index < 1:
             raise DomainValidationError("annulus-bump needs scale index k >= 1")
 

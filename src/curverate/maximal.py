@@ -46,11 +46,8 @@ from .initial_data import (
     FrequencyProfile,
     annulus_bump,
     bourgain_profile,
-    bump_dilated,
-    bump_modulated,
     bump_tensor,
     decay_threshold,
-    indicator_band,
 )
 from .propagator import X_CHUNK
 from .propagator import batch_values, certified_value, point_values
@@ -150,17 +147,6 @@ def _window_constant(family: str, c: Optional[float]) -> float:
     return c
 
 
-def _one_dimensional(family: str, make: Callable) -> Callable:
-    """profile(R, epsilon, d) for data that take no dimension: d must be 1."""
-
-    def profile(R, eps, d):
-        if d != 1:
-            raise DomainValidationError(f"{family} data are one-dimensional, not d={d}")
-        return make(R)
-
-    return profile
-
-
 # The calibration predicates restate at desk scale the pointwise
 # inequalities the lower-bound arguments need:
 #   bump-modulated: the window clears the bump transform's decay threshold
@@ -185,7 +171,7 @@ def _one_dimensional(family: str, make: Callable) -> Callable:
 FAMILIES: Dict[str, Family] = {
     BUMP_DILATED: Family(
         curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha < 1/2", alpha_ok=lambda a: a < 0.5,
-        profile=_one_dimensional(BUMP_DILATED, bump_dilated),
+        profile=lambda R, eps, d: FrequencyProfile(BUMP_DILATED, d=d, R=float(R)),
         window=lambda R, a, eps, c: (0.5 * c * R ** (-2.0 * a), c * R ** (-2.0 * a)),
         calibrated=lambda c, a, R_min, R_max: (
             c * R_min ** (-2.0 * a) <= 0.9
@@ -198,7 +184,7 @@ FAMILIES: Dict[str, Family] = {
     ),
     BUMP_MODULATED: Family(
         curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha >= 1/4", alpha_ok=lambda a: a >= 0.25,
-        profile=_one_dimensional(BUMP_MODULATED, bump_modulated),
+        profile=lambda R, eps, d: FrequencyProfile(BUMP_MODULATED, d=d, R=float(R)),
         window=lambda R, a, eps, c: (0.5 * c, c),
         calibrated=lambda c, a, R_min, R_max: c <= 0.9 and 0.5 * c * R_min >= decay_threshold(),
         critical=lambda x1, R, a, eps, c: _bisect_root(
@@ -220,7 +206,7 @@ FAMILIES: Dict[str, Family] = {
     ),
     INDICATOR_BAND: Family(
         curve=PLUS_SHIFT, x_sign=0, alpha_rule="alpha <= 1/2", alpha_ok=lambda a: a <= 0.5,
-        profile=_one_dimensional(INDICATOR_BAND, indicator_band),
+        profile=lambda R, eps, d: FrequencyProfile(INDICATOR_BAND, d=d, R=float(R)),
         window=lambda R, a, eps, c: (-c, c),
         calibrated=lambda c, a, R_min, R_max: c ** a + c <= 0.35,
         critical=lambda x1, R, a, eps, c: _window_constant(INDICATOR_BAND, c) * R ** (-1.0 / a),
@@ -488,6 +474,34 @@ def l2_over_ball(fld: MaximalField) -> float:
 def window_grid(lo: float, hi: float, n: int = 129) -> np.ndarray:
     """n midpoints of equal cells tiling [lo, hi]."""
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+def family_field(
+    family: str,
+    R: float,
+    alpha: float,
+    epsilon: float,
+    c: float,
+    m: float,
+    delta: float,
+    x_points: int,
+    grid: TimeGrid,
+    inject: bool,
+) -> MaximalField:
+    """The family's maximal field at one R: its datum on its curve over
+    x_points midpoints of its admissible window (window constant c), with
+    each point's critical time injected when inject is set."""
+
+    spec = family_spec(family)
+    curve = CurveSpec(spec.curve, alpha=alpha, d=1)
+    profile = spec.profile(R, epsilon, 1)
+    xs = window_grid(*spec.window(R, alpha, epsilon, c), x_points)
+    tc = None
+    if inject:
+        tc = np.array(
+            [critical_time(family, curve, R, epsilon, float(x), window_constant=c) for x in xs]
+        )
+    return maximal_field(profile, curve, m, delta, xs, grid, critical_times=tc)
 
 
 # ---------------------------------------------------------------------------

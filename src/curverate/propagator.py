@@ -636,8 +636,12 @@ def batch_values(
              and _chirp_phase_error(xs, _hull(factor)[1]) <= PHASE_GUARD)
     counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor, chirp))
     context = f"kind={profile.kind}"
-    # an over-cap time names the window's farthest point from the origin
-    _check_cap(2 * counts, context, lambda j: f", x={xs[np.argmax(np.abs(xs))]}, t={ts[j]}")
+
+    def cap_label(j):  # an over-cap time names the window's farthest point, if it has one
+        far = f", x={xs[np.argmax(np.abs(xs))]}" if len(xs) else ""
+        return f"{far}, t={ts[j]}"
+
+    _check_cap(2 * counts, context, cap_label)
 
     def run(doubling):
         values = np.empty((len(ts), len(xs)), dtype=np.complex128)  # time-major

@@ -89,6 +89,22 @@ def test_readme_cli_commands_parse():
         assert callable(args.func), words
 
 
+@pytest.mark.parametrize("samples", ["-5", "999"])
+def test_curve_verify_rejects_fewer_than_a_thousand_samples(samples):
+    proc = run_cli("curve", "verify", "--kind", "minus", "--samples", samples)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --samples={samples} must be at least 1000\n" and proc.stdout == ""
+
+
+def test_curve_verify_takes_a_thousand_samples_on_a_32_by_32_grid():
+    # 1000 to 1023 samples round up to the 32 x 32 grid of 1024, which isqrt gives exactly
+    low, exact = (run_cli("curve", "verify", "--kind", "minus", "--samples", n)
+                  for n in ("1000", "1024"))
+    assert low.returncode == exact.returncode == 0, low.stderr
+    assert load_report(low.stdout)["result"] == load_report(exact.stdout)["result"]
+    assert load_report(low.stdout)["config"]["samples"] == 1000
+
+
 def test_curve_verify_json():
     proc = run_cli("curve", "verify", "--kind", "minus", "--alpha", "0.5", "--d", "1",
                    "--samples", "1600")
@@ -132,7 +148,7 @@ def test_data_info_rejects_a_dimension_the_family_does_not_take(family):
     proc = run_cli("data", "info", "--family", family, "--R", "16", "--d", "2")
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert family in proc.stderr and "d=2" in proc.stderr
+    assert proc.stderr == f"error: {family} data are one-dimensional, not d=2\n"
 
 
 def test_eval_success_and_accuracy_exit_codes():
@@ -215,6 +231,33 @@ def test_reports_echo_every_argument_that_changes_them(argv, flag):
     plain, flagged = run_cli(*argv), run_cli(*argv, *flag)
     assert plain.returncode == flagged.returncode == 0, flagged.stderr
     assert load_report(plain.stdout)["config"] != load_report(flagged.stdout)["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent", "region", "--alpha", "1/2", "--delta-max", "1/4", "--steps", "4"],
+    ["curve", "verify", "--kind", "plus", "--alpha", "0.5", "--samples", "1024"],
+    ["data", "info", "--family", "bump-tensor", "--d", "2", "--s-values", "0,0.5"],
+    ["eval", "--family", "gaussian-like", "--x", "0.3", "--t", "0.2", "--curve", "minus"],
+    [*MAXIMAL_BAND, "--inject-critical", "--csv", "field.csv"],
+    [*MAXIMAL_BAND, "--c", "0.1"],
+    ["lemma-check", "--lemma", "2", "--k", "3", "--j", "4"],
+    ["ceiling-demo", "--x-star", "0.2"],
+], ids=["exponent-region", "curve-verify", "data-info", "eval", "maximal-calibrated-c",
+        "maximal-given-c", "lemma-check", "ceiling-demo"])
+def test_a_report_config_is_its_parsed_flags(argv, tmp_path, monkeypatch, capsys):
+    from curverate.cli import build_parser, main
+    from curverate.maximal import calibrate_window_constant
+
+    monkeypatch.chdir(tmp_path)
+    argv = [*argv, "--out", "report.json"]
+    assert main(argv) == 0
+    config = load_report(capsys.readouterr().out)["config"]
+    flags = vars(build_parser().parse_args(argv))
+    want = {k: v for k, v in flags.items() if k not in ("command", "func", "mode", "out", "csv")}
+    if flags["command"] == "maximal" and flags["c"] is None:  # the calibrated constant
+        want["c"] = calibrate_window_constant(flags["family"], flags["alpha"])
+    assert config == json.loads(json.dumps(want))
+    assert "c" not in want or config["c"] is not None
 
 
 def test_scaling_validation_exit_code():

@@ -221,6 +221,15 @@ def test_profile_validation():
         annulus_bump(0)
 
 
+@pytest.mark.parametrize(
+    "kind", ["bump-dilated", "bump-modulated", "indicator-band", "annulus-bump", "gaussian-like"]
+)
+def test_a_one_dimensional_kind_rejects_another_dimension(kind):
+    # checked before the scale, so a bad R does not hide the dimension
+    with pytest.raises(DomainValidationError, match=f"^{kind} data are one-dimensional, not d=2$"):
+        FrequencyProfile(kind, d=2, R=0.5, scale_index=1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["R", "epsilon"])
 @pytest.mark.parametrize("kind", ["bump-dilated", "bump-modulated", "bump-tensor", "indicator-band"])

@@ -29,6 +29,7 @@ from curverate.maximal import (
     admissible_window,
     calibrate_window_constant,
     critical_time,
+    family_field,
     l2_over_ball,
     lemma_bound,
     lemma_empirical,
@@ -507,6 +508,23 @@ def test_injection_is_one_window_pass_per_block(monkeypatch, family, alpha, octa
         start += len(block_xs)
     if family == INDICATOR_BAND:  # its critical time does not depend on x
         assert [len(t) for _, t in calls] == [1, 1]
+
+
+@pytest.mark.parametrize("family,alpha,inject", [
+    (BUMP_MODULATED, 0.5, True), (BUMP_MODULATED, 0.5, False), (BOURGAIN, 0.5, True),
+    (INDICATOR_BAND, 0.25, True),
+])
+def test_family_field_is_the_field_assembled_by_hand(family, alpha, inject):
+    R, n = 64.0, 17
+    profile, curve, c, xs, tc = injected_field(family, alpha, R, n)
+    octaves = FAMILIES[family].octaves
+    grid = TimeGrid(*octaves(R, alpha, 0.0, c), points_per_octave=2) if octaves else TimeGrid()
+    want = maximal_field(profile, curve, 2.0, 0.1, xs, grid, critical_times=tc if inject else None)
+    got = family_field(family, R, alpha, 0.0, c, 2.0, 0.1, n, grid, inject)
+    assert np.array_equal(got.xs, want.xs) and got.ball == want.ball
+    assert np.array_equal(got.sup_values, want.sup_values)
+    assert np.array_equal(got.argmax_times, want.argmax_times)
+    assert got.node_count_max == want.node_count_max
 
 
 def serial_inject(profile, curve, delta, x, tc):

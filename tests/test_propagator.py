@@ -1400,6 +1400,17 @@ def test_over_cap_raises_before_either_kernel_runs(tight_cap, monkeypatch, kerne
     assert err.value.context == "kind=gaussian-like, x=40.0, t=1.0"
 
 
+def test_an_empty_window_past_the_cap_names_its_time_and_no_point():
+    below = batch_values(bump_modulated(64.0), STRAIGHT_1D, 2.0, np.zeros(0), [0.01, 0.5])
+    assert below[0].shape == (0, 2) and below[1].shape == (0,)
+    assert below[2].tolist() == [32768, 1048576]
+    with pytest.raises(AccuracyError) as err:
+        batch_values(bump_modulated(4096.0), STRAIGHT_1D, 2.0, np.zeros(0), [1.0])
+    assert str(err.value).startswith("node budget ") and "exceeds cap 4194304" in str(err.value)
+    assert err.value.context == "kind=bump-modulated, t=1.0"
+    assert err.value.coarse is None and err.value.fine is None
+
+
 # point_values: U f and f(x) on the pointwise kernel, in one certified pass
 
 
