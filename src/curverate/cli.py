@@ -169,6 +169,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_maximal(args) -> int:
+    if args.j_min is None and args.j_max is None and not args.inject_critical:
+        raise DomainValidationError("maximal needs a time grid (--j-min and --j-max) or --inject-critical")
     c = args.c if args.c is not None else calibrate_window_constant(args.family, args.alpha)
     grid = TimeGrid(args.j_min, args.j_max, points_per_octave=args.points_per_octave)
     fld = family_field(

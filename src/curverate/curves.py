@@ -64,20 +64,12 @@ class CurveSpec:
         return self.gamma_fn is None
 
     def shift(self, t: float) -> float:
-        """First-coordinate displacement gamma(x,t)_1 - x_1 at time t."""
+        """First-coordinate displacement gamma(x,t)_1 - x_1 at time t: gamma_pairs at (0, t)."""
         if not self.is_shift:
             raise DomainValidationError(
                 "curve has a general gamma_fn; its displacement depends on x"
             )
-        if t == 0.0:
-            if self.kind == CUSTOM:
-                s0 = self.shift_fn(0.0)
-                if s0 != 0.0:
-                    raise DomainValidationError(
-                        "custom curve violates gamma(x,0) = x (shift_fn(0) != 0)"
-                    )
-            return 0.0
-        return self._displacements([t])[0]
+        return float(gamma_pairs(self, np.zeros((1, self.d)), [t])[0, 0])
 
     def _displacements(self, times) -> list:
         """shift(t) for each nonzero time, one list comprehension for all of them.
@@ -96,50 +88,40 @@ class CurveSpec:
 
 
 def gamma(spec: CurveSpec, x, t: float):
-    """Evaluate the curve. Bitwise x at t = 0 (no arithmetic performed)."""
+    """Evaluate the curve: gamma_pairs at the one pair (x, t). Bitwise x at t = 0 (x itself)."""
 
-    if not abs(t) <= 1:
-        raise DomainValidationError(f"|t|={abs(t)} exceeds the curve's time domain [-1, 1]")
-    if not spec.is_shift:
-        if t == 0.0:
-            g0 = np.asarray(spec.gamma_fn(x, 0.0), dtype=float)
-            if not np.array_equal(g0, np.asarray(x, dtype=float)):
-                raise DomainValidationError("custom curve violates gamma(x,0) = x")
-            return x
-        out = spec.gamma_fn(x, t)
-        return float(out) if spec.d == 1 and np.isscalar(x) else np.asarray(out, dtype=float)
+    g = gamma_pairs(spec, [x], [t])[0]
     if t == 0.0:
-        spec.shift(0.0)  # still runs the custom-curve contract check
         return x
-    s = spec.shift(t)
-    if spec.d == 1 and np.isscalar(x):
-        return x + s
-    out = np.array(x, dtype=float, copy=True)
-    out[0] += s
-    return out
+    return float(g[0]) if spec.d == 1 and np.isscalar(x) else g
 
 
 def gamma_pairs(spec: CurveSpec, points, ts) -> np.ndarray:
-    """gamma(points[i], ts[i]) for each pair, bit for bit, as a (pairs, d) array.
+    """gamma(points[i], ts[i]) for each pair, as a (pairs, d) array.
 
-    A shift curve adds its displacements to the first coordinates in one
-    step, with no method call per time; a general curve calls gamma_fn
-    pair by pair.
+    gamma(x, 0) is x itself, with no arithmetic. A shift curve adds its
+    displacements to the first coordinates in one step; a general curve
+    calls gamma_fn pair by pair. Either way a pair at t = 0 runs the
+    custom-curve check of gamma(x, 0) = x.
     """
 
     ts = np.asarray(ts, dtype=float)
-    if not spec.is_shift:
-        return np.array(
-            [np.atleast_1d(np.asarray(gamma(spec, p, float(t)), dtype=float))
-             for p, t in zip(points, ts)]
-        ).reshape(len(ts), spec.d)
     if not np.all(np.abs(ts) <= 1):
         raise DomainValidationError(f"|t|={np.max(np.abs(ts))} exceeds the curve's time domain [-1, 1]")
+    if not spec.is_shift:
+        rows = []
+        for p, t in zip(points, ts.tolist()):
+            x = np.atleast_1d(np.asarray(p, dtype=float))
+            g = np.atleast_1d(np.asarray(spec.gamma_fn(p, t), dtype=float))
+            if t == 0.0 and not np.array_equal(g, x):
+                raise DomainValidationError("custom curve violates gamma(x,0) = x")
+            rows.append(x if t == 0.0 else g)
+        return np.array(rows).reshape(len(ts), spec.d)
     out = np.array(points, dtype=float).reshape(len(ts), spec.d)
-    moved = ts != 0.0  # gamma(x, 0) is x itself, with no arithmetic
+    moved = ts != 0.0
     out[moved, 0] += spec._displacements(ts[moved].tolist())
-    if not moved.all():
-        spec.shift(0.0)  # still runs the custom-curve contract check
+    if spec.kind == CUSTOM and not moved.all() and spec.shift_fn(0.0) != 0.0:
+        raise DomainValidationError("custom curve violates gamma(x,0) = x (shift_fn(0) != 0)")
     return out
 
 
@@ -197,8 +179,9 @@ def verify_regularity(spec: CurveSpec, n_space: int = 40, n_time: int = 40) -> R
     hol = 0.0
     count = 0
 
+    points = pts if spec.d > 1 else pts[:, 0].tolist()
     for t in ts:
-        gs = np.array([np.atleast_1d(gamma(spec, p if spec.d > 1 else float(p[0]), float(t))) for p in pts])
+        gs = gamma_pairs(spec, points, np.full(len(pts), t))
         for i in range(len(pts) - 1):
             dx = np.linalg.norm(pts[i + 1] - pts[i])
             if dx == 0.0:
@@ -209,16 +192,13 @@ def verify_regularity(spec: CurveSpec, n_space: int = 40, n_time: int = 40) -> R
             bil_hi = max(bil_hi, r)
             count += 1
 
-    x0 = pts[0] if spec.d > 1 else float(pts[0][0])
+    path = gamma_pairs(spec, [points[0]] * len(ts), ts)  # the curve through the first point
     for i in range(len(ts)):
         for j in (0, len(ts) // 3, 2 * len(ts) // 3):
-            ti, tj = float(ts[i]), float(ts[j])
-            dt = abs(ti - tj)
+            dt = abs(float(ts[i]) - float(ts[j]))
             if dt == 0.0:
                 continue
-            gi = np.atleast_1d(gamma(spec, x0, ti))
-            gj = np.atleast_1d(gamma(spec, x0, tj))
-            hol = max(hol, float(np.linalg.norm(gi - gj)) / dt ** spec.alpha)
+            hol = max(hol, float(np.linalg.norm(path[i] - path[j])) / dt ** spec.alpha)
             count += 1
 
     if count == 0:

@@ -140,65 +140,49 @@ def _upper_envelope(lines, delta_max):
     return tuple(Piece(lo, hi, slope, intercept) for (slope, intercept, lo), hi in zip(hull, his))
 
 
-def _law_lipschitz(d: int) -> RegimeLaw:
-    q = Fraction(d, 2 * (d + 1))
-    return RegimeLaw("lipschitz", _upper_envelope([(1, q), (2, 0)], _ONE), _ONE)
-
-
-def _law_holder_high(alpha) -> RegimeLaw:
-    lines = [(1, _QUARTER), (2, 0)]
-    return RegimeLaw("holder-high-alpha", _upper_envelope(lines, alpha), alpha)
-
-
-def _law_holder_low(alpha) -> RegimeLaw:
-    # First piece extended to delta = 0 by continuity.
-    lines = [(2, _HALF - alpha), (_ONE / alpha, 0)]
-    return RegimeLaw("holder-low-alpha", _upper_envelope(lines, alpha), alpha)
-
-
-def _law_holder_mid(alpha) -> RegimeLaw:
-    lines = [(1, _QUARTER), (2, _HALF - alpha), (_ONE / alpha, 0)]
-    return RegimeLaw("holder-mid-alpha", _upper_envelope(lines, alpha), alpha)
-
-
-def _law_subunit_high(alpha, m) -> RegimeLaw:
-    lines = [(0, (2 - m) / 4), (m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
-    return RegimeLaw("subunit-m-high-alpha", _upper_envelope(lines, alpha), alpha)
-
-
-def _law_subunit_low(alpha, m) -> RegimeLaw:
-    lines = [(m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
-    return RegimeLaw("subunit-m-low-alpha", _upper_envelope(lines, alpha), alpha)
-
-
-def _law_superunit_high(alpha, m) -> RegimeLaw:
+def _high(d, alpha, m):
     # for alpha <= 1/4 (possible once m >= 4) the second line never leads
-    lines = [(m - 1, _QUARTER), (m, 0)]
-    return RegimeLaw("superunit-m-high-alpha", _upper_envelope(lines, alpha), alpha)
+    return [(m - 1, _QUARTER), (m, 0)]
 
 
-def _law_superunit_low(alpha, m) -> RegimeLaw:
-    # Second piece is delta/alpha, fixed from the adjacent laws by
-    # continuity at delta = alpha/2 (both sides equal 1/2 there).
-    lines = [(m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
-    return RegimeLaw("superunit-m-low-alpha", _upper_envelope(lines, alpha), alpha)
-
-
-def _superunit_lines(alpha, m):
+def _mid(d, alpha, m):
     # at parameter corners such as alpha = 1/(2(m-1)) the middle line never leads
     return [(m - 1, _QUARTER), (m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
 
 
-def _law_superunit_mid(alpha, m) -> RegimeLaw:
-    lines = _superunit_lines(alpha, m)
-    return RegimeLaw("superunit-m-mid-alpha", _upper_envelope(lines, alpha), alpha)
+def _low(d, alpha, m):
+    # The last piece is delta/alpha, fixed from the adjacent laws by
+    # continuity at delta = alpha/2 (both sides equal 1/2 there); the first
+    # piece is extended to delta = 0 by continuity.
+    return [(m, (1 - m * alpha) / 2), (_ONE / alpha, 0)]
 
 
-def _law_superunit_near_half(alpha, m) -> RegimeLaw:
-    # m in (1,2), alpha in [1/2, 1/m): the mid-alpha lines, continuous with
-    # the mid-alpha law at alpha = 1/2 and the high-alpha law at alpha = 1/m
-    lines = _superunit_lines(alpha, m)
-    return RegimeLaw("superunit-m-near-half-alpha", _upper_envelope(lines, alpha), alpha)
+#: regime id -> its affine bounds (d, alpha, m) -> [(slope, intercept), ...]:
+#: ten ids on five line families. At m = 2 the Hölder laws are the
+#: superunit laws, over the same alpha bands (alpha >= 1/m, alpha <= 1/(2m)
+#: and between); the m in (1, 2) near-half band takes the mid-alpha lines,
+#: continuous with the mid-alpha law at alpha = 1/2 and the high-alpha law
+#: at alpha = 1/m.
+_LAW_LINES = {
+    "lipschitz": lambda d, alpha, m: [(1, Fraction(d, 2 * (d + 1))), (2, 0)],
+    "holder-high-alpha": _high,
+    "holder-mid-alpha": _mid,
+    "holder-low-alpha": _low,
+    "subunit-m-high-alpha": lambda d, alpha, m: [
+        (0, (2 - m) / 4), (m, (1 - m * alpha) / 2), (_ONE / alpha, 0)
+    ],
+    "subunit-m-low-alpha": _low,
+    "superunit-m-high-alpha": _high,
+    "superunit-m-mid-alpha": _mid,
+    "superunit-m-near-half-alpha": _mid,
+    "superunit-m-low-alpha": _low,
+}
+
+
+def _regime_law(regime_id: str, d: int, alpha, m) -> RegimeLaw:
+    """The law of _LAW_LINES[regime_id] at (d, alpha, m), on [0, alpha)."""
+
+    return RegimeLaw(regime_id, _upper_envelope(_LAW_LINES[regime_id](d, alpha, m), alpha), alpha)
 
 
 def law_for(regime: Regime) -> RegimeLaw:
@@ -208,11 +192,11 @@ def law_for(regime: Regime) -> RegimeLaw:
 
     if regime.smoothness == LIPSCHITZ:
         if m == 2:
-            return _law_lipschitz(d)
+            return _regime_law("lipschitz", d, _ONE, m)
         if 0 < m < 1:
-            return _law_subunit_high(alpha, m)
+            return _regime_law("subunit-m-high-alpha", d, alpha, m)
         if m > 1:
-            return _law_superunit_high(alpha, m)
+            return _regime_law("superunit-m-high-alpha", d, alpha, m)
         raise UnsupportedRegimeError(f"no law for Lipschitz regime with m={m}")
 
     if d != 1:
@@ -221,34 +205,27 @@ def law_for(regime: Regime) -> RegimeLaw:
             "(higher dimensions need the Lipschitz law)"
         )
 
-    if m == 2:
-        if alpha == 1:
-            return _law_superunit_high(alpha, m)
-        if _HALF <= alpha:
-            return _law_holder_high(alpha)
-        if alpha <= _QUARTER:
-            return _law_holder_low(alpha)
-        return _law_holder_mid(alpha)
-
     if 0 < m < 1:
-        if alpha > _HALF:
-            return _law_subunit_high(alpha, m)
-        return _law_subunit_low(alpha, m)
+        band = "high" if alpha > _HALF else "low"
+        return _regime_law(f"subunit-m-{band}-alpha", d, alpha, m)
 
     if m > 1:
         inv_m = _ONE / m
         if alpha >= inv_m:
-            return _law_superunit_high(alpha, m)
-        if alpha <= inv_m / 2:
-            return _law_superunit_low(alpha, m)
-        if alpha < _HALF:
-            return _law_superunit_mid(alpha, m)
-        if m < 2:
-            return _law_superunit_near_half(alpha, m)
-        raise UnsupportedRegimeError(
-            f"(alpha={alpha}, m={m}) is covered by no threshold law "
-            "(the near-half-alpha band is empty for m >= 2)"
-        )
+            band = "high"
+        elif alpha <= inv_m / 2:
+            band = "low"
+        elif alpha < _HALF:
+            band = "mid"
+        elif m < 2:
+            band = "near-half"
+        else:
+            raise UnsupportedRegimeError(
+                f"(alpha={alpha}, m={m}) is covered by no threshold law "
+                "(the near-half-alpha band is empty for m >= 2)"
+            )
+        prefix = "holder" if m == 2 and alpha != 1 else "superunit-m"  # alpha = 1 keeps superunit
+        return _regime_law(f"{prefix}-{band}-alpha", d, alpha, m)
 
     raise UnsupportedRegimeError(f"no threshold law covers m={m}")
 

@@ -349,8 +349,10 @@ def coordinate_factors(profile: FrequencyProfile):
 
 
 def fourier_eval(profile: FrequencyProfile, eta):
-    """f^(eta). Exactly zero outside the support box.
+    """f^(eta): the product of the coordinate factors. Exactly zero outside the support box.
 
+    eta is one point of R^d (a scalar at d = 1), giving a complex value,
+    or an (n, d) array of points ((n,) at d = 1), giving n real values.
     The bourgain family is defined in physical space; its Fourier side is
     not exposed here (use physical_eval / the propagator, which work from
     the tensor factors directly).
@@ -360,17 +362,15 @@ def fourier_eval(profile: FrequencyProfile, eta):
         raise DomainValidationError(
             "fourier_eval is unsupported for the bourgain family (physical-space construction)"
         )
-    factors = coordinate_factors(profile)
-    if profile.d == 1:
-        vals = factors[0].func(np.asarray(eta, dtype=float))
-        return vals if np.ndim(eta) else complex(np.asarray(vals).ravel()[0])
-    pt = np.asarray(eta, dtype=float)
-    if pt.shape != (profile.d,):
-        raise DomainValidationError(f"eta must be a point in R^{profile.d}")
-    out = 1.0
-    for j, f in enumerate(factors):
-        out *= float(np.atleast_1d(f.func(pt[j]))[0])
-    return complex(out)
+    pts = np.asarray(eta, dtype=float)
+    if profile.d == 1 and pts.ndim < 2:
+        pts = pts[..., None]
+    if pts.ndim > 2 or pts.shape[-1:] != (profile.d,):
+        raise DomainValidationError(f"eta must be a point in R^{profile.d} or an (n, {profile.d}) array")
+    out = np.ones(pts.shape[:-1])
+    for j, f in enumerate(coordinate_factors(profile)):
+        out = out * f.func(pts[..., j])
+    return out if out.ndim else complex(out)
 
 
 def physical_eval(profile: FrequencyProfile, x):
@@ -391,25 +391,22 @@ def physical_eval(profile: FrequencyProfile, x):
 
 
 def bourgain_physical(profile: FrequencyProfile, x):
-    """Closed product formula for the bourgain family in physical space."""
+    """Closed product formula for the bourgain family in physical space.
+
+    e^{iRx_1} phi(sqrt(R) x_1), times phi(x_2) and the lattice sum
+    sum_l e^{iDlx_2} at d = 2.
+    """
 
     if profile.kind != BOURGAIN:
         raise DomainValidationError("bourgain_physical needs a bourgain profile")
-    R = profile.R
-    if profile.d == 1:
-        x1 = float(x) if np.isscalar(x) else float(np.asarray(x).ravel()[0])
-        return complex(np.exp(1j * R * x1) * window_physical(math.sqrt(R) * x1))
-    x = np.asarray(x, dtype=float)
-    x1, x2 = float(x[0]), float(x[1])
-    D = lattice_scale(R, profile.d)
-    ells = np.array(lattice_points(R, profile.d), dtype=float)
-    lattice = np.sum(np.exp(1j * D * ells * x2)) if len(ells) else 0.0 + 0.0j
-    return complex(
-        np.exp(1j * R * x1)
-        * window_physical(math.sqrt(R) * x1)
-        * window_physical(x2)
-        * lattice
-    )
+    R, x = profile.R, np.ravel(np.asarray(x, dtype=float))
+    value = np.exp(1j * R * float(x[0])) * window_physical(math.sqrt(R) * float(x[0]))
+    if profile.d == 2:
+        D = lattice_scale(R, profile.d)
+        ells = np.array(lattice_points(R, profile.d), dtype=float)
+        lattice = np.sum(np.exp(1j * D * ells * float(x[1]))) if len(ells) else 0.0 + 0.0j
+        value = value * window_physical(float(x[1])) * lattice
+    return complex(value)
 
 
 def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
@@ -425,27 +422,20 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
     factors = coordinate_factors(profile)
 
     def integral(nodes):
-        if profile.d == 1:
-            total = 0.0
-            for lo, hi in factors[0].segments:
-                xs, ws = panel_nodes(lo, hi, nodes)
-                fv = np.abs(np.atleast_1d(factors[0].func(xs))) ** 2
-                total += float(np.sum(ws * (1.0 + xs * xs) ** s * fv))
-            return total
-        # tensor grid with the full (1 + |xi|^2)^s coupling (d = 2 in practice)
-        grids = []
+        grids = []  # per coordinate: nodes, weights and |f^| over all its segments
         for f in factors:
-            xs_all, ws_all, fv_all = [], [], []
-            for lo, hi in f.segments:
-                xs, ws = panel_nodes(lo, hi, nodes)
-                xs_all.append(xs)
-                ws_all.append(ws)
-                fv_all.append(np.abs(np.atleast_1d(f.func(xs))))
-            grids.append(
-                (np.concatenate(xs_all), np.concatenate(ws_all), np.concatenate(fv_all))
-            )
+            rules = [panel_nodes(lo, hi, nodes) for lo, hi in f.segments]
+            xs, ws = (np.concatenate(parts) for parts in zip(*rules))
+            fv = np.concatenate([np.abs(np.atleast_1d(f.func(x))) for x, _ in rules])
+            grids.append((xs, ws, fv))
+        if profile.d == 1:
+            # at most two segments of equal node counts, so numpy's pairwise
+            # sum splits where they meet: the sum of the per-segment sums
+            x1, w1, f1 = grids[0]
+            return float(np.sum(w1 * (1.0 + x1 * x1) ** s * (f1 * f1)))
         if profile.d != 2:
             raise DomainValidationError("sobolev_norm supports d in {1, 2}")
+        # tensor grid with the full (1 + |xi|^2)^s coupling
         (x1, w1, f1), (x2, w2, f2) = grids
         weight = (1.0 + x1[:, None] ** 2 + x2[None, :] ** 2) ** s
         return float(((w1 * f1 * f1) @ weight) @ (w2 * f2 * f2))

@@ -490,9 +490,12 @@ def family_field(
 ) -> MaximalField:
     """The family's maximal field at one R: its datum on its curve over
     x_points midpoints of its admissible window (window constant c), with
-    each point's critical time injected when inject is set."""
+    each point's critical time injected when inject is set. An alpha
+    outside the family's alpha_rule raises DomainValidationError."""
 
     spec = family_spec(family)
+    if not spec.alpha_ok(alpha):
+        raise DomainValidationError(f"{family} runs need {spec.alpha_rule}")
     curve = CurveSpec(spec.curve, alpha=alpha, d=1)
     profile = spec.profile(R, epsilon, 1)
     xs = window_grid(*spec.window(R, alpha, epsilon, c), x_points)

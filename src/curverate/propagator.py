@@ -12,8 +12,9 @@ row sums one column per pair. Each pair keeps its own node budget, and
 the pairs whose budgets agree run as columns of one kernel call, so a
 golden-section step over a whole field is one call. A window
 (batch_values) sums each column over its points at once (see below).
-Both kernels share one front end: _check_domain rejects a bad m, t or x
-with DomainValidationError before any work, _node_budgets sets each node
+Both kernels share one front end: _check_domain rejects a bad m, t or x,
+or a curve whose dimension differs from the datum's, with
+DomainValidationError before any work, _node_budgets sets each node
 count from the phase's largest local frequency and _check_cap raises
 AccuracyError, with no estimates, for a budget past the node cap before
 either kernel runs. f(x) comes from the pass that computes U f, so a
@@ -405,8 +406,9 @@ def _chirp_window(factor, n: int, shifts, ts, xs):
     return out, h_xi * float(np.sum(np.abs(fv)))
 
 
-def _check_domain(m: float, xs, ts) -> None:
-    """Both kernels' domain check: m > 0 (so not NaN), every t in [0, 1], every x finite."""
+def _check_domain(profile, curve, m: float, xs, ts) -> None:
+    """Both kernels' domain check: m > 0 (so not NaN), every t in [0, 1], every x finite,
+    the curve in the datum's dimension, and m = 2 in dimension d > 1."""
     if not m > 0:
         raise DomainValidationError(f"dispersion power m={m} must be positive")
     outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
@@ -415,6 +417,10 @@ def _check_domain(m: float, xs, ts) -> None:
     bad = xs[~np.isfinite(xs)]
     if len(bad):
         raise DomainValidationError(f"x coordinate {bad[0]} is not finite")
+    if curve.d != profile.d:
+        raise DomainValidationError("curve and profile dimensions disagree")
+    if profile.d > 1 and m != 2.0:
+        raise DomainValidationError("fractional dispersion (m != 2) is one-dimensional")
 
 
 def _check_cap(used, context: str, label) -> None:
@@ -497,11 +503,7 @@ def certified_value(
             f"got {got[0]} x for {got[1]} t"
         )
     ts = np.asarray(t, dtype=float)
-    _check_domain(m, np.asarray(x, dtype=float), ts)
-    if curve.d != profile.d:
-        raise DomainValidationError("curve and profile dimensions disagree")
-    if profile.d > 1 and m != 2.0:
-        raise DomainValidationError("fractional dispersion (m != 2) is one-dimensional")
+    _check_domain(profile, curve, m, np.asarray(x, dtype=float), ts)
 
     factors = coordinate_factors(profile)
     gam, budgets, used = _pair_budgets(factors, curve, m, x, ts)
@@ -628,9 +630,9 @@ def batch_values(
         )
     xs = np.asarray(xs, dtype=float)
     ts = np.array([float(t) for t in ts] + [0.0])  # last column: f(x)
-    _check_domain(m, xs, ts)
+    _check_domain(profile, curve, m, xs, ts)
     (factor,) = coordinate_factors(profile)
-    shifts = np.array([curve.shift(t) for t in ts], dtype=float)
+    shifts = gamma_pairs(curve, np.zeros(len(ts)), ts)[:, 0]  # gamma(0, t): the displacements
     xlo, xhi = (float(np.min(xs)), float(np.max(xs))) if len(xs) else (0.0, 0.0)
     chirp = (m == 2.0 and factor.smooth and len(xs) >= 3
              and _chirp_phase_error(xs, _hull(factor)[1]) <= PHASE_GUARD)

@@ -93,10 +93,11 @@ def test_c01_threshold_atlas_integrity():
             vals = [threshold(r, i * step) for i in range(1000)]
             assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:])), law.regime_id
         # the m>1 high-alpha law at m=2 reproduces the m=2 high-alpha law
-        from curverate.exponents import _law_holder_high, _law_superunit_high
+        from curverate.exponents import _regime_law
 
         for alpha in (F(1, 2), F(3, 4), F(9, 10)):
-            a, b = _law_holder_high(alpha), _law_superunit_high(alpha, F(2))
+            a = _regime_law("holder-high-alpha", 1, alpha, 2)
+            b = _regime_law("superunit-m-high-alpha", 1, alpha, F(2))
             for i in range(1000):
                 d = alpha * i / 1000
                 assert a(d) == b(d)

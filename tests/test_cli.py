@@ -455,6 +455,32 @@ def test_maximal_rejects_an_empty_window(n):
     assert proc.stderr == "error: maximal_field needs at least one point\n" and proc.stdout == ""
 
 
+def test_maximal_rejects_an_alpha_outside_the_family_rule():
+    proc = run_cli(
+        "maximal", "--family", "bump-modulated", "--R", "64", "--alpha", "0.1", "--x-points", "5",
+        "--inject-critical",
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: bump-modulated runs need alpha >= 1/4\n" and proc.stdout == ""
+
+
+def test_maximal_without_times_fails_before_any_work(monkeypatch, capsys):
+    from curverate import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximal ran without a time grid or critical times")
+
+    monkeypatch.setattr(cli, "calibrate_window_constant", refuse)
+    monkeypatch.setattr(cli, "family_field", refuse)
+    argv = ["maximal", "--family", "bourgain", "--R", "64", "--alpha", "0.5", "--x-points", "17"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: maximal needs a time grid (--j-min and --j-max) or --inject-critical\n"
+    proc = run_cli(*argv)
+    assert proc.returncode == 1 and proc.stderr == err and proc.stdout == ""
+
+
 def test_ceiling_demo():
     proc = run_cli("ceiling-demo", "--alpha", "0.5", "--x-star", "0.3")
     assert proc.returncode == 0

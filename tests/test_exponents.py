@@ -201,14 +201,26 @@ def test_monotone_nondecreasing_on_grid():
 
 def test_superunit_m2_reproduces_holder_high_law():
     # the m>1 high-alpha law at m=2 equals the m=2 high-alpha Hölder law
-    from curverate.exponents import _law_holder_high, _law_superunit_high
+    from curverate.exponents import _regime_law
 
     alpha = F(3, 4)
-    a = _law_holder_high(alpha)
-    b = _law_superunit_high(alpha, F(2))
+    a = _regime_law("holder-high-alpha", 1, alpha, 2)
+    b = _regime_law("superunit-m-high-alpha", 1, alpha, F(2))
     for i in range(200):
         d = alpha * i / 200
         assert a(d) == b(d)
+
+
+@pytest.mark.parametrize("alpha,band", [(F(3, 4), "high"), (F(1, 3), "mid"), (F(1, 5), "low")])
+def test_m2_holder_laws_are_the_superunit_laws_at_m2(alpha, band):
+    # the three m = 2 Hölder bands are the superunit bands at m = 2, on the same lines
+    from curverate.exponents import _regime_law
+
+    holder = law_for(Regime(d=1, alpha=alpha, m=2))
+    superunit = _regime_law(f"superunit-m-{band}-alpha", 1, alpha, F(2))
+    assert holder.regime_id == f"holder-{band}-alpha"
+    assert holder.pieces == superunit.pieces and holder.delta_max == superunit.delta_max
+    assert len(holder.pieces) == {"high": 2, "mid": 3, "low": 2}[band]
 
 
 def test_classify_examples():

@@ -93,6 +93,30 @@ def test_support_boxes():
     assert lo == pytest.approx(centre - 5.0) and hi == pytest.approx(centre + 5.0)
 
 
+@pytest.mark.parametrize("profile", [
+    bump_tensor(16.0, 0.1, d=2), bump_tensor(8.0, 0.0, d=3), bump_dilated(64.0), gaussian_like(),
+    indicator_band(8.0), bump_modulated(16.0), annulus_bump(4),
+])
+def test_fourier_eval_on_an_array_is_the_per_point_calls_bit_for_bit(profile):
+    rng = np.random.default_rng(3)
+    boxes = profile.support_box
+    pts = np.column_stack([rng.uniform(lo - 1.0, hi + 1.0, 37) for lo, hi in boxes])
+    pts[::6] = [0.5 * (lo + hi) for lo, hi in boxes]
+    arg = pts if profile.d > 1 else pts[:, 0]  # (n, d) points, (n,) at d = 1
+    got = fourier_eval(profile, arg)
+    want = np.array([fourier_eval(profile, p if profile.d > 1 else float(p[0])).real for p in pts])
+    assert got.shape == (37,) and got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got) >= 7
+    if profile.d == 1:  # an (n, 1) array is n points of R^1 too
+        assert fourier_eval(profile, pts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eta", [np.zeros((4, 3)), np.zeros(3), np.zeros((2, 2, 2)), 0.5])
+def test_fourier_eval_rejects_points_of_another_dimension(eta):
+    with pytest.raises(DomainValidationError, match=r"eta must be a point in R\^2 or an \(n, 2\) array"):
+        fourier_eval(bump_tensor(16.0, 0.1, d=2), eta)
+
+
 def test_fourier_eval_bourgain_unsupported():
     with pytest.raises(DomainValidationError):
         fourier_eval(bourgain_profile(16.0), 16.0)
@@ -155,6 +179,19 @@ def test_lattice_factor_is_the_sum_over_lattice_points(R):
     for e in (eta, eta[2000]):
         got, want = factor.func(e), per_point(e)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("profile,s", [(bump_dilated(64.0), 0.7), (gaussian_like(0.5), 1.3)])
+def test_sobolev_norm_at_d1_is_the_sum_of_its_segment_sums_bit_for_bit(profile, s):
+    from curverate.quadrature import PANEL_ORDER, panel_nodes
+
+    (factor,) = coordinate_factors(profile)
+    assert len(factor.segments) == 2  # split at 0
+    total = 0.0
+    for lo, hi in factor.segments:
+        xs, ws = panel_nodes(lo, hi, 128 * PANEL_ORDER)
+        total += float(np.sum(ws * (1.0 + xs * xs) ** s * np.abs(factor.func(xs)) ** 2))
+    assert sobolev_norm(profile, s) == math.sqrt(total)
 
 
 def test_sobolev_norm_examples():

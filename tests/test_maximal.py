@@ -394,6 +394,33 @@ def test_injection_off_the_window_path_fails_before_any_work(monkeypatch, profil
     assert calls == []
 
 
+@pytest.mark.parametrize("grid,critical", [
+    (TimeGrid(), True),                                   # critical times only
+    (TimeGrid(4, 4, points_per_octave=1), False),        # two grid times: no refinement
+    (TimeGrid(4, 8, points_per_octave=2), False),        # a grid the refinement would search
+])
+def test_a_window_field_on_a_curve_of_another_dimension_fails_before_any_work(monkeypatch, grid, critical):
+    calls = []
+    for stage in ("_quadrature", "_chirp_window"):
+        monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
+    xs = np.linspace(0.1, 0.2, 5)
+    tc = np.full(len(xs), 0.01) if critical else None
+    with pytest.raises(DomainValidationError, match="curve and profile dimensions disagree"):
+        maximal_field(gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2), 2.0, 0.1, xs, grid,
+                      critical_times=tc)
+    assert calls == []
+
+
+@pytest.mark.parametrize("family,alpha", [(BUMP_MODULATED, 0.1), (BUMP_DILATED, 0.5), (INDICATOR_BAND, 0.75)])
+def test_family_field_rejects_an_alpha_outside_its_rule(monkeypatch, family, alpha):
+    calls = count_certified_calls(monkeypatch)
+    monkeypatch.setattr(maximal, "batch_values", lambda *a, **k: calls.append(a))
+    rule = FAMILIES[family].alpha_rule
+    with pytest.raises(DomainValidationError, match=f"^{family} runs need {rule}$"):
+        family_field(family, 64.0, alpha, 0.0, 0.5, 2.0, 0.1, 5, TimeGrid(4, 8), True)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "profile,curve", [(indicator_band(64.0), PLUS_HALF), (bump_dilated(16.0), WOBBLE)]
 )

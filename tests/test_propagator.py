@@ -1367,6 +1367,22 @@ def test_both_kernels_reject_a_time_outside_the_unit_interval(t):
         certified_value(g, STRAIGHT_1D, 2.0, [0.1, 0.2], [0.5, t])
 
 
+def test_both_kernels_reject_a_curve_of_another_dimension_before_any_work(monkeypatch):
+    calls = []
+    for stage in ("_pair_budgets", "_quadrature", "_chirp_window"):
+        monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
+    g, plane = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
+    with pytest.raises(DomainValidationError, match="curve and profile dimensions disagree"):
+        batch_values(g, plane, 2.0, np.linspace(-1.0, 1.0, 5), [0.1])
+    with pytest.raises(DomainValidationError, match="curve and profile dimensions disagree"):
+        certified_value(g, plane, 2.0, [0.1], [0.1])
+    with pytest.raises(DomainValidationError, match="curve and profile dimensions disagree"):
+        certified_value(bump_tensor(16.0, 0.1, d=2), STRAIGHT_1D, 2.0, [[0.1, 0.2]], [0.1])
+    with pytest.raises(DomainValidationError, match=r"fractional dispersion \(m != 2\) is one-dimensional"):
+        certified_value(bump_tensor(16.0, 0.1, d=2), plane, 1.5, [[0.1, 0.2]], [0.1])
+    assert calls == []
+
+
 @pytest.mark.parametrize("kernel", ["pointwise", "window"])
 def test_over_cap_error_names_the_doubled_budget(tight_cap, kernel):
     (factor,) = coordinate_factors(gaussian_like())
