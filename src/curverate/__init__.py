@@ -26,7 +26,6 @@ from .exponents import Regime, RegimeLaw, RatePoint, threshold, classify, region
 from .curves import CurveSpec, RegularityReport, gamma, verify_regularity  # noqa: F401
 from .initial_data import (  # noqa: F401
     FrequencyProfile,
-    BumpFunction,
     bump_eval,
     fourier_eval,
     physical_eval,

@@ -30,7 +30,7 @@ from .maximal import (
     rate_ceiling_demo,
 )
 from .propagator import evaluate
-from .reports import envelope, write_csv, write_gnuplot, write_report
+from .reports import csv_text, envelope, write_csv, write_gnuplot, write_report
 
 _CURVES = {"minus": MINUS_SHIFT, "plus": PLUS_SHIFT, "straight": STRAIGHT}
 
@@ -117,12 +117,11 @@ def cmd_exponent(args) -> int:
     deltas = [lo + i * step for i in range(args.steps)]
     samples, annotations = region_curve(regime, deltas)
     rows = [(float(d), float(s), idx) for d, s, idx in samples]
+    header = ["delta", "s", "piece_index"]
     if args.mode == "table":
-        sys.stdout.write("delta,s,piece_index\n")
-        for d, s, idx in rows:
-            sys.stdout.write(f"{d!r},{s!r},{idx}\n")
+        sys.stdout.write(csv_text(header, rows))
         if args.out:
-            write_csv(args.out, ["delta", "s", "piece_index"], rows)
+            write_csv(args.out, header, rows)
         return 0
     result = {
         "regime_id": law.regime_id,
@@ -136,7 +135,7 @@ def cmd_exponent(args) -> int:
     }
     _emit(args, "exponent-region", _flags(args), result)
     if args.out:
-        write_csv(args.out.rsplit(".", 1)[0] + ".csv", ["delta", "s", "piece_index"], rows)
+        write_csv(args.out.rsplit(".", 1)[0] + ".csv", header, rows)
     return 0
 
 

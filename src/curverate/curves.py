@@ -102,12 +102,18 @@ def gamma_pairs(spec: CurveSpec, points, ts) -> np.ndarray:
     gamma(x, 0) is x itself, with no arithmetic. A shift curve adds its
     displacements to the first coordinates in one step; a general curve
     calls gamma_fn pair by pair. Either way a pair at t = 0 runs the
-    custom-curve check of gamma(x, 0) = x.
+    custom-curve check of gamma(x, 0) = x. points must hold one point of
+    d coordinates per time (a scalar each at d = 1), else
+    DomainValidationError.
     """
 
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.abs(ts) <= 1):
         raise DomainValidationError(f"|t|={np.max(np.abs(ts))} exceeds the curve's time domain [-1, 1]")
+    shape = np.shape(points)
+    if shape != (len(ts), spec.d) and not (spec.d == 1 and shape == (len(ts),)):
+        raise DomainValidationError(f"gamma needs {len(ts)} points of {spec.d} coordinates, a scalar each "
+                                    f"at d = 1, one per time: got shape {shape}")
     if not spec.is_shift:
         rows = []
         for p, t in zip(points, ts.tolist()):

@@ -90,9 +90,7 @@ class ExperimentPlan:
         Rs = tuple(self.R_sequence)
         if len(Rs) < 4 or any(b <= a for a, b in zip(Rs, Rs[1:])):
             raise DomainValidationError("R_sequence must be strictly increasing, length >= 4")
-        spec = family_spec(self.family)
-        if not spec.alpha_ok(self.alpha):
-            raise DomainValidationError(f"{self.family} runs need {spec.alpha_rule}")
+        family_spec(self.family, self.alpha)
         if self.workers < 1:
             raise DomainValidationError("workers must be >= 1")
 

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainValidationError
-from .quadrature import PANEL_ORDER, panel_nodes
+from .errors import DomainValidationError
+from .quadrature import PANEL_ORDER, _certify, panel_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,37 +40,25 @@ BUMP_NORMALIZATION = 142.2503757770958681
 # scan of bump_transform (see tests/test_initial_data.py).
 DECAY_THRESHOLD = 11.200000000000001
 GAUSSIAN_HALFWIDTH = 8.0  # gaussian-like truncation: f^ = 0 where |xi - center| > 8
-SOBOLEV_REL_TOL = 1e-9    # sobolev_norm's panel-doubling tolerance
-
-
-@dataclass(frozen=True)
-class BumpFunction:
-    """The normalized mollifier: smooth, >= 0, supported in [-1/2, 1/2], mass 1."""
-
-    normalization: float = BUMP_NORMALIZATION
-    support: tuple = (-0.5, 0.5)
-
-    def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        inside = np.abs(xi) < 0.5
-        x2 = xi[inside] ** 2
-        out[inside] = self.normalization * np.exp(-1.0 / (0.25 - x2))
-        return out if out.ndim else float(out)
-
-
-BUMP = BumpFunction()
 
 
 def bump_eval(xi):
-    """g(xi): zero outside [-1/2, 1/2], c*exp(-1/(1/4 - xi^2)) inside."""
-    return BUMP(xi)
+    """g(xi), the normalized mollifier: zero outside [-1/2, 1/2], c*exp(-1/(1/4 - xi^2)) inside.
+
+    Smooth, >= 0 and of unit mass (c = BUMP_NORMALIZATION).
+    """
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros_like(xi)
+    inside = np.abs(xi) < 0.5
+    x2 = xi[inside] ** 2
+    out[inside] = BUMP_NORMALIZATION * np.exp(-1.0 / (0.25 - x2))
+    return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=1)
 def _bump_rule():
     xs, ws = panel_nodes(-0.5, 0.5, 96 * PANEL_ORDER)
-    return xs, ws, BUMP(xs)
+    return xs, ws, bump_eval(xs)
 
 
 @lru_cache(maxsize=1)
@@ -95,7 +83,7 @@ def window_transform_direct(u):
     mask = np.abs(u) < 1.0
     if mask.any():  # 16 points per bump table: the 401-point Chebyshev build holds no 401-row one
         inside, wg = u[mask], ws * gv
-        out[mask] = TWO_PI * np.concatenate([BUMP(inside[a : a + 16, None] - xs) @ wg
+        out[mask] = TWO_PI * np.concatenate([bump_eval(inside[a : a + 16, None] - xs) @ wg
                                              for a in range(0, len(inside), 16)])
     return out if out.shape != (1,) else float(out[0])
 
@@ -184,13 +172,15 @@ class FrequencyProfile:
             raise DomainValidationError("epsilon must be >= 0")
         if self.kind == BOURGAIN and self.d not in (1, 2):
             raise DomainValidationError("bourgain profiles are built for d in {1, 2} only")
+        if self.kind == BOURGAIN and self.d == 2 and not lattice_points(self.R, 2):
+            raise DomainValidationError(f"bourgain d = 2 has no lattice point at R={self.R}")
         if self.kind == ANNULUS_BUMP and self.scale_index < 1:
             raise DomainValidationError("annulus-bump needs scale index k >= 1")
 
     @property
     def support_box(self):
         """Product of closed intervals containing supp(f^)."""
-        return tuple((seg[0][0], seg[-1][1]) for seg in _segments(self))
+        return tuple(f.hull for f in coordinate_factors(self))
 
 
 def bump_dilated(R: float) -> FrequencyProfile:
@@ -239,9 +229,10 @@ def lattice_points(R: float, d: int):
 class CoordinateFactor:
     """One coordinate of a product profile.
 
-    segments: disjoint closed intervals whose union contains the factor's
-    support (quadrature integrates each separately, so endpoint
-    discontinuities such as the indicator band stay exact).
+    segments: disjoint closed intervals, ascending and at least one,
+    whose union contains the factor's support (quadrature integrates each
+    separately, so endpoint discontinuities such as the indicator band
+    stay exact).
     func: vectorized Fourier-side factor, exactly 0 outside the segments.
     smooth: func is C^inf across the hull of the segments, vanishing there
     to all orders at both ends, so the trapezoid rule on the hull
@@ -252,15 +243,21 @@ class CoordinateFactor:
     func: Callable[[np.ndarray], np.ndarray]
     smooth: bool
 
+    @property
+    def hull(self):
+        """(lo, hi): the hull of the segments."""
+        return self.segments[0][0], self.segments[-1][1]
+
+    @property
+    def width(self) -> float:
+        """The total length of the segments."""
+        return sum(hi - lo for lo, hi in self.segments)
+
 
 def _split_at_zero(lo, hi):
     if lo < 0.0 < hi:
         return ((lo, 0.0), (0.0, hi))
     return ((lo, hi),)
-
-
-def _segments(profile):
-    return tuple(f.segments for f in coordinate_factors(profile))
 
 
 @lru_cache(maxsize=256)
@@ -276,23 +273,23 @@ def coordinate_factors(profile: FrequencyProfile):
     R = profile.R
 
     if kind == BUMP_DILATED:
-        func = lambda eta: BUMP(np.asarray(eta) / R) / R
+        func = lambda eta: bump_eval(np.asarray(eta) / R) / R
         return (CoordinateFactor(_split_at_zero(-R / 2.0, R / 2.0), func, True),)
 
     if kind == BUMP_MODULATED:
         c = -R * R
-        func = lambda eta: BUMP((np.asarray(eta) - c) / R) / R
+        func = lambda eta: bump_eval((np.asarray(eta) - c) / R) / R
         return (CoordinateFactor(((c - R / 2.0, c + R / 2.0),), func, True),)
 
     if kind == BUMP_TENSOR:
         c = -R ** (1.0 + profile.epsilon)
         first = CoordinateFactor(
             ((c - R / 2.0, c + R / 2.0),),
-            lambda eta: BUMP((np.asarray(eta) - c) / R) / R,
+            lambda eta: bump_eval((np.asarray(eta) - c) / R) / R,
             True,
         )
         rest = tuple(
-            CoordinateFactor(((-0.5, 0.5),), lambda eta: BUMP(np.asarray(eta)), True)
+            CoordinateFactor(((-0.5, 0.5),), lambda eta: bump_eval(np.asarray(eta)), True)
             for _ in range(profile.d - 1)
         )
         return (first,) + rest
@@ -320,8 +317,6 @@ def coordinate_factors(profile: FrequencyProfile):
             # the segments are disjoint, so only the nearest lattice point
             # contributes; the clip keeps it on the lattice when D < 2
             eta = np.asarray(eta, dtype=float)
-            if not _ells:
-                return np.zeros_like(eta)
             ell = np.clip(np.rint(eta / _D), _ells[0], _ells[-1])
             return np.atleast_1d(window_transform(eta - _D * ell))
 
@@ -332,7 +327,7 @@ def coordinate_factors(profile: FrequencyProfile):
         width = 1.5 * 2.0 ** k
         centre = 1.25 * 2.0 ** k
         norm = math.sqrt(TWO_PI / (width * bump_l2_squared()))
-        func = lambda eta: norm * BUMP((np.asarray(eta) - centre) / width)
+        func = lambda eta: norm * bump_eval((np.asarray(eta) - centre) / width)
         return (CoordinateFactor(((2.0 ** (k - 1), 2.0 ** (k + 1)),), func, True),)
 
     if kind == GAUSSIAN_LIKE:
@@ -353,15 +348,10 @@ def fourier_eval(profile: FrequencyProfile, eta):
 
     eta is one point of R^d (a scalar at d = 1), giving a complex value,
     or an (n, d) array of points ((n,) at d = 1), giving n real values.
-    The bourgain family is defined in physical space; its Fourier side is
-    not exposed here (use physical_eval / the propagator, which work from
-    the tensor factors directly).
+    Every kind, bourgain included: its factors are the transforms of its
+    physical-space product, the f^ the propagator integrates.
     """
 
-    if profile.kind == BOURGAIN:
-        raise DomainValidationError(
-            "fourier_eval is unsupported for the bourgain family (physical-space construction)"
-        )
     pts = np.asarray(eta, dtype=float)
     if profile.d == 1 and pts.ndim < 2:
         pts = pts[..., None]
@@ -404,7 +394,7 @@ def bourgain_physical(profile: FrequencyProfile, x):
     if profile.d == 2:
         D = lattice_scale(R, profile.d)
         ells = np.array(lattice_points(R, profile.d), dtype=float)
-        lattice = np.sum(np.exp(1j * D * ells * float(x[1]))) if len(ells) else 0.0 + 0.0j
+        lattice = np.sum(np.exp(1j * D * ells * float(x[1])))
         value = value * window_physical(float(x[1])) * lattice
     return complex(value)
 
@@ -413,8 +403,9 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
     """H^s norm on the Fourier side: sqrt( integral (1+|xi|^2)^s |f^|^2 ).
 
     The (2*pi)^{-d} Plancherel prefactor is dropped by convention;
-    constants never enter the power-law acceptance criteria. Convergence
-    is certified by panel doubling (AccuracyError on failure).
+    constants never enter the power-law acceptance criteria. The squared
+    norm is certified by quadrature._certify under panel doubling
+    (AccuracyError on failure, with the two squared-norm integrals).
     """
 
     if not 0 <= s < math.inf:
@@ -440,15 +431,9 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
         weight = (1.0 + x1[:, None] ** 2 + x2[None, :] ** 2) ** s
         return float(((w1 * f1 * f1) @ weight) @ (w2 * f2 * f2))
 
-    coarse = integral(64 * PANEL_ORDER)
-    fine = integral(128 * PANEL_ORDER)
-    scale = max(abs(coarse), abs(fine), 1e-300)
-    if abs(fine - coarse) > SOBOLEV_REL_TOL * scale:
-        raise AccuracyError(
-            "sobolev_norm quadrature did not converge under panel doubling",
-            coarse=math.sqrt(max(coarse, 0.0)),
-            fine=math.sqrt(max(fine, 0.0)),
-            context=f"kind={profile.kind}, s={s}",
-        )
+    def run(doubling):  # no mass floor: the squared norm is its own scale
+        return np.array([integral(64 * PANEL_ORDER * doubling)]), 0.0
+
+    (fine,) = _certify(run, f"kind={profile.kind}, s={s}", lambda k: "")
     return math.sqrt(max(fine, 0.0))
 

@@ -229,13 +229,16 @@ FAMILIES: Dict[str, Family] = {
 }
 
 
-def family_spec(family: str) -> Family:
-    """The family's record in FAMILIES."""
+def family_spec(family: str, alpha: Optional[float] = None) -> Family:
+    """The family's record in FAMILIES; with an alpha, one its alpha_rule admits."""
 
     try:
-        return FAMILIES[family]
+        spec = FAMILIES[family]
     except KeyError:
         raise DomainValidationError(f"{family!r} is not a counterexample family") from None
+    if alpha is not None and not spec.alpha_ok(alpha):
+        raise DomainValidationError(f"{family} runs need {spec.alpha_rule}")
+    return spec
 
 
 def admissible_window(family: str, R: float, alpha: float, epsilon: float, c: float):
@@ -251,9 +254,10 @@ def calibrate_window_constant(
     R_max: float = 1024.0,
 ) -> float:
     """The first (largest) ladder constant satisfying the family's
-    calibration predicate (see FAMILIES)."""
+    calibration predicate (see FAMILIES). An alpha outside the family's
+    alpha_rule raises DomainValidationError."""
 
-    spec = family_spec(family)
+    spec = family_spec(family, alpha)
     for c in WINDOW_LADDER:
         if spec.calibrated(c, alpha, R_min, R_max):
             return c
@@ -493,9 +497,7 @@ def family_field(
     each point's critical time injected when inject is set. An alpha
     outside the family's alpha_rule raises DomainValidationError."""
 
-    spec = family_spec(family)
-    if not spec.alpha_ok(alpha):
-        raise DomainValidationError(f"{family} runs need {spec.alpha_rule}")
+    spec = family_spec(family, alpha)
     curve = CurveSpec(spec.curve, alpha=alpha, d=1)
     profile = spec.profile(R, epsilon, 1)
     xs = window_grid(*spec.window(R, alpha, epsilon, c), x_points)

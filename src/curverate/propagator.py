@@ -21,10 +21,10 @@ either kernel runs. f(x) comes from the pass that computes U f, so a
 failing f(x) reports t=0.0 in the AccuracyError context: the t = 0
 column on a window, and on the pointwise kernel the (x, 0) pairs of
 point_values' one paired call (evaluate is point_values at one pair).
-Every value is certified: _certify re-runs the kernel at doubled nodes
-and demands agreement relative to the profile's L^1 mass scale (computed
-on the same rule) before reporting it; it forms the full bound only
-where the gap passes SELF_CHECK_TOL * mass.
+Every value is certified: quadrature._certify re-runs the kernel at
+doubled nodes and demands agreement relative to the profile's L^1 mass
+scale (computed on the same rule) before reporting it; it forms the full
+bound only where the gap passes SELF_CHECK_TOL * mass.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
@@ -96,10 +96,9 @@ import numpy as np
 from .curves import STRAIGHT, CurveSpec, gamma_pairs
 from .errors import AccuracyError, DomainValidationError
 from .initial_data import FrequencyProfile, coordinate_factors
-from .quadrature import PANEL_ORDER, panel_nodes
+from .quadrature import PANEL_ORDER, _certify, panel_nodes
 
 TWO_PI = 2.0 * math.pi
-SELF_CHECK_TOL = 1e-9
 X_CHUNK = 96          # window points per table block
 NODE_BLOCK = 8192     # nodes per window table block
 PAIR_ELEMENTS = X_CHUNK * NODE_BLOCK  # columns times nodes per paired kernel call
@@ -138,16 +137,6 @@ class FieldSample:
         }
 
 
-def _segment_width(segments):
-    return sum(hi - lo for lo, hi in segments)
-
-
-def _hull_ends(factor):
-    """(lo, hi): the hull of factor's segments, (0, 0) for a factor without any."""
-    return (min((a for a, _ in factor.segments), default=0.0),
-            max((b for _, b in factor.segments), default=0.0))
-
-
 def _slope(xi: float, m: float) -> float:
     """sgn(xi) |xi|^{m-1}: d|xi|^m/dxi over m."""
     return math.copysign(abs(xi) ** (m - 1.0), xi) if xi else 0.0
@@ -166,8 +155,8 @@ def phase_variation(gamma_lo, gamma_hi, t, m: float, factor):
     elementwise.
     """
 
-    width = _segment_width(factor.segments)
-    lo, hi = _hull_ends(factor)
+    width = factor.width
+    lo, hi = factor.hull
     if m >= 1.0:
         low, high = gamma_lo + t * m * _slope(lo, m), gamma_hi + t * m * _slope(hi, m)
         speed = np.maximum(np.abs(low), np.abs(high))
@@ -235,7 +224,7 @@ def _build_weighted_rule(factor, total_nodes: int, graded: bool):
     read-only.
     """
 
-    width = _segment_width(factor.segments)
+    width = factor.width
     rules = []
     for lo, hi in factor.segments:
         share = max(PANEL_ORDER, int(math.ceil(total_nodes * (hi - lo) / width)))
@@ -317,12 +306,6 @@ def _fft_length(n: int) -> int:
     return 3 * two // 4 if 3 * two // 4 >= n else two
 
 
-def _hull(factor):
-    """(C, W): midpoint and half-width of the hull of factor's segments."""
-    lo, hi = _hull_ends(factor)
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-
 def _chirp(beta: float, r):
     """e^{i beta r^2 / 2} at half-integers r, |r| < 2^25, with the phase exact to rounding.
 
@@ -373,7 +356,8 @@ def _chirp_window(factor, n: int, shifts, ts, xs):
     _quadrature's values, transposed.
     """
 
-    C, W = _hull(factor)
+    lo, hi = factor.hull
+    C, W = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nx, h_xi = len(xs), 2.0 * W / n
     beta = (xs[-1] - xs[0]) / (nx - 1) * h_xi
     q = np.arange(n) - 0.5 * (n - 1)
@@ -434,31 +418,6 @@ def _check_cap(used, context: str, label) -> None:
     if len(over):
         i = int(over[0])
         raise AccuracyError(f"node budget {used[i]} exceeds cap {MAX_NODES}", context=context + label(i))
-
-
-def _certify(run, context: str, label):
-    """Node-doubling self-check shared by every evaluation path.
-
-    run(doubling) returns (values, mass) on the rules with doubling times
-    the budgeted nodes; mass is a scalar or has one entry per value.
-    Returns the run(2) values once every entry agrees with run(1) to
-    SELF_CHECK_TOL * max(|coarse|, |fine|, mass), formed only where the
-    gap passes the floor SELF_CHECK_TOL * mass. Otherwise it raises
-    AccuracyError with both estimates of the first failing entry, named
-    by context + label(k), k its index in the flattened values.
-    """
-
-    coarse, _ = run(1)
-    fine, mass = run(2)
-    gap = abs(fine - coarse)
-    bad = gap > SELF_CHECK_TOL * mass
-    if bad.any():  # a gap past tol * mass fails unless tol * max(|coarse|, |fine|) covers it
-        bad[bad] = gap[bad] > SELF_CHECK_TOL * np.maximum(abs(coarse[bad]), abs(fine[bad]))
-    if not bad.any():
-        return fine
-    k = int(np.flatnonzero(bad)[0])
-    coarse, fine = complex(np.ravel(coarse)[k]), complex(np.ravel(fine)[k])
-    raise AccuracyError("node-doubling self-check failed", coarse, fine, context + label(k))
 
 
 def _pair_budgets(factors, curve, m: float, points, ts):
@@ -634,8 +593,9 @@ def batch_values(
     (factor,) = coordinate_factors(profile)
     shifts = gamma_pairs(curve, np.zeros(len(ts)), ts)[:, 0]  # gamma(0, t): the displacements
     xlo, xhi = (float(np.min(xs)), float(np.max(xs))) if len(xs) else (0.0, 0.0)
+    lo, hi = factor.hull
     chirp = (m == 2.0 and factor.smooth and len(xs) >= 3
-             and _chirp_phase_error(xs, _hull(factor)[1]) <= PHASE_GUARD)
+             and _chirp_phase_error(xs, 0.5 * (hi - lo)) <= PHASE_GUARD)
     counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor, chirp))
     context = f"kind={profile.kind}"
 

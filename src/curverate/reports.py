@@ -51,18 +51,17 @@ def write_report(path: Optional[str], report: dict) -> str:
     return text
 
 
-def write_csv(path: str, header: list, rows: list) -> None:
+def csv_text(header: list, rows: list) -> str:
+    """The one CSV format: a header line, then one line per row, a float cell as its repr."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, header: list, rows: list) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        fh.write(csv_text(header, rows))
 
 
 def write_gnuplot(path: str, csv_name: str, title: str, xlabel: str, ylabel: str) -> None:

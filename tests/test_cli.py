@@ -34,6 +34,22 @@ def test_exponent_table_csv():
     assert float(first[0]) == 0.0 and float(first[1]) == 0.25 and first[2] == "0"
 
 
+def test_exponent_table_bytes_at_a_fraction_alpha(tmp_path):
+    from curverate.reports import csv_text
+
+    want = (
+        "delta,s,piece_index\n0.0,0.25,0\n0.05,0.3,0\n0.1,0.36666666666666664,1\n"
+        "0.15,0.4666666666666667,1\n0.2,0.6,2\n"
+    )
+    out = tmp_path / "t.csv"
+    proc = run_cli("exponent", "table", "--alpha", "1/3", "--delta-max", "1/4", "--steps", "5",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want and out.read_text() == want
+    rows = [(float(d), float(s), int(i)) for d, s, i in (line.split(",") for line in want.splitlines()[1:])]
+    assert csv_text(["delta", "s", "piece_index"], rows) == want
+
+
 def test_exponent_region_report(tmp_path):
     out = tmp_path / "region.json"
     proc = run_cli(
@@ -462,6 +478,21 @@ def test_maximal_rejects_an_alpha_outside_the_family_rule():
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "error: bump-modulated runs need alpha >= 1/4\n" and proc.stdout == ""
+
+
+def test_maximal_checks_the_alpha_rule_before_it_calibrates():
+    proc = run_cli(
+        "maximal", "--family", "bump-dilated", "--R", "64", "--alpha", "0.6", "--j-min", "2",
+        "--j-max", "4", "--x-points", "5",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: bump-dilated runs need alpha < 1/2\n" and proc.stdout == ""
+
+
+def test_data_info_rejects_a_bourgain_plane_without_a_lattice_point():
+    proc = run_cli("data", "info", "--family", "bourgain", "--d", "2", "--R", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: bourgain d = 2 has no lattice point at R=1.0\n" and proc.stdout == ""
 
 
 def test_maximal_without_times_fails_before_any_work(monkeypatch, capsys):

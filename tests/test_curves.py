@@ -1,5 +1,7 @@
 """Curve families and empirical regularity verification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,24 @@ def test_gamma_domain_error():
     spec = CurveSpec(MINUS_SHIFT, alpha=0.5)
     with pytest.raises(DomainValidationError):
         gamma(spec, 0.0, 1.5)
+
+
+@pytest.mark.parametrize("spec,x", [
+    (CurveSpec(MINUS_SHIFT, alpha=0.5), np.array([0.1, 0.2])),
+    (CurveSpec(MINUS_SHIFT, alpha=0.5, d=2), 0.1),
+    (CurveSpec(MINUS_SHIFT, alpha=0.5, d=2), np.array([0.1, 0.2, 0.3])),
+    (CurveSpec(CUSTOM, gamma_fn=lambda x, t: x), np.array([0.1, 0.2])),
+])
+def test_gamma_rejects_a_point_of_the_wrong_shape(spec, x):
+    want = f"gamma needs 1 points of {spec.d} coordinates, a scalar each at d = 1, one per time: " \
+        f"got shape {(1,) + np.shape(x)}"
+    with pytest.raises(DomainValidationError, match=f"^{re.escape(want)}$"):
+        gamma(spec, x, 0.5)
+
+
+def test_gamma_pairs_rejects_points_that_do_not_pair_with_the_times():
+    with pytest.raises(DomainValidationError, match=r"gamma needs 3 points of 1 coordinates"):
+        gamma_pairs(CurveSpec(PLUS_SHIFT, alpha=0.5), [0.1, 0.2], [0.1, 0.2, 0.3])
 
 
 def test_gamma_shifts_first_coordinate_only():

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from curverate.errors import DomainValidationError
+from curverate.errors import AccuracyError, DomainValidationError
+from curverate.quadrature import PANEL_ORDER
+from curverate import initial_data
 from curverate.initial_data import (
-    BUMP,
+    BOURGAIN,
     BUMP_NORMALIZATION,
     DECAY_THRESHOLD,
     FrequencyProfile,
@@ -48,7 +50,7 @@ def test_bump_mass_one():
     from curverate.quadrature import PANEL_ORDER, panel_nodes
 
     xs, ws = panel_nodes(-0.5, 0.5, 200 * PANEL_ORDER)
-    assert abs(float(np.sum(ws * BUMP(xs))) - 1.0) <= 1e-12
+    assert abs(float(np.sum(ws * bump_eval(xs))) - 1.0) <= 1e-12
 
 
 def test_bump_pointwise_examples():
@@ -117,9 +119,40 @@ def test_fourier_eval_rejects_points_of_another_dimension(eta):
         fourier_eval(bump_tensor(16.0, 0.1, d=2), eta)
 
 
-def test_fourier_eval_bourgain_unsupported():
-    with pytest.raises(DomainValidationError):
-        fourier_eval(bourgain_profile(16.0), 16.0)
+def test_fourier_eval_bourgain_is_the_product_of_its_factors():
+    rng = np.random.default_rng(5)
+    for profile in (bourgain_profile(16.0), bourgain_profile(256.0, d=2)):
+        factors = coordinate_factors(profile)
+        boxes = profile.support_box
+        pts = np.column_stack([rng.uniform(lo - 2.0, hi + 2.0, 41) for lo, hi in boxes])
+        pts[::5] = [0.5 * (lo + hi) for lo, hi in boxes]
+        want = np.ones(len(pts))
+        for j, f in enumerate(factors):
+            want = want * f.func(pts[:, j])
+        got = fourier_eval(profile, pts if profile.d > 1 else pts[:, 0])
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got) >= 9
+        outside = np.any([(pts[:, j] < lo) | (pts[:, j] > hi) for j, (lo, hi) in enumerate(boxes)], axis=0)
+        assert outside.any() and not got[outside].any()
+
+
+@pytest.mark.parametrize("profile", [
+    bump_dilated(16.0), bump_modulated(16.0), bump_tensor(16.0, 0.1, d=2), indicator_band(8.0),
+    bourgain_profile(16.0), bourgain_profile(4096.0, d=2), annulus_bump(3), gaussian_like(),
+], ids=lambda p: f"{p.kind}-d{p.d}")
+def test_factor_hull_and_width_are_the_segments_extremes_and_total_length(profile):
+    for f in coordinate_factors(profile):
+        assert f.hull == (min(a for a, _ in f.segments), max(b for _, b in f.segments))
+        assert f.width == sum(b - a for a, b in f.segments)
+    assert profile.support_box == tuple(f.hull for f in coordinate_factors(profile))
+
+
+def test_bourgain_d2_needs_a_lattice_point():
+    # R / D = R^{1/3}: R = 1 is the one R >= 1 with no integer in (R/(2D), R/D)
+    assert lattice_points(1.0, 2) == [] and lattice_points(1.01, 2) == [1]
+    with pytest.raises(DomainValidationError, match=r"^bourgain d = 2 has no lattice point at R=1\.0$"):
+        FrequencyProfile(BOURGAIN, d=2, R=1.0)
+    assert len(bourgain_profile(1.01, d=2).support_box) == 2
 
 
 def test_physical_eval_examples():
@@ -203,6 +236,24 @@ def test_sobolev_norm_examples():
     # coarse Riemann check at the right order of magnitude only
     h = (etas[::100][1] - etas[::100][0])
     assert sobolev_norm(p, 0.0) ** 2 == pytest.approx(riemann * h, rel=1e-3)
+
+
+def test_sobolev_norm_failure_reports_both_squared_integrals(monkeypatch):
+    profile, s = bump_dilated(64.0), 0.5
+    coarse = sobolev_norm(profile, s) ** 2
+    real = initial_data.panel_nodes
+
+    def skewed(lo, hi, min_nodes):  # the doubled pass's weights are 1e-6 too large
+        xs, ws = real(lo, hi, min_nodes)
+        return xs, ws * (1.0 + 1e-6) if min_nodes == 128 * PANEL_ORDER else ws
+
+    monkeypatch.setattr(initial_data, "panel_nodes", skewed)
+    with pytest.raises(AccuracyError, match="node-doubling self-check failed") as err:
+        sobolev_norm(profile, s)
+    assert err.value.context == "kind=bump-dilated, s=0.5"
+    assert isinstance(err.value.coarse, float) and isinstance(err.value.fine, float)
+    assert err.value.coarse == pytest.approx(coarse, rel=1e-12)
+    assert err.value.fine == pytest.approx(coarse * (1.0 + 1e-6), rel=1e-12)
 
 
 def test_sobolev_monotone_in_s():

@@ -30,6 +30,7 @@ from curverate.maximal import (
     calibrate_window_constant,
     critical_time,
     family_field,
+    family_spec,
     l2_over_ball,
     lemma_bound,
     lemma_empirical,
@@ -419,6 +420,24 @@ def test_family_field_rejects_an_alpha_outside_its_rule(monkeypatch, family, alp
     with pytest.raises(DomainValidationError, match=f"^{family} runs need {rule}$"):
         family_field(family, 64.0, alpha, 0.0, 0.5, 2.0, 0.1, 5, TimeGrid(4, 8), True)
     assert calls == []
+
+
+@pytest.mark.parametrize("family,alpha,rule", [
+    (BUMP_DILATED, 0.5, "alpha < 1/2"), (BUMP_MODULATED, 0.2, "alpha >= 1/4"),
+    (BUMP_TENSOR, 0.25, "alpha >= 1/2"), (INDICATOR_BAND, 0.6, "alpha <= 1/2"),
+    (BOURGAIN, 0.4, "alpha >= 1/2"),
+])
+def test_family_spec_checks_the_alpha_rule_it_is_given(monkeypatch, family, alpha, rule):
+    assert family_spec(family) is FAMILIES[family]
+    with pytest.raises(DomainValidationError, match=f"^{family} runs need {rule}$"):
+        family_spec(family, alpha)
+    # calibration checks the rule before it tries a ladder constant
+    def refuse(*args):
+        raise AssertionError("calibrated an alpha outside the family's rule")
+
+    monkeypatch.setitem(FAMILIES, family, replace(FAMILIES[family], calibrated=refuse))
+    with pytest.raises(DomainValidationError, match=f"^{family} runs need {rule}$"):
+        calibrate_window_constant(family, alpha)
 
 
 @pytest.mark.parametrize(

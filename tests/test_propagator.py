@@ -30,13 +30,11 @@ from curverate.propagator import (
     CACHED_RULE_NODES,
     PHASE_GUARD,
     RULE_CACHE_SIZE,
-    SELF_CHECK_TOL,
     UNIT_ROUNDOFF,
     _bucket,
     _cached_weighted_rule,
     _chirp,
     _chirp_phase_error,
-    _hull,
     _node_budgets,
     _pair_budgets,
     _quadrature,
@@ -49,10 +47,16 @@ from curverate.propagator import (
     phase_variation,
     point_values,
 )
-from curverate.quadrature import PANEL_ORDER, panel_nodes
+from curverate.quadrature import PANEL_ORDER, SELF_CHECK_TOL, _certify, panel_nodes
 
 STRAIGHT_1D = CurveSpec(STRAIGHT, alpha=1.0)
 TWO_PI = 2.0 * math.pi
+
+
+def _hull(factor):
+    """(C, W): midpoint and half-width of the hull of factor's segments."""
+    lo, hi = factor.hull
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def panels(V, factor, chirp=False):
@@ -662,11 +666,11 @@ def test_two_stage_self_check_is_the_one_stage_formula(entries, masses, x_major)
     bad = one_stage_check(coarse, fine, mass)
     run = {1: (coarse, None), 2: (fine, mass)}.get
     if not bad.any():
-        assert propagator._certify(run, "ctx", str) is fine
+        assert _certify(run, "ctx", str) is fine
         return
     k = int(np.flatnonzero(bad)[0])
     with pytest.raises(AccuracyError) as err:
-        propagator._certify(run, "ctx", str)
+        _certify(run, "ctx", str)
     assert err.value.context == f"ctx{k}"
     assert (err.value.coarse, err.value.fine) == (np.ravel(coarse)[k], np.ravel(fine)[k])
 
@@ -680,10 +684,10 @@ def test_two_stage_self_check_on_each_entry_kind():
         passing = fine.copy()
         for first in (1, 3):
             with pytest.raises(AccuracyError) as err:
-                propagator._certify({1: (coarse, None), 2: (passing, mass)}.get, "", str)
+                _certify({1: (coarse, None), 2: (passing, mass)}.get, "", str)
             assert err.value.context == str(first)
             passing[first] = coarse[first]
-        assert propagator._certify({1: (coarse, None), 2: (passing, mass)}.get, "", str) is passing
+        assert _certify({1: (coarse, None), 2: (passing, mass)}.get, "", str) is passing
 
 
 LAYOUT_CASES = [  # (profile, curve, window, times): each a chirp-z window
