@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DeltaRangeError, DomainValidationError, UnsupportedRegimeError
@@ -186,11 +187,19 @@ def _regime_law(regime_id: str, d: int, alpha, m) -> RegimeLaw:
 
 
 def law_for(regime: Regime) -> RegimeLaw:
-    """Resolve the unique threshold law applicable to a regime."""
+    """Resolve the unique threshold law applicable to a regime.
 
-    alpha, m, d = regime.alpha, regime.m, regime.d
+    Memoised on each field's value and type: Regime(1, Fraction(1, 2), 2)
+    equals and hashes like Regime(1, 0.5, 2), but its law is exact and
+    the other's is in floats.
+    """
 
-    if regime.smoothness == LIPSCHITZ:
+    return _law_for(regime.d, regime.alpha, regime.m, regime.smoothness)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _law_for(d, alpha, m, smoothness) -> RegimeLaw:
+    if smoothness == LIPSCHITZ:
         if m == 2:
             return _regime_law("lipschitz", d, _ONE, m)
         if 0 < m < 1:

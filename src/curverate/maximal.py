@@ -131,7 +131,7 @@ class Family:
     profile: Callable               # (R, epsilon, d) -> FrequencyProfile
     window: Callable                # (R, alpha, epsilon, c) -> spatial window (lo, hi)
     calibrated: Callable            # (c, alpha, R_min, R_max) -> bool
-    critical: Callable              # (x_1, R, alpha, epsilon, c) -> stationary time
+    critical: Callable              # (x_1 array, R, alpha, epsilon, c) -> stationary time(s)
     slope: Callable                 # (d, alpha, delta, s, epsilon) -> predicted exponent
     octaves: Optional[Callable]     # (R, alpha, epsilon, c) -> default (j_min, j_max)
 
@@ -188,7 +188,7 @@ FAMILIES: Dict[str, Family] = {
         window=lambda R, a, eps, c: (0.5 * c, c),
         calibrated=lambda c, a, R_min, R_max: c <= 0.9 and 0.5 * c * R_min >= decay_threshold(),
         critical=lambda x1, R, a, eps, c: _bisect_root(
-            lambda t: x1 - t ** a - 2.0 * R * R * t, 0.0, min(1.0, x1)
+            lambda t: x1 - t ** a - 2.0 * R * R * t, 0.0, np.minimum(1.0, x1)
         ),
         slope=lambda d, a, delta, s, eps: 2.0 * delta - 2.0 * s + 0.5,
         octaves=lambda R, a, eps, c: (max(0.0, 2 * math.log2(R) - 4), 2 * math.log2(R) + 6),
@@ -221,7 +221,7 @@ FAMILIES: Dict[str, Family] = {
         window=lambda R, a, eps, c: (-c, -0.5 * c),
         calibrated=lambda c, a, R_min, R_max: c <= 0.9,
         critical=lambda x1, R, a, eps, c: _bisect_root(
-            lambda t: x1 - t ** a + 2.0 * R * t, 0.0, min(1.0, (abs(x1) + 1.0) / (2.0 * R))
+            lambda t: x1 - t ** a + 2.0 * R * t, 0.0, np.minimum(1.0, (np.abs(x1) + 1.0) / (2.0 * R))
         ),
         slope=lambda d, a, delta, s, eps: delta + d / (2.0 * (d + 1)) - s,
         octaves=None,
@@ -268,26 +268,51 @@ def calibrate_window_constant(
 # critical times
 
 
-def _bisect_root(h, lo: float, hi: float) -> float:
+def _bisect_root(h, lo, hi):
+    """The roots of h in [lo, hi], elementwise and in lockstep.
+
+    h maps an array of times to an array; lo and hi broadcast to one
+    bracket per root. Each bracket is halved BISECTION_ITERATIONS times,
+    keeping the half whose ends differ in sign, and a root stops at an
+    end or midpoint where h is exactly 0. The first bracket without a
+    sign change raises WindowError.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     flo, fhi = h(lo), h(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
+    same = (flo != 0.0) & (fhi != 0.0) & ((flo > 0) == (fhi > 0))
+    if same.any():
+        i = int(np.flatnonzero(same)[0])
         raise WindowError(
-            f"no sign change on ({lo}, {hi}); the point lies outside the admissible window"
+            f"no sign change on ({float(lo[i])}, {float(hi[i])}); "
+            "the point lies outside the admissible window"
         )
+    # a root at an end or a midpoint closes its bracket on it, and the bracket stays closed
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
+    sign = np.sign(flo)
     for _ in range(BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        side = sign * h(mid)  # > 0: h(mid) has h(lo)'s sign, so the root lies above mid
+        lo, hi = np.where(side >= 0.0, mid, lo), np.where(side <= 0.0, mid, hi)
     return 0.5 * (lo + hi)
+
+
+def _critical_times(family: str, curve: CurveSpec, R: float, epsilon: float, xs, window_constant=None):
+    """Each point's time at which the family's oscillatory phase is stationary.
+
+    xs holds scalars or points, of which the first coordinates count; the
+    roots are found in lockstep (_bisect_root). window_constant is
+    required for indicator-band, whose critical time c R^{-1/alpha}
+    scales with it, and unused by the other families.
+    """
+
+    spec = family_spec(family)
+    if curve.kind != spec.curve:
+        raise DomainValidationError(f"{family} uses the {spec.curve} curve, got {curve.kind}")
+    x1 = np.asarray(xs, dtype=float).reshape(len(xs), -1)[:, 0]
+    if spec.x_sign and np.any(spec.x_sign * x1 <= 0):
+        raise WindowError(f"{family} critical time needs x_1 {'>' if spec.x_sign > 0 else '<'} 0")
+    return np.full(len(x1), spec.critical(x1, R, curve.alpha, epsilon, window_constant))
 
 
 def critical_time(
@@ -298,19 +323,9 @@ def critical_time(
     x,
     window_constant: Optional[float] = None,
 ) -> float:
-    """Per-x time at which the family's oscillatory phase is stationary.
+    """_critical_times at the one point x."""
 
-    window_constant is required for indicator-band, whose critical time
-    c R^{-1/alpha} scales with it, and unused by the other families.
-    """
-
-    spec = family_spec(family)
-    if curve.kind != spec.curve:
-        raise DomainValidationError(f"{family} uses the {spec.curve} curve, got {curve.kind}")
-    x1 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    if spec.x_sign and spec.x_sign * x1 <= 0:
-        raise WindowError(f"{family} critical time needs x_1 {'>' if spec.x_sign > 0 else '<'} 0")
-    return spec.critical(x1, R, curve.alpha, epsilon, window_constant)
+    return float(_critical_times(family, curve, R, epsilon, [x], window_constant)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +516,7 @@ def family_field(
     curve = CurveSpec(spec.curve, alpha=alpha, d=1)
     profile = spec.profile(R, epsilon, 1)
     xs = window_grid(*spec.window(R, alpha, epsilon, c), x_points)
-    tc = None
-    if inject:
-        tc = np.array(
-            [critical_time(family, curve, R, epsilon, float(x), window_constant=c) for x in xs]
-        )
+    tc = _critical_times(family, curve, R, epsilon, xs, window_constant=c) if inject else None
     return maximal_field(profile, curve, m, delta, xs, grid, critical_times=tc)
 
 

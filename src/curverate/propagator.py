@@ -5,26 +5,28 @@ e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 
 Every path but the chirp-z window (below) runs one kernel, _quadrature:
 composite Gauss-Legendre panels summing w f^(xi) e^{i((x + s_j) xi +
-t_j |xi|^m)} for each column (s_j, t_j).
-Pointwise evaluation (certified_value) takes pairs (x_i, t_i) only, one
-point being the one-pair call, and folds x into the shift, so its x = 0
-row sums one column per pair. Each pair keeps its own node budget, and
-the pairs whose budgets agree run as columns of one kernel call, so a
-golden-section step over a whole field is one call. A window
-(batch_values) sums each column over its points at once (see below).
-Both kernels share one front end: _check_domain rejects a bad m, t or x,
-or a curve whose dimension differs from the datum's, with
-DomainValidationError before any work, _node_budgets sets each node
-count from the phase's largest local frequency and _check_cap raises
-AccuracyError, with no estimates, for a budget past the node cap before
-either kernel runs. f(x) comes from the pass that computes U f, so a
-failing f(x) reports t=0.0 in the AccuracyError context: the t = 0
-column on a window, and on the pointwise kernel the (x, 0) pairs of
-point_values' one paired call (evaluate is point_values at one pair).
-Every value is certified: quadrature._certify re-runs the kernel at
-doubled nodes and demands agreement relative to the profile's L^1 mass
-scale (computed on the same rule) before reporting it; it forms the full
-bound only where the gap passes SELF_CHECK_TOL * mass.
+t_j |xi|^m)} for each column (s_j, t_j). One certified front end,
+_columns, drives both kernels. A column is one displacement per
+coordinate plus one time. Pointwise evaluation (certified_value) takes
+pairs (x_i, t_i) only, one point being the one-pair call; a pair is the
+x = 0 column at its displacement gamma(x_i, t_i). A window (batch_values)
+is one column per time whose points add to coordinate 0. One bucketed
+budget rule (_budgets) covers pairs and windows: each column gets its own
+budget per coordinate, rounded up to PANEL_ORDER * 2^k, so a pair's value
+and count are those of its one-pair call, and the columns whose budgets
+agree run as one kernel call, so a golden-section step over a whole
+field is one call. _check_domain rejects a bad m, t or x, or a curve
+whose dimension differs from the datum's, with DomainValidationError
+before any work, and _columns raises AccuracyError, with no estimates,
+for a budget past the node cap before either kernel runs. f(x) comes
+from the pass that computes U f, so a failing f(x) reports t=0.0 in the
+AccuracyError context: the t = 0 column on a window, and on the
+pointwise kernel the (x, 0) pairs of point_values' one paired call
+(evaluate is point_values at one pair). Every value is certified:
+quadrature._certify re-runs the kernel at doubled nodes and demands
+agreement relative to the column's L^1 mass scale (computed on the same
+rule) before reporting it; it forms the full bound only where the gap
+passes SELF_CHECK_TOL * mass.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
@@ -39,11 +41,12 @@ m = 2, a uniform window of three points or more on a smooth factor
 _chirp_window: n midpoint nodes on the hull of the factor's segments,
 centred on the hull midpoint C. With the window centred too, the window
 sum is a chirp-z transform, one FFT convolution per time column, and no
-nx-by-n table is formed. Its column blocks run in place, written once
-into a time-major (times, points) pass that hands on its transpose. On
-data that vanish smoothly at the hull ends the midpoint rule is exact to
-rounding once its nodes sample faster than the integrand's largest local
-frequency; below one node per 2 pi radians it aliases. So a chirp-z
+nx-by-n table is formed. Its column blocks run in place, each written
+once into its rows of a time-major (times, points) pass that hands on
+its transpose. On data that vanish smoothly at the hull ends the
+midpoint rule is exact to rounding once its nodes sample faster than the
+integrand's largest local frequency; below one node per 2 pi radians it
+aliases. So a chirp-z
 window is budgeted at CHIRP_NODES_PER_RADIAN, a quarter of the
 Gauss-Legendre rate: 2.5 nodes per 2 pi radians, 2.5 times the aliasing
 rate. At an eighth the self-check fails on the k = 6 and 8 lemma
@@ -68,10 +71,11 @@ window, and xi in the hull of the segments. Its phase variation is the
 largest |theta'| on that box times the segments' width, and its budget
 NODES_PER_RADIAN (10 nodes per 2 pi radians; CHIRP_NODES_PER_RADIAN on a
 chirp-z window) times that, BASE_NODES (64) at least, and SEGMENT_NODES
-(32) per segment where that is more; a certified pass over MAX_NODES
-(2^22) nodes raises AccuracyError before any kernel runs. The budget is
-fixed, not a setting: it trades only cost against that error, and the
-self-check decides every value. BASE_NODES is the largest floor any
+(32) per segment where that is more, rounded up to PANEL_ORDER * 2^k
+nodes; a certified pass over MAX_NODES (2^22) nodes raises
+AccuracyError before any kernel runs. The budget is fixed, not a
+setting: it trades only cost against that error, and the self-check
+decides every value. BASE_NODES is the largest floor any
 family's data needs: on f^ alone (x = 0, t = 0) every coordinate
 factor's rule passes the node-doubling check at its floor, and
 bump-modulated fails it at 32 (tests/test_propagator.py pins both). The
@@ -101,7 +105,6 @@ from .quadrature import PANEL_ORDER, _certify, panel_nodes
 TWO_PI = 2.0 * math.pi
 X_CHUNK = 96          # window points per table block
 NODE_BLOCK = 8192     # nodes per window table block
-PAIR_ELEMENTS = X_CHUNK * NODE_BLOCK  # columns times nodes per paired kernel call
 PHASE_GUARD = 1e-12   # largest phase error (radians) the chirp-z window path may add
 UNIT_ROUNDOFF = 2.0 ** -53
 SPLITTER = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
@@ -265,9 +268,17 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
     column. xs=None gives the x = 0 row, of shape (ncols,) or a scalar; a
     window xs gives shape (len(xs), ncols). Returns (values, l1_mass),
     l1_mass being the integral of |f^| on the same rule, the self-check's
-    scale.
+    scale. Like the window table, the x = 0 row is run in blocks of at
+    most X_CHUNK * NODE_BLOCK column-nodes, so memory stays bounded
+    whatever the number of pairs; a column's value does not depend on
+    its block.
     """
 
+    step = max(1, X_CHUNK * NODE_BLOCK // n)
+    if xs is None and np.size(ts) > step:
+        blocks = [_quadrature(factor, n, m, shifts[c : c + step], ts[c : c + step])
+                  for c in range(0, len(ts), step)]
+        return np.concatenate([v for v, _ in blocks]), blocks[0][1]
     out = 0j if xs is None else np.zeros((len(xs), len(shifts)), dtype=np.complex128)
     mass = 0.0
     s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
@@ -341,7 +352,7 @@ def _chirp_phase_error(xs, half_width: float) -> float:
     return float(np.max(np.abs(grid))) * half_width + UNIT_ROUNDOFF * abs(h) * half_width * nx / 2.0
 
 
-def _chirp_window(factor, n: int, shifts, ts, xs):
+def _chirp_window(factor, n: int, shifts, ts, xs, out=None):
     """_quadrature's m = 2 window values by chirp-z transform, on n midpoint nodes.
 
     For a smooth factor on a uniform window x_k = x_c + p_k h. The nodes
@@ -352,8 +363,10 @@ def _chirp_window(factor, n: int, shifts, ts, xs):
     linear convolution with the chirp e^{-i beta r^2 / 2}: one FFT
     convolution per column, in blocks of about FFT_BLOCK elements run in
     place. Centring p and q halves the largest |r|, and _chirp keeps every
-    chirp phase exact to rounding. Returns (values[ncols, nx], l1_mass):
-    _quadrature's values, transposed.
+    chirp phase exact to rounding. Column j's values land in out[j], one
+    writable row of nx entries per column (a time-major pass's rows, or by
+    default a new (ncols, nx) array), straight from its FFT block. Returns
+    (out, l1_mass): _quadrature's values, transposed.
     """
 
     lo, hi = factor.hull
@@ -373,7 +386,8 @@ def _chirp_window(factor, n: int, shifts, ts, xs):
     scalars = np.exp(1j * (np.asarray(shifts) * C + np.asarray(ts) * C * C))
     s_col = (np.asarray(shifts) + 0.5 * (xs[0] + xs[-1]))[:, None]
     t_col = np.asarray(ts)[:, None]
-    out = np.empty((len(ts), nx), dtype=np.complex128)
+    if out is None:
+        out = np.empty((len(ts), nx), dtype=np.complex128)
     step = max(1, FFT_BLOCK // L)
     for c0 in range(0, len(ts), step):
         cols = slice(c0, c0 + step)
@@ -386,7 +400,8 @@ def _chirp_window(factor, n: int, shifts, ts, xs):
         np.fft.fft(rows, out=rows)
         rows *= kernel
         np.fft.ifft(rows, out=rows)
-        np.multiply(rows[:, :nx], post * scalars[cols, None], out=out[cols])
+        for row, scale, target in zip(rows, post * scalars[cols, None], out[cols]):
+            np.multiply(row[:nx], scale, out=target)
     return out, h_xi * float(np.sum(np.abs(fv)))
 
 
@@ -407,32 +422,75 @@ def _check_domain(profile, curve, m: float, xs, ts) -> None:
         raise DomainValidationError("fractional dispersion (m != 2) is one-dimensional")
 
 
-def _check_cap(used, context: str, label) -> None:
-    """Both kernels' node cap, checked before either kernel runs.
+def _budgets(factors, m: float, lo, hi, ts, chirp: bool = False):
+    """The one budget rule: each column's bucketed node budget per coordinate.
 
-    used[i] is the node count of entry i's certified (doubled) pass. The
-    first entry over MAX_NODES raises AccuracyError, named by context +
-    label(i). The error carries no estimates: no pass ran.
+    Column i's displacements on coordinate j span [lo[i, j], hi[i, j]] at
+    time ts[i]; its budget there is _node_budgets (at the chirp-z rate
+    with chirp) rounded up by _bucket, so it depends on that column alone.
+    Returns a (columns, coordinates) int array.
     """
-    over = np.flatnonzero(used > MAX_NODES)
+    return np.column_stack(
+        [_bucket(_node_budgets(a, b, ts, m, f, chirp)) for a, b, f in zip(lo.T, hi.T, factors)]
+    )
+
+
+def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool = False):
+    """The certified front end of pairs and windows: U f on columns.
+
+    A column is one displacement per coordinate, a row of the (columns,
+    d) array disp, and one time ts[i]. With xs=None it is the x = 0 row
+    of a pair, its displacement gamma(x, t) carrying x; with a 1-d window
+    xs (d = 1) the window's points add to coordinate 0. In order: _budgets
+    budgets every column per coordinate, over [min xs, max xs] + disp on
+    a window, at the chirp-z rate if chirp; the first column whose
+    certified pass, twice its budgets' sum, is past MAX_NODES raises
+    AccuracyError, named by cap_label(i) and with no estimates, before
+    either kernel runs; each coordinate's columns of one budget run as
+    one _chirp_window or _quadrature call; the first coordinate's
+    integrals are assigned, and later ones multiplied in from real and
+    imaginary parts (numpy's complex multiply rounds its vector lanes
+    unlike its tail, which would tie a pair's last bit to its position);
+    the pass is divided by (2 pi)^d and _certify checks it once, against
+    a mass per column, naming a failure by label(k).
+    Returns (values, counts): values of shape (columns,), or on a window
+    (nx, columns), the x-major view of a time-major pass, and counts the
+    nodes of each column's certified pass.
+    """
+
+    factors = coordinate_factors(profile)
+    lo, hi = (np.min(xs), np.max(xs)) if xs is not None and len(xs) else (0.0, 0.0)
+    budgets = _budgets(factors, m, disp + lo, disp + hi, ts, chirp)
+    counts = 2 * budgets.sum(axis=1)
+    context = f"kind={profile.kind}"
+    over = np.flatnonzero(counts > MAX_NODES)
     if len(over):
         i = int(over[0])
-        raise AccuracyError(f"node budget {used[i]} exceeds cap {MAX_NODES}", context=context + label(i))
+        raise AccuracyError(f"node budget {counts[i]} exceeds cap {MAX_NODES}", context=context + cap_label(i))
+    scale = TWO_PI ** profile.d
 
+    def run(doubling):
+        values = np.empty((len(ts),) if xs is None else (len(ts), len(xs)), dtype=np.complex128)
+        mass = np.empty(len(ts))
+        for j, factor in enumerate(factors):
+            for n in np.unique(budgets[:, j]):
+                cols = np.flatnonzero(budgets[:, j] == n)
+                n = int(n) * doubling
+                if chirp:
+                    _, l1 = _chirp_window(factor, n, disp[cols, j], ts[cols], xs, [values[c] for c in cols])
+                else:
+                    integral, l1 = _quadrature(factor, n, m, disp[cols, j], ts[cols], xs)
+                    if j == 0:
+                        values[cols] = integral.T
+                    else:
+                        v = values[cols]
+                        values.real[cols] = v.real * integral.real - v.imag * integral.imag
+                        values.imag[cols] = v.real * integral.imag + v.imag * integral.real
+                mass[cols] = l1 if j == 0 else mass[cols] * l1
+        values /= scale
+        return values.T, mass / scale
 
-def _pair_budgets(factors, curve, m: float, points, ts):
-    """Budgets of the pairs (points[i], ts[i]) on the coordinate factors.
-
-    Returns gamma(x_i, t_i) as a (pairs, coordinates) array, each pair's
-    unbucketed node budget per coordinate (_node_budgets on the one-point
-    interval [gamma_j, gamma_j]) as a (pairs, coordinates) int array and
-    the node count of its certified pass, twice the budgets' sum, as a
-    (pairs,) int array.
-    """
-
-    gam = gamma_pairs(curve, points, ts)
-    budgets = np.column_stack([_node_budgets(g, g, ts, m, f) for g, f in zip(gam.T, factors)])
-    return gam, budgets, 2 * budgets.sum(axis=1)
+    return _certify(run, context, label), counts
 
 
 def certified_value(
@@ -445,14 +503,12 @@ def certified_value(
     """U f at the pairs (x[i], t[i]), with budget/self-check, without f(x).
 
     t is a 1-d sequence of times and x holds one point per time; one point
-    is the one-pair call certified_value(..., [x], [t]). Returns (values,
-    total node count): every pair keeps its own budget, so each value and
-    count is the pair's own, and the count is their sum. Pairs whose
-    budgets on a coordinate are equal run as columns of one _quadrature
-    call per coordinate, in chunks of at most PAIR_ELEMENTS columns times
-    nodes, and one _certify covers them all with a per-pair mass. A
-    failure names the first failing pair's x and t in the AccuracyError
-    context; a pair past the node cap fails before any pair runs.
+    is the one-pair call certified_value(..., [x], [t]). Each pair is the
+    x = 0 column of _columns at its displacement gamma(x[i], t[i]), so its
+    value and node count are those of its one-pair call. Returns (values,
+    total node count). A failure names the first failing pair's x and t
+    in the AccuracyError context; a pair past the node cap fails before
+    any pair runs.
     """
 
     if np.ndim(t) != 1 or np.ndim(x) == 0 or len(x) != len(t):
@@ -464,38 +520,11 @@ def certified_value(
     ts = np.asarray(t, dtype=float)
     _check_domain(profile, curve, m, np.asarray(x, dtype=float), ts)
 
-    factors = coordinate_factors(profile)
-    gam, budgets, used = _pair_budgets(factors, curve, m, x, ts)
-
     def label(k):
         return f", x={x[k]}, t={ts[k]}"
 
-    context = f"kind={profile.kind}"
-    _check_cap(used, context, label)
-    scale = TWO_PI ** (-profile.d)
-
-    def run(doubling):
-        values, mass = np.ones(len(ts), dtype=np.complex128), np.ones(len(ts))
-        for j, factor in enumerate(factors):
-            for n in np.unique(budgets[:, j]):
-                cols = np.flatnonzero(budgets[:, j] == n)
-                n = int(n) * doubling
-                step = max(1, PAIR_ELEMENTS // n)
-                for c0 in range(0, len(cols), step):
-                    chunk = cols[c0 : c0 + step]
-                    integral, l1 = _quadrature(factor, n, m, gam[chunk, j], ts[chunk])
-                    # the coordinate product from real and imaginary parts:
-                    # numpy's complex multiply rounds its vector lanes unlike
-                    # its tail, which would tie a pair's last bit to its
-                    # position in the call
-                    v = values[chunk]
-                    values.real[chunk] = v.real * integral.real - v.imag * integral.imag
-                    values.imag[chunk] = v.real * integral.imag + v.imag * integral.real
-                    mass[chunk] *= l1
-        return values * scale, mass * scale
-
-    values = _certify(run, context, label)
-    return values, int(used.sum())
+    values, counts = _columns(profile, m, gamma_pairs(curve, x, ts), ts, label, label)
+    return values, int(counts.sum())
 
 
 def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts):
@@ -503,7 +532,8 @@ def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts):
 
     Returns (values[nx, nt], initial[nx], node_counts[nx, nt]) from one
     paired certified_value call: the nx*nt pairs (x, t), then the (x, 0)
-    pairs. Every value and count is that of the pair's one-pair call.
+    pairs. Every value and count is that of the pair's one-pair call; the
+    counts are read from _budgets.
     """
 
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
@@ -511,7 +541,8 @@ def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts):
     points = np.concatenate([np.repeat(xs, nt, axis=0), xs])
     times = np.concatenate([np.tile(ts, nx), np.zeros(nx)])
     values, _ = certified_value(profile, curve, m, points, times)
-    used = _pair_budgets(coordinate_factors(profile), curve, m, points, times)[2]
+    gam = gamma_pairs(curve, points, times)
+    used = 2 * _budgets(coordinate_factors(profile), m, gam, gam, times).sum(axis=1)
     return values[: nx * nt].reshape(nx, nt), values[nx * nt :], used[: nx * nt].reshape(nx, nt)
 
 
@@ -567,7 +598,8 @@ def batch_values(
     xs: np.ndarray,
     ts: Sequence[float],
 ):
-    """U f(x, t) on a 1-d spatial window times a list of times.
+    """U f(x, t) on a 1-d spatial window times a list of times: one _columns
+    window column per time, displaced by gamma(0, t).
 
     Returns (values[nx, nt], initial[nx], node_counts[nt]), node_counts
     being the nodes of each time's certified (doubled) pass, at the
@@ -575,9 +607,10 @@ def batch_values(
     of the same pass: it shares the requested times' self-check, and
     their kernel call where its rule size matches one of theirs. The
     pass is time-major, values and initial views of its transpose. A
-    time's rule depends only on the window's displacements [min x,
-    max x] + s(t), never on chunking, so results do not depend on how
-    work is split. The node-doubling self-check certifies every sample.
+    time's budget depends only on the window's displacements [min x,
+    max x] + s(t), so its rule and count, and its chirp-z values, do not
+    depend on how work is split. The node-doubling self-check certifies
+    every sample.
     """
 
     if profile.d != 1:
@@ -591,38 +624,20 @@ def batch_values(
     ts = np.array([float(t) for t in ts] + [0.0])  # last column: f(x)
     _check_domain(profile, curve, m, xs, ts)
     (factor,) = coordinate_factors(profile)
-    shifts = gamma_pairs(curve, np.zeros(len(ts)), ts)[:, 0]  # gamma(0, t): the displacements
-    xlo, xhi = (float(np.min(xs)), float(np.max(xs))) if len(xs) else (0.0, 0.0)
     lo, hi = factor.hull
     chirp = (m == 2.0 and factor.smooth and len(xs) >= 3
              and _chirp_phase_error(xs, 0.5 * (hi - lo)) <= PHASE_GUARD)
-    counts = _bucket(_node_budgets(xlo + shifts, xhi + shifts, ts, m, factor, chirp))
-    context = f"kind={profile.kind}"
 
     def cap_label(j):  # an over-cap time names the window's farthest point, if it has one
         far = f", x={xs[np.argmax(np.abs(xs))]}" if len(xs) else ""
         return f"{far}, t={ts[j]}"
 
-    _check_cap(2 * counts, context, cap_label)
-
-    def run(doubling):
-        values = np.empty((len(ts), len(xs)), dtype=np.complex128)  # time-major
-        for n in np.unique(counts):  # ascending: mass ends on the largest rule
-            cols = np.flatnonzero(counts == n)
-            n = int(n) * doubling
-            if chirp:
-                values[cols], mass = _chirp_window(factor, n, shifts[cols], ts[cols], xs)
-            else:
-                integral, mass = _quadrature(factor, n, m, shifts[cols], ts[cols], xs)
-                values[cols] = integral.T
-        values /= TWO_PI
-        return values.T, mass / TWO_PI
-
     def label(k):
         return f", x={xs[k // len(ts)]}, t={ts[k % len(ts)]}"
 
-    values = _certify(run, context, label)
-    return values[:, :-1], values[:, -1], 2 * counts[:-1]
+    shifts = gamma_pairs(curve, np.zeros(len(ts)), ts)  # gamma(0, t): the displacements
+    values, counts = _columns(profile, m, shifts, ts, label, cap_label, xs, chirp)
+    return values[:, :-1], values[:, -1], counts[:-1]
 
 
 def batch_initial(profile: FrequencyProfile, xs: np.ndarray):

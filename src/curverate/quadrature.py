@@ -41,8 +41,8 @@ def _certify(run, context: str, label):
     """Node-doubling self-check shared by every certified quantity.
 
     run(doubling) returns (values, mass) on the rules with doubling times
-    the budgeted nodes; values is an array and mass a scalar or has one
-    entry per value. Returns the run(2) values once every entry agrees
+    the budgeted nodes; values is an array and mass a scalar or an array
+    that broadcasts against it (one entry per column of a window). Returns the run(2) values once every entry agrees
     with run(1) to SELF_CHECK_TOL * max(|coarse|, |fine|, mass), formed
     only where the gap passes the floor SELF_CHECK_TOL * mass. Otherwise
     it raises AccuracyError with both estimates of the first failing

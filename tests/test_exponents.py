@@ -108,6 +108,19 @@ def test_unsupported_regimes():
         law_for(Regime(d=2, alpha=0.7, m=2))  # Hölder d >= 2
 
 
+@pytest.mark.parametrize("first", ["exact", "float"])
+def test_law_memo_keeps_each_field_type_apart(first):
+    # equal regimes of different field types hash alike but have different laws
+    exact, inexact = Regime(d=1, alpha=F(1, 2), m=2), Regime(d=1, alpha=0.5, m=2)
+    assert exact == inexact and hash(exact) == hash(inexact)
+    for r in (exact, inexact) if first == "exact" else (inexact, exact):
+        law_for(r)
+    assert type(law_for(exact).pieces[0].lo) is F and law_for(exact).pieces[0].lo == 0
+    assert type(law_for(inexact).pieces[0].lo) is float
+    assert type(threshold(exact, F(1, 10))) is F and type(threshold(inexact, 0.1)) is float
+    assert law_for(Regime(d=1, alpha=F(1, 2), m=2)) is law_for(exact)  # one law per value and type
+
+
 def test_dispatch_ids():
     ids = [law_for(r).regime_id for r in TEN_REGIMES]
     assert len(set(ids)) == 10

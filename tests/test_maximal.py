@@ -123,6 +123,51 @@ def test_critical_time_bourgain_root():
         assert abs(x - t ** 0.5 + 2.0 * R * t) <= 1e-10 * abs(x)
 
 
+def serial_root(h, lo, hi):
+    """One root by the serial bisection in Python floats: the lockstep roots' reference."""
+    flo, fhi = h(lo), h(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    for _ in range(maximal.BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        fm = h(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("family,alpha,R", [(BUMP_MODULATED, 0.5, 256.0), (BUMP_MODULATED, 0.3, 64.0),
+                                             (BOURGAIN, 0.5, 64.0), (BOURGAIN, 0.75, 1024.0)])
+def test_lockstep_critical_times_are_the_serial_roots(family, alpha, R):
+    # numpy's array power may round t^alpha unlike Python's, so a root may move by a few ulps
+    c = calibrate_window_constant(family, alpha)
+    xs = window_grid(*admissible_window(family, R, alpha, 0.0, c), 33)
+    curve = CurveSpec(MINUS_SHIFT, alpha=alpha)
+    got = maximal._critical_times(family, curve, R, 0.0, xs)
+    if family == BUMP_MODULATED:
+        want = [serial_root(lambda t: x - t ** alpha - 2.0 * R * R * t, 0.0, min(1.0, x)) for x in xs.tolist()]
+    else:
+        want = [serial_root(lambda t: x - t ** alpha + 2.0 * R * t, 0.0, min(1.0, (abs(x) + 1.0) / (2.0 * R)))
+                for x in xs.tolist()]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # a root does not depend on the points it is found with
+    assert got.tolist() == [critical_time(family, curve, R, 0.0, x) for x in xs.tolist()]
+
+
+def test_lockstep_bisection_names_the_first_bracket_without_a_sign_change():
+    # roots at 0 and at the upper end stop there; 0.2 lies in neither of the last two brackets
+    lo, hi = np.zeros(5), np.array([1.0, 0.2, 0.5, 0.1, 0.05])
+    roots = maximal._bisect_root(lambda t: t - 0.2, lo[:3], hi[:3])
+    assert roots[1] == 0.2 and abs(roots[0] - 0.2) <= 1e-16 and abs(roots[2] - 0.2) <= 1e-16
+    with pytest.raises(WindowError, match=r"^no sign change on \(0\.0, 0\.1\);"):
+        maximal._bisect_root(lambda t: t - 0.2, lo, hi)
+    assert maximal._bisect_root(lambda t: t * (t - 0.2), lo[:2], hi[:2]).tolist() == [0.0, 0.0]
+
+
 def test_critical_time_window_errors():
     with pytest.raises(WindowError):
         critical_time(BUMP_DILATED, MINUS_HALF, 64.0, 0.0, -0.1)

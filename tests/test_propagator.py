@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, gamma as curve_gamma
+from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, gamma as curve_gamma, gamma_pairs
 from curverate.errors import AccuracyError, DomainValidationError
 from curverate.initial_data import (
     CoordinateFactor,
@@ -32,11 +32,11 @@ from curverate.propagator import (
     RULE_CACHE_SIZE,
     UNIT_ROUNDOFF,
     _bucket,
+    _budgets,
     _cached_weighted_rule,
     _chirp,
     _chirp_phase_error,
     _node_budgets,
-    _pair_budgets,
     _quadrature,
     _weighted_rule,
     batch_initial,
@@ -955,7 +955,8 @@ def test_bourgain_d2_grid_evaluates_its_factors_once_per_budget(monkeypatch):
     factors = coordinate_factors(profile)
     points = [x for x in xs for _ in ts] + xs
     times = np.array([t for _ in xs for t in ts] + [0.0] * len(xs))
-    _, budgets, _ = _pair_budgets(factors, curve, 2.0, points, times)
+    gam = gamma_pairs(curve, points, times)
+    budgets = _budgets(factors, 2.0, gam, gam, times)
     assert budgets.max() <= CACHED_RULE_NODES // 2  # both passes' rules are cached
     rules = {(j, n * doubling) for j in range(2) for n in budgets[:, j].tolist() for doubling in (1, 2)}
     segments = sum(len(factors[j].segments) for j, _ in rules)
@@ -1044,7 +1045,7 @@ def test_gaussian_at_its_stationary_point(c, t):
     exact = np.exp(1j * (x * c + t * c * c)) * gaussian_closed_form(x + 2.0 * t * c, t)
     assert abs(s.value - exact) <= 1e-12
     (factor,) = coordinate_factors(profile)
-    assert s.node_count == 2 * node_budget(x, x, t, 2.0, factor) < 2 * spec_budget(x, t, 2.0, factor)
+    assert s.node_count == 2 * bucket(node_budget(x, x, t, 2.0, factor)) < 2 * spec_budget(x, t, 2.0, factor)
 
 
 # the node floor: BASE_NODES is the largest floor any family's data need,
@@ -1241,14 +1242,14 @@ def test_paired_call_is_one_scalar_call_per_pair(case):
 
 
 def per_pair_budgets(profile, curve, m, points, ts):
-    """The pair budgets one pair at a time: gamma, then node_budget per coordinate."""
+    """The pair budgets one pair at a time: gamma, then the bucketed node_budget per coordinate."""
     factors = coordinate_factors(profile)
     gam = np.array(
         [np.atleast_1d(np.asarray(curve_gamma(curve, p, float(tp)), dtype=float))
          for p, tp in zip(points, ts)]
     ).reshape(len(ts), len(factors))
     budgets = [
-        [node_budget(float(g), float(g), float(tp), m, f) for g, f in zip(row, factors)]
+        [bucket(node_budget(float(g), float(g), float(tp), m, f)) for g, f in zip(row, factors)]
         for row, tp in zip(gam, ts)
     ]
     return gam, budgets, [2 * sum(row) for row in budgets]
@@ -1261,10 +1262,11 @@ def test_pair_budgets_are_the_per_pair_formula(monkeypatch, case, default_budget
     if not default_budget:
         coarse_density(monkeypatch, 0.25)
     ts = np.asarray(ts, dtype=float)
-    gam, budgets, used = _pair_budgets(coordinate_factors(profile), curve, m, xs, ts)
+    gam = gamma_pairs(curve, xs, ts)
+    budgets = _budgets(coordinate_factors(profile), m, gam, gam, ts)
     ref_gam, ref_budgets, ref_used = per_pair_budgets(profile, curve, m, xs, ts)
     assert gam.tobytes() == ref_gam.tobytes()  # bit for bit, signed zeros included
-    assert budgets.tolist() == ref_budgets and used.tolist() == ref_used
+    assert budgets.tolist() == ref_budgets and (2 * budgets.sum(axis=1)).tolist() == ref_used
 
 
 def test_paired_d2_values_do_not_depend_on_position():
@@ -1278,12 +1280,71 @@ def test_paired_d2_values_do_not_depend_on_position():
     assert values.tobytes() == single.tobytes()
 
 
-def test_paired_call_does_not_depend_on_chunking(monkeypatch):
+def test_paired_call_does_not_depend_on_chunking():
     profile, curve, m, xs, ts = PAIRED_CASES["minus-shift"]
     whole, total = certified_value(profile, curve, m, xs, ts)
-    monkeypatch.setattr(propagator, "PAIR_ELEMENTS", 1)  # one column per kernel call
-    chunked, chunked_total = certified_value(profile, curve, m, xs, ts)
-    assert np.array_equal(whole, chunked) and total == chunked_total
+    half = len(ts) // 2  # two calls, each grouping its own pairs
+    (head, head_total), (tail, tail_total) = (certified_value(profile, curve, m, xs[part], ts[part])
+                                              for part in (slice(None, half), slice(half, None)))
+    assert np.array_equal(whole, np.concatenate([head, tail])) and total == head_total + tail_total
+
+
+def test_the_pair_row_runs_in_blocks_without_moving_a_bit(monkeypatch):
+    # memory: the x = 0 row takes at most X_CHUNK * NODE_BLOCK column-nodes a block
+    profile, curve, m, xs, ts = PAIRED_CASES["d=2"]
+    whole, total = certified_value(profile, curve, m, xs, ts)
+    calls, real = [], propagator._quadrature
+    monkeypatch.setattr(propagator, "NODE_BLOCK", 1)  # one column per block
+    monkeypatch.setattr(propagator, "_quadrature", lambda *a: calls.append(len(a[4])) or real(*a))
+    blocked, blocked_total = certified_value(profile, curve, m, xs, ts)
+    assert whole.tobytes() == blocked.tobytes() and total == blocked_total
+    assert 1 in calls and max(calls) > 1  # a group of several pairs, then its one-pair blocks
+
+
+# the one budget rule: a pair's bucketed budget, value and count are its
+# own, whichever pairs share its call and in whatever order
+
+BUDGET_RULE_CASES = ["straight", "minus-shift", "gamma_fn", "fractional m=3/2", "d=2"]  # d = 1, 2; m = 2, 1.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), case=st.sampled_from(BUDGET_RULE_CASES))
+def test_any_batch_of_pairs_is_its_one_pair_calls(data, case):
+    profile, curve, m, xs, ts = PAIRED_CASES[case]
+    picks = data.draw(st.lists(st.integers(0, len(ts) - 1), min_size=1, max_size=2 * len(ts)))
+    points, times = [xs[i] for i in picks], np.array([ts[i] for i in picks], dtype=float)
+    values, total = certified_value(profile, curve, m, points, times)
+    single = [one_pair(profile, curve, m, x, t) for x, t in zip(points, times)]
+    assert values.tobytes() == np.array([v for v, _ in single]).tobytes()
+    gam = gamma_pairs(curve, points, times)
+    budgets = _budgets(coordinate_factors(profile), m, gam, gam, times)
+    assert np.array_equal(_bucket(budgets), budgets)
+    assert (2 * budgets.sum(axis=1)).tolist() == [n for _, n in single] and total == sum(n for _, n in single)
+
+
+SPLIT_WINDOWS = {  # (profile, curve, m, window, times): chirp-z and the direct table
+    "chirp": (gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5), 2.0, window_grid(-2.0, 2.0, 65),
+              [1e-3, 0.01, 0.05, 0.2, 0.4, 1.0]),
+    "table": (indicator_band(16.0), CurveSpec(PLUS_SHIFT, alpha=0.25), 2.0, window_grid(-0.05, 0.05, 9),
+              [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01]),
+    "m=3/2": (gaussian_like(), STRAIGHT_1D, 1.5, window_grid(-1.0, 1.0, 7), [1e-3, 0.01, 0.1, 0.3, 0.6, 1.0]),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(SPLIT_WINDOWS)))
+def test_a_window_time_does_not_depend_on_the_call_it_is_in(data, case):
+    profile, curve, m, xs, ts = SPLIT_WINDOWS[case]
+    times = data.draw(st.permutations(ts))
+    cut = data.draw(st.integers(1, len(times) - 1))
+    whole = batch_values(profile, curve, m, xs, times)
+    head, tail = batch_values(profile, curve, m, xs, times[:cut]), batch_values(profile, curve, m, xs, times[cut:])
+    assert np.concatenate([head[2], tail[2]]).tolist() == whole[2].tolist()
+    split = np.concatenate([head[0], tail[0]], axis=1)
+    if case == "chirp":
+        assert split.tobytes() == whole[0].tobytes()
+    else:  # the table's matmul runs a one-time budget group as a matrix-vector product, rounded otherwise
+        assert np.max(np.abs(split - whole[0])) <= 2e-15 * mass_scale(profile)
 
 
 def test_empty_paired_call():
@@ -1332,7 +1393,7 @@ def test_paired_call_validates_its_pairs():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
     calls = []
-    for stage in ("_pair_budgets", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, shifted = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5)
     with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
@@ -1350,7 +1411,7 @@ def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
 @pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
 def test_both_kernels_reject_a_bad_m_before_any_work(monkeypatch, m):
     calls = []
-    for stage in ("_pair_budgets", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, message = gaussian_like(), re.escape(f"dispersion power m={m} must be positive")
     with pytest.raises(DomainValidationError, match=message):
@@ -1373,7 +1434,7 @@ def test_both_kernels_reject_a_time_outside_the_unit_interval(t):
 
 def test_both_kernels_reject_a_curve_of_another_dimension_before_any_work(monkeypatch):
     calls = []
-    for stage in ("_pair_budgets", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, plane = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
     with pytest.raises(DomainValidationError, match="curve and profile dimensions disagree"):
@@ -1390,12 +1451,11 @@ def test_both_kernels_reject_a_curve_of_another_dimension_before_any_work(monkey
 @pytest.mark.parametrize("kernel", ["pointwise", "window"])
 def test_over_cap_error_names_the_doubled_budget(tight_cap, kernel):
     (factor,) = coordinate_factors(gaussian_like())
-    budget = node_budget(40.0, 40.0, 1.0, 2.0, factor)
+    budget = bucket(node_budget(40.0, 40.0, 1.0, 2.0, factor))  # pairs and windows budget the bucketed count
     with pytest.raises(AccuracyError) as err:
         if kernel == "pointwise":
             one_pair(gaussian_like(), STRAIGHT_1D, 2.0, 40.0, 1.0)
-        else:  # a window budgets the bucketed count
-            budget = bucket(budget)
+        else:
             batch_values(gaussian_like(), STRAIGHT_1D, 2.0, np.array([0.0, 40.0]), [1.0])
     assert str(err.value) == f"node budget {2 * budget} exceeds cap 128 [kind=gaussian-like, x=40.0, t=1.0]"
     assert err.value.coarse is None and err.value.fine is None
