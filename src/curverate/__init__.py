@@ -44,7 +44,6 @@ from .maximal import (  # noqa: F401
 from .experiments import (  # noqa: F401
     ExperimentPlan,
     ScalingReport,
-    predicted_slope,
     run,
     sharpness_sweep,
     fit_loglog,

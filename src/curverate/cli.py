@@ -68,10 +68,11 @@ def _flags(args, **overrides) -> dict:
 
 
 def _profile(args, d: int) -> FrequencyProfile:
-    """--family's datum at --R and --epsilon in dimension d."""
+    """--family's datum, the profile of its kind, at --R and --epsilon in dimension d."""
     if args.family == GAUSSIAN_LIKE:
         return FrequencyProfile(GAUSSIAN_LIKE, d=d)
-    return family_spec(args.family).profile(args.R, args.epsilon, d)
+    family_spec(args.family)  # annulus-bump or an unknown name: 'is not a counterexample family'
+    return FrequencyProfile(args.family, d=d, R=float(args.R), epsilon=args.epsilon)
 
 
 def _emit(args, command: str, config: dict, result: dict) -> None:

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import SCHEMA_VERSION
 from .errors import CurverateError, DomainValidationError
-from .initial_data import sobolev_norm
-from .maximal import TimeGrid, calibrate_window_constant, family_field, family_spec, l2_over_ball
+from .initial_data import FrequencyProfile, sobolev_norm
+from .maximal import (TimeGrid, calibrate_window_constant, check_window_constant, family_field,
+                      family_spec, l2_over_ball)
 from .reports import dumps
 
 SLOPE_TOLERANCE = 0.15
@@ -36,8 +37,8 @@ def fit_loglog(R_values: Sequence[float], ratios: Sequence[float]) -> Tuple[floa
 
     R_values = np.asarray(R_values, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
-    if len(R_values) < 2:
-        raise DomainValidationError("need at least two samples to fit a slope")
+    if len(np.unique(R_values)) < 2:
+        raise DomainValidationError("need samples at two or more distinct R to fit a slope")
     if np.any(ratios <= 0):
         raise DomainValidationError("ratios must be positive for a log-log fit")
     x = np.log(R_values)
@@ -49,12 +50,6 @@ def fit_loglog(R_values: Sequence[float], ratios: Sequence[float]) -> Tuple[floa
     dof = max(1, len(x) - 2)
     stderr = float(math.sqrt(np.sum(resid ** 2) / dof / sxx))
     return slope, stderr
-
-
-def predicted_slope(family: str, d: int, alpha: float, delta: float, s: float, epsilon: float = 0.0) -> float:
-    """The family's predicted log-log exponent for ratio(R)."""
-
-    return family_spec(family).slope(d, alpha, delta, s, epsilon)
 
 
 @dataclass(frozen=True)
@@ -85,14 +80,18 @@ class ExperimentPlan:
             raise DomainValidationError(
                 f"delta={self.delta} must lie in [0, alpha={self.alpha})"
             )
-        if self.s < 0:
-            raise DomainValidationError("s must be >= 0")
+        if not 0 <= self.s < math.inf:
+            raise DomainValidationError(f"s={self.s} must be finite and >= 0")
+        if not math.isfinite(self.epsilon):
+            raise DomainValidationError(f"epsilon={self.epsilon} must be finite")
         Rs = tuple(self.R_sequence)
         if len(Rs) < 4 or any(b <= a for a, b in zip(Rs, Rs[1:])):
             raise DomainValidationError("R_sequence must be strictly increasing, length >= 4")
         family_spec(self.family, self.alpha)
-        if self.workers < 1:
-            raise DomainValidationError("workers must be >= 1")
+        if self.c is not None:
+            check_window_constant(self.c)
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise DomainValidationError("workers must be an integer >= 1")
 
     def window_constant(self) -> float:
         if self.c is not None:
@@ -172,7 +171,7 @@ def _numerator_one_R(plan: ExperimentPlan, c: float, R: float) -> dict:
     """L^2-over-window of the rate-weighted sup for one R (s-independent)."""
 
     spec = family_spec(plan.family)
-    octaves = spec.octaves(R, plan.alpha, plan.epsilon, c) if spec.octaves else (None, None)
+    octaves = spec.octaves(R, plan.alpha, plan.epsilon, c)
     grid = TimeGrid(*octaves, points_per_octave=plan.points_per_octave)
     fld = family_field(
         plan.family, R, plan.alpha, plan.epsilon, c, plan.m, plan.delta, plan.x_points, grid,
@@ -232,13 +231,13 @@ def _numerators(plan: ExperimentPlan, c: float) -> List[dict]:
 def run(plan: ExperimentPlan) -> ScalingReport:
     """Execute the scaling experiment and fit the log-log slope."""
 
+    spec = family_spec(plan.family)
     c = plan.window_constant()
     rows = _numerators(plan, c)
     samples = []
     diagnostics = []
     for row, R in zip(rows, plan.R_sequence):
-        profile = family_spec(plan.family).profile(R, plan.epsilon, 1)
-        nrm = sobolev_norm(profile, plan.s)
+        nrm = sobolev_norm(FrequencyProfile(plan.family, R=float(R), epsilon=plan.epsilon), plan.s)
         ratio = row["l2"] / nrm
         samples.append((float(R), float(ratio)))
         diag = dict(row)
@@ -246,7 +245,7 @@ def run(plan: ExperimentPlan) -> ScalingReport:
         diag["ratio"] = float(ratio)
         diagnostics.append(diag)
     slope, stderr = fit_loglog([R for R, _ in samples], [r for _, r in samples])
-    pred = predicted_slope(plan.family, plan.d, plan.alpha, plan.delta, plan.s, plan.epsilon)
+    pred = spec.slope(plan.d, plan.alpha, plan.delta, plan.s, plan.epsilon)
     verdict = CONSISTENT if abs(slope - pred) <= SLOPE_TOLERANCE else INCONSISTENT
     return ScalingReport(
         plan=plan,

@@ -260,6 +260,14 @@ def _split_at_zero(lo, hi):
     return ((lo, hi),)
 
 
+def _bump_factor(centre: float, width: float, split: bool = False) -> CoordinateFactor:
+    """The factor g((eta - centre) / width) / width on [centre - width/2, centre + width/2],
+    one segment, or two split at 0 if asked."""
+    lo, hi = centre - width / 2.0, centre + width / 2.0
+    return CoordinateFactor(_split_at_zero(lo, hi) if split else ((lo, hi),),
+                            lambda eta: bump_eval((np.asarray(eta) - centre) / width) / width, True)
+
+
 @lru_cache(maxsize=256)
 def coordinate_factors(profile: FrequencyProfile):
     """Per-coordinate factors of the profile's Fourier transform.
@@ -273,26 +281,14 @@ def coordinate_factors(profile: FrequencyProfile):
     R = profile.R
 
     if kind == BUMP_DILATED:
-        func = lambda eta: bump_eval(np.asarray(eta) / R) / R
-        return (CoordinateFactor(_split_at_zero(-R / 2.0, R / 2.0), func, True),)
+        return (_bump_factor(0.0, R, split=True),)
 
     if kind == BUMP_MODULATED:
-        c = -R * R
-        func = lambda eta: bump_eval((np.asarray(eta) - c) / R) / R
-        return (CoordinateFactor(((c - R / 2.0, c + R / 2.0),), func, True),)
+        return (_bump_factor(-R * R, R),)
 
     if kind == BUMP_TENSOR:
-        c = -R ** (1.0 + profile.epsilon)
-        first = CoordinateFactor(
-            ((c - R / 2.0, c + R / 2.0),),
-            lambda eta: bump_eval((np.asarray(eta) - c) / R) / R,
-            True,
-        )
-        rest = tuple(
-            CoordinateFactor(((-0.5, 0.5),), lambda eta: bump_eval(np.asarray(eta)), True)
-            for _ in range(profile.d - 1)
-        )
-        return (first,) + rest
+        rest = tuple(_bump_factor(0.0, 1.0) for _ in range(profile.d - 1))
+        return (_bump_factor(-R ** (1.0 + profile.epsilon), R),) + rest
 
     if kind == INDICATOR_BAND:
         func = lambda eta: np.where(

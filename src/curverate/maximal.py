@@ -17,8 +17,9 @@ call per step, so a field costs 2 + GOLDEN_ITERATIONS pointwise calls
 whatever its number of points.
 
 Each counterexample family is described once, as a `Family` record in
-`FAMILIES`: its curve, datum, spatial window, window-constant predicate,
-critical time, predicted exponent and default time window.
+`FAMILIES`: its curve, spatial window, window-constant predicate, critical
+time, predicted exponent and default time window. Its datum is the
+profile of its own kind, FrequencyProfile(family, R=R, epsilon=epsilon).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .initial_data import (
     INDICATOR_BAND,
     FrequencyProfile,
     annulus_bump,
-    bourgain_profile,
-    bump_tensor,
     decay_threshold,
 )
 from .propagator import X_CHUNK
@@ -116,24 +115,33 @@ class MaximalField:
 # admissible windows and the window constant
 
 
-#: descending ladder of candidate window constants
-WINDOW_LADDER = (3.2, 1.6, 0.9, 0.8, 0.64, 0.4, 0.32, 0.2, 0.16, 0.08, 0.04, 0.02, 0.01, 0.005)
+#: descending ladder of candidate window constants; the entries below 0.005
+#: calibrate indicator-band down to alpha = 1/8 (c^alpha + c <= 0.35)
+WINDOW_LADDER = (3.2, 1.6, 0.9, 0.8, 0.64, 0.4, 0.32, 0.2, 0.16, 0.08, 0.04, 0.02, 0.01, 0.005,
+                 0.0025, 0.00125, 0.0005, 0.0002)
 
 
 @dataclass(frozen=True)
 class Family:
-    """One counterexample family: everything its lower-bound argument uses."""
+    """One counterexample family: everything its lower-bound argument uses but
+    its datum, the FrequencyProfile of the family's kind."""
 
     curve: str                      # kind of the shift curve
     x_sign: int                     # sign x_1 must have for a critical time (0: any)
     alpha_rule: str                 # admissible alpha, as text
     alpha_ok: Callable              # alpha -> bool
-    profile: Callable               # (R, epsilon, d) -> FrequencyProfile
     window: Callable                # (R, alpha, epsilon, c) -> spatial window (lo, hi)
     calibrated: Callable            # (c, alpha, R_min, R_max) -> bool
     critical: Callable              # (x_1 array, R, alpha, epsilon, c) -> stationary time(s)
     slope: Callable                 # (d, alpha, delta, s, epsilon) -> predicted exponent
-    octaves: Optional[Callable]     # (R, alpha, epsilon, c) -> default (j_min, j_max)
+    octaves: Callable               # (R, alpha, epsilon, c) -> (j_min, j_max), or (None, None): no grid
+
+
+def check_window_constant(c: float) -> None:
+    """Reject a window constant that is not a finite c > 0 (NaN included)."""
+
+    if not 0.0 < c < math.inf:
+        raise DomainValidationError(f"window constant c={c} must be finite and > 0")
 
 
 def _window_constant(family: str, c: Optional[float]) -> float:
@@ -144,6 +152,7 @@ def _window_constant(family: str, c: Optional[float]) -> float:
             f"{family} critical times need the family's window constant "
             "(calibrate_window_constant)"
         )
+    check_window_constant(c)
     return c
 
 
@@ -167,11 +176,11 @@ def _window_constant(family: str, c: Optional[float]) -> float:
 # not-yet-decayed |f|. The critical times solve t^alpha = x (bump-dilated),
 # t R^{1+eps} = x_1 (bump-tensor), x - t^alpha - 2 R^2 t = 0
 # (bump-modulated) and x - t^alpha + 2 R t = 0 (bourgain, x < 0) by
-# bisection to relative 1e-12; indicator-band's is c R^{-1/alpha}, x-free.
+# BISECTION_ITERATIONS halvings of a bracket; indicator-band's is
+# c R^{-1/alpha}, x-free.
 FAMILIES: Dict[str, Family] = {
     BUMP_DILATED: Family(
         curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha < 1/2", alpha_ok=lambda a: a < 0.5,
-        profile=lambda R, eps, d: FrequencyProfile(BUMP_DILATED, d=d, R=float(R)),
         window=lambda R, a, eps, c: (0.5 * c * R ** (-2.0 * a), c * R ** (-2.0 * a)),
         calibrated=lambda c, a, R_min, R_max: (
             c * R_min ** (-2.0 * a) <= 0.9
@@ -184,7 +193,6 @@ FAMILIES: Dict[str, Family] = {
     ),
     BUMP_MODULATED: Family(
         curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha >= 1/4", alpha_ok=lambda a: a >= 0.25,
-        profile=lambda R, eps, d: FrequencyProfile(BUMP_MODULATED, d=d, R=float(R)),
         window=lambda R, a, eps, c: (0.5 * c, c),
         calibrated=lambda c, a, R_min, R_max: c <= 0.9 and 0.5 * c * R_min >= decay_threshold(),
         critical=lambda x1, R, a, eps, c: _bisect_root(
@@ -195,7 +203,6 @@ FAMILIES: Dict[str, Family] = {
     ),
     BUMP_TENSOR: Family(
         curve=MINUS_SHIFT, x_sign=1, alpha_rule="alpha >= 1/2", alpha_ok=lambda a: a >= 0.5,
-        profile=lambda R, eps, d: bump_tensor(R, eps, d=d),
         window=lambda R, a, eps, c: (0.5 * c * R ** (eps - 1.0), c * R ** (eps - 1.0)),
         calibrated=lambda c, a, R_min, R_max: math.sqrt(c) <= 0.25,
         critical=lambda x1, R, a, eps, c: x1 / R ** (1.0 + eps),
@@ -206,7 +213,6 @@ FAMILIES: Dict[str, Family] = {
     ),
     INDICATOR_BAND: Family(
         curve=PLUS_SHIFT, x_sign=0, alpha_rule="alpha <= 1/2", alpha_ok=lambda a: a <= 0.5,
-        profile=lambda R, eps, d: FrequencyProfile(INDICATOR_BAND, d=d, R=float(R)),
         window=lambda R, a, eps, c: (-c, c),
         calibrated=lambda c, a, R_min, R_max: c ** a + c <= 0.35,
         critical=lambda x1, R, a, eps, c: _window_constant(INDICATOR_BAND, c) * R ** (-1.0 / a),
@@ -217,14 +223,13 @@ FAMILIES: Dict[str, Family] = {
     ),
     BOURGAIN: Family(
         curve=MINUS_SHIFT, x_sign=-1, alpha_rule="alpha >= 1/2", alpha_ok=lambda a: a >= 0.5,
-        profile=lambda R, eps, d: bourgain_profile(R, d=d),
         window=lambda R, a, eps, c: (-c, -0.5 * c),
         calibrated=lambda c, a, R_min, R_max: c <= 0.9,
         critical=lambda x1, R, a, eps, c: _bisect_root(
             lambda t: x1 - t ** a + 2.0 * R * t, 0.0, np.minimum(1.0, (np.abs(x1) + 1.0) / (2.0 * R))
         ),
         slope=lambda d, a, delta, s, eps: delta + d / (2.0 * (d + 1)) - s,
-        octaves=None,
+        octaves=lambda R, a, eps, c: (None, None),
     ),
 }
 
@@ -239,12 +244,6 @@ def family_spec(family: str, alpha: Optional[float] = None) -> Family:
     if alpha is not None and not spec.alpha_ok(alpha):
         raise DomainValidationError(f"{family} runs need {spec.alpha_rule}")
     return spec
-
-
-def admissible_window(family: str, R: float, alpha: float, epsilon: float, c: float):
-    """Spatial window (lo, hi) on which the family's lower bound operates."""
-
-    return family_spec(family).window(R, alpha, epsilon, c)
 
 
 def calibrate_window_constant(
@@ -513,8 +512,9 @@ def family_field(
     outside the family's alpha_rule raises DomainValidationError."""
 
     spec = family_spec(family, alpha)
+    check_window_constant(c)
     curve = CurveSpec(spec.curve, alpha=alpha, d=1)
-    profile = spec.profile(R, epsilon, 1)
+    profile = FrequencyProfile(family, R=float(R), epsilon=epsilon)
     xs = window_grid(*spec.window(R, alpha, epsilon, c), x_points)
     tc = _critical_times(family, curve, R, epsilon, xs, window_constant=c) if inject else None
     return maximal_field(profile, curve, m, delta, xs, grid, critical_times=tc)
@@ -594,6 +594,8 @@ def lemma_profile(
 
     if regime.d != 1:
         raise DomainValidationError("empirical local-bound checks run at desk scale d = 1")
+    if len(js) == 0:
+        raise DomainValidationError("lemma_profile needs at least one j")
     for j in js:
         lemma_bound(regime, k, j)  # validates the (k, j) range
     profile = annulus_bump(k)
@@ -649,6 +651,8 @@ def rate_ceiling_demo(
 
     if curve.kind not in (MINUS_SHIFT, PLUS_SHIFT):
         raise DomainValidationError("the rate ceiling concerns genuinely shifted curves")
+    if j_lo > j_hi:
+        raise DomainValidationError(f"need j_lo <= j_hi, not j_lo={j_lo} > j_hi={j_hi}")
     alpha = curve.alpha
     ts = 2.0 ** (-np.arange(j_lo, j_hi + 1, dtype=float))
     values, initial, _ = batch_values(profile, curve, 2.0, np.atleast_1d(float(x_star)), list(ts))

@@ -512,6 +512,34 @@ def test_maximal_without_times_fails_before_any_work(monkeypatch, capsys):
     assert proc.returncode == 1 and proc.stderr == err and proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv,c", [
+    (["scaling", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.1", "--c", "0"], 0.0),
+    (["sweep", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.1", "--c", "-0.1",
+      "--s-list", "0,0.5"], -0.1),
+    (["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25", "--c", "-0.01",
+      "--j-min", "16", "--j-max", "18", "--x-points", "9"], -0.01),
+])
+def test_a_window_constant_at_or_below_zero_is_one_error_line(argv, c, monkeypatch, capsys):
+    from curverate import cli, maximal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for kernel in ("batch_values", "certified_value", "point_values"):
+        monkeypatch.setattr(maximal, kernel, refuse)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: window constant c={c} must be finite and > 0\n"
+
+
+def test_a_plan_file_with_a_fractional_worker_count_exits_one(tmp_path):
+    plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0, "workers": 1.5}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    proc = run_cli("scaling", "--plan", str(tmp_path / "plan.json"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: workers must be an integer >= 1\n" and proc.stdout == ""
+
+
 def test_ceiling_demo():
     proc = run_cli("ceiling-demo", "--alpha", "0.5", "--x-star", "0.3")
     assert proc.returncode == 0

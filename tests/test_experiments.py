@@ -12,19 +12,19 @@ from curverate.experiments import (
     ScalingReport,
     _NUMERATOR_CACHE,
     fit_loglog,
-    predicted_slope,
     run,
     sharpness_sweep,
 )
+from curverate.maximal import family_spec
 
 
 def test_predicted_slope_examples():
-    assert predicted_slope("bump-dilated", 1, 0.2, 0.05, 0.0) == pytest.approx(0.4)
-    assert predicted_slope("indicator-band", 1, 0.25, 0.1, 0.0) == pytest.approx(0.4)
-    assert predicted_slope("bump-modulated", 1, 0.5, 0.0, 0.25) == pytest.approx(0.0)
-    assert predicted_slope("bourgain", 1, 0.5, 0.1, 0.0) == pytest.approx(0.35)
-    assert predicted_slope("bourgain", 2, 0.5, 0.0, 0.0) == pytest.approx(1.0 / 3.0)
-    assert predicted_slope("bump-tensor", 1, 0.5, 0.1, 0.0, epsilon=0.1) == pytest.approx(0.25)
+    assert family_spec("bump-dilated").slope(1, 0.2, 0.05, 0.0, 0.0) == pytest.approx(0.4)
+    assert family_spec("indicator-band").slope(1, 0.25, 0.1, 0.0, 0.0) == pytest.approx(0.4)
+    assert family_spec("bump-modulated").slope(1, 0.5, 0.0, 0.25, 0.0) == pytest.approx(0.0)
+    assert family_spec("bourgain").slope(1, 0.5, 0.1, 0.0, 0.0) == pytest.approx(0.35)
+    assert family_spec("bourgain").slope(2, 0.5, 0.0, 0.0, 0.0) == pytest.approx(1.0 / 3.0)
+    assert family_spec("bump-tensor").slope(1, 0.5, 0.1, 0.0, 0.1) == pytest.approx(0.25)
 
 
 def test_predicted_slope_affine_coefficients_exact():
@@ -35,15 +35,15 @@ def test_predicted_slope_affine_coefficients_exact():
         ("bourgain", 1.0, -1.0),
         ("bump-tensor", 2.0, -(1.0 + 0.1)),
     ]:
-        base = predicted_slope(family, 1, 0.25, 0.1, 0.2, epsilon=0.1)
-        assert predicted_slope(family, 1, 0.25, 0.15, 0.2, epsilon=0.1) - base == pytest.approx(
+        base = family_spec(family).slope(1, 0.25, 0.1, 0.2, 0.1)
+        assert family_spec(family).slope(1, 0.25, 0.15, 0.2, 0.1) - base == pytest.approx(
             0.05 * dds
         )
-        assert predicted_slope(family, 1, 0.25, 0.1, 0.3, epsilon=0.1) - base == pytest.approx(
+        assert family_spec(family).slope(1, 0.25, 0.1, 0.3, 0.1) - base == pytest.approx(
             0.1 * dss
         )
     with pytest.raises(DomainValidationError):
-        predicted_slope("mystery", 1, 0.5, 0.0, 0.0)
+        family_spec("mystery").slope(1, 0.5, 0.0, 0.0, 0.0)
 
 
 def test_fit_loglog_exact_power_law():
@@ -56,6 +56,8 @@ def test_fit_loglog_exact_power_law():
         fit_loglog([1.0], [1.0])
     with pytest.raises(DomainValidationError):
         fit_loglog([1.0, 2.0], [1.0, -1.0])
+    with pytest.raises(DomainValidationError, match="distinct R"):
+        fit_loglog([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_plan_validation():
@@ -67,6 +69,33 @@ def test_plan_validation():
         ExperimentPlan(family="bump-modulated", alpha=0.5, delta=0.0, s=0.0, R_sequence=(8.0, 4.0, 16.0, 32.0))
     with pytest.raises(DomainValidationError, match="'nope' is not a counterexample family"):
         ExperimentPlan(family="nope", alpha=0.5, delta=0.0, s=0.0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("c", 0.0, "window constant c=0.0 must be finite and > 0"),
+    ("c", -0.1, "window constant c=-0.1 must be finite and > 0"),
+    ("c", math.nan, "window constant c=nan must be finite and > 0"),
+    ("c", math.inf, "window constant c=inf must be finite and > 0"),
+    ("workers", 1.5, "workers must be an integer >= 1"),
+    ("workers", 0, "workers must be an integer >= 1"),
+    ("s", math.nan, "s=nan must be finite and >= 0"),
+    ("s", math.inf, "s=inf must be finite and >= 0"),
+    ("epsilon", math.nan, "epsilon=nan must be finite"),
+])
+def test_plan_rejects_a_field_out_of_its_range(field, value, message):
+    plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0, field: value}
+    with pytest.raises(DomainValidationError) as err:
+        ExperimentPlan.from_dict(plan)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("alpha,delta,c", [(0.2, 0.1, 0.0025), (0.15, 0.05, 0.0005),
+                                           (0.125, 0.06, 0.0002)])
+def test_indicator_band_below_a_quarter_is_consistent(alpha, delta, c):
+    # the ladder's tail calibrates the band for every alpha its rule admits, down to 1/8
+    report = run(ExperimentPlan(family="indicator-band", alpha=alpha, delta=delta, s=0.0))
+    assert report.window_constant == c
+    assert report.verdict == "consistent", (report.fitted_slope, report.predicted)
 
 
 @pytest.mark.parametrize(

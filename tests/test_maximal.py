@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT
 from curverate.errors import DomainValidationError, ResolutionError, WindowError
-from curverate.exponents import LIPSCHITZ, Regime
+from curverate.exponents import LIPSCHITZ, Regime, law_for
 from curverate.initial_data import (
     BOURGAIN,
     BUMP_DILATED,
     BUMP_MODULATED,
     BUMP_TENSOR,
     INDICATOR_BAND,
+    FrequencyProfile,
     bump_dilated,
     bump_tensor,
     gaussian_like,
@@ -26,7 +27,6 @@ from curverate.maximal import (
     GOLDEN_ITERATIONS,
     MaximalField,
     TimeGrid,
-    admissible_window,
     calibrate_window_constant,
     critical_time,
     family_field,
@@ -145,7 +145,7 @@ def serial_root(h, lo, hi):
 def test_lockstep_critical_times_are_the_serial_roots(family, alpha, R):
     # numpy's array power may round t^alpha unlike Python's, so a root may move by a few ulps
     c = calibrate_window_constant(family, alpha)
-    xs = window_grid(*admissible_window(family, R, alpha, 0.0, c), 33)
+    xs = window_grid(*family_spec(family).window(R, alpha, 0.0, c), 33)
     curve = CurveSpec(MINUS_SHIFT, alpha=alpha)
     got = maximal._critical_times(family, curve, R, 0.0, xs)
     if family == BUMP_MODULATED:
@@ -243,7 +243,7 @@ def test_l2_over_ball_examples():
 
 def test_l2_self_convergence_under_x_refinement():
     R, c = 64.0, 0.04
-    lo, hi = admissible_window(INDICATOR_BAND, R, 0.5, 0.0, c)
+    lo, hi = family_spec(INDICATOR_BAND).window(R, 0.5, 0.0, c)
     curve = PLUS_HALF
     vals = {}
     for n in (512, 1024):
@@ -533,8 +533,8 @@ def test_lockstep_refinement_is_the_serial_golden_section_search(family, alpha):
     spec = FAMILIES[family]
     curve = CurveSpec(spec.curve, alpha=alpha)
     c = calibrate_window_constant(family, alpha)
-    profile = spec.profile(R, 0.0, 1)
-    xs = window_grid(*admissible_window(family, R, alpha, 0.0, c), 17)
+    profile = FrequencyProfile(family, R=R)
+    xs = window_grid(*family_spec(family).window(R, alpha, 0.0, c), 17)
     tc = np.array([critical_time(family, curve, R, 0.0, float(x), window_constant=c) for x in xs])
     grid = TimeGrid(*spec.octaves(R, alpha, 0.0, c), points_per_octave=4)
     ts = grid.times()
@@ -559,9 +559,9 @@ def injected_field(family, alpha, R, n=129):
     spec = FAMILIES[family]
     curve = CurveSpec(spec.curve, alpha=alpha)
     c = calibrate_window_constant(family, alpha)
-    xs = window_grid(*admissible_window(family, R, alpha, 0.0, c), n)
+    xs = window_grid(*family_spec(family).window(R, alpha, 0.0, c), n)
     tc = np.array([critical_time(family, curve, R, 0.0, float(x), window_constant=c) for x in xs])
-    return spec.profile(R, 0.0, 1), curve, c, xs, tc
+    return FrequencyProfile(family, R=R), curve, c, xs, tc
 
 
 def count_window_calls(monkeypatch):
@@ -651,6 +651,26 @@ def test_rate_ceiling_demo():
     assert running[-1] <= min(r for _, r in pairs) + 1e-18
     with pytest.raises(DomainValidationError):
         rate_ceiling_demo(gaussian_like(), CurveSpec("straight"))
+    with pytest.raises(DomainValidationError, match="j_lo <= j_hi"):
+        rate_ceiling_demo(gaussian_like(), curve, j_lo=5, j_hi=4)
+
+
+def test_lemma_profile_rejects_an_empty_list_of_js():
+    with pytest.raises(DomainValidationError, match="at least one j"):
+        lemma_profile(Regime(d=1, alpha=0.5, m=2), 5, [], MINUS_HALF)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.01, math.nan, math.inf])
+def test_family_field_rejects_a_window_constant_that_is_not_finite_and_positive(monkeypatch, c):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for kernel in ("batch_values", "certified_value", "point_values"):
+        monkeypatch.setattr(maximal, kernel, refuse)
+    with pytest.raises(DomainValidationError, match="window constant"):
+        family_field(INDICATOR_BAND, 64.0, 0.25, 0.0, c, 2.0, 0.0, 9, TimeGrid(16, 18), inject=True)
+    with pytest.raises(DomainValidationError, match="window constant"):
+        critical_time(INDICATOR_BAND, PLUS_HALF, 64.0, 0.0, 0.001, window_constant=c)
 
 
 def test_calibrate_window_constants_deterministic():
@@ -666,11 +686,11 @@ def test_calibrate_window_constants_deterministic():
 
 
 def test_admissible_windows():
-    assert admissible_window(BUMP_MODULATED, 64.0, 0.5, 0.0, 0.4) == (0.2, 0.4)
-    lo, hi = admissible_window(BUMP_DILATED, 64.0, 0.2, 0.0, 3.2)
+    assert family_spec(BUMP_MODULATED).window(64.0, 0.5, 0.0, 0.4) == (0.2, 0.4)
+    lo, hi = family_spec(BUMP_DILATED).window(64.0, 0.2, 0.0, 3.2)
     assert lo == pytest.approx(1.6 * 64.0 ** -0.4) and hi == pytest.approx(3.2 * 64.0 ** -0.4)
-    assert admissible_window(INDICATOR_BAND, 64.0, 0.25, 0.0, 0.01) == (-0.01, 0.01)
-    assert admissible_window(BOURGAIN, 64.0, 0.5, 0.0, 0.9) == (-0.9, -0.45)
+    assert family_spec(INDICATOR_BAND).window(64.0, 0.25, 0.0, 0.01) == (-0.01, 0.01)
+    assert family_spec(BOURGAIN).window(64.0, 0.5, 0.0, 0.9) == (-0.9, -0.45)
 
 
 # (family, alpha, curve, calibrated c at R 64..1024, window at R = 64 and eps = 0.1,
@@ -689,16 +709,41 @@ FAMILY_TABLE = [
 
 @pytest.mark.parametrize("family,alpha,kind,c,window,t_mid,slope1,slope2", FAMILY_TABLE)
 def test_family_table_values(family, alpha, kind, c, window, t_mid, slope1, slope2):
-    from curverate.experiments import predicted_slope
-
     assert calibrate_window_constant(family, alpha, R_min=64.0, R_max=1024.0) == c
-    lo, hi = admissible_window(family, 64.0, alpha, 0.1, c)
+    lo, hi = family_spec(family).window(64.0, alpha, 0.1, c)
     assert (lo, hi) == pytest.approx(window, rel=1e-14)
     curve = CurveSpec(kind, alpha=alpha)
     t = critical_time(family, curve, 64.0, 0.1, 0.5 * (lo + hi), window_constant=c)
     assert t == pytest.approx(t_mid, rel=1e-12)
-    assert predicted_slope(family, 1, alpha, 0.1, 0.2, 0.1) == pytest.approx(slope1, rel=1e-12)
-    assert predicted_slope(family, 2, alpha, 0.1, 0.2, 0.1) == pytest.approx(slope2, rel=1e-12)
+    assert family_spec(family).slope(1, alpha, 0.1, 0.2, 0.1) == pytest.approx(slope1, rel=1e-12)
+    assert family_spec(family).slope(2, alpha, 0.1, 0.2, 0.1) == pytest.approx(slope2, rel=1e-12)
+
+
+def _zero_in_s(family, d, alpha, delta):
+    """The s at which the family's predicted slope, affine in s, vanishes (epsilon = 0)."""
+
+    slope = family_spec(family).slope
+    at0, at1 = slope(d, alpha, delta, 0.0, 0.0), slope(d, alpha, delta, 1.0, 0.0)
+    return at0 / (at0 - at1)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_each_family_realises_a_line_of_the_atlas(family):
+    # a family's blow-up can never beat the sharp threshold s(delta), and
+    # each family is sharp somewhere: the zero of its slope touches the law
+    alphas = [k / 40 for k in range(1, 41) if FAMILIES[family].alpha_ok(k / 40)]
+    assert alphas
+    for alpha in alphas:
+        law = law_for(Regime(1, alpha, 2))
+        gaps = [float(law(delta)) - _zero_in_s(family, 1, alpha, delta)
+                for delta in alpha * np.arange(200) / 200]
+        assert -1e-12 <= min(gaps) <= 1e-12, (family, alpha, min(gaps))
+
+
+def test_bourgain_plane_realises_the_plane_lipschitz_law():
+    law = law_for(Regime(2, 1, 2, LIPSCHITZ))
+    for delta in np.arange(100) / 300:  # [0, 1/3), where delta + 1/3 leads 2 delta
+        assert _zero_in_s(BOURGAIN, 2, 0.5, delta) == pytest.approx(float(law(delta)), abs=1e-12)
 
 
 # alpha ranges on which each family's window calibrates at R_min = 64, R_max = 1024
@@ -706,7 +751,7 @@ _ALPHA_RANGES = {
     BUMP_DILATED: (0.05, 0.35),
     BUMP_MODULATED: (0.25, 1.0),
     BUMP_TENSOR: (0.5, 1.0),
-    INDICATOR_BAND: (0.21, 0.5),
+    INDICATOR_BAND: (0.125, 0.5),
     BOURGAIN: (0.5, 1.0),
 }
 
@@ -737,7 +782,7 @@ def test_critical_time_solves_the_stationarity_equation(family, R, u, v, eps):
     a_lo, a_hi = _ALPHA_RANGES[family]
     alpha = a_lo + u * (a_hi - a_lo)
     c = calibrate_window_constant(family, alpha, R_min=64.0, R_max=1024.0)
-    lo, hi = admissible_window(family, R, alpha, eps, c)
+    lo, hi = family_spec(family).window(R, alpha, eps, c)
     x = lo + v * (hi - lo)
     kind = PLUS_SHIFT if family == INDICATOR_BAND else MINUS_SHIFT
     t = critical_time(family, CurveSpec(kind, alpha=alpha), R, eps, x, window_constant=c)

@@ -12,6 +12,7 @@ from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGH
 from curverate.errors import AccuracyError, DomainValidationError
 from curverate.initial_data import (
     CoordinateFactor,
+    FrequencyProfile,
     annulus_bump,
     bourgain_physical,
     bourgain_profile,
@@ -429,7 +430,7 @@ def test_calibrated_scaling_windows_factorize_at_large_R(family, alpha, eps):
     spec, R = FAMILIES[family], 256.0
     c = calibrate_window_constant(family, alpha, R_min=32.0, R_max=1024.0)
     xs = window_grid(*spec.window(R, alpha, eps, c), 129)
-    profile, curve = spec.profile(R, eps, 1), CurveSpec(spec.curve, alpha=alpha)
+    profile, curve = FrequencyProfile(family, R=R, epsilon=eps), CurveSpec(spec.curve, alpha=alpha)
     ts = [0.25 / R ** 2, 1.0 / R ** 2, 4.0 / R ** 2]
     with kernel_paths() as paths:
         (vals, init, _) = batch_values(profile, curve, 2.0, xs, ts)
@@ -797,7 +798,7 @@ def test_chirp_budget_matches_the_direct_table_on_the_scaling_windows(family, al
     spec, R = FAMILIES[family], 256.0
     c = calibrate_window_constant(family, alpha, R_min=32.0, R_max=1024.0)
     xs = window_grid(*spec.window(R, alpha, eps, c), 129)
-    profile, curve = spec.profile(R, eps, 1), CurveSpec(spec.curve, alpha=alpha)
+    profile, curve = FrequencyProfile(family, R=R, epsilon=eps), CurveSpec(spec.curve, alpha=alpha)
     ts = [critical_time(family, curve, R, eps, float(xs[i])) for i in (0, 64, 128)]
     ts += [0.25 / R ** 2, 1.0 / R ** 2, 4.0 / R ** 2]
     with kernel_paths() as paths:
