@@ -80,20 +80,6 @@ def _emit(args, command: str, config: dict, result: dict) -> None:
     sys.stdout.write(text)
 
 
-def _workers(args) -> int:
-    """--workers, else CURVERATE_WORKERS, else 1: a positive integer, as --workers must be."""
-    if args.workers is not None:
-        return args.workers
-    text = os.environ.get("CURVERATE_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise DomainValidationError(f"CURVERATE_WORKERS={text!r} must be a positive integer")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -210,11 +196,16 @@ def _plan_from_args(args) -> ExperimentPlan:
     if args.plan:
         import json
 
-        with open(args.plan) as fh:
-            data = json.load(fh)
-        # plan files carry no worker count unless they set one
-        return ExperimentPlan.from_dict({"workers": _workers(args), **data})
-    Rs = tuple(float(2 ** j) for j in range(args.R_min_pow, args.R_max_pow + 1))
+        try:
+            with open(args.plan) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:  # no such file, or text that is not JSON
+            raise DomainValidationError(f"cannot read plan file {args.plan}: {exc}") from None
+        return ExperimentPlan.from_dict(data)
+    try:
+        Rs = tuple(math.ldexp(1.0, j) for j in range(args.R_min_pow, args.R_max_pow + 1))
+    except OverflowError:
+        raise DomainValidationError(f"--R-max-pow {args.R_max_pow} overflows a float") from None
     return ExperimentPlan(
         family=args.family,
         alpha=args.alpha,
@@ -223,15 +214,13 @@ def _plan_from_args(args) -> ExperimentPlan:
         epsilon=args.epsilon,
         R_sequence=Rs,
         c=args.c,
-        workers=_workers(args),
     )
 
 
 def cmd_scaling(args) -> int:
     plan = _plan_from_args(args)
-    report = run_experiment(plan)
-    payload = report.to_dict()
-    _emit(args, "scaling", plan.to_dict(), payload)
+    report = run_experiment(plan, args.workers)
+    _emit(args, "scaling", plan.to_dict(), report.to_dict())
     base = args.out.rsplit(".", 1)[0] if args.out else None
     if base:
         rows = [
@@ -248,10 +237,9 @@ def cmd_scaling(args) -> int:
 
 def cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
-    s_list = args.s_list
-    rows, crossing = sharpness_sweep(plan, s_list)
+    rows, crossing = sharpness_sweep(plan, args.s_list, args.workers)
     config = plan.to_dict()
-    config["s_list"] = s_list
+    config["s_list"] = args.s_list
     result = {
         "slopes": [[s, m] for s, m in rows],
         "crossing": crossing,
@@ -374,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, default=None)
         p.add_argument("--R-min-pow", type=int, default=5)
         p.add_argument("--R-max-pow", type=int, default=10)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=1)
         if name == "sweep":
             p.add_argument("--s-list", type=float_list, required=True)
         p.add_argument("--out", type=str, default=None)

@@ -21,8 +21,8 @@ import numpy as np
 from . import SCHEMA_VERSION
 from .errors import CurverateError, DomainValidationError
 from .initial_data import FrequencyProfile, sobolev_norm
-from .maximal import (TimeGrid, calibrate_window_constant, check_window_constant, family_field,
-                      family_spec, l2_over_ball)
+from .maximal import (BALL_CELLS, TimeGrid, calibrate_window_constant, check_window_constant,
+                      family_field, family_spec, l2_over_ball)
 from .reports import dumps
 
 SLOPE_TOLERANCE = 0.15
@@ -67,7 +67,6 @@ class ExperimentPlan:
     c: Optional[float] = None            # window constant; None -> calibrated
     x_points: int = 129
     points_per_octave: int = 6
-    workers: int = 1
 
     def __post_init__(self):
         if self.d != 1:
@@ -85,13 +84,20 @@ class ExperimentPlan:
         if not math.isfinite(self.epsilon):
             raise DomainValidationError(f"epsilon={self.epsilon} must be finite")
         Rs = tuple(self.R_sequence)
+        object.__setattr__(self, "R_sequence", Rs)  # a list of R makes an equal, hashable plan
+        for R in Rs:
+            if not 1 <= R < math.inf:
+                raise DomainValidationError(f"R={R} in R_sequence must be finite and >= 1")
         if len(Rs) < 4 or any(b <= a for a, b in zip(Rs, Rs[1:])):
             raise DomainValidationError("R_sequence must be strictly increasing, length >= 4")
+        # l2_over_ball needs the x spacing 2 radius / x_points <= radius / BALL_CELLS
+        for name, least in (("x_points", 2 * BALL_CELLS), ("points_per_octave", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # a bool is no count
+                raise DomainValidationError(f"{name}={value} must be an integer >= {least}")
         family_spec(self.family, self.alpha)
         if self.c is not None:
             check_window_constant(self.c)
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise DomainValidationError("workers must be an integer >= 1")
 
     def window_constant(self) -> float:
         if self.c is not None:
@@ -103,18 +109,16 @@ class ExperimentPlan:
     def to_dict(self) -> dict:
         out = asdict(self)
         out["R_sequence"] = [float(R) for R in self.R_sequence]
-        out.pop("workers")  # execution detail: reports are worker-count free
         return out
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentPlan":
-        data = dict(data)
+        if not isinstance(data, dict):
+            raise DomainValidationError(f"bad plan config: {type(data).__name__} is not an object")
         unknown = sorted(set(data) - {f.name for f in fields(ExperimentPlan)})
         if unknown:
             raise DomainValidationError(f"bad plan config: unknown keys {', '.join(unknown)}")
         try:
-            if "R_sequence" in data:
-                data["R_sequence"] = tuple(data["R_sequence"])
             return ExperimentPlan(**data)
         except TypeError as exc:  # a missing key or a value of the wrong type
             raise DomainValidationError(f"bad plan config: {exc}") from None
@@ -207,16 +211,18 @@ NUMERATOR_CACHE_SIZE = 32
 _NUMERATOR_CACHE: "OrderedDict[tuple, List[dict]]" = OrderedDict()
 
 
-def _numerators(plan: ExperimentPlan, c: float) -> List[dict]:
-    # rows depend on neither s nor the worker count
-    key = (replace(plan, s=0.0, workers=1, R_sequence=tuple(plan.R_sequence)), c)
+def _numerators(plan: ExperimentPlan, c: float, workers: int) -> List[dict]:
+    if not isinstance(workers, int) or workers < 1:
+        raise DomainValidationError("workers must be an integer >= 1")
+    # rows do not depend on s
+    key = (replace(plan, s=0.0), c)
     hit = _NUMERATOR_CACHE.get(key)
     if hit is not None:
         _NUMERATOR_CACHE.move_to_end(key)
         return hit
     rows: List[dict] = []
     try:
-        for row in pool_map(partial(_numerator_one_R, plan, c), plan.R_sequence, plan.workers):
+        for row in pool_map(partial(_numerator_one_R, plan, c), plan.R_sequence, workers):
             rows.append(row)
     except CurverateError as exc:
         # abort, but keep the completed per-R diagnostics on the error
@@ -228,12 +234,16 @@ def _numerators(plan: ExperimentPlan, c: float) -> List[dict]:
     return rows
 
 
-def run(plan: ExperimentPlan) -> ScalingReport:
-    """Execute the scaling experiment and fit the log-log slope."""
+def run(plan: ExperimentPlan, workers: int = 1) -> ScalingReport:
+    """Execute the scaling experiment and fit the log-log slope.
+
+    The numerator rows run on up to `workers` processes; the report does
+    not depend on the count.
+    """
 
     spec = family_spec(plan.family)
     c = plan.window_constant()
-    rows = _numerators(plan, c)
+    rows = _numerators(plan, c, workers)
     samples = []
     diagnostics = []
     for row, R in zip(rows, plan.R_sequence):
@@ -259,7 +269,7 @@ def run(plan: ExperimentPlan) -> ScalingReport:
     )
 
 
-def sharpness_sweep(plan: ExperimentPlan, s_list: Sequence[float]):
+def sharpness_sweep(plan: ExperimentPlan, s_list: Sequence[float], workers: int = 1):
     """Fitted slope per s, plus the zero crossing by linear interpolation.
 
     The maximal-field numerator does not depend on s, so the sweep runs
@@ -269,10 +279,7 @@ def sharpness_sweep(plan: ExperimentPlan, s_list: Sequence[float]):
 
     if len(s_list) < 2:
         raise DomainValidationError("sweep needs at least two s values")
-    rows = []
-    for s in s_list:
-        rep = run(replace(plan, s=float(s)))
-        rows.append((float(s), rep.fitted_slope))
+    rows = [(float(s), run(replace(plan, s=float(s)), workers).fitted_slope) for s in s_list]
     crossing = None
     for (s0, m0), (s1, m1) in zip(rows, rows[1:]):
         if m0 == 0.0:

@@ -471,6 +471,11 @@ def maximal_field(
     )
 
 
+#: the least number of cells per ball radius for l2_over_ball's midpoint rule;
+#: n midpoints over a ball are 2 radius / n apart, so n >= 2 * BALL_CELLS
+BALL_CELLS = 64
+
+
 def l2_over_ball(fld: MaximalField) -> float:
     """Midpoint-rule L^2 norm of the sup values over the field's ball."""
 
@@ -479,9 +484,9 @@ def l2_over_ball(fld: MaximalField) -> float:
     if len(xs) < 2:
         raise ResolutionError("need at least 2 grid points")
     h = (2.0 * radius) / len(xs)
-    if h > radius / 64.0 + 1e-15:
+    if h > radius / BALL_CELLS + 1e-15:
         raise ResolutionError(
-            f"x spacing {h} too coarse for ball radius {radius} (need <= radius/64)"
+            f"x spacing {h} too coarse for ball radius {radius} (need <= radius/{BALL_CELLS})"
         )
     diffs = np.diff(xs)
     if not np.allclose(diffs, h, rtol=1e-6, atol=1e-12 * max(1.0, radius)):

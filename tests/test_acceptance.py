@@ -6,7 +6,6 @@ lines as they complete. Tolerances are fixed here, not calibrated later.
 
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -319,9 +318,9 @@ def test_c10_determinism_and_round_trip():
             points_per_octave=4,
         )
         _NUMERATOR_CACHE.clear()
-        r1 = run(replace(plan, workers=1))
+        r1 = run(plan, workers=1)
         _NUMERATOR_CACHE.clear()
-        r8 = run(replace(plan, workers=8))
+        r8 = run(plan, workers=8)
         assert r1.to_json() == r8.to_json()
         back = ScalingReport.from_json(r1.to_json())
         assert back.to_json() == r1.to_json()

@@ -388,21 +388,53 @@ def test_plan_file_rejects_the_dropped_quadrature_keys(tmp_path, key, value):
     assert proc.stderr == "error: bad plan config: unknown keys quad\n", proc.stderr
 
 
-@pytest.mark.parametrize("source", ["flag", "environment", "plan"])
-def test_plan_file_keeps_the_worker_count(tmp_path, monkeypatch, source):
-    from curverate.cli import _plan_from_args, build_parser
+SMALL_PLAN = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0,
+              "R_sequence": [8.0, 16.0, 32.0, 64.0], "points_per_octave": 4}
 
-    plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0,
-            "R_sequence": [8.0, 16.0, 32.0, 64.0]}
-    argv = ["scaling", "--plan", str(tmp_path / "plan.json")]
-    if source == "flag":
-        argv += ["--workers", "4"]
-    elif source == "environment":
-        monkeypatch.setenv("CURVERATE_WORKERS", "4")
-    else:  # a worker count in the plan file wins over the default
-        plan["workers"] = 4
-    (tmp_path / "plan.json").write_text(json.dumps(plan))
-    assert _plan_from_args(build_parser().parse_args(argv)).workers == 4
+
+def record_workers(monkeypatch):
+    """Patch the CLI's run and sweep to note the worker count each gets, then run on one."""
+    from curverate import cli
+
+    seen = []
+    for name in ("run_experiment", "sharpness_sweep"):
+        def call(*args, fn=getattr(cli, name)):
+            seen.append(args[-1])
+            return fn(*args[:-1])
+        monkeypatch.setattr(cli, name, call)
+    return seen
+
+
+def test_the_worker_flag_reaches_run_under_a_plan_file(tmp_path, monkeypatch, capsys):
+    from curverate.cli import main
+
+    seen = record_workers(monkeypatch)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(SMALL_PLAN))
+    assert main(["scaling", "--plan", str(plan), "--workers", "4"]) == 0
+    assert main(["sweep", "--plan", str(plan), "--workers", "4", "--s-list", "0,0.3"]) == 0
+    assert main(["scaling", "--plan", str(plan)]) == 0
+    assert seen == [4, 4, 1]
+
+
+def test_the_worker_environment_variable_changes_no_output(tmp_path, monkeypatch, capsys):
+    from curverate.cli import main
+
+    seen = record_workers(monkeypatch)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(SMALL_PLAN))
+    outputs = []
+    for value in (None, "4", "0", "abc"):
+        if value is None:
+            monkeypatch.delenv("CURVERATE_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("CURVERATE_WORKERS", value)
+        for argv in (["scaling", "--plan", str(plan)],
+                     ["sweep", "--plan", str(plan), "--s-list", "0,0.3"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[0::2] == outputs[:1] * 4 and outputs[1::2] == outputs[1:2] * 4
+    assert seen == [1] * 8
 
 
 def test_plan_file_without_R_sequence_takes_the_default(tmp_path):
@@ -430,19 +462,6 @@ def test_quad_flags_are_rejected(argv):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: unrecognized arguments: --quad-"), proc.stderr
     assert proc.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
-def test_a_bad_worker_environment_exits_one(monkeypatch, capsys, value):
-    from curverate.cli import build_parser, main
-
-    monkeypatch.setenv("CURVERATE_WORKERS", value)
-    build_parser().parse_args(["exponent", "table", "--delta-max", "0.5"])  # not read there
-    scaling = ["--family", "indicator-band", "--alpha", "0.25", "--delta", "0.125"]
-    for argv in (["scaling", *scaling], ["sweep", *scaling, "--s-list", "0,1"]):
-        assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: CURVERATE_WORKERS={value!r} must be a positive integer\n"
 
 
 def test_maximal_field_command(tmp_path):
@@ -533,11 +552,80 @@ def test_a_window_constant_at_or_below_zero_is_one_error_line(argv, c, monkeypat
 
 
 def test_a_plan_file_with_a_fractional_worker_count_exits_one(tmp_path):
-    plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0, "workers": 1.5}
-    (tmp_path / "plan.json").write_text(json.dumps(plan))
-    proc = run_cli("scaling", "--plan", str(tmp_path / "plan.json"))
+    # the worker count is no plan setting: a workers key of any value is unknown
+    for workers in (1.5, 4):
+        plan = {"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0, "workers": workers}
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        proc = run_cli("scaling", "--plan", str(tmp_path / "plan.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: bad plan config: unknown keys workers\n" and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.1", "--workers", "0"],
+    ["sweep", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.1", "--workers", "-3",
+     "--s-list", "0,0.5"],
+])
+def test_a_worker_count_below_one_is_one_error_line(argv, monkeypatch, capsys):
+    from curverate import cli, experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(experiments, "_numerator_one_R", refuse)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: workers must be an integer >= 1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "No such file or directory"),
+    ('{"family": "indicator-band", "alpha": 0.5,', "Expecting property name"),
+    ("[1, 2]", None),
+])
+def test_a_plan_file_that_is_not_a_plan_object_is_one_error_line(tmp_path, text, message):
+    path = tmp_path / "plan.json"
+    if text is not None:
+        path.write_text(text)
+    proc = run_cli("scaling", "--plan", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    if message is None:
+        assert proc.stderr == "error: bad plan config: list is not an object\n"
+    else:
+        assert proc.stderr.startswith(f"error: cannot read plan file {path}: ")
+        assert message in proc.stderr
+
+
+@pytest.mark.parametrize("field,message", [
+    ('"x_points": 64.5', "x_points=64.5 must be an integer >= 128"),
+    ('"points_per_octave": 2.5', "points_per_octave=2.5 must be an integer >= 1"),
+    ('"R_sequence": [8, NaN, 32, 64]', "R=nan in R_sequence must be finite and >= 1"),
+    ('"R_sequence": [32, 64, 128, 1e400]', "R=inf in R_sequence must be finite and >= 1"),
+])
+def test_a_plan_field_out_of_range_fails_before_any_work(tmp_path, field, message, monkeypatch, capsys):
+    from curverate import cli, maximal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for kernel in ("batch_values", "certified_value", "point_values"):
+        monkeypatch.setattr(maximal, kernel, refuse)
+    path = tmp_path / "plan.json"
+    path.write_text('{"family": "indicator-band", "alpha": 0.5, "delta": 0.2, "s": 0.0, %s}' % field)
+    assert cli.main(["scaling", "--plan", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--R-min-pow", "-2"], "R=0.25 in R_sequence must be finite and >= 1"),
+    (["--R-max-pow", "1100"], "--R-max-pow 1100 overflows a float"),
+])
+def test_an_R_power_out_of_range_is_one_error_line(flags, message):
+    proc = run_cli("scaling", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.1", *flags)
     assert proc.returncode == 1
-    assert proc.stderr == "error: workers must be an integer >= 1\n" and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n" and proc.stdout == ""
 
 
 def test_ceiling_demo():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -76,8 +77,14 @@ def test_plan_validation():
     ("c", -0.1, "window constant c=-0.1 must be finite and > 0"),
     ("c", math.nan, "window constant c=nan must be finite and > 0"),
     ("c", math.inf, "window constant c=inf must be finite and > 0"),
-    ("workers", 1.5, "workers must be an integer >= 1"),
-    ("workers", 0, "workers must be an integer >= 1"),
+    ("x_points", 64.5, "x_points=64.5 must be an integer >= 128"),
+    ("x_points", 127, "x_points=127 must be an integer >= 128"),
+    ("points_per_octave", 2.5, "points_per_octave=2.5 must be an integer >= 1"),
+    ("points_per_octave", 0, "points_per_octave=0 must be an integer >= 1"),
+    ("points_per_octave", True, "points_per_octave=True must be an integer >= 1"),
+    ("R_sequence", [8.0, math.nan, 32.0, 64.0], "R=nan in R_sequence must be finite and >= 1"),
+    ("R_sequence", [32.0, 64.0, 128.0, math.inf], "R=inf in R_sequence must be finite and >= 1"),
+    ("R_sequence", [0.25, 0.5, 1.0, 2.0], "R=0.25 in R_sequence must be finite and >= 1"),
     ("s", math.nan, "s=nan must be finite and >= 0"),
     ("s", math.inf, "s=inf must be finite and >= 0"),
     ("epsilon", math.nan, "epsilon=nan must be finite"),
@@ -172,12 +179,41 @@ def test_run_deterministic_across_cache_clears():
 
 
 def test_run_deterministic_across_worker_counts():
+    r1 = run(SMALL_PLAN, workers=1)
+    _NUMERATOR_CACHE.clear()
+    r2 = run(SMALL_PLAN, workers=4)
+    assert r1.to_json() == r2.to_json()
+
+
+@pytest.mark.parametrize("workers", [0, 1.5, "2"])
+def test_a_bad_worker_count_is_rejected_before_any_row(monkeypatch, workers):
     from dataclasses import replace
 
-    r1 = run(replace(SMALL_PLAN, workers=1))
-    _NUMERATOR_CACHE.clear()
-    r2 = run(replace(SMALL_PLAN, workers=4))
-    assert r1.to_json() == r2.to_json()
+    from curverate import experiments
+
+    run(SMALL_PLAN)  # its rows are now cached
+
+    def refuse(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(experiments, "_numerator_one_R", refuse)
+    for plan in (SMALL_PLAN, replace(SMALL_PLAN, points_per_octave=3)):  # cached, then not
+        with pytest.raises(DomainValidationError, match="^workers must be an integer >= 1$"):
+            run(plan, workers)
+        with pytest.raises(DomainValidationError, match="^workers must be an integer >= 1$"):
+            sharpness_sweep(plan, [0.0, 0.3], workers)
+    assert run(SMALL_PLAN, 1).samples  # the cached rows serve a good count
+
+
+def test_a_plan_round_trips_through_its_dict():
+    plan = ExperimentPlan(family="bump-tensor", alpha=0.75, delta=0.1, s=0.2, epsilon=0.1, m=2.0,
+                          d=1, R_sequence=(32.0, 64.0, 128.0, 256.0), c=0.2, x_points=257,
+                          points_per_octave=3)
+    data = plan.to_dict()
+    assert set(data) == {f.name for f in fields(ExperimentPlan)}
+    assert ExperimentPlan.from_dict(data) == plan
+    assert ExperimentPlan.from_dict(json.loads(json.dumps(data))) == plan
+    assert ExperimentPlan.from_dict(SMALL_PLAN.to_dict()) == SMALL_PLAN
 
 
 def test_sweep_consistent_with_runs_and_crossing_interpolation():
@@ -210,23 +246,22 @@ def test_numerator_cache_is_a_bounded_lru(monkeypatch):
     monkeypatch.setattr(experiments, "_NUMERATOR_CACHE", OrderedDict())
     size, rows = experiments.NUMERATOR_CACHE_SIZE, len(SMALL_PLAN.R_sequence)
     for c in range(size):
-        experiments._numerators(SMALL_PLAN, float(c))
+        experiments._numerators(SMALL_PLAN, float(c), 1)
     assert len(calls) == size * rows
     # s and the worker count are not part of the key; a hit makes c = 0 the most recent
-    experiments._numerators(replace(SMALL_PLAN, s=0.3, workers=2), 0.0)
+    experiments._numerators(replace(SMALL_PLAN, s=0.3), 0.0, 2)
     assert len(calls) == size * rows
-    experiments._numerators(SMALL_PLAN, float(size))  # evicts c = 1, the least recent
+    experiments._numerators(SMALL_PLAN, float(size), 1)  # evicts c = 1, the least recent
     assert len(experiments._NUMERATOR_CACHE) == size
     calls.clear()
-    experiments._numerators(SMALL_PLAN, 0.0)
+    experiments._numerators(SMALL_PLAN, 0.0, 1)
     assert calls == []
-    experiments._numerators(SMALL_PLAN, 1.0)
+    experiments._numerators(SMALL_PLAN, 1.0, 1)
     assert calls == [(1.0, R) for R in SMALL_PLAN.R_sequence]
 
 
 def test_pool_map_starts_no_more_processes_than_rows(monkeypatch):
     from collections import OrderedDict
-    from dataclasses import replace
 
     from curverate import experiments
 
@@ -248,7 +283,7 @@ def test_pool_map_starts_no_more_processes_than_rows(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(experiments, "_numerator_one_R", lambda plan, c, R: {"R": R})
     monkeypatch.setattr(experiments, "_NUMERATOR_CACHE", OrderedDict())
-    rows = experiments._numerators(replace(SMALL_PLAN, workers=8), 0.0)
+    rows = experiments._numerators(SMALL_PLAN, 0.0, 8)
     assert asked == [len(SMALL_PLAN.R_sequence)] == [4]
     assert rows == [{"R": R} for R in SMALL_PLAN.R_sequence]
     # one worker, or one row, runs in the calling process
@@ -257,7 +292,7 @@ def test_pool_map_starts_no_more_processes_than_rows(monkeypatch):
     assert asked == [4]
 
 
-def capped_plan(monkeypatch, workers=1):
+def capped_plan(monkeypatch):
     """A plan whose node cap, lowered to 2^11 nodes, is exceeded at R = 128.
 
     The numerator cache is emptied so the rows are computed under that cap;
@@ -274,7 +309,6 @@ def capped_plan(monkeypatch, workers=1):
         s=0.0,
         R_sequence=(32.0, 64.0, 128.0, 256.0),
         points_per_octave=4,
-        workers=workers,
     )
 
 
@@ -294,7 +328,7 @@ def test_run_failure_partial_diagnostics_independent_of_workers(monkeypatch):
     partials = []
     for workers in (1, 2):
         with pytest.raises(AccuracyError) as err:
-            run(capped_plan(monkeypatch, workers))
+            run(capped_plan(monkeypatch), workers)
         assert str(err.value).startswith("node budget ") and "exceeds cap 2048" in str(err.value)
         assert err.value.coarse is None and err.value.fine is None
         partials.append(err.value.partial_diagnostics)
