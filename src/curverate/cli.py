@@ -202,10 +202,14 @@ def _plan_from_args(args) -> ExperimentPlan:
         except (OSError, ValueError) as exc:  # no such file, or text that is not JSON
             raise DomainValidationError(f"cannot read plan file {args.plan}: {exc}") from None
         return ExperimentPlan.from_dict(data)
-    try:
-        Rs = tuple(math.ldexp(1.0, j) for j in range(args.R_min_pow, args.R_max_pow + 1))
-    except OverflowError:
-        raise DomainValidationError(f"--R-max-pow {args.R_max_pow} overflows a float") from None
+    # only 2^0 .. 2^1023 are valid finite R >= 1: check the powers before
+    # building the sequence, whose length is their difference
+    for flag, j in (("--R-min-pow", args.R_min_pow), ("--R-max-pow", args.R_max_pow)):
+        if j < 0:
+            raise DomainValidationError(f"R={math.ldexp(1.0, j)} in R_sequence must be finite and >= 1")
+        if j >= sys.float_info.max_exp:
+            raise DomainValidationError(f"{flag} {j} overflows a float")
+    Rs = tuple(math.ldexp(1.0, j) for j in range(args.R_min_pow, args.R_max_pow + 1))
     return ExperimentPlan(
         family=args.family,
         alpha=args.alpha,

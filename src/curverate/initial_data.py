@@ -427,9 +427,8 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
         weight = (1.0 + x1[:, None] ** 2 + x2[None, :] ** 2) ** s
         return float(((w1 * f1 * f1) @ weight) @ (w2 * f2 * f2))
 
-    def run(doubling):  # no mass floor: the squared norm is its own scale
-        return np.array([integral(64 * PANEL_ORDER * doubling)]), 0.0
-
-    (fine,) = _certify(run, f"kind={profile.kind}, s={s}", lambda k: "")
-    return math.sqrt(max(fine, 0.0))
+    coarse, fine = (np.array([integral(64 * PANEL_ORDER * doubling)]) for doubling in (1, 2))
+    # no mass floor: the squared norm is its own scale
+    _certify([(coarse, fine, 0.0, [0])], f"kind={profile.kind}, s={s}", lambda k: "")
+    return math.sqrt(max(fine[0], 0.0))
 

@@ -56,7 +56,7 @@ GOLDEN_ITERATIONS = 24
 BISECTION_ITERATIONS = 100  # critical-time root halvings, far past double precision
 LEMMA_POINTS_PER_OCTAVE = 5  # lemma_profile master-grid density
 LEMMA_PAD_OCTAVES = 5.0      # lemma_profile grid extension past the largest j
-LEMMA_BLOCK_ELEMENTS = 2 ** 19  # lemma_profile window values per batch_values call
+LEMMA_BLOCK_ELEMENTS = 2 ** 19  # lemma_profile window values per batch_values call: its one pass, 8 MiB at most
 
 
 @dataclass(frozen=True)
@@ -592,9 +592,11 @@ def lemma_profile(
     grid, accumulating prefix suprema from the smallest times upward, so
     the nesting monotonicity (larger j, smaller value) holds exactly. The
     times run in ceil(nx (nt + 1) / LEMMA_BLOCK_ELEMENTS) equal blocks, at
-    most one per time, one batch_values call each, smallest times first,
-    so memory stays bounded as k grows; a column's values do not depend
-    on its block.
+    most one per time, one batch_values call each, smallest times first.
+    Each time's magnitudes are read from its row of the block's pass, and
+    the pass is dropped before the next block's call, so one pass is held
+    at a time and memory stays bounded as k grows; a column's values do
+    not depend on its block.
     """
 
     if regime.d != 1:
@@ -617,12 +619,13 @@ def lemma_profile(
     out = {}
     sup = np.zeros(nx)
     for cols in reversed(np.array_split(np.arange(len(ts)), blocks)):
-        mags = np.abs(batch_values(profile, curve, 2.0, xs, list(ts[cols]))[0])
+        values = batch_values(profile, curve, 2.0, xs, list(ts[cols]))[0]
         for c in range(len(cols) - 1, -1, -1):  # largest j (smallest t) first
-            np.maximum(sup, mags[:, c], out=sup)
+            np.maximum(sup, np.abs(values[:, c]), out=sup)  # a time is a row of the time-major pass
             jv = master[cols[c]]
             if any(abs(jv - tj) < 1e-9 for tj in targets):
                 out[float(jv)] = float(math.sqrt(np.sum(sup ** 2) * h))
+        del values  # the next block's pass is made without this one
     return {float(j): out[float(j)] for j in js}
 
 

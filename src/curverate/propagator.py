@@ -23,10 +23,17 @@ from the pass that computes U f, so a failing f(x) reports t=0.0 in the
 AccuracyError context: the t = 0 column on a window, and on the
 pointwise kernel the (x, 0) pairs of point_values' one paired call
 (evaluate is point_values at one pair). Every value is certified:
-quadrature._certify re-runs the kernel at doubled nodes and demands
-agreement relative to the column's L^1 mass scale (computed on the same
-rule) before reporting it; it forms the full bound only where the gap
-passes SELF_CHECK_TOL * mass.
+quadrature._certify compares the kernel's values at the budgeted and at
+doubled nodes and demands agreement relative to the column's L^1 mass
+scale (computed on the same rule) before reporting them; it forms the
+full bound only where the gap passes SELF_CHECK_TOL * mass. Pairs are
+checked as one block. A window is checked one column block of about
+FFT_BLOCK elements at a time (_window_blocks): the block's coarse values
+are compared with its fine ones and dropped, and only the fine ones are
+written, into the one time-major (times, points) pass that batch_values
+hands on transposed. So a window call holds one pass, not two passes and
+their gap, and a failure still names the first failing entry in x-major
+order, with its two estimates.
 
 For m = 2 each segment's phase is expanded about the segment midpoint C,
 t*xi^2 = t*C^2 + 2tC*u + t*u^2, and the wild constant t*C^2 is applied as
@@ -41,9 +48,10 @@ m = 2, a uniform window of three points or more on a smooth factor
 _chirp_window: n midpoint nodes on the hull of the factor's segments,
 centred on the hull midpoint C. With the window centred too, the window
 sum is a chirp-z transform, one FFT convolution per time column, and no
-nx-by-n table is formed. Its column blocks run in place, each written
-once into its rows of a time-major (times, points) pass that hands on
-its transpose. On data that vanish smoothly at the hull ends the
+nx-by-n table is formed. _chirp_window builds a budget group's plan (the
+chirp kernel's spectrum, the node weights, the post chirp) once per
+pass, and ChirpPlan.apply runs each column block in place in one reused
+FFT buffer. On data that vanish smoothly at the hull ends the
 midpoint rule is exact to rounding once its nodes sample faster than the
 integrand's largest local frequency; below one node per 2 pi radians it
 aliases. So a chirp-z
@@ -61,7 +69,9 @@ window (indicator-band, one- and two-point windows, non-uniform windows
 and m != 2) runs _quadrature with the centred direct table: each
 segment's table is e^{i x u}, u = xi - C about the same midpoint C, and
 each window point's output is multiplied by e^{i x C} next to the column
-scalars. Gauss-Legendre rules come from _weighted_rule, which caches up
+scalars. Its matrix product puts the columns on the rows, padding a lone
+column to two, so BLAS rounds a column alike in a group of any size and a
+time's value does not depend on its call or block. Gauss-Legendre rules come from _weighted_rule, which caches up
 to RULE_CACHE_SIZE rules of at most CACHED_RULE_NODES budgeted nodes,
 each with f^ already multiplied into its weights, as read-only arrays.
 
@@ -266,7 +276,8 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
     Column j is sum w f^(xi) e^{i((x + shifts[j]) xi + ts[j] |xi|^m)}.
     shifts and ts are equal-length 1-d arrays, or scalars for a single
     column. xs=None gives the x = 0 row, of shape (ncols,) or a scalar; a
-    window xs gives shape (len(xs), ncols). Returns (values, l1_mass),
+    window xs gives shape (len(xs), ncols), the x-major view of a
+    time-major array. Returns (values, l1_mass),
     l1_mass being the integral of |f^| on the same rule, the self-check's
     scale. Like the window table, the x = 0 row is run in blocks of at
     most X_CHUNK * NODE_BLOCK column-nodes, so memory stays bounded
@@ -279,7 +290,7 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
         blocks = [_quadrature(factor, n, m, shifts[c : c + step], ts[c : c + step])
                   for c in range(0, len(ts), step)]
         return np.concatenate([v for v, _ in blocks]), blocks[0][1]
-    out = 0j if xs is None else np.zeros((len(xs), len(shifts)), dtype=np.complex128)
+    out = 0j if xs is None else np.zeros((len(shifts), len(xs)), dtype=np.complex128)  # a window's: time-major
     mass = 0.0
     s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
     for C, nodes, wf, l1 in _weighted_rule(factor, n, m != int(m)):
@@ -298,17 +309,21 @@ def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
         if xs is None:
             out = out + scalars * rows.sum(axis=-1)
         else:
-            acc = np.zeros((len(xs), len(shifts)), dtype=np.complex128)
+            # columns are the product's rows, so BLAS rounds each column
+            # alike whatever its group; a lone column is padded to two,
+            # which keeps it off the matrix-vector product
+            lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
+            acc = np.zeros((len(lhs), len(xs)), dtype=np.complex128)
             for b0 in range(0, len(nodes), NODE_BLOCK):
                 sl = slice(b0, b0 + NODE_BLOCK)
                 for a0 in range(0, len(xs), X_CHUNK):
                     block = slice(a0, a0 + X_CHUNK)
                     table = 1j * np.multiply.outer(xs[block], u[sl])
                     np.exp(table, out=table)
-                    acc[block] += table @ rows[:, sl].T
-            out += np.exp(1j * xs * C)[:, None] * scalars * acc
+                    acc[:, block] += lhs[:, sl] @ table.T
+            out += np.exp(1j * xs * C) * scalars[:, None] * acc[: len(rows)]
         mass += l1
-    return out, mass
+    return (out if xs is None else out.T), mass
 
 
 def _fft_length(n: int) -> int:
@@ -352,8 +367,58 @@ def _chirp_phase_error(xs, half_width: float) -> float:
     return float(np.max(np.abs(grid))) * half_width + UNIT_ROUNDOFF * abs(h) * half_width * nx / 2.0
 
 
-def _chirp_window(factor, n: int, shifts, ts, xs, out=None):
-    """_quadrature's m = 2 window values by chirp-z transform, on n midpoint nodes.
+@dataclass(frozen=True)
+class ChirpPlan:
+    """What every column block of a chirp-z window pass shares, on one window and node count.
+
+    kernel is the FFT of the chirp e^{-i beta r^2 / 2}, weights the
+    nodes' h_xi f^(C + u) e^{i beta q^2 / 2} and post each point's
+    e^{i beta p^2 / 2} e^{i x C}; mass is the rule's L^1 mass of f^.
+    """
+
+    C: float          # the hull midpoint, about which the n nodes u are centred
+    centre: float     # the window midpoint, which joins the shifts
+    u: np.ndarray
+    kernel: np.ndarray  # of the FFT length, _fft_length(n + nx - 1)
+    weights: np.ndarray
+    post: np.ndarray
+    mass: float
+
+    def apply(self, shifts, ts, rows=None):
+        """The window values of the columns (shifts[j], ts[j]), one row each.
+
+        rows is the (len(ts), FFT length) buffer the FFT runs in, a new one by
+        default; its contents are overwritten. Returns the (len(ts), nx)
+        view of rows that holds the values.
+        """
+        n, nx, C, u = len(self.u), len(self.post), self.C, self.u
+        if rows is None:
+            rows = np.empty((len(ts), len(self.kernel)), dtype=np.complex128)
+        s = (np.asarray(shifts) + self.centre)[:, None]
+        t = np.asarray(ts)[:, None]
+        rows[:, n:] = 0.0
+        head = rows[:, :n]
+        head.real = 0.0
+        # the phase (s + 2tC) u + t u^2, built in place: one (block, n) temporary
+        np.multiply(s + 2.0 * t * C, u, out=head.imag)
+        square = t * u
+        square *= u
+        head.imag += square
+        del square
+        # weights first: numpy's complex multiply is not commutative to the last bit
+        np.multiply(self.weights, np.exp(head, out=head), out=head)
+        np.fft.fft(rows, out=rows)
+        rows *= self.kernel
+        np.fft.ifft(rows, out=rows)
+        scale = np.empty(nx, dtype=np.complex128)
+        for row, scalar in zip(rows, np.exp(1j * (np.asarray(shifts) * C + np.asarray(ts) * C * C))):
+            np.multiply(self.post, scalar, out=scale)
+            np.multiply(row[:nx], scale, out=row[:nx])
+        return rows[:, :nx]
+
+
+def _chirp_window(factor, n: int, xs) -> ChirpPlan:
+    """The plan of _quadrature's m = 2 window values by chirp-z transform, on n midpoint nodes.
 
     For a smooth factor on a uniform window x_k = x_c + p_k h. The nodes
     are the midpoints u_q = q h_xi of n equal cells tiling the hull
@@ -361,12 +426,10 @@ def _chirp_window(factor, n: int, shifts, ts, xs, out=None):
     x_c joins the shifts, so the window sum is sum_q a_q e^{i beta p q},
     beta = h h_xi, and p q = (p^2 + q^2 - (p - q)^2) / 2 makes it one
     linear convolution with the chirp e^{-i beta r^2 / 2}: one FFT
-    convolution per column, in blocks of about FFT_BLOCK elements run in
-    place. Centring p and q halves the largest |r|, and _chirp keeps every
-    chirp phase exact to rounding. Column j's values land in out[j], one
-    writable row of nx entries per column (a time-major pass's rows, or by
-    default a new (ncols, nx) array), straight from its FFT block. Returns
-    (out, l1_mass): _quadrature's values, transposed.
+    convolution per column, which ChirpPlan.apply runs in place on a block
+    of columns. Centring p and q halves the largest |r|, and _chirp keeps
+    every chirp phase exact to rounding. A column's values, _quadrature's
+    transposed, do not depend on the block it runs in.
     """
 
     lo, hi = factor.hull
@@ -380,29 +443,15 @@ def _chirp_window(factor, n: int, shifts, ts, xs, out=None):
     L = _fft_length(n + nx - 1)
     # output k reads the chirp at k - j for node j: offsets -(n - 1) .. nx - 1, mod L
     d = np.arange(L)
-    kernel = np.fft.fft(_chirp(-beta, np.where(d < nx, d, d - L) + 0.5 * (n - nx)))  # r = p - q
-    weights = h_xi * fv * _chirp(beta, q)
-    post = _chirp(beta, p) * np.exp(1j * xs * C)
-    scalars = np.exp(1j * (np.asarray(shifts) * C + np.asarray(ts) * C * C))
-    s_col = (np.asarray(shifts) + 0.5 * (xs[0] + xs[-1]))[:, None]
-    t_col = np.asarray(ts)[:, None]
-    if out is None:
-        out = np.empty((len(ts), nx), dtype=np.complex128)
-    step = max(1, FFT_BLOCK // L)
-    for c0 in range(0, len(ts), step):
-        cols = slice(c0, c0 + step)
-        s, t = s_col[cols], t_col[cols]
-        rows = np.zeros((len(t), L), dtype=np.complex128)
-        head = rows[:, :n]
-        head.imag = (s + 2.0 * t * C) * u + t * u * u
-        # weights first: numpy's complex multiply is not commutative to the last bit
-        np.multiply(weights, np.exp(head, out=head), out=head)
-        np.fft.fft(rows, out=rows)
-        rows *= kernel
-        np.fft.ifft(rows, out=rows)
-        for row, scale, target in zip(rows, post * scalars[cols, None], out[cols]):
-            np.multiply(row[:nx], scale, out=target)
-    return out, h_xi * float(np.sum(np.abs(fv)))
+    return ChirpPlan(
+        C=C,
+        centre=0.5 * (xs[0] + xs[-1]),
+        u=u,
+        kernel=np.fft.fft(_chirp(-beta, np.where(d < nx, d, d - L) + 0.5 * (n - nx))),  # r = p - q
+        weights=h_xi * fv * _chirp(beta, q),
+        post=_chirp(beta, p) * np.exp(1j * xs * C),
+        mass=h_xi * float(np.sum(np.abs(fv))),
+    )
 
 
 def _check_domain(profile, curve, m: float, xs, ts) -> None:
@@ -435,6 +484,43 @@ def _budgets(factors, m: float, lo, hi, ts, chirp: bool = False):
     )
 
 
+def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, out):
+    """Both passes of the node-doubling check on one budget group of a window, block by block.
+
+    The group is the columns cols, of budget n. They run in blocks of
+    about FFT_BLOCK elements: a block's coarse and fine values (on n and
+    2n nodes, over 2 pi) are made, the fine ones written into their rows
+    of the time-major pass out, and both handed to _certify as x-major
+    (nx, block) views, with the mass and the block's column indices,
+    before the next block is made. On the chirp-z kernel (chirp) the
+    group builds its two plans once and runs both passes of every block
+    in one FFT buffer; otherwise each block is a _quadrature call on the
+    direct table, whose values do not depend on the block. All of it is
+    freed when the group's last block is done.
+    """
+
+    if chirp:
+        plans = [_chirp_window(factor, n * doubling, xs) for doubling in (1, 2)]
+        step = max(1, FFT_BLOCK // len(plans[1].kernel))
+        buffer = np.empty(min(step, len(cols)) * len(plans[1].kernel), dtype=np.complex128)
+        mass = plans[1].mass / TWO_PI
+    else:
+        step = max(1, FFT_BLOCK // max(1, len(xs)))
+    for c0 in range(0, len(cols), step):
+        block = cols[c0 : c0 + step]
+        if chirp:  # both passes run in the one buffer, so the coarse values leave it first
+            rows = [buffer[: len(block) * len(plan.kernel)].reshape(len(block), -1) for plan in plans]
+            coarse = plans[0].apply(shifts[block], ts[block], rows[0]) / TWO_PI
+            fine = plans[1].apply(shifts[block], ts[block], rows[1])
+        else:
+            (coarse, _), (fine, l1) = (_quadrature(factor, n * doubling, m, shifts[block], ts[block], xs)
+                                       for doubling in (1, 2))
+            coarse, fine, mass = coarse.T / TWO_PI, fine.T, l1 / TWO_PI  # time-major
+        fine /= TWO_PI
+        out[block] = fine
+        yield coarse.T, fine.T, mass, block
+
+
 def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool = False):
     """The certified front end of pairs and windows: U f on columns.
 
@@ -446,13 +532,16 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     a window, at the chirp-z rate if chirp; the first column whose
     certified pass, twice its budgets' sum, is past MAX_NODES raises
     AccuracyError, named by cap_label(i) and with no estimates, before
-    either kernel runs; each coordinate's columns of one budget run as
-    one _chirp_window or _quadrature call; the first coordinate's
+    either kernel runs. Pairs run as one block: each coordinate's columns
+    of one budget are one _quadrature call, the first coordinate's
     integrals are assigned, and later ones multiplied in from real and
     imaginary parts (numpy's complex multiply rounds its vector lanes
-    unlike its tail, which would tie a pair's last bit to its position);
-    the pass is divided by (2 pi)^d and _certify checks it once, against
-    a mass per column, naming a failure by label(k).
+    unlike its tail, which would tie a pair's last bit to its position),
+    and each pass is divided by (2 pi)^d. A window runs one budget group
+    after another, block by block (_window_blocks), so it holds one pass.
+    _certify checks every block
+    against a mass per column and names the first failure by label(k),
+    or label(i, k) at window point i.
     Returns (values, counts): values of shape (columns,), or on a window
     (nx, columns), the x-major view of a time-major pass, and counts the
     nodes of each column's certified pass.
@@ -467,30 +556,35 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     if len(over):
         i = int(over[0])
         raise AccuracyError(f"node budget {counts[i]} exceeds cap {MAX_NODES}", context=context + cap_label(i))
+    if xs is not None:
+        values = np.empty((len(ts), len(xs)), dtype=np.complex128)
+        blocks = (block for n in np.unique(budgets[:, 0]) for block in _window_blocks(
+            factors[0], m, int(n), np.flatnonzero(budgets[:, 0] == n), disp[:, 0], ts, xs, chirp, values))
+        _certify(blocks, context, label)
+        return values.T, counts
     scale = TWO_PI ** profile.d
 
     def run(doubling):
-        values = np.empty((len(ts),) if xs is None else (len(ts), len(xs)), dtype=np.complex128)
+        values = np.empty(len(ts), dtype=np.complex128)
         mass = np.empty(len(ts))
         for j, factor in enumerate(factors):
             for n in np.unique(budgets[:, j]):
                 cols = np.flatnonzero(budgets[:, j] == n)
-                n = int(n) * doubling
-                if chirp:
-                    _, l1 = _chirp_window(factor, n, disp[cols, j], ts[cols], xs, [values[c] for c in cols])
+                integral, l1 = _quadrature(factor, int(n) * doubling, m, disp[cols, j], ts[cols])
+                if j == 0:
+                    values[cols] = integral
                 else:
-                    integral, l1 = _quadrature(factor, n, m, disp[cols, j], ts[cols], xs)
-                    if j == 0:
-                        values[cols] = integral.T
-                    else:
-                        v = values[cols]
-                        values.real[cols] = v.real * integral.real - v.imag * integral.imag
-                        values.imag[cols] = v.real * integral.imag + v.imag * integral.real
+                    v = values[cols]
+                    values.real[cols] = v.real * integral.real - v.imag * integral.imag
+                    values.imag[cols] = v.real * integral.imag + v.imag * integral.real
                 mass[cols] = l1 if j == 0 else mass[cols] * l1
         values /= scale
-        return values.T, mass / scale
+        return values, mass / scale
 
-    return _certify(run, context, label), counts
+    coarse, _ = run(1)
+    values, mass = run(2)
+    _certify([(coarse, values, mass, np.arange(len(ts)))], context, label)
+    return values, counts
 
 
 def certified_value(
@@ -632,8 +726,8 @@ def batch_values(
         far = f", x={xs[np.argmax(np.abs(xs))]}" if len(xs) else ""
         return f"{far}, t={ts[j]}"
 
-    def label(k):
-        return f", x={xs[k // len(ts)]}, t={ts[k % len(ts)]}"
+    def label(i, k):
+        return f", x={xs[i]}, t={ts[k]}"
 
     shifts = gamma_pairs(curve, np.zeros(len(ts)), ts)  # gamma(0, t): the displacements
     values, counts = _columns(profile, m, shifts, ts, label, cap_label, xs, chirp)

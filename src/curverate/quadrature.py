@@ -37,27 +37,34 @@ def panel_nodes(lo: float, hi: float, min_nodes: int):
     return xs, ws
 
 
-def _certify(run, context: str, label):
+def _certify(blocks, context: str, label):
     """Node-doubling self-check shared by every certified quantity.
 
-    run(doubling) returns (values, mass) on the rules with doubling times
-    the budgeted nodes; values is an array and mass a scalar or an array
-    that broadcasts against it (one entry per column of a window). Returns the run(2) values once every entry agrees
-    with run(1) to SELF_CHECK_TOL * max(|coarse|, |fine|, mass), formed
-    only where the gap passes the floor SELF_CHECK_TOL * mass. Otherwise
-    it raises AccuracyError with both estimates of the first failing
-    entry, named by context + label(k), k its index in the flattened
-    values.
+    blocks yields (coarse, fine, mass, cols), one per block of a quantity
+    whose last axis runs over columns: coarse and fine are the block's
+    values on the rules with the budgeted and with twice the budgeted
+    nodes, of shape (..., len(cols)), cols the increasing indices of the
+    columns they hold, and mass a scalar or array that broadcasts against
+    them. Each block is checked as it comes, so its caller may overwrite
+    it once the next is asked for: every entry must agree to
+    SELF_CHECK_TOL * max(|coarse|, |fine|, mass), a bound formed only
+    where the gap passes the floor SELF_CHECK_TOL * mass. After the last
+    block, the failing entry first in the quantity's C order (x-major on
+    a window), at index i, raises AccuracyError with both its estimates,
+    named by context + label(*i).
     """
 
-    coarse, _ = run(1)
-    fine, mass = run(2)
-    gap = abs(fine - coarse)
-    bad = gap > SELF_CHECK_TOL * mass
-    if bad.any():  # a gap past tol * mass fails unless tol * max(|coarse|, |fine|) covers it
-        bad[bad] = gap[bad] > SELF_CHECK_TOL * np.maximum(abs(coarse[bad]), abs(fine[bad]))
-    if not bad.any():
-        return fine
-    k = int(np.flatnonzero(bad)[0])
-    coarse, fine = np.ravel(coarse)[k].item(), np.ravel(fine)[k].item()
-    raise AccuracyError("node-doubling self-check failed", coarse, fine, context + label(k))
+    first = None
+    for coarse, fine, mass, cols in blocks:
+        gap = abs(fine - coarse)
+        bad = gap > SELF_CHECK_TOL * mass
+        if bad.any():  # a gap past tol * mass fails unless tol * max(|coarse|, |fine|) covers it
+            bad[bad] = gap[bad] > SELF_CHECK_TOL * np.maximum(abs(coarse[bad]), abs(fine[bad]))
+        if bad.any():
+            k = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+            index = tuple(int(i) for i in k[:-1]) + (int(cols[k[-1]]),)
+            if first is None or index < first[0]:
+                first = index, coarse[k].item(), fine[k].item()
+    if first is not None:
+        index, coarse, fine = first
+        raise AccuracyError("node-doubling self-check failed", coarse, fine, context + label(*index))

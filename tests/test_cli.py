@@ -628,6 +628,27 @@ def test_an_R_power_out_of_range_is_one_error_line(flags, message):
     assert proc.stderr == f"error: {message}\n" and proc.stdout == ""
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--R-min-pow", "-3000000", "--R-max-pow", "10"], "R=0.0 in R_sequence must be finite and >= 1"),
+    (["--R-min-pow", "2000", "--R-max-pow", "3000000"], "--R-min-pow 2000 overflows a float"),
+])
+def test_an_R_power_range_is_checked_before_its_sequence_is_built(capsys, flags, message):
+    # the sequence would hold one float per power: millions of them here
+    import tracemalloc
+
+    from curverate import cli
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["scaling", "--family", "indicator-band", "--alpha", "0.25", "--delta", "0.1", *flags]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert peak < 2 ** 20
+
+
 def test_ceiling_demo():
     proc = run_cli("ceiling-demo", "--alpha", "0.5", "--x-star", "0.3")
     assert proc.returncode == 0

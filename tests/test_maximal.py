@@ -326,22 +326,43 @@ def test_lemma_profile_memory_is_bounded_by_its_blocks():
     assert peak < 40e6
 
 
-def test_lemma_profile_memory_is_two_passes_and_their_gap():
+def test_lemma_profile_memory_is_one_pass_and_a_few_fft_blocks():
     # k = 10, alpha = 1/4: one block of 4096 points times 127 columns (126 times
-    # and t = 0), 8.3 MB of complex values per pass. The self-check holds both
-    # passes and their gap: 29.2 MB at the peak, 31.1 MB in a fresh process. A
-    # one-stage check, which forms |coarse| and |fine| at every entry, peaks at
-    # 33.4 and 35.2 MB.
+    # and t = 0), 8.3 MB of complex values per pass. The self-check runs both
+    # passes block by block into the one pass: 11.9 MB at the peak, where both
+    # passes and their gap held whole took 29.2 MB.
     import tracemalloc
 
     regime, curve = Regime(d=1, alpha=0.25, m=2), CurveSpec(MINUS_SHIFT, alpha=0.25)
+    lemma_profile(regime, 10, [20, 30, 40], curve)  # the first call's lazy imports and caches
     tracemalloc.start()
     try:
         lemma_profile(regime, 10, [20, 30, 40], curve)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak <= 4096 * 127 * 16 + 4 * propagator.FFT_BLOCK * 16
+
+
+def test_lemma_profile_holds_no_pass_across_its_blocks(monkeypatch):
+    # when a block's batch_values call begins, lemma_profile holds what is
+    # proportional to its window (the running sup, the points), and nothing
+    # of an earlier block's pass, such as its magnitudes
+    import tracemalloc
+
+    regime, curve = Regime(d=1, alpha=0.25, m=2), CurveSpec(MINUS_SHIFT, alpha=0.25)
+    nx, held = 2 ** 12, []
+    monkeypatch.setattr(maximal, "LEMMA_BLOCK_ELEMENTS", 40 * nx)
+    lemma_profile(regime, 10, [20, 30, 40], curve)  # the first call's lazy imports and caches
+    monkeypatch.setattr(maximal, "batch_values",
+                        lambda *a: held.append(tracemalloc.get_traced_memory()[0] - start) or batch_values(*a))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lemma_profile(regime, 10, [20, 30, 40], curve)
+    finally:
+        tracemalloc.stop()
+    assert len(held) > 2 and max(held) < 4 * 16 * nx
 
 
 def test_general_curve_falls_back_to_pointwise_sup():
