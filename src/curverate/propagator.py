@@ -101,7 +101,7 @@ max|xi|^{m-1}) * width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -109,7 +109,7 @@ import numpy as np
 
 from .curves import STRAIGHT, CurveSpec, gamma_pairs
 from .errors import AccuracyError, DomainValidationError
-from .initial_data import FrequencyProfile, coordinate_factors
+from .initial_data import GAUSSIAN_LIKE, FrequencyProfile, coordinate_factors
 from .quadrature import PANEL_ORDER, _certify, panel_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -521,6 +521,13 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
         yield coarse.T, fine.T, mass, block
 
 
+def _scale(values, amplitude: float) -> None:
+    """values *= amplitude in place, each part rounded once."""
+    if amplitude != 1.0:
+        values.real *= amplitude
+        values.imag *= amplitude
+
+
 def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool = False):
     """The certified front end of pairs and windows: U f on columns.
 
@@ -542,12 +549,17 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     _certify checks every block
     against a mass per column and names the first failure by label(k),
     or label(i, k) at window point i.
+    U f is linear in a gaussian-like datum's amplitude, so the datum of
+    amplitude 1 is the one budgeted, run and certified, and its values
+    are scaled by the amplitude after the self-check: a datum of
+    subnormal amplitude keeps the unit datum's relative accuracy.
     Returns (values, counts): values of shape (columns,), or on a window
     (nx, columns), the x-major view of a time-major pass, and counts the
     nodes of each column's certified pass.
     """
 
-    factors = coordinate_factors(profile)
+    amplitude = profile.amplitude if profile.kind == GAUSSIAN_LIKE else 1.0
+    factors = coordinate_factors(replace(profile, amplitude=1.0) if amplitude != 1.0 else profile)
     lo, hi = (np.min(xs), np.max(xs)) if xs is not None and len(xs) else (0.0, 0.0)
     budgets = _budgets(factors, m, disp + lo, disp + hi, ts, chirp)
     counts = 2 * budgets.sum(axis=1)
@@ -561,6 +573,7 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
         blocks = (block for n in np.unique(budgets[:, 0]) for block in _window_blocks(
             factors[0], m, int(n), np.flatnonzero(budgets[:, 0] == n), disp[:, 0], ts, xs, chirp, values))
         _certify(blocks, context, label)
+        _scale(values, amplitude)
         return values.T, counts
     scale = TWO_PI ** profile.d
 
@@ -584,6 +597,7 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     coarse, _ = run(1)
     values, mass = run(2)
     _certify([(coarse, values, mass, np.arange(len(ts)))], context, label)
+    _scale(values, amplitude)
     return values, counts
 
 

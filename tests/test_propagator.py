@@ -1653,6 +1653,24 @@ def test_linearity_in_the_datum(center, amplitudes, coefficients, pairs, m, curv
     assert np.max(np.abs(combined - (a * f + b * g))) <= tol
 
 
+def test_subnormal_amplitude_scales_the_certified_unit_field():
+    # a subnormal datum has no relative precision of its own: it is the
+    # unit datum's certified field times the amplitude, on pairs and windows
+    a = 2.2250738585e-313
+    xs, ts = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.3, 0.0])
+
+    def scaled(values):
+        return values.real * a + 1j * (values.imag * a)
+
+    unit, _ = certified_value(gaussian_like(1.875), STRAIGHT_1D, 1.5, xs, ts)
+    tiny, _ = certified_value(gaussian_like(1.875, a), STRAIGHT_1D, 1.5, xs, ts)
+    assert np.array_equal(tiny, scaled(unit))
+    window = np.linspace(-1.0, 1.0, 5)
+    unit_vals, unit_init, _ = batch_values(gaussian_like(1.875), STRAIGHT_1D, 2.0, window, [0.2, 0.7])
+    vals, init, _ = batch_values(gaussian_like(1.875, a), STRAIGHT_1D, 2.0, window, [0.2, 0.7])
+    assert np.array_equal(vals, scaled(unit_vals)) and np.array_equal(init, scaled(unit_init))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     center=st.floats(-3.0, 3.0),
