@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, asdict, replace
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -195,13 +194,17 @@ def pool_map(fn, items, workers: int):
     """Yield fn(item) for each item in order, on min(workers, len(items)) processes.
 
     Results arrive in item order whatever the worker count, so a caller
-    that stops at an exception keeps every earlier result.
+    that stops at an exception keeps every earlier result. The process
+    pool is imported only when it starts, so importing the package loads
+    neither concurrent.futures nor multiprocessing.
     """
 
     workers = min(workers, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
 

@@ -54,6 +54,7 @@ from .propagator import batch_values, certified_value, point_values
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ITERATIONS = 24
 BISECTION_ITERATIONS = 100  # critical-time root halvings, far past double precision
+FIXED_POINT_CHECK = 4  # halvings between checks that the brackets still move
 LEMMA_POINTS_PER_OCTAVE = 5  # lemma_profile master-grid density
 LEMMA_PAD_OCTAVES = 5.0      # lemma_profile grid extension past the largest j
 LEMMA_BLOCK_ELEMENTS = 2 ** 19  # lemma_profile window values per batch_values call: its one pass, 8 MiB at most
@@ -273,8 +274,11 @@ def _bisect_root(h, lo, hi):
     h maps an array of times to an array; lo and hi broadcast to one
     bracket per root. Each bracket is halved BISECTION_ITERATIONS times,
     keeping the half whose ends differ in sign, and a root stops at an
-    end or midpoint where h is exactly 0. The first bracket without a
-    sign change raises WindowError.
+    end or midpoint where h is exactly 0. A halving that moves no bracket
+    leaves every later halving unchanged, so the loop stops at the first
+    such halving it checks, every FIXED_POINT_CHECK halvings, with the
+    roots of the full count. The first bracket without a sign change
+    raises WindowError.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     flo, fhi = h(lo), h(hi)
@@ -289,10 +293,13 @@ def _bisect_root(h, lo, hi):
     hi = np.where(flo == 0.0, lo, hi)
     lo = np.where(fhi == 0.0, hi, lo)
     sign = np.sign(flo)
-    for _ in range(BISECTION_ITERATIONS):
+    for k in range(1, BISECTION_ITERATIONS + 1):
         mid = 0.5 * (lo + hi)
         side = sign * h(mid)  # > 0: h(mid) has h(lo)'s sign, so the root lies above mid
-        lo, hi = np.where(side >= 0.0, mid, lo), np.where(side <= 0.0, mid, hi)
+        halved = np.where(side >= 0.0, mid, lo), np.where(side <= 0.0, mid, hi)
+        if k % FIXED_POINT_CHECK == 0 and all(a.tobytes() == b.tobytes() for a, b in zip(halved, (lo, hi))):
+            break  # bit for bit, so a NaN end compares equal to itself
+        lo, hi = halved
     return 0.5 * (lo + hi)
 
 

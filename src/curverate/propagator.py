@@ -3,10 +3,11 @@
 U f(x, t) = (2*pi)^{-d} * integral over the profile's support box of
 e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 
-Every path but the chirp-z window (below) runs one kernel, _quadrature:
-composite Gauss-Legendre panels summing w f^(xi) e^{i((x + s_j) xi +
-t_j |xi|^m)} for each column (s_j, t_j). One certified front end,
-_columns, drives both kernels. A column is one displacement per
+Every path but the chirp-z window (below) sums composite Gauss-Legendre
+panels, w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j,
+t_j), on one record of rules (_weighted_rule): _pair_quadrature on the
+x = 0 row of pairs, _quadrature's direct table on a window. One certified
+front end, _columns, drives the kernels. A column is one displacement per
 coordinate plus one time. Pointwise evaluation (certified_value) takes
 pairs (x_i, t_i) only, one point being the one-pair call; a pair is the
 x = 0 column at its displacement gamma(x_i, t_i). A window (batch_values)
@@ -27,7 +28,11 @@ quadrature._certify compares the kernel's values at the budgeted and at
 doubled nodes and demands agreement relative to the column's L^1 mass
 scale (computed on the same rule) before reporting them; it forms the
 full bound only where the gap passes SELF_CHECK_TOL * mass. Pairs are
-checked as one block. A window is checked one column block of about
+checked as one block, and each coordinate's pairs of one budget are one
+_pair_quadrature call that forms the phases of both passes, every
+segment's, in one vectorised sequence, then sums each segment's slice
+and applies its midpoint scalar in segment order, so a value does not
+depend on which pairs share its call. A window is checked one column block of about
 FFT_BLOCK elements at a time (_window_blocks): the block's coarse values
 are compared with its fine ones and dropped, and only the fine ones are
 written, into the one time-major (times, points) pass that batch_values
@@ -71,9 +76,22 @@ segment's table is e^{i x u}, u = xi - C about the same midpoint C, and
 each window point's output is multiplied by e^{i x C} next to the column
 scalars. Its matrix product puts the columns on the rows, padding a lone
 column to two, so BLAS rounds a column alike in a group of any size and a
-time's value does not depend on its call or block. Gauss-Legendre rules come from _weighted_rule, which caches up
-to RULE_CACHE_SIZE rules of at most CACHED_RULE_NODES budgeted nodes,
-each with f^ already multiplied into its weights, as read-only arrays.
+time's value does not depend on its call or block.
+
+Gauss-Legendre rules come from _weighted_rule, the one rule cache: an
+LRU of RULE_CACHE_SIZE records keyed by the budget n. A record
+(WeightedRule) holds both passes' rules, n and 2n nodes, in one flat set
+of read-only arrays: the nodes, each node less its segment's midpoint,
+the weights with f^ multiplied in, and the segment offsets and
+midpoints; its per-segment tuples are views into them, so the pair
+kernel and the window table read the same record and no call
+concatenates anything. A record is cached only when its 2n-node pass has
+at most CACHED_RULE_NODES nodes, so the cache holds at most 256 x (2048 +
+4096) nodes x 32 B = 50 MB (68 MB of 8288-node zero-graded records on
+two segments), against 256 x 4096 nodes x 24 B = 25 MB when each pass's
+rule was a cache entry of its own; a scaling benchmark pass leaves about
+1.1 MB in it. A pair kernel call's (columns x 3n) temporaries stay within
+X_CHUNK * NODE_BLOCK column-nodes: a larger group runs in blocks.
 
 Node budgets. A column's phase is theta(xi) = gamma xi + t|xi|^m, with
 gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
@@ -114,13 +132,13 @@ from .quadrature import PANEL_ORDER, _certify, panel_nodes
 
 TWO_PI = 2.0 * math.pi
 X_CHUNK = 96          # window points per table block
-NODE_BLOCK = 8192     # nodes per window table block
+NODE_BLOCK = 8192     # nodes per window table block; X_CHUNK * NODE_BLOCK bounds a pair call's column-nodes
 PHASE_GUARD = 1e-12   # largest phase error (radians) the chirp-z window path may add
 UNIT_ROUNDOFF = 2.0 ** -53
 SPLITTER = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 FFT_BLOCK = 2 ** 16   # complex elements per chirp-z FFT block
-RULE_CACHE_SIZE = 256  # weighted Gauss-Legendre rules kept by _weighted_rule
-CACHED_RULE_NODES = 4096  # largest node budget whose rule is cached
+RULE_CACHE_SIZE = 256  # weighted Gauss-Legendre records kept by _weighted_rule
+CACHED_RULE_NODES = 4096  # largest doubled-pass rule a cached record holds
 GRADING_DEPTH = 40    # zero-graded rules break at 2^-k of the width, k = 40..0
 BASE_NODES = 64       # node floor of every budget: the largest any family's f^ needs
 SEGMENT_NODES = 2 * PANEL_ORDER  # node floor per segment, so the doubled pass refines each
@@ -180,30 +198,6 @@ def phase_variation(gamma_lo, gamma_hi, t, m: float, factor):
     return speed * width
 
 
-def _node_budgets(gamma_lo, gamma_hi, ts, m: float, factor, chirp: bool = False):
-    """Node budgets in whole panels for displacements in [gamma_lo, gamma_hi] at times ts.
-
-    NODES_PER_RADIAN per radian of phase variation, CHIRP_NODES_PER_RADIAN
-    for a chirp-z window (chirp). Elementwise; budgets past 2^52 nodes, far over any cap, read as 2^52.
-    The floor is BASE_NODES, and SEGMENT_NODES per segment where that is
-    more: a segment's share of the budget is one panel at least, so on a
-    factor of many narrow segments (bourgain's d = 2 lattice) a smaller
-    budget and its double could run the same one-panel rule, which the
-    node-doubling check would compare with itself.
-    """
-    V = phase_variation(gamma_lo, gamma_hi, ts, m, factor)
-    floor = max(BASE_NODES, SEGMENT_NODES * len(factor.segments))
-    rate = CHIRP_NODES_PER_RADIAN if chirp else NODES_PER_RADIAN
-    n = np.fmin(np.maximum(floor, np.ceil(rate * V)), 2.0 ** 52)
-    return -(-n.astype(np.int64) // PANEL_ORDER) * PANEL_ORDER
-
-
-def _bucket(n):
-    """Round node counts up to PANEL_ORDER * 2^k, elementwise, so nearby times share a rule."""
-    panels = np.maximum(1, -(-np.asarray(n, dtype=np.int64) // PANEL_ORDER))
-    return PANEL_ORDER * 2 ** np.frexp(panels - 1)[1].astype(np.int64)  # 2^bit_length(panels - 1)
-
-
 def _graded_rule(lo: float, hi: float, min_nodes: int):
     """Composite rule with geometric grading into an endpoint at 0.
 
@@ -227,103 +221,161 @@ def _graded_rule(lo: float, hi: float, min_nodes: int):
     return np.concatenate(xs_all), np.concatenate(ws_all)
 
 
-def _build_weighted_rule(factor, total_nodes: int, graded: bool):
-    """factor's n-node Gauss-Legendre rule, weighted by f^.
+@dataclass(frozen=True)
+class WeightedRule:
+    """factor's Gauss-Legendre rules on a budget of n nodes and on 2n, weighted by f^.
 
-    The budget is spread over the segments by width, and segments ending
-    at 0 are graded toward it when graded (m is not an integer). Returns
-    one (C, nodes, w f^(nodes), l1_mass) per segment: C the segment
-    midpoint, l1_mass the sum of w |f^| on the segment, and the arrays
-    read-only.
+    One flat record of read-only arrays: nodes holds the n-node rule's
+    segments, then the 2n-node rule's; u is each node less its segment's
+    midpoint and wf its weight times f^. Segment k is the slice
+    offsets[k]:offsets[k + 1], of midpoint mids[k]. passes[0] (the
+    budgeted rule) and passes[1] (its double) hold one (C, nodes, u, wf,
+    l1) per segment, the arrays views into the record and l1 the
+    segment's sum of w |f^|; mass[p] is the sum of pass p's l1, the
+    self-check's scale.
+    """
+
+    nodes: np.ndarray
+    u: np.ndarray
+    wf: np.ndarray
+    offsets: tuple
+    sizes: np.ndarray
+    mids: np.ndarray
+    passes: tuple
+    mass: tuple
+
+
+def _build_weighted_rule(factor, n: int, graded: bool) -> WeightedRule:
+    """factor's WeightedRule on a budget of n nodes: both passes of the node-doubling check.
+
+    Each pass's budget is spread over the segments by width, and segments
+    ending at 0 are graded toward it when graded (m is not an integer).
     """
 
     width = factor.width
-    rules = []
-    for lo, hi in factor.segments:
-        share = max(PANEL_ORDER, int(math.ceil(total_nodes * (hi - lo) / width)))
-        if graded and (lo == 0.0 or hi == 0.0):
-            xs, ws = _graded_rule(lo, hi, share)
-        else:
-            xs, ws = panel_nodes(lo, hi, share)
-        fv = np.asarray(factor.func(xs), dtype=np.complex128)
-        wf = ws * fv
-        xs.flags.writeable = wf.flags.writeable = False
-        rules.append((0.5 * (lo + hi), xs, wf, float(np.sum(ws * np.abs(fv)))))
-    return tuple(rules)
+    pieces = []  # (C, nodes, w f^, l1): the n-node rule's segments, then the 2n-node rule's
+    for total in (n, 2 * n):
+        for lo, hi in factor.segments:
+            share = max(PANEL_ORDER, int(math.ceil(total * (hi - lo) / width)))
+            if graded and (lo == 0.0 or hi == 0.0):
+                xs, ws = _graded_rule(lo, hi, share)
+            else:
+                xs, ws = panel_nodes(lo, hi, share)
+            fv = np.asarray(factor.func(xs), dtype=np.complex128)
+            pieces.append((0.5 * (lo + hi), xs, ws * fv, float(np.sum(ws * np.abs(fv)))))
+    offsets = tuple(np.cumsum([0] + [len(xs) for _, xs, _, _ in pieces]).tolist())
+    nodes, u, wf = (np.concatenate(arrays) for arrays in zip(*[(xs, xs - C, w) for C, xs, w, _ in pieces]))
+    for arr in (nodes, u, wf):
+        arr.flags.writeable = False
+    views = [(C, nodes[a:b], u[a:b], wf[a:b], l1)
+             for (C, _, _, l1), a, b in zip(pieces, offsets[:-1], offsets[1:])]
+    split = len(factor.segments)
+    passes = (tuple(views[:split]), tuple(views[split:]))
+    mass = []
+    for segments in passes:  # added in segment order, uncompensated (sum() compensates floats from Python 3.12)
+        total_mass = 0.0
+        for *_, l1 in segments:
+            total_mass += l1
+        mass.append(total_mass)
+    sizes, mids = np.diff(offsets), np.array([C for C, _, _, _ in pieces])
+    sizes.flags.writeable = mids.flags.writeable = False
+    return WeightedRule(nodes, u, wf, offsets, sizes, mids, passes, tuple(mass))
 
 
 _cached_weighted_rule = lru_cache(maxsize=RULE_CACHE_SIZE)(_build_weighted_rule)
 
 
-def _weighted_rule(factor, total_nodes: int, graded: bool):
-    """_build_weighted_rule, cached for budgets of at most CACHED_RULE_NODES nodes.
+def _weighted_rule(factor, n: int, graded: bool) -> WeightedRule:
+    """_build_weighted_rule, cached when its larger pass has at most CACHED_RULE_NODES nodes.
 
-    The one rule cache: an LRU of RULE_CACHE_SIZE entries keyed by
-    (factor, n, graded), so a hit skips both the rule and the evaluation
-    of f^ on it. coordinate_factors is memoised, so the same profile keeps
-    the same factors. A larger rule feeds a kernel that costs far more
-    than building it, and keeping it alive would pin memory, so it is
-    built afresh.
+    The one rule cache: an LRU of RULE_CACHE_SIZE entries keyed by the
+    budget, (factor, n, graded), so a hit skips both passes' rules and the
+    evaluation of f^ on them. coordinate_factors is memoised, so the same
+    profile keeps the same factors. A larger record feeds a kernel that
+    costs far more than building it, and keeping it alive would pin
+    memory, so it is built afresh.
     """
 
-    build = _cached_weighted_rule if total_nodes <= CACHED_RULE_NODES else _build_weighted_rule
-    return build(factor, total_nodes, graded)
+    build = _cached_weighted_rule if 2 * n <= CACHED_RULE_NODES else _build_weighted_rule
+    return build(factor, n, graded)
 
 
-def _quadrature(factor, n: int, m: float, shifts, ts, xs=None):
-    """The Gauss-Legendre quadrature kernel, on factor's n-node rule.
+def _pair_quadrature(rule: WeightedRule, m: float, shifts, ts):
+    """Both passes of the x = 0 row on rule: one vectorised sequence over all its nodes.
 
-    Column j is sum w f^(xi) e^{i((x + shifts[j]) xi + ts[j] |xi|^m)}.
-    shifts and ts are equal-length 1-d arrays, or scalars for a single
-    column. xs=None gives the x = 0 row, of shape (ncols,) or a scalar; a
-    window xs gives shape (len(xs), ncols), the x-major view of a
-    time-major array. Returns (values, l1_mass),
-    l1_mass being the integral of |f^| on the same rule, the self-check's
-    scale. Like the window table, the x = 0 row is run in blocks of at
-    most X_CHUNK * NODE_BLOCK column-nodes, so memory stays bounded
-    whatever the number of pairs; a column's value does not depend on
-    its block.
+    Pass p's column j is the sum over pass p's segments of w f^(xi)
+    e^{i(shifts[j] xi + ts[j] |xi|^m)}; shifts and ts are equal-length 1-d
+    arrays. The phases of every node of both passes are formed in one
+    (columns, len(rule.nodes)) array, each about its segment's midpoint C
+    at m = 2, where the constant shifts C + ts C^2 becomes one complex
+    scalar per segment. Then each segment's slice is summed, its scalar
+    applied, and each pass's segments added in order. Returns (coarse,
+    fine), each of shape (columns,).
     """
 
-    step = max(1, X_CHUNK * NODE_BLOCK // n)
-    if xs is None and np.size(ts) > step:
-        blocks = [_quadrature(factor, n, m, shifts[c : c + step], ts[c : c + step])
-                  for c in range(0, len(ts), step)]
-        return np.concatenate([v for v, _ in blocks]), blocks[0][1]
-    out = 0j if xs is None else np.zeros((len(shifts), len(xs)), dtype=np.complex128)  # a window's: time-major
-    mass = 0.0
-    s_col, t_col = np.asarray(shifts)[..., None], np.asarray(ts)[..., None]  # against the nodes
-    for C, nodes, wf, l1 in _weighted_rule(factor, n, m != int(m)):
-        u = nodes - C
+    s, t, mids = shifts[:, None], ts[:, None], rule.mids[:, None]
+    if m == 2.0:
+        phase = np.repeat(s + 2.0 * t * rule.mids, rule.sizes, axis=1)  # s + 2 t C at each node
+        phase *= rule.u
+        square = t * rule.u
+        square *= rule.u
+        phase += square
+        del square
+        scalars = np.exp(1j * (mids * shifts + mids * ts * mids))
+    else:
+        phase = s * rule.u
+        phase += t * np.abs(rule.nodes) ** m
+        scalars = np.exp(1j * shifts * mids)
+    # rows are built in place: their temporaries would otherwise set the memory peak
+    rows = 1j * phase
+    del phase
+    np.multiply(rule.wf, np.exp(rows, out=rows), out=rows)
+    sums = np.empty_like(scalars)  # one row per segment
+    for k, (a, b) in enumerate(zip(rule.offsets[:-1], rule.offsets[1:])):
+        np.add.reduce(rows[:, a:b], axis=-1, out=sums[k])
+    np.multiply(scalars, sums, out=sums)  # scalar first: numpy's complex multiply is not commutative to the last bit
+    split = len(rule.passes[0])
+    return sum(sums[:split], 0j), sum(sums[split:], 0j)
+
+
+def _quadrature(segments, m: float, shifts, ts, xs):
+    """The Gauss-Legendre window table: one pass of a WeightedRule on a window.
+
+    segments is one of the rule's passes. Column j is sum w f^(xi)
+    e^{i((x + shifts[j]) xi + ts[j] |xi|^m)} at each window point x; shifts
+    and ts are equal-length 1-d arrays. Each segment's table is e^{i x u},
+    u = xi - C about its midpoint C, run in blocks of X_CHUNK points and
+    NODE_BLOCK nodes. Returns the time-major (ncols, len(xs)) values.
+    """
+
+    out = np.zeros((len(shifts), len(xs)), dtype=np.complex128)  # time-major
+    s_col, t_col = shifts[:, None], ts[:, None]  # against the nodes
+    for C, nodes, u, wf, _ in segments:
         if m == 2.0:
             scalars = np.exp(1j * (shifts * C + ts * C * C))
             phase = (s_col + 2.0 * t_col * C) * u + t_col * u * u
         else:
             scalars = np.exp(1j * shifts * C)
             phase = s_col * u + t_col * np.abs(nodes) ** m
-        # rows and the window table are built in place: their temporaries
-        # would otherwise set the memory peak
+        # rows and the table are built in place: their temporaries would
+        # otherwise set the memory peak
         rows = 1j * phase
         del phase
         np.multiply(wf, np.exp(rows, out=rows), out=rows)
-        if xs is None:
-            out = out + scalars * rows.sum(axis=-1)
-        else:
-            # columns are the product's rows, so BLAS rounds each column
-            # alike whatever its group; a lone column is padded to two,
-            # which keeps it off the matrix-vector product
-            lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
-            acc = np.zeros((len(lhs), len(xs)), dtype=np.complex128)
-            for b0 in range(0, len(nodes), NODE_BLOCK):
-                sl = slice(b0, b0 + NODE_BLOCK)
-                for a0 in range(0, len(xs), X_CHUNK):
-                    block = slice(a0, a0 + X_CHUNK)
-                    table = 1j * np.multiply.outer(xs[block], u[sl])
-                    np.exp(table, out=table)
-                    acc[:, block] += lhs[:, sl] @ table.T
-            out += np.exp(1j * xs * C) * scalars[:, None] * acc[: len(rows)]
-        mass += l1
-    return (out if xs is None else out.T), mass
+        # columns are the product's rows, so BLAS rounds each column alike
+        # whatever its group; a lone column is padded to two, which keeps
+        # it off the matrix-vector product
+        lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
+        acc = np.zeros((len(lhs), len(xs)), dtype=np.complex128)
+        for b0 in range(0, len(nodes), NODE_BLOCK):
+            sl = slice(b0, b0 + NODE_BLOCK)
+            for a0 in range(0, len(xs), X_CHUNK):
+                block = slice(a0, a0 + X_CHUNK)
+                table = 1j * np.multiply.outer(xs[block], u[sl])
+                np.exp(table, out=table)
+                acc[:, block] += lhs[:, sl] @ table.T
+        out += np.exp(1j * xs * C) * scalars[:, None] * acc[: len(rows)]
+    return out
 
 
 def _fft_length(n: int) -> int:
@@ -472,16 +524,28 @@ def _check_domain(profile, curve, m: float, xs, ts) -> None:
 
 
 def _budgets(factors, m: float, lo, hi, ts, chirp: bool = False):
-    """The one budget rule: each column's bucketed node budget per coordinate.
+    """The one budget rule: each column's node budget per coordinate.
 
     Column i's displacements on coordinate j span [lo[i, j], hi[i, j]] at
-    time ts[i]; its budget there is _node_budgets (at the chirp-z rate
-    with chirp) rounded up by _bucket, so it depends on that column alone.
-    Returns a (columns, coordinates) int array.
+    time ts[i]. Its budget there is NODES_PER_RADIAN per radian of phase
+    variation (CHIRP_NODES_PER_RADIAN with chirp), BASE_NODES at least and
+    SEGMENT_NODES per segment where that is more, in whole panels rounded
+    up to PANEL_ORDER * 2^k nodes, so that nearby times share a rule; it
+    depends on that column alone. Budgets past 2^52 nodes, far over any
+    cap, read as 2^52. The per-segment floor gives each segment one panel
+    at least, so on a factor of many narrow segments (bourgain's d = 2
+    lattice) a budget and its double never run the same one-panel rule,
+    which the node-doubling check would compare with itself. Returns a
+    (columns, coordinates) int array.
     """
-    return np.column_stack(
-        [_bucket(_node_budgets(a, b, ts, m, f, chirp)) for a, b, f in zip(lo.T, hi.T, factors)]
-    )
+    rate = (CHIRP_NODES_PER_RADIAN if chirp else NODES_PER_RADIAN) / PANEL_ORDER  # panels per radian
+    out = np.empty(np.shape(lo), dtype=np.int64)
+    for j, factor in enumerate(factors):
+        floor = max(BASE_NODES, SEGMENT_NODES * len(factor.segments)) // PANEL_ORDER
+        V = phase_variation(lo[:, j], hi[:, j], ts, m, factor)
+        panels = np.fmin(np.maximum(floor, np.ceil(rate * V)), 2.0 ** 48)
+        out[:, j] = PANEL_ORDER * 2 ** np.frexp(panels - 1.0)[1].astype(np.int64)  # 2^bit_length(panels - 1)
+    return out
 
 
 def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, out):
@@ -494,9 +558,10 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
     (nx, block) views, with the mass and the block's column indices,
     before the next block is made. On the chirp-z kernel (chirp) the
     group builds its two plans once and runs both passes of every block
-    in one FFT buffer; otherwise each block is a _quadrature call on the
-    direct table, whose values do not depend on the block. All of it is
-    freed when the group's last block is done.
+    in one FFT buffer; otherwise each block is one _quadrature call per
+    pass of the group's record, on the direct table, whose values do not
+    depend on the block. All of it is freed when the group's last block
+    is done.
     """
 
     if chirp:
@@ -505,7 +570,9 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
         buffer = np.empty(min(step, len(cols)) * len(plans[1].kernel), dtype=np.complex128)
         mass = plans[1].mass / TWO_PI
     else:
+        rule = _weighted_rule(factor, n, m != int(m))
         step = max(1, FFT_BLOCK // max(1, len(xs)))
+        mass = rule.mass[1] / TWO_PI
     for c0 in range(0, len(cols), step):
         block = cols[c0 : c0 + step]
         if chirp:  # both passes run in the one buffer, so the coarse values leave it first
@@ -513,9 +580,8 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
             coarse = plans[0].apply(shifts[block], ts[block], rows[0]) / TWO_PI
             fine = plans[1].apply(shifts[block], ts[block], rows[1])
         else:
-            (coarse, _), (fine, l1) = (_quadrature(factor, n * doubling, m, shifts[block], ts[block], xs)
-                                       for doubling in (1, 2))
-            coarse, fine, mass = coarse.T / TWO_PI, fine.T, l1 / TWO_PI  # time-major
+            coarse, fine = (_quadrature(segments, m, shifts[block], ts[block], xs) for segments in rule.passes)
+            coarse /= TWO_PI
         fine /= TWO_PI
         out[block] = fine
         yield coarse.T, fine.T, mass, block
@@ -540,11 +606,13 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     certified pass, twice its budgets' sum, is past MAX_NODES raises
     AccuracyError, named by cap_label(i) and with no estimates, before
     either kernel runs. Pairs run as one block: each coordinate's columns
-    of one budget are one _quadrature call, the first coordinate's
-    integrals are assigned, and later ones multiplied in from real and
-    imaginary parts (numpy's complex multiply rounds its vector lanes
-    unlike its tail, which would tie a pair's last bit to its position),
-    and each pass is divided by (2 pi)^d. A window runs one budget group
+    of one budget are one _pair_quadrature call on that budget's record,
+    which returns both passes (in calls of at most X_CHUNK * NODE_BLOCK
+    column-nodes, which move no bit); the first coordinate's integrals
+    are assigned, and later ones multiplied in from real and imaginary
+    parts (numpy's complex multiply rounds its vector lanes unlike its
+    tail, which would tie a pair's last bit to its position), and each
+    pass is divided by (2 pi)^d. A window runs one budget group
     after another, block by block (_window_blocks), so it holds one pass.
     _certify checks every block
     against a mass per column and names the first failure by label(k),
@@ -575,27 +643,26 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
         _certify(blocks, context, label)
         _scale(values, amplitude)
         return values.T, counts
-    scale = TWO_PI ** profile.d
-
-    def run(doubling):
-        values = np.empty(len(ts), dtype=np.complex128)
-        mass = np.empty(len(ts))
-        for j, factor in enumerate(factors):
-            for n in np.unique(budgets[:, j]):
-                cols = np.flatnonzero(budgets[:, j] == n)
-                integral, l1 = _quadrature(factor, int(n) * doubling, m, disp[cols, j], ts[cols])
-                if j == 0:
-                    values[cols] = integral
-                else:
-                    v = values[cols]
-                    values.real[cols] = v.real * integral.real - v.imag * integral.imag
-                    values.imag[cols] = v.real * integral.imag + v.imag * integral.real
-                mass[cols] = l1 if j == 0 else mass[cols] * l1
-        values /= scale
-        return values, mass / scale
-
-    coarse, _ = run(1)
-    values, mass = run(2)
+    passes = np.empty((2, len(ts)), dtype=np.complex128)  # coarse, fine
+    mass = np.empty(len(ts))
+    for j, factor in enumerate(factors):
+        for n in np.unique(budgets[:, j]):
+            group = np.flatnonzero(budgets[:, j] == n)
+            rule = _weighted_rule(factor, int(n), m != int(m))
+            step = max(1, X_CHUNK * NODE_BLOCK // len(rule.nodes))  # column-nodes per call
+            for c0 in range(0, len(group), step):
+                cols = group[c0 : c0 + step]
+                for values, integral in zip(passes, _pair_quadrature(rule, m, disp[cols, j], ts[cols])):
+                    if j == 0:
+                        values[cols] = integral
+                    else:
+                        v = values[cols]
+                        values.real[cols] = v.real * integral.real - v.imag * integral.imag
+                        values.imag[cols] = v.real * integral.imag + v.imag * integral.real
+            mass[group] = rule.mass[1] if j == 0 else mass[group] * rule.mass[1]
+    passes /= TWO_PI ** profile.d
+    mass /= TWO_PI ** profile.d
+    coarse, values = passes
     _certify([(coarse, values, mass, np.arange(len(ts)))], context, label)
     _scale(values, amplitude)
     return values, counts

@@ -260,7 +260,20 @@ def test_numerator_cache_is_a_bounded_lru(monkeypatch):
     assert calls == [(1.0, R) for R in SMALL_PLAN.R_sequence]
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # pool_map imports the pool when it starts one, so the package import stays light
+    import subprocess
+    import sys
+
+    code = ("import curverate.cli, sys; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_pool_map_starts_no_more_processes_than_rows(monkeypatch):
+    import concurrent.futures
     from collections import OrderedDict
 
     from curverate import experiments
@@ -280,7 +293,7 @@ def test_pool_map_starts_no_more_processes_than_rows(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(experiments, "_numerator_one_R", lambda plan, c, R: {"R": R})
     monkeypatch.setattr(experiments, "_NUMERATOR_CACHE", OrderedDict())
     rows = experiments._numerators(SMALL_PLAN, 0.0, 8)

@@ -158,6 +158,51 @@ def test_lockstep_critical_times_are_the_serial_roots(family, alpha, R):
     assert got.tolist() == [critical_time(family, curve, R, 0.0, x) for x in xs.tolist()]
 
 
+def full_bisection(h, lo, hi):
+    """The lockstep bisection with all BISECTION_ITERATIONS halvings: the early stop's reference."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    flo, fhi = h(lo), h(hi)
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
+    sign = np.sign(flo)
+    for _ in range(maximal.BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        side = sign * h(mid)
+        lo, hi = np.where(side >= 0.0, mid, lo), np.where(side <= 0.0, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def bisection_problem(family, alpha, R):
+    """(h, lo, hi) of a bisecting family's critical times, as FAMILIES states them, on x, elementwise."""
+    if family == BUMP_MODULATED:
+        return (lambda x: lambda t: x - t ** alpha - 2.0 * R * R * t), (lambda x: np.minimum(1.0, x))
+    return ((lambda x: lambda t: x - t ** alpha + 2.0 * R * t),
+            (lambda x: np.minimum(1.0, (np.abs(x) + 1.0) / (2.0 * R))))
+
+
+# the families whose critical times are bisected; the other three have closed forms
+@pytest.mark.parametrize("family,alpha,R", [
+    (BUMP_MODULATED, 0.5, 64.0), (BUMP_MODULATED, 0.3, 1024.0), (BUMP_MODULATED, 0.5, 4096.0),
+    (BOURGAIN, 0.5, 64.0), (BOURGAIN, 0.75, 1024.0), (BOURGAIN, 1.0, 4096.0),
+])
+def test_bisection_stops_at_its_fixed_point_with_the_full_roots(family, alpha, R):
+    c = calibrate_window_constant(family, alpha)
+    xs = window_grid(*family_spec(family).window(R, alpha, 0.0, c), 33)
+    curve, (h, top) = CurveSpec(MINUS_SHIFT, alpha=alpha), bisection_problem(family, alpha, R)
+    want = full_bisection(h(xs), 0.0, top(xs))
+    assert maximal._critical_times(family, curve, R, 0.0, xs).tobytes() == want.tobytes()
+    for i in (0, 16, 32):  # at one point
+        assert critical_time(family, curve, R, 0.0, float(xs[i])) == full_bisection(h(xs[i]), 0.0, top(xs[i]))
+    evaluations = []
+
+    def counted(t):
+        evaluations.append(1)
+        return h(xs)(t)
+
+    assert maximal._bisect_root(counted, 0.0, top(xs)).tobytes() == want.tobytes()
+    assert len(evaluations) < 2 + maximal.BISECTION_ITERATIONS  # the brackets stopped moving early
+
+
 def test_lockstep_bisection_names_the_first_bracket_without_a_sign_change():
     # roots at 0 and at the upper end stop there; 0.2 lies in neither of the last two brackets
     lo, hi = np.zeros(5), np.array([1.0, 0.2, 0.5, 0.1, 0.05])
@@ -468,7 +513,7 @@ def test_injection_off_the_window_path_fails_before_any_work(monkeypatch, profil
 ])
 def test_a_window_field_on_a_curve_of_another_dimension_fails_before_any_work(monkeypatch, grid, critical):
     calls = []
-    for stage in ("_quadrature", "_chirp_window"):
+    for stage in ("_pair_quadrature", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     xs = np.linspace(0.1, 0.2, 5)
     tc = np.full(len(xs), 0.01) if critical else None

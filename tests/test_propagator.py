@@ -32,12 +32,11 @@ from curverate.propagator import (
     PHASE_GUARD,
     RULE_CACHE_SIZE,
     UNIT_ROUNDOFF,
-    _bucket,
     _budgets,
     _cached_weighted_rule,
     _chirp,
     _chirp_phase_error,
-    _node_budgets,
+    _pair_quadrature,
     _quadrature,
     _weighted_rule,
     batch_initial,
@@ -227,15 +226,14 @@ def test_evaluate_grid_matches_pointwise_and_collects_failures(monkeypatch):
 def test_evaluate_grid_runs_in_the_calling_process(monkeypatch):
     # workers is validated but starts no process, so a grid with a failure in
     # the middle gives the workers=1 samples and failures, in grid order
+    import concurrent.futures
     import multiprocessing
     from multiprocessing.process import BaseProcess
-
-    from curverate import experiments
 
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate_grid started a process")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(BaseProcess, "start", refuse)
     monkeypatch.setattr(propagator, "MAX_NODES", 256)
     profile, xs, ts = gaussian_like(), [0.0, 40.0, 0.3], [0.01, 0.2]
@@ -860,7 +858,8 @@ def direct_table(profile, curve, xs, ts):
     out = np.empty((len(xs), len(ts)), dtype=np.complex128)
     for n in set(budgets.tolist()):  # the times of one budget share a table
         cols = budgets == n
-        out[:, cols] = _quadrature(factor, 2 * n, 2.0, shifts[cols], ts[cols], xs)[0] / TWO_PI
+        fine = _weighted_rule(factor, n, False).passes[1]
+        out[:, cols] = _quadrature(fine, 2.0, shifts[cols], ts[cols], xs).T / TWO_PI
     return out
 
 
@@ -923,7 +922,8 @@ def test_window_node_counts_are_the_budget_of_the_kernel_that_ran():
 
 
 # ---------------------------------------------------------------------------
-# the weighted Gauss-Legendre rule cache: one LRU keyed by (factor, n, graded)
+# the weighted Gauss-Legendre rule cache: one LRU keyed by the budget,
+# (factor, n, graded), each entry one flat record of the n- and 2n-node rules
 
 
 def hull_factor(lo, hi):
@@ -939,26 +939,29 @@ def test_rule_cache_is_bounded():
     assert _cached_weighted_rule.cache_info().currsize == RULE_CACHE_SIZE
     misses = _cached_weighted_rule.cache_info().misses
     factor = hull_factor(0.0, 1.0)
-    big = _weighted_rule(factor, CACHED_RULE_NODES + 16, False)
-    assert big is not _weighted_rule(factor, CACHED_RULE_NODES + 16, False)
-    assert _cached_weighted_rule.cache_info().misses == misses  # large rules bypass the cache
-    small = _weighted_rule(factor, CACHED_RULE_NODES, False)
-    assert small is _weighted_rule(factor, CACHED_RULE_NODES, False)
+    big = _weighted_rule(factor, CACHED_RULE_NODES // 2 + 16, False)
+    assert big is not _weighted_rule(factor, CACHED_RULE_NODES // 2 + 16, False)
+    assert _cached_weighted_rule.cache_info().misses == misses  # a doubled pass past the bound bypasses it
+    small = _weighted_rule(factor, CACHED_RULE_NODES // 2, False)
+    assert small is _weighted_rule(factor, CACHED_RULE_NODES // 2, False)
+    assert len(small.passes[1][0][1]) == CACHED_RULE_NODES
 
 
 @pytest.mark.parametrize("n", [256, CACHED_RULE_NODES + 16])
 def test_rule_arrays_are_read_only(n):
     (factor,) = coordinate_factors(gaussian_like())  # segments (-8, 0) and (0, 8)
-    for _, nodes, weighted, _ in _weighted_rule(factor, n, True):
-        for arr in (nodes, weighted):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    rule = _weighted_rule(factor, n, True)
+    arrays = [rule.nodes, rule.u, rule.wf, rule.sizes, rule.mids]
+    arrays += [arr for segments in rule.passes for _, *views, _ in segments for arr in views]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_fractional_m_gets_the_graded_rule_and_integer_m_the_plain_one():
     factor = hull_factor(0.0, 4.0)
-    (_, graded, _, _), = _weighted_rule(factor, 256, 1.5 != int(1.5))
-    (_, plain, _, _), = _weighted_rule(factor, 256, 2.0 != int(2.0))
+    (_, graded, _, _, _), = _weighted_rule(factor, 256, 1.5 != int(1.5)).passes[0]
+    (_, plain, _, _, _), = _weighted_rule(factor, 256, 2.0 != int(2.0)).passes[0]
     assert graded.min() < 4.0 * 2.0 ** -40 < plain.min()
     assert len(graded) != len(plain)
 
@@ -988,13 +991,20 @@ def test_cached_rule_is_bit_identical_to_a_fresh_build():
     (factor,) = coordinate_factors(gaussian_like(center=2.0))  # segments (-6, 0) and (0, 10)
     first = _weighted_rule(factor, 512, False)
     assert _weighted_rule(factor, 512, False) is first
-    for (C, nodes, weighted, l1), (lo, hi), share in zip(first, factor.segments, (192, 320)):
+    # the 512-node rule's segments, then the 1024-node rule's, each a view into the flat record
+    segments = first.passes[0] + first.passes[1]
+    for k, ((C, nodes, u, weighted, l1), (lo, hi), share) in enumerate(
+            zip(segments, factor.segments * 2, (192, 320, 384, 640))):
         fresh_nodes, fresh_weights = panel_nodes(lo, hi, share)
         fv = np.asarray(factor.func(fresh_nodes), dtype=np.complex128)
-        assert C == 0.5 * (lo + hi)
-        assert nodes.tobytes() == fresh_nodes.tobytes()
-        assert weighted.tobytes() == (fresh_weights * fv).tobytes()
+        assert C == 0.5 * (lo + hi) == first.mids[k]
+        a, b = first.offsets[k : k + 2]
+        assert nodes.base is first.nodes and nodes.tobytes() == first.nodes[a:b].tobytes() == fresh_nodes.tobytes()
+        assert u.base is first.u and u.tobytes() == (fresh_nodes - C).tobytes()
+        assert weighted.base is first.wf and weighted.tobytes() == (fresh_weights * fv).tobytes()
         assert l1 == float(np.sum(fresh_weights * np.abs(fv)))
+    assert first.offsets == (0, 192, 512, 896, 1536) and first.sizes.tolist() == [192, 320, 384, 640]
+    assert first.mass == tuple(segments[k][4] + segments[k + 1][4] for k in (0, 2))
 
 
 def test_equal_profiles_share_factors_and_rules():
@@ -1021,8 +1031,8 @@ def test_values_after_a_cache_clear_are_the_warm_values_bit_for_bit():
 
 
 def test_bourgain_d2_grid_evaluates_its_factors_once_per_budget(monkeypatch):
-    # window_transform's Chebyshev series runs when a rule is built, once per
-    # (coordinate, budget) and segment, not on every kernel call
+    # window_transform's Chebyshev series runs when a record is built, once per
+    # (coordinate, budget), pass and segment, not on every kernel call
     calls = []
     real = np.polynomial.chebyshev.chebval
     monkeypatch.setattr(np.polynomial.chebyshev, "chebval", lambda *a: calls.append(1) or real(*a))
@@ -1034,9 +1044,9 @@ def test_bourgain_d2_grid_evaluates_its_factors_once_per_budget(monkeypatch):
     times = np.array([t for _ in xs for t in ts] + [0.0] * len(xs))
     gam = gamma_pairs(curve, points, times)
     budgets = _budgets(factors, 2.0, gam, gam, times)
-    assert budgets.max() <= CACHED_RULE_NODES // 2  # both passes' rules are cached
-    rules = {(j, n * doubling) for j in range(2) for n in budgets[:, j].tolist() for doubling in (1, 2)}
-    segments = sum(len(factors[j].segments) for j, _ in rules)
+    assert budgets.max() <= CACHED_RULE_NODES // 2  # every record, both passes' rules, is cached
+    records = {(j, n) for j in range(2) for n in budgets[:, j].tolist()}
+    segments = sum(2 * len(factors[j].segments) for j, _ in records)
     _cached_weighted_rule.cache_clear()
     samples, failures = evaluate_grid(profile, curve, 2.0, xs, ts)
     assert not failures and len(samples) == len(xs) * len(ts)
@@ -1141,15 +1151,16 @@ FLOOR_PROFILES = [  # every family at two scales, d = 2 where it has it
 
 
 def floor_budget(factor):
-    """factor's node budget where the phase vanishes (x = 0, t = 0): its floor."""
-    zero = np.zeros(1)
-    return int(_node_budgets(zero, zero, zero, 2.0, factor)[0])
+    """factor's node budget where the phase vanishes (x = 0, t = 0): its floor, bucketed."""
+    zero = np.zeros((1, 1))
+    return int(_budgets((factor,), 2.0, zero, zero, np.zeros(1))[0, 0])
 
 
 def data_certify(factor, n):
     """f^ alone (x = 0, t = 0): do its integral and L^1 mass pass node doubling on n nodes?"""
-    coarse, coarse_mass = _quadrature(factor, n, 2.0, 0.0, 0.0)
-    fine, fine_mass = _quadrature(factor, 2 * n, 2.0, 0.0, 0.0)
+    rule = _weighted_rule(factor, n, False)
+    coarse, fine = (complex(v[0]) for v in _pair_quadrature(rule, 2.0, np.zeros(1), np.zeros(1)))
+    coarse_mass, fine_mass = rule.mass
     return (abs(fine - coarse) <= SELF_CHECK_TOL * max(abs(coarse), abs(fine), fine_mass)
             and abs(fine_mass - coarse_mass) <= SELF_CHECK_TOL * fine_mass)
 
@@ -1158,11 +1169,11 @@ def data_certify(factor, n):
     "profile", FLOOR_PROFILES, ids=lambda p: f"{p.kind}-d{p.d}-R{p.R:g}-k{p.scale_index}-c{p.center:g}")
 def test_every_factor_certifies_its_data_at_the_node_floor(profile):
     for factor in coordinate_factors(profile):
-        n = floor_budget(factor)
-        assert n == max(propagator.BASE_NODES, propagator.SEGMENT_NODES * len(factor.segments))
+        n = max(propagator.BASE_NODES, propagator.SEGMENT_NODES * len(factor.segments))
+        assert floor_budget(factor) == bucket(n)
         assert data_certify(factor, n)
         # on every segment the doubled rule has more nodes: the check compares two rules
-        coarse, fine = _weighted_rule(factor, n, False), _weighted_rule(factor, 2 * n, False)
+        coarse, fine = _weighted_rule(factor, n, False).passes
         assert all(len(f[1]) > len(c[1]) for c, f in zip(coarse, fine))
 
 
@@ -1202,8 +1213,8 @@ def test_families_at_the_node_floor_match_an_oracle(profile):
     t = 1e-3
     x = np.array([-2.0 * t * _hull(f)[0] + 0.1 for f in factors])
     for g, factor in zip(x, factors):
-        assert _node_budgets(np.array([g]), np.array([g]), np.array([t]), 2.0, factor).tolist() == [
-            floor_budget(factor)]
+        assert _budgets((factor,), 2.0, np.array([[g]]), np.array([[g]]), np.array([t])).tolist() == [
+            [floor_budget(factor)]]
     s = evaluate(profile, CurveSpec(STRAIGHT, d=profile.d), 2.0, x if profile.d > 1 else x[0], t)
     assert s.node_count == 2 * sum(floor_budget(f) for f in factors)
     if profile.kind == "gaussian-like":
@@ -1214,8 +1225,13 @@ def test_families_at_the_node_floor_match_an_oracle(profile):
 
 
 def test_bucket_is_the_next_panel_count_power_of_two():
-    ns = list(range(0, 5000)) + [2 ** k + d for k in range(12, 53) for d in (-1, 0, 1)]
-    assert _bucket(np.array(ns)).tolist() == [bucket(n) for n in ns]
+    # at t = 0 a column's phase variation is |gamma| times the width: one
+    # budget per node count around every power of two, up to the 2^52 cap
+    factor = hull_factor(0.0, 1.0)
+    ns = list(range(0, 5000, 7)) + [2 ** k + d for k in range(12, 54) for d in (-1, 0, 1)]
+    gam = np.array([n / propagator.NODES_PER_RADIAN for n in ns])
+    got = _budgets((factor,), 2.0, gam[:, None], gam[:, None], np.zeros(len(ns)))[:, 0]
+    assert got.tolist() == [min(bucket(node_budget(g, g, 0.0, 2.0, factor)), 2 ** 52) for g in gam.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -1275,7 +1291,7 @@ def mass_scale(profile):
     """(2 pi)^-d times the L^1 norm of f^, the scale of the self-check."""
     scale = 1.0
     for factor in coordinate_factors(profile):
-        scale *= _quadrature(factor, 4096, 2.0, 0.0, 0.0)[1] / TWO_PI
+        scale *= _weighted_rule(factor, 2048, False).mass[1] / TWO_PI  # the 4096-node rule's
     return scale
 
 
@@ -1367,15 +1383,71 @@ def test_paired_call_does_not_depend_on_chunking():
 
 
 def test_the_pair_row_runs_in_blocks_without_moving_a_bit(monkeypatch):
-    # memory: the x = 0 row takes at most X_CHUNK * NODE_BLOCK column-nodes a block
+    # memory: a pair kernel call takes at most X_CHUNK * NODE_BLOCK column-nodes
     profile, curve, m, xs, ts = PAIRED_CASES["d=2"]
+    calls, real = [], propagator._pair_quadrature
+    monkeypatch.setattr(propagator, "_pair_quadrature", lambda *a: calls.append(len(a[3])) or real(*a))
     whole, total = certified_value(profile, curve, m, xs, ts)
-    calls, real = [], propagator._quadrature
-    monkeypatch.setattr(propagator, "NODE_BLOCK", 1)  # one column per block
-    monkeypatch.setattr(propagator, "_quadrature", lambda *a: calls.append(len(a[4])) or real(*a))
+    assert max(calls) > 1  # a group of several pairs is one call
+    del calls[:]
+    monkeypatch.setattr(propagator, "NODE_BLOCK", 1)  # one column per call
     blocked, blocked_total = certified_value(profile, curve, m, xs, ts)
     assert whole.tobytes() == blocked.tobytes() and total == blocked_total
-    assert 1 in calls and max(calls) > 1  # a group of several pairs, then its one-pair blocks
+    assert set(calls) == {1}
+
+
+def pass_row(segments, m, shifts, ts):
+    """One pass of the x = 0 row, segment by segment: (values, mass), the fused kernel's reference.
+
+    Each segment's phases are formed, exponentiated, weighted and summed on
+    their own, and its midpoint scalar applied, in segment order.
+    """
+    out, mass = 0j, 0.0
+    s_col, t_col = shifts[:, None], ts[:, None]
+    for C, nodes, _, wf, l1 in segments:
+        u = nodes - C
+        if m == 2.0:
+            scalars = np.exp(1j * (shifts * C + ts * C * C))
+            phase = (s_col + 2.0 * t_col * C) * u + t_col * u * u
+        else:
+            scalars = np.exp(1j * shifts * C)
+            phase = s_col * u + t_col * np.abs(nodes) ** m
+        rows = 1j * phase
+        np.multiply(wf, np.exp(rows, out=rows), out=rows)
+        out = out + scalars * rows.sum(axis=-1)
+        mass += l1
+    return out, mass
+
+
+FUSED_CASES = {  # (factor, m): one segment, two split at 0, graded, m = 3, the d = 2 lattice's 8
+    "one segment": (coordinate_factors(bump_modulated(64.0))[0], 2.0),
+    "split at 0": (coordinate_factors(gaussian_like(center=2.0))[0], 2.0),
+    "graded m=1/2": (coordinate_factors(gaussian_like())[0], 0.5),
+    "graded m=3/2": (coordinate_factors(bump_dilated(16.0))[0], 1.5),
+    "m=3": (coordinate_factors(gaussian_like())[0], 3.0),
+    "d=2 lattice": (coordinate_factors(bourgain_profile(4096.0, d=2))[1], 2.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(FUSED_CASES)),
+    n=st.sampled_from([64, 128, 512, 4096]),
+    columns=st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+    cut=st.floats(0.0, 1.0),
+)
+def test_fused_pair_kernel_is_the_per_pass_per_segment_row(case, n, columns, cut):
+    factor, m = FUSED_CASES[case]
+    rule = _weighted_rule(factor, n, m != int(m))
+    shifts, ts = (np.array(v, dtype=float) for v in zip(*columns))
+    want = [pass_row(segments, m, shifts, ts) for segments in rule.passes]
+    got = _pair_quadrature(rule, m, shifts, ts)
+    for (values, mass), fused, rule_mass in zip(want, got, rule.mass):
+        assert fused.tobytes() == values.tobytes() and rule_mass == mass
+    k = int(cut * len(ts))  # split into two blocks: no value moves
+    head, tail = _pair_quadrature(rule, m, shifts[:k], ts[:k]), _pair_quadrature(rule, m, shifts[k:], ts[k:])
+    for whole, a, b in zip(got, head, tail):
+        assert whole.tobytes() == np.concatenate([a, b]).tobytes()
 
 
 # the one budget rule: a pair's bucketed budget, value and count are its
@@ -1395,7 +1467,7 @@ def test_any_batch_of_pairs_is_its_one_pair_calls(data, case):
     assert values.tobytes() == np.array([v for v, _ in single]).tobytes()
     gam = gamma_pairs(curve, points, times)
     budgets = _budgets(coordinate_factors(profile), m, gam, gam, times)
-    assert np.array_equal(_bucket(budgets), budgets)
+    assert budgets.ravel().tolist() == [bucket(n) for n in budgets.ravel().tolist()]
     assert (2 * budgets.sum(axis=1)).tolist() == [n for _, n in single] and total == sum(n for _, n in single)
 
 
@@ -1466,7 +1538,7 @@ def test_paired_call_validates_its_pairs():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
     calls = []
-    for stage in ("_columns", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_pair_quadrature", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, shifted = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5)
     with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
@@ -1484,7 +1556,7 @@ def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
 @pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
 def test_both_kernels_reject_a_bad_m_before_any_work(monkeypatch, m):
     calls = []
-    for stage in ("_columns", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_pair_quadrature", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, message = gaussian_like(), re.escape(f"dispersion power m={m} must be positive")
     with pytest.raises(DomainValidationError, match=message):
@@ -1507,7 +1579,7 @@ def test_both_kernels_reject_a_time_outside_the_unit_interval(t):
 
 def test_both_kernels_reject_a_curve_of_another_dimension_before_any_work(monkeypatch):
     calls = []
-    for stage in ("_columns", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_pair_quadrature", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, plane = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
     with pytest.raises(DomainValidationError, match="curve and profile dimensions disagree"):
@@ -1539,7 +1611,7 @@ def test_over_cap_raises_before_either_kernel_runs(tight_cap, monkeypatch, kerne
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel ran past the node cap")
 
-    for name in ("_quadrature", "_chirp_window"):
+    for name in ("_pair_quadrature", "_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, name, refuse)
     with pytest.raises(AccuracyError) as err:
         if kernel == "pointwise":  # (0, 0) fits the cap, (40, 1) does not
