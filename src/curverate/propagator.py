@@ -29,10 +29,10 @@ doubled nodes and demands agreement relative to the column's L^1 mass
 scale (computed on the same rule) before reporting them; it forms the
 full bound only where the gap passes SELF_CHECK_TOL * mass. Pairs are
 checked as one block, and each coordinate's pairs of one budget are one
-_pair_quadrature call that forms the phases of both passes, every
-segment's, in one vectorised sequence, then sums each segment's slice
-and applies its midpoint scalar in segment order, so a value does not
-depend on which pairs share its call. A window is checked one column block of about
+_pair_quadrature call on its cached record that forms the phases of both
+passes, every segment's, in one vectorised sequence, then sums each
+segment's slice and applies its midpoint scalar in segment order, so a
+value does not depend on which pairs share its call. A window is checked one column block of about
 FFT_BLOCK elements at a time (_window_blocks): the block's coarse values
 are compared with its fine ones and dropped, and only the fine ones are
 written, into the one time-major (times, points) pass that batch_values
@@ -83,15 +83,20 @@ LRU of RULE_CACHE_SIZE records keyed by the budget n. A record
 (WeightedRule) holds both passes' rules, n and 2n nodes, in one flat set
 of read-only arrays: the nodes, each node less its segment's midpoint,
 the weights with f^ multiplied in, and the segment offsets and
-midpoints; its per-segment tuples are views into them, so the pair
-kernel and the window table read the same record and no call
-concatenates anything. A record is cached only when its 2n-node pass has
-at most CACHED_RULE_NODES nodes, so the cache holds at most 256 x (2048 +
-4096) nodes x 32 B = 50 MB (68 MB of 8288-node zero-graded records on
-two segments), against 256 x 4096 nodes x 24 B = 25 MB when each pass's
-rule was a cache entry of its own; a scaling benchmark pass leaves about
-1.1 MB in it. A pair kernel call's (columns x 3n) temporaries stay within
-X_CHUNK * NODE_BLOCK column-nodes: a larger group runs in blocks.
+midpoints, so the pair kernel and the window table read the same record
+and no call concatenates anything. A record is cached only when its
+2n-node pass has at most CACHED_RULE_NODES nodes, so the cache holds at
+most 256 x (2048 + 4096) nodes x 32 B = 50 MB (68 MB of 8288-node
+zero-graded records on two segments), against 256 x 4096 nodes x 24 B =
+25 MB when each pass's rule was a cache entry of its own; a scaling
+benchmark pass leaves about 1.3 MB in it. A larger budget (_each_pass)
+builds one record per pass, the coarse one released before the fine one
+is built, and caches the coarse one while it has at most
+CACHED_RULE_NODES nodes, so it holds one pass's rule at a time. The pair
+kernel runs a record in runs of whole segments of at most
+X_CHUNK * NODE_BLOCK nodes, each on blocks of columns, so its (columns,
+nodes) temporaries stay within X_CHUNK * NODE_BLOCK column-nodes, or one
+column of one segment where a segment alone is longer.
 
 Node budgets. A column's phase is theta(xi) = gamma xi + t|xi|^m, with
 gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
@@ -223,159 +228,218 @@ def _graded_rule(lo: float, hi: float, min_nodes: int):
 
 @dataclass(frozen=True)
 class WeightedRule:
-    """factor's Gauss-Legendre rules on a budget of n nodes and on 2n, weighted by f^.
+    """factor's Gauss-Legendre rules on the passes of a budget, weighted by f^.
 
-    One flat record of read-only arrays: nodes holds the n-node rule's
-    segments, then the 2n-node rule's; u is each node less its segment's
-    midpoint and wf its weight times f^. Segment k is the slice
-    offsets[k]:offsets[k + 1], of midpoint mids[k]. passes[0] (the
-    budgeted rule) and passes[1] (its double) hold one (C, nodes, u, wf,
-    l1) per segment, the arrays views into the record and l1 the
-    segment's sum of w |f^|; mass[p] is the sum of pass p's l1, the
-    self-check's scale.
+    One flat record of read-only arrays: nodes holds each pass's
+    segments in turn (the budgeted rule's, then its double's, or one
+    pass's alone); u is each node less its segment's midpoint and wf its
+    weight times f^. Segment k is the slice offsets[k]:offsets[k + 1], of
+    midpoint mids[k], and each pass has the factor's number of segments.
+    mass[p] is pass p's sum of w |f^|, the self-check's scale.
     """
 
     nodes: np.ndarray
     u: np.ndarray
     wf: np.ndarray
     offsets: tuple
-    sizes: np.ndarray
     mids: np.ndarray
-    passes: tuple
     mass: tuple
 
 
-def _build_weighted_rule(factor, n: int, graded: bool) -> WeightedRule:
-    """factor's WeightedRule on a budget of n nodes: both passes of the node-doubling check.
+def _segment_rule(factor, lo: float, hi: float, total: int, graded: bool):
+    """Segment [lo, hi]'s share of a total-node rule: (midpoint, nodes, w f^, sum of w |f^|).
 
-    Each pass's budget is spread over the segments by width, and segments
-    ending at 0 are graded toward it when graded (m is not an integer).
+    The share is by width, and a segment ending at 0 is graded toward it
+    when graded (m is not an integer).
     """
 
-    width = factor.width
-    pieces = []  # (C, nodes, w f^, l1): the n-node rule's segments, then the 2n-node rule's
-    for total in (n, 2 * n):
-        for lo, hi in factor.segments:
-            share = max(PANEL_ORDER, int(math.ceil(total * (hi - lo) / width)))
-            if graded and (lo == 0.0 or hi == 0.0):
-                xs, ws = _graded_rule(lo, hi, share)
-            else:
-                xs, ws = panel_nodes(lo, hi, share)
-            fv = np.asarray(factor.func(xs), dtype=np.complex128)
-            pieces.append((0.5 * (lo + hi), xs, ws * fv, float(np.sum(ws * np.abs(fv)))))
-    offsets = tuple(np.cumsum([0] + [len(xs) for _, xs, _, _ in pieces]).tolist())
-    nodes, u, wf = (np.concatenate(arrays) for arrays in zip(*[(xs, xs - C, w) for C, xs, w, _ in pieces]))
-    for arr in (nodes, u, wf):
-        arr.flags.writeable = False
-    views = [(C, nodes[a:b], u[a:b], wf[a:b], l1)
-             for (C, _, _, l1), a, b in zip(pieces, offsets[:-1], offsets[1:])]
-    split = len(factor.segments)
-    passes = (tuple(views[:split]), tuple(views[split:]))
+    share = max(PANEL_ORDER, int(math.ceil(total * (hi - lo) / factor.width)))
+    xs, ws = _graded_rule(lo, hi, share) if graded and (lo == 0.0 or hi == 0.0) else panel_nodes(lo, hi, share)
+    fv = np.asarray(factor.func(xs), dtype=np.complex128)
+    return 0.5 * (lo + hi), xs, ws * fv, float(np.sum(ws * np.abs(fv)))
+
+
+def _build_weighted_rule(factor, n: int, graded: bool, doublings=(1, 2)) -> WeightedRule:
+    """factor's WeightedRule on the passes of n * d nodes, d in doublings.
+
+    The default is both passes of the node-doubling check on a budget of
+    n; (1,) or (2,) is one of them.
+    """
+
+    segments = [_segment_rule(factor, lo, hi, n * d, graded) for d in doublings for lo, hi in factor.segments]
+    l1, per_pass = [s[3] for s in segments], len(factor.segments)
     mass = []
-    for segments in passes:  # added in segment order, uncompensated (sum() compensates floats from Python 3.12)
-        total_mass = 0.0
-        for *_, l1 in segments:
-            total_mass += l1
-        mass.append(total_mass)
-    sizes, mids = np.diff(offsets), np.array([C for C, _, _, _ in pieces])
-    sizes.flags.writeable = mids.flags.writeable = False
-    return WeightedRule(nodes, u, wf, offsets, sizes, mids, passes, tuple(mass))
+    for p in range(len(doublings)):  # in segment order, uncompensated (sum() compensates floats from Python 3.12)
+        total = 0.0
+        for v in l1[p * per_pass : (p + 1) * per_pass]:
+            total += v
+        mass.append(total)
+    offsets = tuple(np.cumsum([0] + [len(s[1]) for s in segments]).tolist())
+    mids = np.array([s[0] for s in segments])
+    nodes = np.concatenate([s[1] for s in segments])
+    wf = np.concatenate([s[2] for s in segments])
+    del segments  # the pieces go once joined
+    u = nodes - np.repeat(mids, np.diff(offsets))
+    for arr in (nodes, u, wf, mids):
+        arr.flags.writeable = False
+    return WeightedRule(nodes, u, wf, offsets, mids, tuple(mass))
 
 
 _cached_weighted_rule = lru_cache(maxsize=RULE_CACHE_SIZE)(_build_weighted_rule)
 
 
-def _weighted_rule(factor, n: int, graded: bool) -> WeightedRule:
-    """_build_weighted_rule, cached when its larger pass has at most CACHED_RULE_NODES nodes.
+def _weighted_rule(factor, n: int, graded: bool, doublings=(1, 2)) -> WeightedRule:
+    """_build_weighted_rule, cached when its largest pass has at most CACHED_RULE_NODES nodes.
 
     The one rule cache: an LRU of RULE_CACHE_SIZE entries keyed by the
-    budget, (factor, n, graded), so a hit skips both passes' rules and the
-    evaluation of f^ on them. coordinate_factors is memoised, so the same
-    profile keeps the same factors. A larger record feeds a kernel that
-    costs far more than building it, and keeping it alive would pin
+    budget, (factor, n, graded, doublings), so a hit skips the rules and
+    the evaluation of f^ on them. coordinate_factors is memoised, so the
+    same profile keeps the same factors. A larger record feeds a kernel
+    that costs far more than building it, and keeping it alive would pin
     memory, so it is built afresh.
     """
 
-    build = _cached_weighted_rule if 2 * n <= CACHED_RULE_NODES else _build_weighted_rule
-    return build(factor, n, graded)
+    build = _cached_weighted_rule if n * doublings[-1] <= CACHED_RULE_NODES else _build_weighted_rule
+    return build(factor, n, graded, doublings)
 
 
-def _pair_quadrature(rule: WeightedRule, m: float, shifts, ts):
-    """Both passes of the x = 0 row on rule: one vectorised sequence over all its nodes.
+def _each_pass(factor, n: int, graded: bool, kernel, *args):
+    """kernel on both passes of budget n's node-doubling check: [(coarse, its mass), (fine, its mass)].
 
-    Pass p's column j is the sum over pass p's segments of w f^(xi)
-    e^{i(shifts[j] xi + ts[j] |xi|^m)}; shifts and ts are equal-length 1-d
-    arrays. The phases of every node of both passes are formed in one
-    (columns, len(rule.nodes)) array, each about its segment's midpoint C
-    at m = 2, where the constant shifts C + ts C^2 becomes one complex
-    scalar per segment. Then each segment's slice is summed, its scalar
-    applied, and each pass's segments added in order. Returns (coarse,
-    fine), each of shape (columns,).
+    kernel(rule, *args) returns one result per pass of the record rule. A
+    budget whose doubled pass has at most CACHED_RULE_NODES nodes runs
+    both passes in one call, on its cached record. Past that each pass
+    gets a record of its own (_weighted_rule caches the coarse one while it
+    has at most CACHED_RULE_NODES nodes), released before the next one is
+    built, so a large budget holds one pass's rule at a time.
     """
 
-    s, t, mids = shifts[:, None], ts[:, None], rule.mids[:, None]
+    out = []
+    for doublings in [(1, 2)] if 2 * n <= CACHED_RULE_NODES else [(1,), (2,)]:
+        rule = _weighted_rule(factor, n, graded, doublings)
+        out += zip(kernel(rule, *args), rule.mass)
+        del rule  # released before the next pass's record is built
+    return out
+
+
+def _weighted_rows(rule: WeightedRule, m: float, shifts, ts, k0: int, k1: int):
+    """The weighted exponentials of the columns (shifts[j], ts[j]) on rule's segments k0 .. k1 - 1.
+
+    Row j is w f^(xi) e^{i(shifts[j] xi + ts[j] |xi|^m)} at those
+    segments' nodes, less each segment's constant phase (_segment_scalars).
+    The phase is taken about the segment's midpoint C: at m = 2,
+    (shifts[j] + 2 ts[j] C) u + ts[j] u^2 with u = xi - C, which keeps
+    it small; otherwise shifts[j] u + ts[j] |xi|^m. Returns the
+    (columns, nodes) rows.
+    """
+
+    offsets = rule.offsets
+    a, b = offsets[k0], offsets[k1]
+    u, s, t = rule.u[a:b], shifts[:, None], ts[:, None]
     if m == 2.0:
-        phase = np.repeat(s + 2.0 * t * rule.mids, rule.sizes, axis=1)  # s + 2 t C at each node
-        phase *= rule.u
-        square = t * rule.u
-        square *= rule.u
+        sizes = [hi - lo for lo, hi in zip(offsets[k0:k1], offsets[k0 + 1 : k1 + 1])]
+        phase = np.repeat(s + 2.0 * t * rule.mids[k0:k1], sizes, axis=1)  # s + 2 t C at each node
+        phase *= u
+        square = t * u
+        square *= u
         phase += square
         del square
-        scalars = np.exp(1j * (mids * shifts + mids * ts * mids))
     else:
-        phase = s * rule.u
-        phase += t * np.abs(rule.nodes) ** m
-        scalars = np.exp(1j * shifts * mids)
+        phase = s * u
+        phase += t * np.abs(rule.nodes[a:b]) ** m
     # rows are built in place: their temporaries would otherwise set the memory peak
     rows = 1j * phase
     del phase
-    np.multiply(rule.wf, np.exp(rows, out=rows), out=rows)
-    sums = np.empty_like(scalars)  # one row per segment
-    for k, (a, b) in enumerate(zip(rule.offsets[:-1], rule.offsets[1:])):
-        np.add.reduce(rows[:, a:b], axis=-1, out=sums[k])
-    np.multiply(scalars, sums, out=sums)  # scalar first: numpy's complex multiply is not commutative to the last bit
-    split = len(rule.passes[0])
-    return sum(sums[:split], 0j), sum(sums[split:], 0j)
+    np.multiply(rule.wf[a:b], np.exp(rows, out=rows), out=rows)
+    return rows
 
 
-def _quadrature(segments, m: float, shifts, ts, xs):
-    """The Gauss-Legendre window table: one pass of a WeightedRule on a window.
+def _segment_scalars(mids, m: float, shifts, ts):
+    """Each segment's constant phase, e^{i(shifts[j] C + ts[j] C^2)} at m = 2, else e^{i shifts[j] C}.
 
-    segments is one of the rule's passes. Column j is sum w f^(xi)
-    e^{i((x + shifts[j]) xi + ts[j] |xi|^m)} at each window point x; shifts
-    and ts are equal-length 1-d arrays. Each segment's table is e^{i x u},
-    u = xi - C about its midpoint C, run in blocks of X_CHUNK points and
-    NODE_BLOCK nodes. Returns the time-major (ncols, len(xs)) values.
+    C runs over the segment midpoints mids. Returns (segments, columns).
+    """
+    C = mids[:, None]
+    return np.exp(1j * (C * shifts + C * ts * C)) if m == 2.0 else np.exp(1j * shifts * C)
+
+
+def _runs(offsets, limit: int):
+    """Consecutive segments in runs of at most limit nodes, a longer segment a run of its own: [(k0, k1)]."""
+    runs, k0 = [], 0
+    for k in range(1, len(offsets) - 1):
+        if offsets[k + 1] - offsets[k0] > limit:
+            runs.append((k0, k))
+            k0 = k
+    return runs + [(k0, len(offsets) - 1)]
+
+
+def _pair_quadrature(rule: WeightedRule, m: float, shifts, ts):
+    """Every pass of the x = 0 row on rule, its segments' phases formed in one vectorised sequence.
+
+    Pass p's column j is the sum over pass p's segments of w f^(xi)
+    e^{i(shifts[j] xi + ts[j] |xi|^m)}; shifts and ts are equal-length
+    1-d arrays. The record runs in runs of whole segments (_runs), each
+    on blocks of columns, so a call's (columns, nodes) temporaries stay
+    within X_CHUNK * NODE_BLOCK column-nodes, or one column of one
+    segment where a segment alone is longer; a cached record is one run.
+    Each segment's slice is summed and its scalar applied, and each
+    pass's segments are added in order, so no value depends on its run
+    or block. Returns one (columns,) array per pass.
     """
 
-    out = np.zeros((len(shifts), len(xs)), dtype=np.complex128)  # time-major
-    s_col, t_col = shifts[:, None], ts[:, None]  # against the nodes
-    for C, nodes, u, wf, _ in segments:
-        if m == 2.0:
-            scalars = np.exp(1j * (shifts * C + ts * C * C))
-            phase = (s_col + 2.0 * t_col * C) * u + t_col * u * u
-        else:
-            scalars = np.exp(1j * shifts * C)
-            phase = s_col * u + t_col * np.abs(nodes) ** m
-        # rows and the table are built in place: their temporaries would
-        # otherwise set the memory peak
-        rows = 1j * phase
-        del phase
-        np.multiply(wf, np.exp(rows, out=rows), out=rows)
-        # columns are the product's rows, so BLAS rounds each column alike
-        # whatever its group; a lone column is padded to two, which keeps
-        # it off the matrix-vector product
-        lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
-        acc = np.zeros((len(lhs), len(xs)), dtype=np.complex128)
-        for b0 in range(0, len(nodes), NODE_BLOCK):
-            sl = slice(b0, b0 + NODE_BLOCK)
-            for a0 in range(0, len(xs), X_CHUNK):
-                block = slice(a0, a0 + X_CHUNK)
-                table = 1j * np.multiply.outer(xs[block], u[sl])
-                np.exp(table, out=table)
-                acc[:, block] += lhs[:, sl] @ table.T
-        out += np.exp(1j * xs * C) * scalars[:, None] * acc[: len(rows)]
-    return out
+    limit, offsets = X_CHUNK * NODE_BLOCK, rule.offsets
+    sums = np.empty((len(offsets) - 1, len(ts)), dtype=np.complex128)  # one row per segment
+    for k0, k1 in _runs(offsets, limit):
+        a = offsets[k0]
+        step = max(1, limit // (offsets[k1] - a))
+        for c0 in range(0, len(ts), step):
+            cols = slice(c0, c0 + step)
+            rows = _weighted_rows(rule, m, shifts[cols], ts[cols], k0, k1)
+            for k in range(k0, k1):
+                np.add.reduce(rows[:, offsets[k] - a : offsets[k + 1] - a], axis=-1, out=sums[k, cols])
+            del rows  # released before the next block's are made
+    # scalar first, into a new array: numpy's complex multiply rounds by
+    # operand order, and on one element in place unlike in its lanes
+    sums = _segment_scalars(rule.mids, m, shifts, ts) * sums
+    per_pass = len(sums) // len(rule.mass)
+    return tuple(sum(sums[p * per_pass : (p + 1) * per_pass], 0j) for p in range(len(rule.mass)))
+
+
+def _quadrature(rule: WeightedRule, m: float, shifts, ts, xs):
+    """The Gauss-Legendre window table: every pass of rule on a window.
+
+    Pass p's column j is the sum over pass p's segments of w f^(xi)
+    e^{i((x + shifts[j]) xi + ts[j] |xi|^m)} at each window point x;
+    shifts and ts are equal-length 1-d arrays. Each segment's table is
+    e^{i x u}, u = xi - C about its midpoint C, run in blocks of X_CHUNK
+    points and NODE_BLOCK nodes. Returns one time-major (ncols, len(xs))
+    array per pass.
+    """
+
+    per_pass = (len(rule.offsets) - 1) // len(rule.mass)
+    passes = []
+    for p in range(len(rule.mass)):
+        out = np.zeros((len(shifts), len(xs)), dtype=np.complex128)  # time-major
+        for k in range(p * per_pass, (p + 1) * per_pass):
+            rows = _weighted_rows(rule, m, shifts, ts, k, k + 1)
+            scalars = _segment_scalars(rule.mids[k : k + 1], m, shifts, ts)[0]
+            u = rule.u[rule.offsets[k] : rule.offsets[k + 1]]
+            # columns are the product's rows, so BLAS rounds each column alike
+            # whatever its group; a lone column is padded to two, which keeps
+            # it off the matrix-vector product
+            lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
+            acc = np.zeros((len(lhs), len(xs)), dtype=np.complex128)
+            for b0 in range(0, len(u), NODE_BLOCK):
+                sl = slice(b0, b0 + NODE_BLOCK)
+                for a0 in range(0, len(xs), X_CHUNK):
+                    block = slice(a0, a0 + X_CHUNK)
+                    # the table is built in place: its temporaries would otherwise set the memory peak
+                    table = 1j * np.multiply.outer(xs[block], u[sl])
+                    np.exp(table, out=table)
+                    acc[:, block] += lhs[:, sl] @ table.T
+            out += np.exp(1j * xs * rule.mids[k]) * scalars[:, None] * acc[: len(rows)]
+        passes.append(out)
+    return passes
 
 
 def _fft_length(n: int) -> int:
@@ -558,10 +622,9 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
     (nx, block) views, with the mass and the block's column indices,
     before the next block is made. On the chirp-z kernel (chirp) the
     group builds its two plans once and runs both passes of every block
-    in one FFT buffer; otherwise each block is one _quadrature call per
-    pass of the group's record, on the direct table, whose values do not
-    depend on the block. All of it is freed when the group's last block
-    is done.
+    in one FFT buffer; otherwise each block runs the direct table,
+    _quadrature, through _each_pass, and its values do not depend on the
+    block. All of it is freed when the group's last block is done.
     """
 
     if chirp:
@@ -570,9 +633,7 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
         buffer = np.empty(min(step, len(cols)) * len(plans[1].kernel), dtype=np.complex128)
         mass = plans[1].mass / TWO_PI
     else:
-        rule = _weighted_rule(factor, n, m != int(m))
         step = max(1, FFT_BLOCK // max(1, len(xs)))
-        mass = rule.mass[1] / TWO_PI
     for c0 in range(0, len(cols), step):
         block = cols[c0 : c0 + step]
         if chirp:  # both passes run in the one buffer, so the coarse values leave it first
@@ -580,8 +641,9 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
             coarse = plans[0].apply(shifts[block], ts[block], rows[0]) / TWO_PI
             fine = plans[1].apply(shifts[block], ts[block], rows[1])
         else:
-            coarse, fine = (_quadrature(segments, m, shifts[block], ts[block], xs) for segments in rule.passes)
+            (coarse, _), (fine, mass) = _each_pass(factor, n, m != int(m), _quadrature, m, shifts[block], ts[block], xs)
             coarse /= TWO_PI
+            mass /= TWO_PI
         fine /= TWO_PI
         out[block] = fine
         yield coarse.T, fine.T, mass, block
@@ -606,9 +668,9 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     certified pass, twice its budgets' sum, is past MAX_NODES raises
     AccuracyError, named by cap_label(i) and with no estimates, before
     either kernel runs. Pairs run as one block: each coordinate's columns
-    of one budget are one _pair_quadrature call on that budget's record,
-    which returns both passes (in calls of at most X_CHUNK * NODE_BLOCK
-    column-nodes, which move no bit); the first coordinate's integrals
+    of one budget run both passes through _each_pass, one _pair_quadrature
+    call on the budget's cached record or one per pass past the cache,
+    whose runs and column blocks move no bit; the first coordinate's integrals
     are assigned, and later ones multiplied in from real and imaginary
     parts (numpy's complex multiply rounds its vector lanes unlike its
     tail, which would tie a pair's last bit to its position), and each
@@ -648,18 +710,16 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     for j, factor in enumerate(factors):
         for n in np.unique(budgets[:, j]):
             group = np.flatnonzero(budgets[:, j] == n)
-            rule = _weighted_rule(factor, int(n), m != int(m))
-            step = max(1, X_CHUNK * NODE_BLOCK // len(rule.nodes))  # column-nodes per call
-            for c0 in range(0, len(group), step):
-                cols = group[c0 : c0 + step]
-                for values, integral in zip(passes, _pair_quadrature(rule, m, disp[cols, j], ts[cols])):
-                    if j == 0:
-                        values[cols] = integral
-                    else:
-                        v = values[cols]
-                        values.real[cols] = v.real * integral.real - v.imag * integral.imag
-                        values.imag[cols] = v.real * integral.imag + v.imag * integral.real
-            mass[group] = rule.mass[1] if j == 0 else mass[group] * rule.mass[1]
+            both = _each_pass(factor, int(n), m != int(m), _pair_quadrature, m, disp[group, j], ts[group])
+            for values, (integral, _) in zip(passes, both):
+                if j == 0:
+                    values[group] = integral
+                else:
+                    v = values[group]
+                    values.real[group] = v.real * integral.real - v.imag * integral.imag
+                    values.imag[group] = v.real * integral.imag + v.imag * integral.real
+            fine_mass = both[1][1]
+            mass[group] = fine_mass if j == 0 else mass[group] * fine_mass
     passes /= TWO_PI ** profile.d
     mass /= TWO_PI ** profile.d
     coarse, values = passes

@@ -2,7 +2,9 @@
 
 import math
 import re
+import weakref
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -858,8 +860,8 @@ def direct_table(profile, curve, xs, ts):
     out = np.empty((len(xs), len(ts)), dtype=np.complex128)
     for n in set(budgets.tolist()):  # the times of one budget share a table
         cols = budgets == n
-        fine = _weighted_rule(factor, n, False).passes[1]
-        out[:, cols] = _quadrature(fine, 2.0, shifts[cols], ts[cols], xs).T / TWO_PI
+        (fine,) = _quadrature(_weighted_rule(factor, n, False, (2,)), 2.0, shifts[cols], ts[cols], xs)
+        out[:, cols] = fine.T / TWO_PI
     return out
 
 
@@ -944,24 +946,30 @@ def test_rule_cache_is_bounded():
     assert _cached_weighted_rule.cache_info().misses == misses  # a doubled pass past the bound bypasses it
     small = _weighted_rule(factor, CACHED_RULE_NODES // 2, False)
     assert small is _weighted_rule(factor, CACHED_RULE_NODES // 2, False)
-    assert len(small.passes[1][0][1]) == CACHED_RULE_NODES
+    assert small.offsets == (0, CACHED_RULE_NODES // 2, CACHED_RULE_NODES // 2 + CACHED_RULE_NODES)
+    # one pass's record is cached up to the bound: a budget past it keeps its coarse rule
+    coarse = _weighted_rule(factor, CACHED_RULE_NODES, False, (1,))
+    assert coarse is _weighted_rule(factor, CACHED_RULE_NODES, False, (1,))
+    assert len(coarse.nodes) == CACHED_RULE_NODES and len(coarse.mass) == 1
+    misses = _cached_weighted_rule.cache_info().misses
+    assert _weighted_rule(factor, CACHED_RULE_NODES, False, (2,)) is not _weighted_rule(
+        factor, CACHED_RULE_NODES, False, (2,))
+    assert _cached_weighted_rule.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("n", [256, CACHED_RULE_NODES + 16])
 def test_rule_arrays_are_read_only(n):
     (factor,) = coordinate_factors(gaussian_like())  # segments (-8, 0) and (0, 8)
     rule = _weighted_rule(factor, n, True)
-    arrays = [rule.nodes, rule.u, rule.wf, rule.sizes, rule.mids]
-    arrays += [arr for segments in rule.passes for _, *views, _ in segments for arr in views]
-    for arr in arrays:
+    for arr in (rule.nodes, rule.u, rule.wf, rule.mids):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
 def test_fractional_m_gets_the_graded_rule_and_integer_m_the_plain_one():
     factor = hull_factor(0.0, 4.0)
-    (_, graded, _, _, _), = _weighted_rule(factor, 256, 1.5 != int(1.5)).passes[0]
-    (_, plain, _, _, _), = _weighted_rule(factor, 256, 2.0 != int(2.0)).passes[0]
+    graded = _weighted_rule(factor, 256, 1.5 != int(1.5), (1,)).nodes
+    plain = _weighted_rule(factor, 256, 2.0 != int(2.0), (1,)).nodes
     assert graded.min() < 4.0 * 2.0 ** -40 < plain.min()
     assert len(graded) != len(plain)
 
@@ -991,20 +999,23 @@ def test_cached_rule_is_bit_identical_to_a_fresh_build():
     (factor,) = coordinate_factors(gaussian_like(center=2.0))  # segments (-6, 0) and (0, 10)
     first = _weighted_rule(factor, 512, False)
     assert _weighted_rule(factor, 512, False) is first
-    # the 512-node rule's segments, then the 1024-node rule's, each a view into the flat record
-    segments = first.passes[0] + first.passes[1]
-    for k, ((C, nodes, u, weighted, l1), (lo, hi), share) in enumerate(
-            zip(segments, factor.segments * 2, (192, 320, 384, 640))):
+    # the 512-node rule's segments, then the 1024-node rule's, in one flat record
+    assert first.offsets == (0, 192, 512, 896, 1536)
+    l1 = []
+    for k, ((lo, hi), share) in enumerate(zip(factor.segments * 2, (192, 320, 384, 640))):
         fresh_nodes, fresh_weights = panel_nodes(lo, hi, share)
         fv = np.asarray(factor.func(fresh_nodes), dtype=np.complex128)
-        assert C == 0.5 * (lo + hi) == first.mids[k]
-        a, b = first.offsets[k : k + 2]
-        assert nodes.base is first.nodes and nodes.tobytes() == first.nodes[a:b].tobytes() == fresh_nodes.tobytes()
-        assert u.base is first.u and u.tobytes() == (fresh_nodes - C).tobytes()
-        assert weighted.base is first.wf and weighted.tobytes() == (fresh_weights * fv).tobytes()
-        assert l1 == float(np.sum(fresh_weights * np.abs(fv)))
-    assert first.offsets == (0, 192, 512, 896, 1536) and first.sizes.tolist() == [192, 320, 384, 640]
-    assert first.mass == tuple(segments[k][4] + segments[k + 1][4] for k in (0, 2))
+        C, (a, b) = 0.5 * (lo + hi), first.offsets[k : k + 2]
+        assert first.mids[k] == C
+        assert first.nodes[a:b].tobytes() == fresh_nodes.tobytes()
+        assert first.u[a:b].tobytes() == (fresh_nodes - C).tobytes()
+        assert first.wf[a:b].tobytes() == (fresh_weights * fv).tobytes()
+        l1.append(float(np.sum(fresh_weights * np.abs(fv))))
+    assert first.mass == (l1[0] + l1[1], l1[2] + l1[3])
+    # each pass alone is that pass of the record
+    for p, doubling in enumerate((1, 2)):
+        alone, (a, b) = _weighted_rule(factor, 512, False, (doubling,)), first.offsets[2 * p : 2 * p + 3 : 2]
+        assert alone.nodes.tobytes() == first.nodes[a:b].tobytes() and alone.mass == (first.mass[p],)
 
 
 def test_equal_profiles_share_factors_and_rules():
@@ -1173,8 +1184,8 @@ def test_every_factor_certifies_its_data_at_the_node_floor(profile):
         assert floor_budget(factor) == bucket(n)
         assert data_certify(factor, n)
         # on every segment the doubled rule has more nodes: the check compares two rules
-        coarse, fine = _weighted_rule(factor, n, False).passes
-        assert all(len(f[1]) > len(c[1]) for c, f in zip(coarse, fine))
+        sizes, k = np.diff(_weighted_rule(factor, n, False).offsets), len(factor.segments)
+        assert (sizes[k:] > sizes[:k]).all()
 
 
 @pytest.mark.parametrize("R", [16.0, 4096.0])
@@ -1224,14 +1235,16 @@ def test_families_at_the_node_floor_match_an_oracle(profile):
     assert abs(s.value - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
-def test_bucket_is_the_next_panel_count_power_of_two():
-    # at t = 0 a column's phase variation is |gamma| times the width: one
-    # budget per node count around every power of two, up to the 2^52 cap
+def test_bucket_is_the_next_panel_count_power_of_two(monkeypatch):
+    # at one panel per radian and t = 0, a column at gamma = n / PANEL_ORDER
+    # on a unit width needs exactly n nodes: every count to 4999 and each
+    # side of every power of two, up to the 2^52 cap
+    monkeypatch.setattr(propagator, "NODES_PER_RADIAN", float(PANEL_ORDER))
     factor = hull_factor(0.0, 1.0)
-    ns = list(range(0, 5000, 7)) + [2 ** k + d for k in range(12, 54) for d in (-1, 0, 1)]
-    gam = np.array([n / propagator.NODES_PER_RADIAN for n in ns])
+    ns = list(range(0, 5000)) + [2 ** k + d for k in range(4, 54) for d in (-1, 0, 1)]
+    gam = np.array([n / PANEL_ORDER for n in ns])
     got = _budgets((factor,), 2.0, gam[:, None], gam[:, None], np.zeros(len(ns)))[:, 0]
-    assert got.tolist() == [min(bucket(node_budget(g, g, 0.0, 2.0, factor)), 2 ** 52) for g in gam.tolist()]
+    assert got.tolist() == [min(bucket(max(n, propagator.BASE_NODES)), 2 ** 52) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -1383,28 +1396,35 @@ def test_paired_call_does_not_depend_on_chunking():
 
 
 def test_the_pair_row_runs_in_blocks_without_moving_a_bit(monkeypatch):
-    # memory: a pair kernel call takes at most X_CHUNK * NODE_BLOCK column-nodes
+    # memory: the pair kernel's (columns, nodes) temporaries stay within
+    # X_CHUNK * NODE_BLOCK column-nodes, or one column of one segment
     profile, curve, m, xs, ts = PAIRED_CASES["d=2"]
-    calls, real = [], propagator._pair_quadrature
-    monkeypatch.setattr(propagator, "_pair_quadrature", lambda *a: calls.append(len(a[3])) or real(*a))
+    calls, real = [], propagator._weighted_rows
+    monkeypatch.setattr(propagator, "_weighted_rows", lambda rule, m, s, t, k0, k1: calls.append(
+        (len(s), rule.offsets[k1] - rule.offsets[k0], k1 - k0)) or real(rule, m, s, t, k0, k1))
     whole, total = certified_value(profile, curve, m, xs, ts)
-    assert max(calls) > 1  # a group of several pairs is one call
+    assert max(c for c, _, _ in calls) > 1  # a group of several pairs is one block
+    assert max(k for _, _, k in calls) >= 2  # both passes are one run
     del calls[:]
-    monkeypatch.setattr(propagator, "NODE_BLOCK", 1)  # one column per call
+    monkeypatch.setattr(propagator, "NODE_BLOCK", 1)  # limit: X_CHUNK column-nodes
     blocked, blocked_total = certified_value(profile, curve, m, xs, ts)
     assert whole.tobytes() == blocked.tobytes() and total == blocked_total
-    assert set(calls) == {1}
+    assert all(c * nodes <= propagator.X_CHUNK or (c, k) == (1, 1) for c, nodes, k in calls)
+    assert any(k == 1 and nodes > propagator.X_CHUNK for _, nodes, k in calls)
 
 
-def pass_row(segments, m, shifts, ts):
-    """One pass of the x = 0 row, segment by segment: (values, mass), the fused kernel's reference.
+def pass_row(rule, p, m, shifts, ts):
+    """Pass p of rule's x = 0 row, segment by segment: the fused kernel's reference.
 
     Each segment's phases are formed, exponentiated, weighted and summed on
     their own, and its midpoint scalar applied, in segment order.
     """
-    out, mass = 0j, 0.0
+    out = 0j
     s_col, t_col = shifts[:, None], ts[:, None]
-    for C, nodes, _, wf, l1 in segments:
+    per_pass = (len(rule.offsets) - 1) // len(rule.mass)
+    for k in range(p * per_pass, (p + 1) * per_pass):
+        a, b = rule.offsets[k : k + 2]
+        C, nodes, wf = float(rule.mids[k]), rule.nodes[a:b], rule.wf[a:b]
         u = nodes - C
         if m == 2.0:
             scalars = np.exp(1j * (shifts * C + ts * C * C))
@@ -1415,8 +1435,7 @@ def pass_row(segments, m, shifts, ts):
         rows = 1j * phase
         np.multiply(wf, np.exp(rows, out=rows), out=rows)
         out = out + scalars * rows.sum(axis=-1)
-        mass += l1
-    return out, mass
+    return out
 
 
 FUSED_CASES = {  # (factor, m): one segment, two split at 0, graded, m = 3, the d = 2 lattice's 8
@@ -1433,21 +1452,44 @@ FUSED_CASES = {  # (factor, m): one segment, two split at 0, graded, m = 3, the 
 @given(
     case=st.sampled_from(sorted(FUSED_CASES)),
     n=st.sampled_from([64, 128, 512, 4096]),
+    doublings=st.sampled_from([(1, 2), (1,), (2,)]),
     columns=st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
     cut=st.floats(0.0, 1.0),
+    node_block=st.sampled_from([propagator.NODE_BLOCK, 4, 1]),
 )
-def test_fused_pair_kernel_is_the_per_pass_per_segment_row(case, n, columns, cut):
+def test_fused_pair_kernel_is_the_per_pass_per_segment_row(case, n, doublings, columns, cut, node_block):
+    # node_block 4 and 1 split the record into runs and the columns into blocks
     factor, m = FUSED_CASES[case]
-    rule = _weighted_rule(factor, n, m != int(m))
+    rule = _weighted_rule(factor, n, m != int(m), doublings)
     shifts, ts = (np.array(v, dtype=float) for v in zip(*columns))
-    want = [pass_row(segments, m, shifts, ts) for segments in rule.passes]
-    got = _pair_quadrature(rule, m, shifts, ts)
-    for (values, mass), fused, rule_mass in zip(want, got, rule.mass):
-        assert fused.tobytes() == values.tobytes() and rule_mass == mass
-    k = int(cut * len(ts))  # split into two blocks: no value moves
-    head, tail = _pair_quadrature(rule, m, shifts[:k], ts[:k]), _pair_quadrature(rule, m, shifts[k:], ts[k:])
-    for whole, a, b in zip(got, head, tail):
-        assert whole.tobytes() == np.concatenate([a, b]).tobytes()
+    want = [pass_row(rule, p, m, shifts, ts) for p in range(len(doublings))]
+    with mock.patch.object(propagator, "NODE_BLOCK", node_block):
+        got = _pair_quadrature(rule, m, shifts, ts)
+        k = int(cut * len(ts))  # split into two calls: no value moves
+        head, tail = _pair_quadrature(rule, m, shifts[:k], ts[:k]), _pair_quadrature(rule, m, shifts[k:], ts[k:])
+    assert len(got) == len(doublings)
+    for values, fused, a, b in zip(want, got, head, tail):
+        assert fused.tobytes() == values.tobytes() == np.concatenate([a, b]).tobytes()
+
+
+def test_a_budget_past_the_cache_holds_one_pass_at_a_time(monkeypatch):
+    # a pair at budget 8192 (16384 nodes doubled): each pass's record is
+    # built afresh, and the coarse one is gone before the fine one is built
+    built, real = [], propagator._build_weighted_rule
+
+    def build(factor, n, graded, doublings):
+        alive = any(ref() is not None for _, _, ref in built)
+        rule = real(factor, n, graded, doublings)
+        built.append((n * doublings[0], alive, weakref.ref(rule)))
+        return rule
+
+    monkeypatch.setattr(propagator, "_build_weighted_rule", build)
+    x = 250.0  # about 6400 nodes of phase at t = 0
+    (n,) = _budgets(coordinate_factors(gaussian_like()), 2.0, np.array([[x]]), np.array([[x]]), np.zeros(1))[0]
+    assert n == 2 * CACHED_RULE_NODES
+    value, used = one_pair(gaussian_like(), STRAIGHT_1D, 2.0, x, 0.0)
+    assert [(total, alive) for total, alive, _ in built] == [(n, False), (2 * n, False)] and used == 2 * n
+    assert abs(value - gaussian_closed_form(x, 0.0)) <= 1e-12
 
 
 # the one budget rule: a pair's bucketed budget, value and count are its
