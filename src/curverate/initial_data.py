@@ -156,7 +156,6 @@ class FrequencyProfile:
     epsilon: float = 0.0
     scale_index: int = 0          # annulus-bump dyadic index
     center: float = 0.0           # gaussian-like center
-    amplitude: float = 1.0        # gaussian-like amplitude (0 gives the zero datum)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -176,6 +175,13 @@ class FrequencyProfile:
             raise DomainValidationError(f"bourgain d = 2 has no lattice point at R={self.R}")
         if self.kind == ANNULUS_BUMP and self.scale_index < 1:
             raise DomainValidationError("annulus-bump needs scale index k >= 1")
+        try:
+            factors = coordinate_factors(self)
+        except OverflowError:  # a power such as bump-tensor's R^(1 + epsilon)
+            raise DomainValidationError(f"{self.kind} support overflows a float") from None
+        for lo, hi in (seg for factor in factors for seg in factor.segments):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):  # e.g. R + 1 == R
+                raise DomainValidationError(f"{self.kind} support segment [{lo}, {hi}] needs finite ends lo < hi")
 
     @property
     def support_box(self):
@@ -207,8 +213,8 @@ def annulus_bump(k: int) -> FrequencyProfile:
     return FrequencyProfile(ANNULUS_BUMP, scale_index=int(k))
 
 
-def gaussian_like(center: float = 0.0, amplitude: float = 1.0) -> FrequencyProfile:
-    return FrequencyProfile(GAUSSIAN_LIKE, center=float(center), amplitude=float(amplitude))
+def gaussian_like(center: float = 0.0) -> FrequencyProfile:
+    return FrequencyProfile(GAUSSIAN_LIKE, center=float(center))
 
 
 def lattice_scale(R: float, d: int) -> float:
@@ -327,10 +333,10 @@ def coordinate_factors(profile: FrequencyProfile):
         return (CoordinateFactor(((2.0 ** (k - 1), 2.0 ** (k + 1)),), func, True),)
 
     if kind == GAUSSIAN_LIKE:
-        c, h, a = profile.center, GAUSSIAN_HALFWIDTH, profile.amplitude
+        c, h = profile.center, GAUSSIAN_HALFWIDTH
         func = lambda eta: np.where(
             np.abs(np.asarray(eta) - c) <= h,
-            a * np.exp(-((np.asarray(eta) - c) ** 2)),
+            np.exp(-((np.asarray(eta) - c) ** 2)),
             0.0,
         )
         # cut at |xi - c| = 8, where it jumps by e^{-64}: smooth to rounding

@@ -3,14 +3,19 @@
 U f(x, t) = (2*pi)^{-d} * integral over the profile's support box of
 e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 
-Every path but the chirp-z window (below) sums composite Gauss-Legendre
-panels, w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each column (s_j,
-t_j), on one record of rules (_weighted_rule): _pair_quadrature on the
-x = 0 row of pairs, _quadrature's direct table on a window. One certified
-front end, _columns, drives the kernels. A column is one displacement per
-coordinate plus one time. Pointwise evaluation (certified_value) takes
-pairs (x_i, t_i) only, one point being the one-pair call; a pair is the
-x = 0 column at its displacement gamma(x_i, t_i). A window (batch_values)
+Every kernel sums w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each
+column (s_j, t_j) over the nodes of a WeightedRule record, its rows
+formed by one phase formula (_weighted_rows) and its segment scalars by
+another (_segment_scalars). The three kernels differ only in the inner
+sum over nodes: _pair_quadrature reduces the x = 0 row of pairs, and on
+a window _quadrature's direct table multiplies the rows by e^{i x u} and
+the chirp-z plan convolves them; the first two read composite
+Gauss-Legendre panels (_weighted_rule), the chirp-z plan midpoint nodes
+(below). One certified front end, _columns, drives the kernels. A column
+is one displacement per coordinate plus one time. Pointwise evaluation
+(certified_value) takes pairs (x_i, t_i) only, one point being the
+one-pair call; a pair is the x = 0 column at its displacement
+gamma(x_i, t_i). A window (batch_values)
 is one column per time whose points add to coordinate 0. One bucketed
 budget rule (_budgets) covers pairs and windows: each column gets its own
 budget per coordinate, rounded up to PANEL_ORDER * 2^k, so a pair's value
@@ -53,18 +58,21 @@ m = 2, a uniform window of three points or more on a smooth factor
 _chirp_window: n midpoint nodes on the hull of the factor's segments,
 centred on the hull midpoint C. With the window centred too, the window
 sum is a chirp-z transform, one FFT convolution per time column, and no
-nx-by-n table is formed. _chirp_window builds a budget group's plan (the
-chirp kernel's spectrum, the node weights, the post chirp) once per
-pass, and ChirpPlan.apply runs each column block in place in one reused
-FFT buffer. On data that vanish smoothly at the hull ends the
-midpoint rule is exact to rounding once its nodes sample faster than the
-integrand's largest local frequency; below one node per 2 pi radians it
-aliases. So a chirp-z
-window is budgeted at CHIRP_NODES_PER_RADIAN, a quarter of the
-Gauss-Legendre rate: 2.5 nodes per 2 pi radians, 2.5 times the aliasing
-rate. At an eighth the self-check fails on the k = 6 and 8 lemma
-windows. The node-doubling self-check compares two chirp-z passes, so it
-cannot see an error both share. The chirp phases are exact to rounding
+nx-by-n table is formed. _chirp_window builds a budget group's plan once
+per pass: its nodes as a one-segment WeightedRule of midpoint C (their
+weights carrying the chirp e^{i beta q^2 / 2}), the chirp kernel's
+spectrum and the post chirp. ChirpPlan.apply writes each column block's
+rows (_weighted_rows, with the window midpoint joining the shifts) into
+one reused FFT buffer, convolves them in place and applies the post
+chirp and the segment scalars. On data that vanish smoothly at the hull
+ends the midpoint rule is exact to rounding once its nodes sample faster
+than the integrand's largest local frequency; below one node per 2 pi
+radians it aliases. So a chirp-z window is budgeted at
+CHIRP_NODES_PER_RADIAN, a quarter of the Gauss-Legendre rate: 2.5 nodes
+per 2 pi radians, 2.5 times the aliasing rate. At an eighth the
+self-check fails on the k = 6 and 8 lemma windows. The node-doubling
+self-check compares two chirp-z passes, so it cannot see an error both
+share. The chirp phases are exact to rounding
 (_chirp), and a guard (_chirp_phase_error) sends the window to
 Gauss-Legendre unless the window's distance from its uniform grid times
 the hull half-width, plus what rounding the chirp step h h_xi can move a
@@ -124,7 +132,7 @@ max|xi|^{m-1}) * width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -132,7 +140,7 @@ import numpy as np
 
 from .curves import STRAIGHT, CurveSpec, gamma_pairs
 from .errors import AccuracyError, DomainValidationError
-from .initial_data import GAUSSIAN_LIKE, FrequencyProfile, coordinate_factors
+from .initial_data import FrequencyProfile, coordinate_factors
 from .quadrature import PANEL_ORDER, _certify, panel_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -174,8 +182,8 @@ class FieldSample:
 
 
 def _slope(xi: float, m: float) -> float:
-    """sgn(xi) |xi|^{m-1}: d|xi|^m/dxi over m."""
-    return math.copysign(abs(xi) ** (m - 1.0), xi) if xi else 0.0
+    """sgn(xi) |xi|^{m-1}: d|xi|^m/dxi over m, infinite where the power overflows."""
+    return math.copysign(np.float64(abs(xi)) ** (m - 1.0), xi) if xi else 0.0
 
 
 def phase_variation(gamma_lo, gamma_hi, t, m: float, factor):
@@ -193,13 +201,13 @@ def phase_variation(gamma_lo, gamma_hi, t, m: float, factor):
 
     width = factor.width
     lo, hi = factor.hull
-    if m >= 1.0:
-        low, high = gamma_lo + t * m * _slope(lo, m), gamma_hi + t * m * _slope(hi, m)
-        speed = np.maximum(np.abs(low), np.abs(high))
-    else:
-        xi_max = max(abs(lo), abs(hi))
-        speed = np.maximum(np.abs(gamma_lo), np.abs(gamma_hi))
-        speed = speed + t * m * (xi_max ** (m - 1.0) if xi_max > 0 else 0.0)
+    # an overflowing power reads inf, and times t = 0 NaN: _budgets takes either past the cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m >= 1.0:
+            low, high = gamma_lo + t * m * _slope(lo, m), gamma_hi + t * m * _slope(hi, m)
+            speed = np.maximum(np.abs(low), np.abs(high))
+        else:
+            speed = np.maximum(np.abs(gamma_lo), np.abs(gamma_hi)) + t * m * _slope(max(abs(lo), abs(hi)), m)
     return speed * width
 
 
@@ -322,15 +330,16 @@ def _each_pass(factor, n: int, graded: bool, kernel, *args):
     return out
 
 
-def _weighted_rows(rule: WeightedRule, m: float, shifts, ts, k0: int, k1: int):
+def _weighted_rows(rule: WeightedRule, m: float, shifts, ts, k0: int, k1: int, out=None):
     """The weighted exponentials of the columns (shifts[j], ts[j]) on rule's segments k0 .. k1 - 1.
 
     Row j is w f^(xi) e^{i(shifts[j] xi + ts[j] |xi|^m)} at those
     segments' nodes, less each segment's constant phase (_segment_scalars).
     The phase is taken about the segment's midpoint C: at m = 2,
     (shifts[j] + 2 ts[j] C) u + ts[j] u^2 with u = xi - C, which keeps
-    it small; otherwise shifts[j] u + ts[j] |xi|^m. Returns the
-    (columns, nodes) rows.
+    it small; otherwise shifts[j] u + ts[j] |xi|^m. The one phase formula
+    of all three kernels. Returns the (columns, nodes) rows, written into
+    out if given.
     """
 
     offsets = rule.offsets
@@ -348,7 +357,7 @@ def _weighted_rows(rule: WeightedRule, m: float, shifts, ts, k0: int, k1: int):
         phase = s * u
         phase += t * np.abs(rule.nodes[a:b]) ** m
     # rows are built in place: their temporaries would otherwise set the memory peak
-    rows = 1j * phase
+    rows = np.multiply(1j, phase, out=out)
     del phase
     np.multiply(rule.wf[a:b], np.exp(rows, out=rows), out=rows)
     return rows
@@ -487,47 +496,35 @@ def _chirp_phase_error(xs, half_width: float) -> float:
 class ChirpPlan:
     """What every column block of a chirp-z window pass shares, on one window and node count.
 
-    kernel is the FFT of the chirp e^{-i beta r^2 / 2}, weights the
-    nodes' h_xi f^(C + u) e^{i beta q^2 / 2} and post each point's
-    e^{i beta p^2 / 2} e^{i x C}; mass is the rule's L^1 mass of f^.
+    rule is the n midpoint nodes as a one-segment WeightedRule: nodes
+    C + u about the hull midpoint C, weights h_xi f^(C + u)
+    e^{i beta q^2 / 2}, and the L^1 mass of f^. kernel is the FFT of the
+    chirp e^{-i beta r^2 / 2} and post each point's e^{i beta p^2 / 2}
+    e^{i x C}.
     """
 
-    C: float          # the hull midpoint, about which the n nodes u are centred
+    rule: WeightedRule
     centre: float     # the window midpoint, which joins the shifts
-    u: np.ndarray
     kernel: np.ndarray  # of the FFT length, _fft_length(n + nx - 1)
-    weights: np.ndarray
     post: np.ndarray
-    mass: float
 
-    def apply(self, shifts, ts, rows=None):
+    def apply(self, shifts, ts, rows):
         """The window values of the columns (shifts[j], ts[j]), one row each.
 
-        rows is the (len(ts), FFT length) buffer the FFT runs in, a new one by
-        default; its contents are overwritten. Returns the (len(ts), nx)
-        view of rows that holds the values.
+        rows is the (len(ts), FFT length) buffer the FFT runs in; its
+        contents are overwritten. Its first n entries take the rule's rows
+        (_weighted_rows) and its values the segment scalars
+        (_segment_scalars), as on the other kernels. Returns the
+        (len(ts), nx) view of rows that holds the values.
         """
-        n, nx, C, u = len(self.u), len(self.post), self.C, self.u
-        if rows is None:
-            rows = np.empty((len(ts), len(self.kernel)), dtype=np.complex128)
-        s = (np.asarray(shifts) + self.centre)[:, None]
-        t = np.asarray(ts)[:, None]
+        n, nx = self.rule.offsets[1], len(self.post)
         rows[:, n:] = 0.0
-        head = rows[:, :n]
-        head.real = 0.0
-        # the phase (s + 2tC) u + t u^2, built in place: one (block, n) temporary
-        np.multiply(s + 2.0 * t * C, u, out=head.imag)
-        square = t * u
-        square *= u
-        head.imag += square
-        del square
-        # weights first: numpy's complex multiply is not commutative to the last bit
-        np.multiply(self.weights, np.exp(head, out=head), out=head)
+        _weighted_rows(self.rule, 2.0, shifts + self.centre, ts, 0, 1, rows[:, :n])
         np.fft.fft(rows, out=rows)
         rows *= self.kernel
         np.fft.ifft(rows, out=rows)
         scale = np.empty(nx, dtype=np.complex128)
-        for row, scalar in zip(rows, np.exp(1j * (np.asarray(shifts) * C + np.asarray(ts) * C * C))):
+        for row, scalar in zip(rows, _segment_scalars(self.rule.mids, 2.0, shifts, ts)[0]):
             np.multiply(self.post, scalar, out=scale)
             np.multiply(row[:nx], scale, out=row[:nx])
         return rows[:, :nx]
@@ -555,18 +552,18 @@ def _chirp_window(factor, n: int, xs) -> ChirpPlan:
     q = np.arange(n) - 0.5 * (n - 1)
     p = np.arange(nx) - 0.5 * (nx - 1)
     u = q * h_xi
-    fv = np.asarray(factor.func(C + u), dtype=np.complex128)
+    nodes = C + u
+    fv = np.asarray(factor.func(nodes), dtype=np.complex128)
+    mass = h_xi * float(np.sum(np.abs(fv)))
+    rule = WeightedRule(nodes, u, h_xi * fv * _chirp(beta, q), (0, n), np.array([C]), (mass,))
     L = _fft_length(n + nx - 1)
     # output k reads the chirp at k - j for node j: offsets -(n - 1) .. nx - 1, mod L
     d = np.arange(L)
     return ChirpPlan(
-        C=C,
+        rule=rule,
         centre=0.5 * (xs[0] + xs[-1]),
-        u=u,
         kernel=np.fft.fft(_chirp(-beta, np.where(d < nx, d, d - L) + 0.5 * (n - nx))),  # r = p - q
-        weights=h_xi * fv * _chirp(beta, q),
         post=_chirp(beta, p) * np.exp(1j * xs * C),
-        mass=h_xi * float(np.sum(np.abs(fv))),
     )
 
 
@@ -631,7 +628,7 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
         plans = [_chirp_window(factor, n * doubling, xs) for doubling in (1, 2)]
         step = max(1, FFT_BLOCK // len(plans[1].kernel))
         buffer = np.empty(min(step, len(cols)) * len(plans[1].kernel), dtype=np.complex128)
-        mass = plans[1].mass / TWO_PI
+        mass = plans[1].rule.mass[0] / TWO_PI
     else:
         step = max(1, FFT_BLOCK // max(1, len(xs)))
     for c0 in range(0, len(cols), step):
@@ -647,13 +644,6 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
         fine /= TWO_PI
         out[block] = fine
         yield coarse.T, fine.T, mass, block
-
-
-def _scale(values, amplitude: float) -> None:
-    """values *= amplitude in place, each part rounded once."""
-    if amplitude != 1.0:
-        values.real *= amplitude
-        values.imag *= amplitude
 
 
 def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool = False):
@@ -679,17 +669,12 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     _certify checks every block
     against a mass per column and names the first failure by label(k),
     or label(i, k) at window point i.
-    U f is linear in a gaussian-like datum's amplitude, so the datum of
-    amplitude 1 is the one budgeted, run and certified, and its values
-    are scaled by the amplitude after the self-check: a datum of
-    subnormal amplitude keeps the unit datum's relative accuracy.
     Returns (values, counts): values of shape (columns,), or on a window
     (nx, columns), the x-major view of a time-major pass, and counts the
     nodes of each column's certified pass.
     """
 
-    amplitude = profile.amplitude if profile.kind == GAUSSIAN_LIKE else 1.0
-    factors = coordinate_factors(replace(profile, amplitude=1.0) if amplitude != 1.0 else profile)
+    factors = coordinate_factors(profile)
     lo, hi = (np.min(xs), np.max(xs)) if xs is not None and len(xs) else (0.0, 0.0)
     budgets = _budgets(factors, m, disp + lo, disp + hi, ts, chirp)
     counts = 2 * budgets.sum(axis=1)
@@ -703,7 +688,6 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
         blocks = (block for n in np.unique(budgets[:, 0]) for block in _window_blocks(
             factors[0], m, int(n), np.flatnonzero(budgets[:, 0] == n), disp[:, 0], ts, xs, chirp, values))
         _certify(blocks, context, label)
-        _scale(values, amplitude)
         return values.T, counts
     passes = np.empty((2, len(ts)), dtype=np.complex128)  # coarse, fine
     mass = np.empty(len(ts))
@@ -724,7 +708,6 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     mass /= TWO_PI ** profile.d
     coarse, values = passes
     _certify([(coarse, values, mass, np.arange(len(ts)))], context, label)
-    _scale(values, amplitude)
     return values, counts
 
 

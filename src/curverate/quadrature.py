@@ -48,7 +48,8 @@ def _certify(blocks, context: str, label):
     them. Each block is checked as it comes, so its caller may overwrite
     it once the next is asked for: every entry must agree to
     SELF_CHECK_TOL * max(|coarse|, |fine|, mass), a bound formed only
-    where the gap passes the floor SELF_CHECK_TOL * mass. After the last
+    where the gap passes the floor SELF_CHECK_TOL * mass, so a NaN gap
+    (a non-finite estimate) never certifies. After the last
     block, the failing entry first in the quantity's C order (x-major on
     a window), at index i, raises AccuracyError with both its estimates,
     named by context + label(*i).
@@ -57,9 +58,9 @@ def _certify(blocks, context: str, label):
     first = None
     for coarse, fine, mass, cols in blocks:
         gap = abs(fine - coarse)
-        bad = gap > SELF_CHECK_TOL * mass
+        bad = ~(gap <= SELF_CHECK_TOL * mass)  # so a NaN gap fails
         if bad.any():  # a gap past tol * mass fails unless tol * max(|coarse|, |fine|) covers it
-            bad[bad] = gap[bad] > SELF_CHECK_TOL * np.maximum(abs(coarse[bad]), abs(fine[bad]))
+            bad[bad] = ~(gap[bad] <= SELF_CHECK_TOL * np.maximum(abs(coarse[bad]), abs(fine[bad])))
         if bad.any():
             k = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
             index = tuple(int(i) for i in k[:-1]) + (int(cols[k[-1]]),)

@@ -181,6 +181,39 @@ def test_eval_success_and_accuracy_exit_codes():
     assert hard.stderr.rstrip().endswith("[kind=gaussian-like, x=300000.0, t=1.0]")
 
 
+@pytest.mark.parametrize("m", ["200", "400"])
+def test_an_overflowing_dispersion_power_is_a_budget_past_the_cap(m):
+    # |xi|^{m - 1} overflows at m = 400: the budget reads inf, past the cap, as at m = 200
+    proc = run_cli("eval", "--family", "gaussian-like", "--m", m, "--x", "0.1", "--t", "0.5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("accuracy error: node budget ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "exceeds cap 4194304" in proc.stderr
+
+
+def test_a_non_finite_sobolev_norm_exits_two():
+    proc = run_cli("data", "info", "--family", "gaussian-like", "--s-values", "1e300")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "accuracy error: node-doubling self-check failed (coarse=inf, fine=inf) [kind=gaussian-like, s=1e+300]"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "indicator-band", "--R", "1e300", "--x", "0.1", "--t", "0.5"],
+    ["eval", "--family", "bourgain", "--R", "1e300", "--x", "0.1", "--t", "0.5"],
+    ["eval", "--family", "bump-modulated", "--R", "1e17", "--x", "0.5", "--t", "0"],
+    ["maximal", "--family", "indicator-band", "--R", "1e17", "--alpha", "0.25", "--inject-critical",
+     "--x-points", "9"],
+    ["data", "info", "--family", "indicator-band", "--R", "1e17", "--s-values", "0,1"],
+    ["eval", "--family", "bump-tensor", "--R", "1e10", "--epsilon", "30", "--x", "0.1", "--t", "0.5"],
+])
+def test_a_datum_whose_support_rounds_away_is_one_error_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and " support " in proc.stderr
+
+
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
 def test_eval_rejects_a_non_finite_x(x):
     proc = run_cli("eval", "--family", "gaussian-like", f"--x={x}", "--t", "0.5")

@@ -292,12 +292,6 @@ def test_ghat_decreasing_scale():
     assert abs(bump_transform(40.0)) < 0.01
 
 
-def test_zero_profile_is_zero():
-    z = gaussian_like(amplitude=0.0)
-    assert physical_eval(z, 0.3) == 0.0
-    assert sobolev_norm(z, 0.5) == 0.0
-
-
 def test_profile_validation():
     with pytest.raises(DomainValidationError):
         FrequencyProfile("mystery")
@@ -324,6 +318,28 @@ def test_a_one_dimensional_kind_rejects_another_dimension(kind):
 def test_profile_rejects_a_non_finite_scale(kind, field, bad):
     with pytest.raises(DomainValidationError, match="must be finite"):
         FrequencyProfile(kind, **{"R": 16.0, "epsilon": 0.1, field: bad})
+
+
+@pytest.mark.parametrize("make,args,message", [
+    pytest.param(indicator_band, (1e300,), "segment", id="indicator-band R + 1 == R"),
+    pytest.param(indicator_band, (1e17,), "segment", id="indicator-band R = 1e17"),
+    pytest.param(bourgain_profile, (1e300,), "segment", id="bourgain R + sqrt(R) == R"),
+    pytest.param(bump_modulated, (1e17,), "segment", id="bump-modulated -R^2 + R/2 == -R^2"),
+    pytest.param(bump_tensor, (1e10, 30.0), "overflows", id="bump-tensor R^(1 + epsilon) overflows"),
+    pytest.param(gaussian_like, (math.nan,), "segment", id="gaussian-like NaN center"),
+    pytest.param(gaussian_like, (-math.inf,), "segment", id="gaussian-like infinite center"),
+])
+def test_a_datum_whose_support_rounds_away_is_a_domain_error(make, args, message):
+    # no factor of a datum may have a segment without finite ends lo < hi
+    with pytest.raises(DomainValidationError, match=message):
+        make(*args)
+
+
+def test_a_non_finite_sobolev_norm_is_an_accuracy_error():
+    # (1 + xi^2)^s overflows on both rules: inf == inf, but their gap is NaN
+    with pytest.raises(AccuracyError) as err:
+        sobolev_norm(gaussian_like(), 1e300)
+    assert (err.value.coarse, err.value.fine) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -0.1])

@@ -710,8 +710,6 @@ def test_lemma_empirical_rejects_higher_dimensions():
 
 def test_rate_ceiling_demo():
     curve = MINUS_HALF
-    pairs, running = rate_ceiling_demo(gaussian_like(amplitude=0.0), curve, j_lo=4, j_hi=8)
-    assert all(r == 0.0 for _, r in pairs)
     pairs, running = rate_ceiling_demo(gaussian_like(), curve, x_star=0.3, j_lo=4, j_hi=12)
     assert running[-1] > 0.0
     assert running[-1] <= min(r for _, r in pairs) + 1e-18

@@ -268,11 +268,6 @@ def test_batch_matches_pointwise():
             assert abs(vals[i, j] - v) < 5e-9
 
 
-def test_batch_zero_profile():
-    vals, init, _ = batch_values(gaussian_like(amplitude=0.0), STRAIGHT_1D, 2.0, np.array([0.1, 0.2]), [0.1])
-    assert np.all(vals == 0.0) and np.all(init == 0.0)
-
-
 def test_cost_model_large_grid_stays_under_node_cap():
     # 10^3 x-points by 10^2 t-points on bump-dilated at R = 2^7: every
     # sample's doubled node budget stays below the default cap
@@ -635,8 +630,8 @@ def test_over_cap_on_a_chirp_window_raises_before_any_pass(tight_cap):
 
 
 def one_stage_check(coarse, fine, mass):
-    """The self-check in one stage: which entries fail |f - c| > tol * max(|c|, |f|, mass)."""
-    return np.abs(fine - coarse) > SELF_CHECK_TOL * np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), mass)
+    """The self-check in one stage: which entries fail |f - c| <= tol * max(|c|, |f|, mass), NaN included."""
+    return ~(np.abs(fine - coarse) <= SELF_CHECK_TOL * np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), mass))
 
 
 # an entry: |c| (NaN for a NaN entry), its argument, |f - c| over tol * max(|c|, mass),
@@ -682,22 +677,37 @@ def test_two_stage_self_check_is_the_one_stage_formula(entries, masses, x_major,
     with pytest.raises(AccuracyError) as err:
         _certify(blocks, "ctx", label)
     assert err.value.context == f"ctx{k}"
-    assert (err.value.coarse, err.value.fine) == (np.ravel(coarse)[k], np.ravel(fine)[k])
+    estimates = [err.value.coarse, err.value.fine]
+    assert np.array_equal(estimates, [np.ravel(coarse)[k], np.ravel(fine)[k]], equal_nan=True)  # a NaN entry fails
 
 
 def test_two_stage_self_check_on_each_entry_kind():
     # |c| above the mass and below it, each on both sides of the bound, and NaN entries
     coarse = np.array([1e3, 1e3, 0.5, 0.5, math.nan, 1.0])
     fine = coarse - SELF_CHECK_TOL * np.array([1e3 * (1 - 1e-5), 1e3 * (1 + 1e-5), 1 - 1e-5, 1 + 1e-5, 0.0, math.nan])
-    assert one_stage_check(coarse, fine, 1.0).tolist() == [False, True, False, True, False, False]
+    assert one_stage_check(coarse, fine, 1.0).tolist() == [False, True, False, True, True, True]
     for mass in (1.0, np.ones(6)):
         passing = fine.copy()
-        for first in (1, 3):
+        for first in (1, 3, 4):
             with pytest.raises(AccuracyError) as err:
                 _certify([(coarse, passing, mass, np.arange(6))], "", str)
             assert err.value.context == str(first)
             passing[first] = coarse[first]
-        assert _certify([(coarse, passing, mass, np.arange(6))], "", str) is None
+        # a NaN entry never certifies: only the finite ones pass
+        finite = (coarse[:4], passing[:4], mass if np.isscalar(mass) else mass[:4], np.arange(4))
+        assert _certify([finite], "", str) is None
+
+
+def test_a_non_finite_estimate_never_certifies():
+    # a NaN block and an inf pair: |fine - coarse| is NaN, which compares false both ways
+    nan_block = np.full((2, 3), complex(math.nan, 0.0))
+    with pytest.raises(AccuracyError) as err:
+        _certify([(nan_block, nan_block, 1.0, np.arange(3))], "", lambda i, k: f"{i},{k}")
+    assert err.value.context == "0,0"
+    for mass in (0.0, 1.0, math.inf):
+        with pytest.raises(AccuracyError) as err:
+            _certify([(np.array([1.0, math.inf]), np.array([1.0, math.inf]), mass, np.arange(2))], "", str)
+        assert (err.value.context, err.value.coarse, err.value.fine) == ("1", math.inf, math.inf)
 
 
 LAYOUT_CASES = [  # (profile, curve, window, times): each a chirp-z window
@@ -745,8 +755,9 @@ def window_passes(profile, curve, xs, ts):
         cols = budgets == n
         for doubling, out in ((1, coarse), (2, fine)):
             plan = propagator._chirp_window(factor, doubling * n, xs)
-            out[:, cols] = plan.apply(shifts[cols], ts[cols]).T / TWO_PI
-        mass[cols] = plan.mass / TWO_PI
+            buffer = np.empty((np.count_nonzero(cols), len(plan.kernel)), dtype=np.complex128)
+            out[:, cols] = plan.apply(shifts[cols], ts[cols], buffer).T / TWO_PI
+        mass[cols] = plan.rule.mass[0] / TWO_PI
     return coarse, fine, mass
 
 
@@ -759,7 +770,7 @@ def test_chirp_window_is_its_formula_bit_for_bit(case):
     shifts = np.array([curve.shift(t) for t in ts])
     for n in (64, 1024):
         plan = propagator._chirp_window(factor, n, xs)
-        values = plan.apply(shifts, ts)
+        values = plan.apply(shifts, ts, np.zeros((len(ts), len(plan.kernel)), dtype=np.complex128))
         assert values.shape == (len(ts), len(xs))
         assert np.array_equal(values.T, chirp_reference(factor, n, shifts, ts, xs))
         # a reused FFT buffer: whatever it held before does not reach the values
@@ -1278,7 +1289,7 @@ def test_galilean_covariance_with_full_phase(eta, x, t, curve):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    profile=st.sampled_from([gaussian_like(), gaussian_like(amplitude=0.5), bump_dilated(8.0)]),
+    profile=st.sampled_from([gaussian_like(), bump_dilated(2.0), bump_dilated(8.0)]),
     x=st.floats(0.0, 2.0),
     t=st.floats(0.0, 1.0),
     m=st.sampled_from([0.5, 1.5, 2.0]),
@@ -1738,52 +1749,12 @@ def test_evaluate_names_x_and_time_zero_when_f_fails(monkeypatch):
     assert err.value.context == "kind=gaussian-like, x=40.0, t=0.0"
 
 
-# Linearity and translation covariance, through the paired kernel. The
-# only linear combinations of gaussian_like data that are again data are
-# those of one centre: a f + b g is the datum of amplitude a A + b B. No
-# datum is a translate f(. - y), whose transform is e^{-i y xi} f^; but
-# along a curve gamma that factor turns U(f(. - y))(x, t) into the field
-# of f along gamma - y, so for t > 0 covariance reads
+# Translation covariance, through the paired kernel. No datum is a
+# translate f(. - y), whose transform is e^{-i y xi} f^; but along a
+# curve gamma that factor turns U(f(. - y))(x, t) into the field of f
+# along gamma - y, so for t > 0 covariance reads
 # U_{gamma - y} f(x, t) = U_gamma f(x - y, t), with gamma - y a general
 # (gamma_fn) curve and gamma a shift curve.
-
-@settings(max_examples=25, deadline=None)
-@given(
-    center=st.floats(-3.0, 3.0),
-    amplitudes=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-    coefficients=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-    pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
-    m=st.sampled_from([0.5, 1.5, 2.0]),
-    curve=st.sampled_from(SHIFT_CURVES),
-)
-def test_linearity_in_the_datum(center, amplitudes, coefficients, pairs, m, curve):
-    (A, B), (a, b) = amplitudes, coefficients
-    xs, ts = (np.array(v) for v in zip(*pairs))
-    scale = batch_initial(gaussian_like(center=center), np.zeros(1))[0].real  # unit amplitude
-    f, _ = certified_value(gaussian_like(center, A), curve, m, xs, ts)
-    g, _ = certified_value(gaussian_like(center, B), curve, m, xs, ts)
-    combined, _ = certified_value(gaussian_like(center, a * A + b * B), curve, m, xs, ts)
-    tol = 1e-9 * scale * (abs(a * A) + abs(b * B))
-    assert np.max(np.abs(combined - (a * f + b * g))) <= tol
-
-
-def test_subnormal_amplitude_scales_the_certified_unit_field():
-    # a subnormal datum has no relative precision of its own: it is the
-    # unit datum's certified field times the amplitude, on pairs and windows
-    a = 2.2250738585e-313
-    xs, ts = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.3, 0.0])
-
-    def scaled(values):
-        return values.real * a + 1j * (values.imag * a)
-
-    unit, _ = certified_value(gaussian_like(1.875), STRAIGHT_1D, 1.5, xs, ts)
-    tiny, _ = certified_value(gaussian_like(1.875, a), STRAIGHT_1D, 1.5, xs, ts)
-    assert np.array_equal(tiny, scaled(unit))
-    window = np.linspace(-1.0, 1.0, 5)
-    unit_vals, unit_init, _ = batch_values(gaussian_like(1.875), STRAIGHT_1D, 2.0, window, [0.2, 0.7])
-    vals, init, _ = batch_values(gaussian_like(1.875, a), STRAIGHT_1D, 2.0, window, [0.2, 0.7])
-    assert np.array_equal(vals, scaled(unit_vals)) and np.array_equal(init, scaled(unit_init))
-
 
 @settings(max_examples=25, deadline=None)
 @given(
