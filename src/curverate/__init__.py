@@ -28,7 +28,6 @@ from .initial_data import (  # noqa: F401
     FrequencyProfile,
     bump_eval,
     fourier_eval,
-    physical_eval,
     sobolev_norm,
 )
 from .propagator import FieldSample, evaluate, evaluate_grid  # noqa: F401
@@ -38,7 +37,6 @@ from .maximal import (  # noqa: F401
     critical_time,
     l2_over_ball,
     lemma_bound,
-    lemma_empirical,
     rate_ceiling_demo,
 )
 from .experiments import (  # noqa: F401

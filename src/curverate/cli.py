@@ -26,7 +26,7 @@ from .maximal import (
     family_field,
     family_spec,
     lemma_bound,
-    lemma_empirical,
+    lemma_profile,
     rate_ceiling_demo,
 )
 from .propagator import evaluate
@@ -184,9 +184,10 @@ def cmd_lemma_check(args) -> int:
     got = law_for(regime).regime_id
     if got != want:
         raise DomainValidationError(f"--alpha {args.alpha} gives {got}, not lemma {args.lemma}'s {want}")
-    bound = lemma_bound(regime, args.k, args.j)
     curve = CurveSpec(MINUS_SHIFT, alpha=regime.alpha if holder else 1.0, d=1)
-    empirical = lemma_empirical(regime, args.k, args.j, curve)
+    # before lemma_bound, whose 2^k can overflow: lemma_profile rejects a k past 16 first
+    empirical = lemma_profile(regime, args.k, [args.j], curve)[float(args.j)]
+    bound = lemma_bound(regime, args.k, args.j)
     result = {"empirical": empirical, "bound": bound, "ratio": empirical / bound}
     _emit(args, "lemma-check", _flags(args), result)
     return 0

@@ -48,7 +48,7 @@ from .initial_data import (
     annulus_bump,
     decay_threshold,
 )
-from .propagator import X_CHUNK
+from .propagator import MAX_NODES, X_CHUNK
 from .propagator import batch_values, certified_value, point_values
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -65,7 +65,9 @@ class TimeGrid:
     """Dyadic-octave time grid t = 2^{-j}, j in [j_min, j_max].
 
     j_min = j_max = None is the empty grid, for maximal_field calls that
-    evaluate only at their critical times.
+    evaluate only at their critical times. A grid needs j_max <= 1074, so
+    that every time is a positive double, and at most MAX_NODES times,
+    counted before any array is built.
     """
 
     j_min: Optional[float] = None
@@ -81,13 +83,20 @@ class TimeGrid:
                 raise DomainValidationError("need finite 0 <= j_min <= j_max")
             if self.points_per_octave < 1:
                 raise DomainValidationError("points_per_octave must be >= 1")
+            if self.j_max > 1074:  # 2^-1074 is the smallest positive double
+                raise DomainValidationError(f"j_max={self.j_max} must be <= 1074, so that every time is > 0")
+            count = self._intervals() + 1
+            if count > MAX_NODES:
+                raise DomainValidationError(f"a grid of {count} times is more than {MAX_NODES}")
+
+    def _intervals(self) -> int:
+        return max(1, int(round((self.j_max - self.j_min) * self.points_per_octave)))
 
     def times(self) -> np.ndarray:
         """All grid times, increasing."""
         if self.j_min is None:
             raise DomainValidationError("empty time grid")
-        n = max(1, int(round((self.j_max - self.j_min) * self.points_per_octave)))
-        return np.unique(2.0 ** (-np.linspace(self.j_min, self.j_max, n + 1)))
+        return np.unique(2.0 ** (-np.linspace(self.j_min, self.j_max, self._intervals() + 1)))
 
 
 @dataclass(frozen=True)
@@ -603,13 +612,20 @@ def lemma_profile(
     Each time's magnitudes are read from its row of the block's pass, and
     the pass is dropped before the next block's call, so one pass is held
     at a time and memory stays bounded as k grows; a column's values do
-    not depend on its block.
+    not depend on its block. That bound needs one time's column and f(x),
+    2 * 2^(k+2) values, to fit in a block of LEMMA_BLOCK_ELEMENTS: k <= 16,
+    checked before any array is built.
     """
 
     if regime.d != 1:
         raise DomainValidationError("empirical local-bound checks run at desk scale d = 1")
     if len(js) == 0:
         raise DomainValidationError("lemma_profile needs at least one j")
+    if k > 16:  # 2 * 2^(k+2) <= LEMMA_BLOCK_ELEMENTS: one time's column and f(x) fit in a block
+        raise DomainValidationError(
+            f"k={k} is past 16: one time and f(x) on its 2^{k + 2}-point window "
+            f"are more than a lemma block's {LEMMA_BLOCK_ELEMENTS} values"
+        )
     for j in js:
         lemma_bound(regime, k, j)  # validates the (k, j) range
     profile = annulus_bump(k)
@@ -634,17 +650,6 @@ def lemma_profile(
                 out[float(jv)] = float(math.sqrt(np.sum(sup ** 2) * h))
         del values  # the next block's pass is made without this one
     return {float(j): out[float(j)] for j in js}
-
-
-def lemma_empirical(
-    regime: Regime,
-    k: int,
-    j: float,
-    curve: CurveSpec,
-) -> float:
-    """Single-(k, j) empirical local maximal norm (see lemma_profile)."""
-
-    return lemma_profile(regime, k, [j], curve)[float(j)]
 
 
 # ---------------------------------------------------------------------------

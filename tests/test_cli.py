@@ -199,6 +199,37 @@ def test_a_non_finite_sobolev_norm_exits_two():
 
 
 @pytest.mark.parametrize("argv", [
+    ["--family", "gaussian-like", "--s-values", "1e300"],
+    ["--family", "bump-modulated", "--R", "1e8", "--s-values", "40"],
+])
+def test_an_overflowing_sobolev_norm_is_one_line(argv):
+    proc = run_cli("data", "info", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("accuracy error: node-doubling self-check failed (coarse=")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+MAXIMAL_GRID = ["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25",
+                "--delta", "0.125", "--x-points", "9"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*MAXIMAL_GRID, "--j-min", "1070", "--j-max", "1080", "--points-per-octave", "1"], "j_max=1080.0 must be <= 1074"),
+    ([*MAXIMAL_GRID, "--j-min", "16", "--j-max", "1e12"], "j_max=1000000000000.0 must be <= 1074"),
+    ([*MAXIMAL_GRID, "--j-min", "16", "--j-max", "18", "--points-per-octave", "1000000000000"],
+     "a grid of 2000000000001 times is more than 4194304"),
+    ([*MAXIMAL_GRID, "--j-min", "16", "--j-max", "1e300"], "j_max=1e+300 must be <= 1074"),
+    (["lemma-check", "--lemma", "2", "--k", "40", "--j", "60", "--alpha", "0.5"], "k=40 is past 16"),
+    (["lemma-check", "--lemma", "2", "--k", "10000", "--j", "10000", "--alpha", "0.5"], "k=10000 is past 16"),
+])
+def test_a_grid_or_window_too_large_to_build_is_one_error_line(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["eval", "--family", "indicator-band", "--R", "1e300", "--x", "0.1", "--t", "0.5"],
     ["eval", "--family", "bourgain", "--R", "1e300", "--x", "0.1", "--t", "0.5"],
     ["eval", "--family", "bump-modulated", "--R", "1e17", "--x", "0.5", "--t", "0"],

@@ -2,6 +2,7 @@
 dyadic localization. Oracle values come from independent quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import pytest
 from curverate.errors import AccuracyError, DomainValidationError
 from curverate.quadrature import PANEL_ORDER
 from curverate import initial_data
+from curverate.curves import STRAIGHT, CurveSpec
 from curverate.initial_data import (
     BOURGAIN,
     BUMP_NORMALIZATION,
     DECAY_THRESHOLD,
     FrequencyProfile,
     annulus_bump,
+    bourgain_physical,
     bourgain_profile,
     bump_dilated,
     bump_eval,
@@ -28,12 +31,12 @@ from curverate.initial_data import (
     indicator_band,
     lattice_points,
     lattice_scale,
-    physical_eval,
     sobolev_norm,
     window_physical,
     window_transform,
     window_transform_direct,
 )
+from curverate.propagator import batch_initial, evaluate
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,11 +159,13 @@ def test_bourgain_d2_needs_a_lattice_point():
 
 
 def test_physical_eval_examples():
-    assert physical_eval(indicator_band(8.0), 0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-12)
+    # f(0) is the t = 0 value of a certified propagator pass
+    f0 = lambda profile: evaluate(profile, CurveSpec(STRAIGHT), 2.0, 0.0, 0.0).initial
+    assert f0(indicator_band(8.0)) == pytest.approx(1.0 / TWO_PI, rel=1e-12)
     # substitution oracle: f(0) = (2 pi)^{-1} * integral g = 1/(2 pi)
-    assert physical_eval(bump_dilated(100.0), 0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-9)
+    assert f0(bump_dilated(100.0)) == pytest.approx(1.0 / TWO_PI, rel=1e-9)
     # degenerate lattice product at d = 1
-    assert physical_eval(bourgain_profile(16.0), 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert bourgain_physical(bourgain_profile(16.0), 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bourgain_window_properties():
@@ -282,9 +287,8 @@ def test_decay_threshold_invariant():
     assert X0 == DECAY_THRESHOLD
     for profile, R in ((bump_dilated(64.0), 64.0), (bump_modulated(64.0), 64.0),
                        (bump_tensor(64.0, 0.1), 64.0)):
-        for u in (X0, 2.0 * X0, 5.7 * X0):
-            x = u / R
-            assert abs(physical_eval(profile, x)) <= 1.0 / (8.0 * math.pi) + 1e-12, profile.kind
+        f = batch_initial(profile, np.array([X0, 2.0 * X0, 5.7 * X0]) / R)
+        assert np.all(np.abs(f) <= 1.0 / (8.0 * math.pi) + 1e-12), profile.kind
 
 
 def test_ghat_decreasing_scale():
@@ -340,6 +344,15 @@ def test_a_non_finite_sobolev_norm_is_an_accuracy_error():
     with pytest.raises(AccuracyError) as err:
         sobolev_norm(gaussian_like(), 1e300)
     assert (err.value.coarse, err.value.fine) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("profile, s", [(gaussian_like(), 1e300), (bump_modulated(1e8), 40.0)])
+def test_an_overflowing_sobolev_norm_warns_nothing(profile, s):
+    # (1 + xi^2)^s overflows, and inf * 0 or inf - inf is NaN: the error says so, numpy does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError):
+            sobolev_norm(profile, s)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -0.1])

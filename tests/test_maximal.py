@@ -33,7 +33,6 @@ from curverate.maximal import (
     family_spec,
     l2_over_ball,
     lemma_bound,
-    lemma_empirical,
     lemma_profile,
     maximal_field,
     rate_ceiling_demo,
@@ -78,6 +77,27 @@ def test_time_grid_basics():
 def test_time_grid_rejects_a_non_finite_octave(j_min, j_max):
     with pytest.raises(DomainValidationError, match="need finite 0 <= j_min <= j_max"):
         TimeGrid(j_min, j_max)
+
+
+@pytest.mark.parametrize("j_min,j_max", [(1070, 1080), (16, 1e12), (16, 1e300)])
+def test_time_grid_rejects_a_time_that_rounds_to_zero(j_min, j_max):
+    # past j = 1074, 2^-j rounds to 0.0, a time no rate can divide by
+    with pytest.raises(DomainValidationError, match=r"must be <= 1074, so that every time is > 0$"):
+        TimeGrid(j_min, j_max, points_per_octave=1)
+
+
+def test_time_grid_times_are_positive_out_to_1074():
+    ts = TimeGrid(0, 1074, 8).times()
+    assert np.all(ts > 0) and ts[0] == 2.0 ** -1074 and ts[-1] == 1.0
+
+
+def test_time_grid_is_counted_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(np, "linspace", None)  # no array is built
+    with pytest.raises(DomainValidationError, match=r"^a grid of 2000000000001 times is more than 4194304$"):
+        TimeGrid(16, 18, points_per_octave=10 ** 12)
+    with pytest.raises(DomainValidationError, match=r"^a grid of 4194305 times"):
+        TimeGrid(0, 1, points_per_octave=propagator.MAX_NODES)
+    TimeGrid(0, 1, points_per_octave=propagator.MAX_NODES - 1)  # MAX_NODES times: legal
 
 
 def test_critical_time_dilated_example():
@@ -337,8 +357,8 @@ def test_lemma_empirical_nested_monotone():
     js = [5, 7, 10]
     prof = lemma_profile(regime, 5, js, curve)
     assert prof[5] >= prof[7] >= prof[10] > 0.0
-    single = lemma_empirical(regime, 5, 7, curve)
-    assert single > 0.0
+    single = lemma_profile(regime, 5, [7], curve)
+    assert list(single) == [7.0] and single[7.0] > 0.0
 
 
 @pytest.mark.parametrize("alpha, k, js", [(0.5, 8, [8, 11, 16]), (0.25, 6, [12, 18, 24])])
@@ -354,6 +374,20 @@ def test_lemma_profile_does_not_depend_on_its_time_blocks(monkeypatch, alpha, k,
         assert lemma_profile(regime, k, js, curve) == whole
         assert len(calls) == min(nt, -(-(nt + 1) // cols)) and sum(calls) == nt
         del calls[:]
+
+
+def test_lemma_profile_rejects_a_window_past_its_block(monkeypatch):
+    regime, curve = Regime(d=1, alpha=0.5, m=2), MINUS_HALF
+    # k = 16 is the last k whose time column and f(x) column fit in one block
+    assert 2 * 2 ** (16 + 2) <= maximal.LEMMA_BLOCK_ELEMENTS < 2 * 2 ** (17 + 2)
+    monkeypatch.setattr(np, "linspace", None)  # no array is built
+    for k, j in ((17, 20), (40, 60)):
+        with pytest.raises(DomainValidationError, match=rf"^k={k} is past 16: "):
+            lemma_profile(regime, k, [j], curve)
+    monkeypatch.undo()
+    monkeypatch.setattr(maximal, "batch_values", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):  # k = 16 passes validation and reaches its first pass
+        lemma_profile(regime, 16, [20], curve)
 
 
 def test_lemma_profile_memory_is_bounded_by_its_blocks():
@@ -705,7 +739,7 @@ def test_block_injection_matches_one_pass_per_point(family, alpha):
 def test_lemma_empirical_rejects_higher_dimensions():
     lip2 = Regime(d=2, alpha=1, m=2, smoothness=LIPSCHITZ)
     with pytest.raises(DomainValidationError):
-        lemma_empirical(lip2, 5, 7, CurveSpec(MINUS_SHIFT, alpha=1.0))
+        lemma_profile(lip2, 5, [7], CurveSpec(MINUS_SHIFT, alpha=1.0))
 
 
 def test_rate_ceiling_demo():
