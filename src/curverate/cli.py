@@ -185,7 +185,7 @@ def cmd_lemma_check(args) -> int:
     if got != want:
         raise DomainValidationError(f"--alpha {args.alpha} gives {got}, not lemma {args.lemma}'s {want}")
     curve = CurveSpec(MINUS_SHIFT, alpha=regime.alpha if holder else 1.0, d=1)
-    # before lemma_bound, whose 2^k can overflow: lemma_profile rejects a k past 16 first
+    # lemma_profile rejects a k past 16, and a j outside lemma_bound's range, before any array
     empirical = lemma_profile(regime, args.k, [args.j], curve)[float(args.j)]
     bound = lemma_bound(regime, args.k, args.j)
     result = {"empirical": empirical, "bound": bound, "ratio": empirical / bound}

@@ -416,11 +416,11 @@ def sobolev_norm(profile: FrequencyProfile, s: float) -> float:
         weight = (1.0 + x1[:, None] ** 2 + x2[None, :] ** 2) ** s
         return float(((w1 * f1 * f1) @ weight) @ (w2 * f2 * f2))
 
-    # (1 + |xi|^2)^s may overflow to inf, and inf * 0 or inf - inf read NaN:
+    # (1 + |xi|^2)^s may overflow to inf, and inf * 0 reads NaN:
     # _certify turns either into an AccuracyError, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         coarse, fine = (np.array([integral(64 * PANEL_ORDER * doubling)]) for doubling in (1, 2))
-        # no mass floor: the squared norm is its own scale
-        _certify([(coarse, fine, 0.0, [0])], f"kind={profile.kind}, s={s}", lambda k: "")
+    # no mass floor: the squared norm is its own scale
+    _certify([(coarse, fine, 0.0, [0])], f"kind={profile.kind}, s={s}", lambda k: "")
     return math.sqrt(max(fine[0], 0.0))
 

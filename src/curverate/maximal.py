@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -90,7 +91,10 @@ class TimeGrid:
                 raise DomainValidationError(f"a grid of {count} times is more than {MAX_NODES}")
 
     def _intervals(self) -> int:
-        return max(1, int(round((self.j_max - self.j_min) * self.points_per_octave)))
+        # exact, so that no points_per_octave overflows a float. Under the cap the span is rounded to
+        # a float first: below 2^53 points per octave that is the float product's rounding
+        span = Fraction(self.j_max - self.j_min) * self.points_per_octave
+        return max(1, round(float(span) if span <= MAX_NODES else span))
 
     def times(self) -> np.ndarray:
         """All grid times, increasing."""
@@ -549,51 +553,50 @@ def family_field(
 LEMMA_REGIMES = ("lipschitz", "holder-high-alpha", "holder-low-alpha", "holder-mid-alpha")
 
 
-def _lemma_selector(regime: Regime) -> str:
-    rid = law_for(regime).regime_id
-    if rid not in LEMMA_REGIMES:
-        raise UnsupportedRegimeError(
-            "local maximal bounds are available for the m = 2 regimes only"
-        )
-    return rid
-
-
 def lemma_bound(regime: Regime, k: int, j: float) -> float:
     """Theoretical single-block bound 2^{e(k,j)} for sup over (0, 2^{-j}).
 
     The epsilon loss in the Lipschitz-regime exponent is reported at 0;
-    all comparisons downstream are slope/trend based.
+    all comparisons downstream are slope/trend based. A bound past the
+    float range is a DomainValidationError naming k and j.
     """
 
-    rid = _lemma_selector(regime)
+    try:
+        return 2.0 ** _lemma_exponent(regime, k, j)
+    except OverflowError:
+        raise DomainValidationError(f"lemma bound at k={k}, j={j} overflows a float") from None
+
+
+def _lemma_exponent(regime: Regime, k: int, j: float) -> float:
+    """e(k, j) of lemma_bound, after its regime and (k, j) range checks."""
+
+    rid = law_for(regime).regime_id
+    if rid not in LEMMA_REGIMES:
+        raise UnsupportedRegimeError("local maximal bounds are available for the m = 2 regimes only")
     alpha = float(regime.alpha)
     if k < 1:
         raise DomainValidationError("need k >= 1")
 
-    if rid == "lipschitz":
+    if rid in ("lipschitz", "holder-high-alpha"):
         if not k <= j <= 2 * k:
             raise DomainValidationError(f"j={j} outside [k, 2k] = [{k}, {2 * k}]")
-        d = regime.d
-        return 2.0 ** ((2 * k - j) * d / (2.0 * (d + 1)))
-
-    if rid == "holder-high-alpha":
-        if not k <= j <= 2 * k:
-            raise DomainValidationError(f"j={j} outside [k, 2k] = [{k}, {2 * k}]")
-        return 2.0 ** ((2 * k - j) / 4.0)
+        if rid == "lipschitz":
+            return (2 * k - j) * regime.d / (2.0 * (regime.d + 1))
+        return (2 * k - j) / 4.0
 
     if rid == "holder-low-alpha":
         if not 2 * k <= j <= k / alpha:
             raise DomainValidationError(f"j={j} outside [2k, k/alpha] = [{2 * k}, {k / alpha}]")
-        return 2.0 ** ((k - alpha * j) / 2.0)
+        return (k - alpha * j) / 2.0
 
     # mid-alpha: three sub-ranges on [k, k/alpha]
     if not k <= j <= k / alpha:
         raise DomainValidationError(f"j={j} outside [k, k/alpha] = [{k}, {k / alpha}]")
     if j <= 4.0 * alpha * k:
-        return 2.0 ** ((2 * k - j) / 4.0)
+        return (2 * k - j) / 4.0
     if j <= 2 * k:
-        return 2.0 ** ((0.5 - alpha) * k)
-    return 2.0 ** ((k - alpha * j) / 2.0)
+        return (0.5 - alpha) * k
+    return (k - alpha * j) / 2.0
 
 
 def lemma_profile(

@@ -675,8 +675,8 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     """
 
     factors = coordinate_factors(profile)
-    lo, hi = (np.min(xs), np.max(xs)) if xs is not None and len(xs) else (0.0, 0.0)
-    budgets = _budgets(factors, m, disp + lo, disp + hi, ts, chirp)
+    lo, hi = (disp + np.min(xs), disp + np.max(xs)) if xs is not None and len(xs) else (disp, disp)
+    budgets = _budgets(factors, m, lo, hi, ts, chirp)
     counts = 2 * budgets.sum(axis=1)
     context = f"kind={profile.kind}"
     over = np.flatnonzero(counts > MAX_NODES)
@@ -724,9 +724,10 @@ def certified_value(
     is the one-pair call certified_value(..., [x], [t]). Each pair is the
     x = 0 column of _columns at its displacement gamma(x[i], t[i]), so its
     value and node count are those of its one-pair call. Returns (values,
-    total node count). A failure names the first failing pair's x and t
-    in the AccuracyError context; a pair past the node cap fails before
-    any pair runs.
+    total, counts): counts holds each pair's certified-pass nodes, the
+    ones _columns budgeted it, and total is their sum. A failure names the
+    first failing pair's x and t in the AccuracyError context; a pair past
+    the node cap fails before any pair runs.
     """
 
     if np.ndim(t) != 1 or np.ndim(x) == 0 or len(x) != len(t):
@@ -742,7 +743,7 @@ def certified_value(
         return f", x={x[k]}, t={ts[k]}"
 
     values, counts = _columns(profile, m, gamma_pairs(curve, x, ts), ts, label, label)
-    return values, int(counts.sum())
+    return values, int(counts.sum()), counts
 
 
 def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts):
@@ -751,16 +752,15 @@ def point_values(profile: FrequencyProfile, curve: CurveSpec, m: float, xs, ts):
     Returns (values[nx, nt], initial[nx], node_counts[nx, nt]) from one
     paired certified_value call: the nx*nt pairs (x, t), then the (x, 0)
     pairs. Every value and count is that of the pair's one-pair call; the
-    counts are read from _budgets.
+    counts are the ones that call returns, so the curve and the budget
+    rule run once.
     """
 
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     nx, nt = len(xs), len(ts)
     points = np.concatenate([np.repeat(xs, nt, axis=0), xs])
     times = np.concatenate([np.tile(ts, nx), np.zeros(nx)])
-    values, _ = certified_value(profile, curve, m, points, times)
-    gam = gamma_pairs(curve, points, times)
-    used = 2 * _budgets(coordinate_factors(profile), m, gam, gam, times).sum(axis=1)
+    values, _, used = certified_value(profile, curve, m, points, times)
     return values[: nx * nt].reshape(nx, nt), values[nx * nt :], used[: nx * nt].reshape(nx, nt)
 
 

@@ -57,7 +57,8 @@ def _certify(blocks, context: str, label):
 
     first = None
     for coarse, fine, mass, cols in blocks:
-        gap = abs(fine - coarse)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN gap, and no warning, as it fails below
+            gap = abs(fine - coarse)
         bad = ~(gap <= SELF_CHECK_TOL * mass)  # so a NaN gap fails
         if bad.any():  # a gap past tol * mass fails unless tol * max(|coarse|, |fine|) covers it
             bad[bad] = ~(gap[bad] <= SELF_CHECK_TOL * np.maximum(abs(coarse[bad]), abs(fine[bad])))

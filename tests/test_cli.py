@@ -211,6 +211,7 @@ def test_an_overflowing_sobolev_norm_is_one_line(argv):
 
 MAXIMAL_GRID = ["maximal", "--family", "indicator-band", "--R", "64", "--alpha", "0.25",
                 "--delta", "0.125", "--x-points", "9"]
+HUGE_DENSITY = 10 ** 400  # points per octave past the float range
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -221,12 +222,22 @@ MAXIMAL_GRID = ["maximal", "--family", "indicator-band", "--R", "64", "--alpha",
     ([*MAXIMAL_GRID, "--j-min", "16", "--j-max", "1e300"], "j_max=1e+300 must be <= 1074"),
     (["lemma-check", "--lemma", "2", "--k", "40", "--j", "60", "--alpha", "0.5"], "k=40 is past 16"),
     (["lemma-check", "--lemma", "2", "--k", "10000", "--j", "10000", "--alpha", "0.5"], "k=10000 is past 16"),
+    ([*MAXIMAL_GRID, "--j-min", "16", "--j-max", "18", "--points-per-octave", str(HUGE_DENSITY)],
+     f"a grid of {2 * HUGE_DENSITY + 1} times is more than 4194304"),
 ])
 def test_a_grid_or_window_too_large_to_build_is_one_error_line(argv, message):
     proc = run_cli(*argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_one_time_grid_takes_any_points_per_octave():
+    # j_min == j_max is one time however dense the octave: the field of --points-per-octave 1
+    one, huge = (run_cli(*MAXIMAL_GRID, "--j-min", "16", "--j-max", "16", "--points-per-octave", str(n))
+                 for n in (1, HUGE_DENSITY))
+    assert one.returncode == huge.returncode == 0 and huge.stderr == ""
+    assert load_report(huge.stdout)["result"] == load_report(one.stdout)["result"]
 
 
 @pytest.mark.parametrize("argv", [

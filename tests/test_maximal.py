@@ -54,7 +54,7 @@ def one_point(profile, curve, delta, x, grid):
 
 def one_pair(profile, curve, m, x, t):
     """certified_value at the one pair (x, t): (value, node count)."""
-    values, used = certified_value(profile, curve, m, [x], [t])
+    values, used, _ = certified_value(profile, curve, m, [x], [t])
     return complex(values[0]), used
 
 
@@ -98,6 +98,18 @@ def test_time_grid_is_counted_before_it_is_built(monkeypatch):
     with pytest.raises(DomainValidationError, match=r"^a grid of 4194305 times"):
         TimeGrid(0, 1, points_per_octave=propagator.MAX_NODES)
     TimeGrid(0, 1, points_per_octave=propagator.MAX_NODES - 1)  # MAX_NODES times: legal
+
+
+def test_time_grid_counts_a_points_per_octave_past_the_float_range_exactly(monkeypatch):
+    huge = 10 ** 400
+    one = TimeGrid(16, 16, points_per_octave=1).times()
+    assert TimeGrid(16, 16, points_per_octave=huge).times().tobytes() == one.tobytes()
+    # under the cap the span rounds as the float product did: 0.1 * 25 rounds to 2.5 and so to 2
+    # intervals, where the exact product, just past 2.5, would give 3
+    assert len(TimeGrid(0, 0.1, points_per_octave=25).times()) == 3
+    monkeypatch.setattr(np, "linspace", None)  # no array is built
+    with pytest.raises(DomainValidationError, match=rf"^a grid of {2 * huge + 1} times is more than 4194304$"):
+        TimeGrid(16, 18, points_per_octave=huge)
 
 
 def test_critical_time_dilated_example():
@@ -334,6 +346,16 @@ def test_lemma_bound_values():
     assert lemma_bound(mid, 10, 13) == pytest.approx(2.0 ** 2.0)  # flat middle case
     lip = Regime(d=2, alpha=1, m=2, smoothness=LIPSCHITZ)
     assert lemma_bound(lip, 6, 9) == pytest.approx(2.0 ** (3.0 * 2.0 / 6.0))
+
+
+def test_a_lemma_bound_past_the_float_range_names_k_and_j():
+    high, low = Regime(d=1, alpha=0.5, m=2), Regime(d=1, alpha=0.25, m=2)
+    with pytest.raises(DomainValidationError, match=r"^lemma bound at k=10000, j=10000 overflows a float$"):
+        lemma_bound(high, 10000, 10000)
+    with pytest.raises(DomainValidationError, match=r"overflows a float$"):  # k / alpha overflows
+        lemma_bound(low, 10 ** 400, 2 * 10 ** 400)
+    assert lemma_bound(high, 4092, 4092) == 2.0 ** 1023  # the largest finite bound stays
+    assert lemma_bound(low, 2000, 4000) == 2.0 ** 500
 
 
 def test_lemma_bound_range_errors():

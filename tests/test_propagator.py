@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 import weakref
 from contextlib import contextmanager
 from unittest import mock
@@ -102,7 +103,8 @@ def bucket(n):
 
 def one_pair(profile, curve, m, x, t):
     """certified_value at the one pair (x, t): (value, node count)."""
-    values, used = certified_value(profile, curve, m, [x], [t])
+    values, used, counts = certified_value(profile, curve, m, [x], [t])
+    assert counts.tolist() == [used]
     return complex(values[0]), used
 
 
@@ -699,15 +701,18 @@ def test_two_stage_self_check_on_each_entry_kind():
 
 
 def test_a_non_finite_estimate_never_certifies():
-    # a NaN block and an inf pair: |fine - coarse| is NaN, which compares false both ways
+    # a NaN block and an inf pair: |fine - coarse| is NaN, which compares false both ways;
+    # inf - inf raises no RuntimeWarning (an error here), only the AccuracyError
     nan_block = np.full((2, 3), complex(math.nan, 0.0))
-    with pytest.raises(AccuracyError) as err:
-        _certify([(nan_block, nan_block, 1.0, np.arange(3))], "", lambda i, k: f"{i},{k}")
-    assert err.value.context == "0,0"
-    for mass in (0.0, 1.0, math.inf):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(AccuracyError) as err:
-            _certify([(np.array([1.0, math.inf]), np.array([1.0, math.inf]), mass, np.arange(2))], "", str)
-        assert (err.value.context, err.value.coarse, err.value.fine) == ("1", math.inf, math.inf)
+            _certify([(nan_block, nan_block, 1.0, np.arange(3))], "", lambda i, k: f"{i},{k}")
+        assert err.value.context == "0,0"
+        for mass in (0.0, 1.0, math.inf):
+            with pytest.raises(AccuracyError) as err:
+                _certify([(np.array([1.0, math.inf]), np.array([1.0, math.inf]), mass, np.arange(2))], "", str)
+            assert (err.value.context, err.value.coarse, err.value.fine) == ("1", math.inf, math.inf)
 
 
 LAYOUT_CASES = [  # (profile, curve, window, times): each a chirp-z window
@@ -1041,7 +1046,7 @@ def test_values_after_a_cache_clear_are_the_warm_values_bit_for_bit():
     band = indicator_band(64.0), CurveSpec(PLUS_SHIFT, alpha=0.25)
 
     def run():
-        paired, _ = certified_value(profile, curve, 2.0, xs, ts)
+        paired, _, _ = certified_value(profile, curve, 2.0, xs, ts)
         window = batch_values(*band, 2.0, xs, ts)[0]
         return paired.tobytes() + window.tobytes()
 
@@ -1350,10 +1355,10 @@ PAIRED_CASES = {
 def test_paired_call_is_one_scalar_call_per_pair(case):
     profile, curve, m, xs, ts = PAIRED_CASES[case]
     xs = np.asarray(xs, dtype=float)
-    values, total = certified_value(profile, curve, m, xs, ts)
+    values, total, counts = certified_value(profile, curve, m, xs, ts)
     single = [one_pair(profile, curve, m, x, t) for x, t in zip(xs, ts)]
-    assert values.shape == (len(ts),) and isinstance(total, int)
-    assert total == sum(n for _, n in single)
+    assert values.shape == counts.shape == (len(ts),) and isinstance(total, int)
+    assert counts.tolist() == [n for _, n in single] and total == counts.sum()
     tol = 1e-15 * mass_scale(profile)
     assert np.max(np.abs(values - np.array([v for v, _ in single]))) <= tol
 
@@ -1392,18 +1397,20 @@ def test_paired_d2_values_do_not_depend_on_position():
     profile, curve = bump_tensor(16.0, 0.1, d=2), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
     xs = np.column_stack([np.linspace(0.0, 0.02, 33), np.linspace(-0.5, 0.5, 33)])
     ts = np.full(33, 5e-4)
-    values, _ = certified_value(profile, curve, 2.0, xs, ts)
+    values, _, _ = certified_value(profile, curve, 2.0, xs, ts)
     single = np.array([one_pair(profile, curve, 2.0, x, 5e-4)[0] for x in xs])
     assert values.tobytes() == single.tobytes()
 
 
 def test_paired_call_does_not_depend_on_chunking():
     profile, curve, m, xs, ts = PAIRED_CASES["minus-shift"]
-    whole, total = certified_value(profile, curve, m, xs, ts)
+    whole, total, counts = certified_value(profile, curve, m, xs, ts)
     half = len(ts) // 2  # two calls, each grouping its own pairs
-    (head, head_total), (tail, tail_total) = (certified_value(profile, curve, m, xs[part], ts[part])
-                                              for part in (slice(None, half), slice(half, None)))
+    parts = (slice(None, half), slice(half, None))
+    (head, head_total, head_counts), (tail, tail_total, tail_counts) = (
+        certified_value(profile, curve, m, xs[part], ts[part]) for part in parts)
     assert np.array_equal(whole, np.concatenate([head, tail])) and total == head_total + tail_total
+    assert np.concatenate([head_counts, tail_counts]).tolist() == counts.tolist()
 
 
 def test_the_pair_row_runs_in_blocks_without_moving_a_bit(monkeypatch):
@@ -1413,12 +1420,12 @@ def test_the_pair_row_runs_in_blocks_without_moving_a_bit(monkeypatch):
     calls, real = [], propagator._weighted_rows
     monkeypatch.setattr(propagator, "_weighted_rows", lambda rule, m, s, t, k0, k1: calls.append(
         (len(s), rule.offsets[k1] - rule.offsets[k0], k1 - k0)) or real(rule, m, s, t, k0, k1))
-    whole, total = certified_value(profile, curve, m, xs, ts)
+    whole, total, _ = certified_value(profile, curve, m, xs, ts)
     assert max(c for c, _, _ in calls) > 1  # a group of several pairs is one block
     assert max(k for _, _, k in calls) >= 2  # both passes are one run
     del calls[:]
     monkeypatch.setattr(propagator, "NODE_BLOCK", 1)  # limit: X_CHUNK column-nodes
-    blocked, blocked_total = certified_value(profile, curve, m, xs, ts)
+    blocked, blocked_total, _ = certified_value(profile, curve, m, xs, ts)
     assert whole.tobytes() == blocked.tobytes() and total == blocked_total
     assert all(c * nodes <= propagator.X_CHUNK or (c, k) == (1, 1) for c, nodes, k in calls)
     assert any(k == 1 and nodes > propagator.X_CHUNK for _, nodes, k in calls)
@@ -1515,13 +1522,14 @@ def test_any_batch_of_pairs_is_its_one_pair_calls(data, case):
     profile, curve, m, xs, ts = PAIRED_CASES[case]
     picks = data.draw(st.lists(st.integers(0, len(ts) - 1), min_size=1, max_size=2 * len(ts)))
     points, times = [xs[i] for i in picks], np.array([ts[i] for i in picks], dtype=float)
-    values, total = certified_value(profile, curve, m, points, times)
+    values, total, counts = certified_value(profile, curve, m, points, times)
     single = [one_pair(profile, curve, m, x, t) for x, t in zip(points, times)]
     assert values.tobytes() == np.array([v for v, _ in single]).tobytes()
     gam = gamma_pairs(curve, points, times)
     budgets = _budgets(coordinate_factors(profile), m, gam, gam, times)
     assert budgets.ravel().tolist() == [bucket(n) for n in budgets.ravel().tolist()]
-    assert (2 * budgets.sum(axis=1)).tolist() == [n for _, n in single] and total == sum(n for _, n in single)
+    assert counts.tolist() == (2 * budgets.sum(axis=1)).tolist() == [n for _, n in single]
+    assert total == counts.sum() == sum(n for _, n in single)
 
 
 SPLIT_WINDOWS = {  # (profile, curve, m, window, times): chirp-z and the direct table
@@ -1546,8 +1554,8 @@ def test_a_window_time_does_not_depend_on_the_call_it_is_in(data, case):
 
 
 def test_empty_paired_call():
-    values, total = certified_value(gaussian_like(), STRAIGHT_1D, 2.0, np.zeros(0), np.zeros(0))
-    assert values.shape == (0,) and total == 0
+    values, total, counts = certified_value(gaussian_like(), STRAIGHT_1D, 2.0, np.zeros(0), np.zeros(0))
+    assert values.shape == counts.shape == (0,) and total == 0
 
 
 def test_paired_node_cap_names_the_first_pair_over_it(tight_cap):
@@ -1737,6 +1745,25 @@ def test_evaluate_makes_one_certified_call(monkeypatch):
     assert [list(t) for _, t in calls] == [[0.2, 0.0], [0.0, 0.0]]
 
 
+@pytest.mark.parametrize("case", ["straight", "gamma_fn", "d=2"])
+def test_evaluate_and_point_values_run_the_curve_and_the_budget_rule_once(monkeypatch, case):
+    # the node counts come back from the certified call: no second gamma_pairs + _budgets pass
+    profile, curve, m, xs, ts = PAIRED_CASES[case]
+    calls = []
+
+    def counting(name):
+        real = getattr(propagator, name)
+        monkeypatch.setattr(propagator, name, lambda *args: calls.append(name) or real(*args))
+
+    counting("_budgets")
+    counting("gamma_pairs")
+    evaluate(profile, curve, m, xs[0], ts[0])
+    assert sorted(calls) == ["_budgets", "gamma_pairs"]
+    del calls[:]
+    point_values(profile, curve, m, xs, ts)
+    assert sorted(calls) == ["_budgets", "gamma_pairs"]
+
+
 def test_evaluate_names_x_and_time_zero_when_f_fails(monkeypatch):
     # the curve carries x = 40 back to 0 at t = 1, so U f(40, 1) needs fewer
     # nodes than f(40); a cap between the two budgets fails f(x) alone
@@ -1771,6 +1798,6 @@ def test_translation_covariance(center, y, pairs, m, curve):
     moved = CurveSpec(CUSTOM, alpha=curve.alpha, gamma_fn=lambda x, t: x + curve.shift(t) - y if t else x)
     xs, ts = (np.array(v) for v in zip(*pairs))
     scale = batch_initial(profile, np.zeros(1))[0].real  # f^ >= 0: f(0) is the L^1 mass scale
-    lhs, _ = certified_value(profile, moved, m, xs, ts)
-    rhs, _ = certified_value(profile, curve, m, xs - y, ts)
+    lhs = certified_value(profile, moved, m, xs, ts)[0]
+    rhs = certified_value(profile, curve, m, xs - y, ts)[0]
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
