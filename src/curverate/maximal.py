@@ -66,7 +66,8 @@ class TimeGrid:
     """Dyadic-octave time grid t = 2^{-j}, j in [j_min, j_max].
 
     j_min = j_max = None is the empty grid, for maximal_field calls that
-    evaluate only at their critical times. A grid needs j_max <= 1074, so
+    evaluate only at their critical times. points_per_octave is an
+    integer >= 1, a bool not counting. A grid needs j_max <= 1074, so
     that every time is a positive double, and at most MAX_NODES times,
     counted before any array is built.
     """
@@ -79,11 +80,11 @@ class TimeGrid:
     def __post_init__(self):
         if (self.j_min is None) != (self.j_max is None):
             raise DomainValidationError("j_min and j_max must be given together")
+        if type(self.points_per_octave) is not int or self.points_per_octave < 1:  # a bool is no count
+            raise DomainValidationError(f"points_per_octave={self.points_per_octave} must be an integer >= 1")
         if self.j_min is not None:
             if not 0 <= self.j_min <= self.j_max < math.inf:
                 raise DomainValidationError("need finite 0 <= j_min <= j_max")
-            if self.points_per_octave < 1:
-                raise DomainValidationError("points_per_octave must be >= 1")
             if self.j_max > 1074:  # 2^-1074 is the smallest positive double
                 raise DomainValidationError(f"j_max={self.j_max} must be <= 1074, so that every time is > 0")
             count = self._intervals() + 1
@@ -670,12 +671,14 @@ def rate_ceiling_demo(
 
     delta equals the curve's Hölder exponent exactly (the rate ceiling);
     returns (pairs, running_infimum) where pairs is a list of (t, ratio).
+    It needs 0 <= j_lo <= j_hi <= 1074, so that every time is a positive
+    double, checked before any array is built.
     """
 
     if curve.kind not in (MINUS_SHIFT, PLUS_SHIFT):
         raise DomainValidationError("the rate ceiling concerns genuinely shifted curves")
-    if j_lo > j_hi:
-        raise DomainValidationError(f"need j_lo <= j_hi, not j_lo={j_lo} > j_hi={j_hi}")
+    if not 0 <= j_lo <= j_hi <= 1074:  # 2^-1074 is the smallest positive double; NaN fails too
+        raise DomainValidationError(f"need finite 0 <= j_lo <= j_hi <= 1074, not j_lo={j_lo}, j_hi={j_hi}")
     alpha = curve.alpha
     ts = 2.0 ** (-np.arange(j_lo, j_hi + 1, dtype=float))
     values, initial, _ = batch_values(profile, curve, 2.0, np.atleast_1d(float(x_star)), list(ts))

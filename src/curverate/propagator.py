@@ -6,17 +6,17 @@ e^{i(gamma(x,t).xi + t|xi|^m)} f^(xi) dxi.
 Every kernel sums w f^(xi) e^{i((x + s_j) xi + t_j |xi|^m)} for each
 column (s_j, t_j) over the nodes of a WeightedRule record, its rows
 formed by one phase formula (_weighted_rows) and its segment scalars by
-another (_segment_scalars). The three kernels differ only in the inner
-sum over nodes: _pair_quadrature reduces the x = 0 row of pairs, and on
-a window _quadrature's direct table multiplies the rows by e^{i x u} and
-the chirp-z plan convolves them; the first two read composite
-Gauss-Legendre panels (_weighted_rule), the chirp-z plan midpoint nodes
-(below). One certified front end, _columns, drives the kernels. A column
-is one displacement per coordinate plus one time. Pointwise evaluation
-(certified_value) takes pairs (x_i, t_i) only, one point being the
-one-pair call; a pair is the x = 0 column at its displacement
-gamma(x_i, t_i). A window (batch_values)
-is one column per time whose points add to coordinate 0. One bucketed
+another (_segment_scalars). Two kernels differ only in the inner sum
+over nodes: the Gauss-Legendre kernel, _gl_quadrature, reduces the
+x = 0 row of pairs and multiplies a window's rows by the direct table
+e^{i x u}, and the chirp-z plan convolves a window's rows. The first
+reads composite Gauss-Legendre panels (_weighted_rule), the second
+midpoint nodes (below). One certified front end, _columns, drives them.
+A column is one displacement per coordinate plus one time. Pointwise
+evaluation (certified_value) takes pairs (x_i, t_i) only, one point
+being the one-pair call; a pair is the x = 0 column at its displacement
+gamma(x_i, t_i). A window (batch_values) is one column per time whose
+points add to coordinate 0. One bucketed
 budget rule (_budgets) covers pairs and windows: each column gets its own
 budget per coordinate, rounded up to PANEL_ORDER * 2^k, so a pair's value
 and count are those of its one-pair call, and the columns whose budgets
@@ -34,14 +34,14 @@ doubled nodes and demands agreement relative to the column's L^1 mass
 scale (computed on the same rule) before reporting them; it forms the
 full bound only where the gap passes SELF_CHECK_TOL * mass. Pairs are
 checked as one block, and each coordinate's pairs of one budget are one
-_pair_quadrature call on its cached record that forms the phases of both
+_gl_quadrature call on its cached record that forms the phases of both
 passes, every segment's, in one vectorised sequence, then sums each
 segment's slice and applies its midpoint scalar in segment order, so a
-value does not depend on which pairs share its call. A window is checked one column block of about
-FFT_BLOCK elements at a time (_window_blocks): the block's coarse values
-are compared with its fine ones and dropped, and only the fine ones are
-written, into the one time-major (times, points) pass that batch_values
-hands on transposed. So a window call holds one pass, not two passes and
+value does not depend on which pairs share its call. A window is checked
+one column block of about FFT_BLOCK elements at a time (_window_blocks):
+the block's coarse values are compared with its fine ones and dropped,
+and only the fine ones are written, into the one time-major (times,
+points) pass that batch_values hands on transposed. So a window call holds one pass, not two passes and
 their gap, and a failure still names the first failing entry in x-major
 order, with its two estimates.
 
@@ -79,20 +79,22 @@ the hull half-width, plus what rounding the chirp step h h_xi can move a
 phase, stays within PHASE_GUARD (1e-12 radians). Neither term depends on
 n, so the guard runs once per window, ahead of the budget. Every other
 window (indicator-band, one- and two-point windows, non-uniform windows
-and m != 2) runs _quadrature with the centred direct table: each
+and m != 2) runs _gl_quadrature with the centred direct table: each
 segment's table is e^{i x u}, u = xi - C about the same midpoint C, and
 each window point's output is multiplied by e^{i x C} next to the column
 scalars. Its matrix product puts the columns on the rows, padding a lone
-column to two, so BLAS rounds a column alike in a group of any size and a
-time's value does not depend on its call or block.
+column to two, so on two points or more BLAS rounds a column alike in a
+group of any size and a time's value does not depend on its call or
+block; on one point the product is numpy's matrix-vector one, whose
+rounding can depend on the times beside it.
 
 Gauss-Legendre rules come from _weighted_rule, the one rule cache: an
 LRU of RULE_CACHE_SIZE records keyed by the budget n. A record
 (WeightedRule) holds both passes' rules, n and 2n nodes, in one flat set
 of read-only arrays: the nodes, each node less its segment's midpoint,
 the weights with f^ multiplied in, and the segment offsets and
-midpoints, so the pair kernel and the window table read the same record
-and no call concatenates anything. A record is cached only when its
+midpoints, so pairs and window tables read the same record and no call
+concatenates anything. A record is cached only when its
 2n-node pass has at most CACHED_RULE_NODES nodes, so the cache holds at
 most 256 x (2048 + 4096) nodes x 32 B = 50 MB (68 MB of 8288-node
 zero-graded records on two segments), against 256 x 4096 nodes x 24 B =
@@ -100,11 +102,16 @@ zero-graded records on two segments), against 256 x 4096 nodes x 24 B =
 benchmark pass leaves about 1.3 MB in it. A larger budget (_each_pass)
 builds one record per pass, the coarse one released before the fine one
 is built, and caches the coarse one while it has at most
-CACHED_RULE_NODES nodes, so it holds one pass's rule at a time. The pair
-kernel runs a record in runs of whole segments of at most
-X_CHUNK * NODE_BLOCK nodes, each on blocks of columns, so its (columns,
-nodes) temporaries stay within X_CHUNK * NODE_BLOCK column-nodes, or one
-column of one segment where a segment alone is longer.
+CACHED_RULE_NODES nodes, so it holds one pass's rule at a time. One
+block rule (_runs) bounds the kernel's rows on pairs and windows alike:
+each block holds at most X_CHUNK * NODE_BLOCK column-nodes. Pairs run a
+record in runs of whole segments of at most that many nodes, each on
+blocks of columns, a segment alone longer one column at a time. A window
+runs each segment in slices of NODE_BLOCK nodes, each on blocks of
+X_CHUNK columns or more, and builds its e^{i x u} tables, X_CHUNK points
+by one slice, per block; so a long window holds one block of rows, not a
+segment's rows for every column, at the cost of rebuilding its tables
+per column block.
 
 Node budgets. A column's phase is theta(xi) = gamma xi + t|xi|^m, with
 gamma = x + s(t) one value for a pair and [min x, max x] + s(t) for a
@@ -132,6 +139,7 @@ max|xi|^{m-1}) * width.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -145,7 +153,7 @@ from .quadrature import PANEL_ORDER, _certify, panel_nodes
 
 TWO_PI = 2.0 * math.pi
 X_CHUNK = 96          # window points per table block
-NODE_BLOCK = 8192     # nodes per window table block; X_CHUNK * NODE_BLOCK bounds a pair call's column-nodes
+NODE_BLOCK = 8192     # nodes per window table slice; X_CHUNK * NODE_BLOCK column-nodes bound a block of rows
 PHASE_GUARD = 1e-12   # largest phase error (radians) the chirp-z window path may add
 UNIT_ROUNDOFF = 2.0 ** -53
 SPLITTER = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
@@ -311,11 +319,10 @@ def _weighted_rule(factor, n: int, graded: bool, doublings=(1, 2)) -> WeightedRu
     return build(factor, n, graded, doublings)
 
 
-def _each_pass(factor, n: int, graded: bool, kernel, *args):
-    """kernel on both passes of budget n's node-doubling check: [(coarse, its mass), (fine, its mass)].
+def _each_pass(factor, n: int, graded: bool, m: float, shifts, ts, xs=None):
+    """_gl_quadrature on both passes of budget n's node-doubling check: [(coarse, its mass), (fine, its mass)].
 
-    kernel(rule, *args) returns one result per pass of the record rule. A
-    budget whose doubled pass has at most CACHED_RULE_NODES nodes runs
+    A budget whose doubled pass has at most CACHED_RULE_NODES nodes runs
     both passes in one call, on its cached record. Past that each pass
     gets a record of its own (_weighted_rule caches the coarse one while it
     has at most CACHED_RULE_NODES nodes), released before the next one is
@@ -325,29 +332,29 @@ def _each_pass(factor, n: int, graded: bool, kernel, *args):
     out = []
     for doublings in [(1, 2)] if 2 * n <= CACHED_RULE_NODES else [(1,), (2,)]:
         rule = _weighted_rule(factor, n, graded, doublings)
-        out += zip(kernel(rule, *args), rule.mass)
+        out += zip(_gl_quadrature(rule, m, shifts, ts, xs), rule.mass)
         del rule  # released before the next pass's record is built
     return out
 
 
-def _weighted_rows(rule: WeightedRule, m: float, shifts, ts, k0: int, k1: int, out=None):
-    """The weighted exponentials of the columns (shifts[j], ts[j]) on rule's segments k0 .. k1 - 1.
+def _weighted_rows(rule: WeightedRule, m: float, shifts, ts, a: int, b: int, out=None):
+    """The weighted exponentials of the columns (shifts[j], ts[j]) on rule's nodes a .. b - 1.
 
-    Row j is w f^(xi) e^{i(shifts[j] xi + ts[j] |xi|^m)} at those
-    segments' nodes, less each segment's constant phase (_segment_scalars).
-    The phase is taken about the segment's midpoint C: at m = 2,
+    Row j is w f^(xi) e^{i(shifts[j] xi + ts[j] |xi|^m)} at those nodes,
+    less each segment's constant phase (_segment_scalars). The phase is
+    taken about the node's segment midpoint C: at m = 2,
     (shifts[j] + 2 ts[j] C) u + ts[j] u^2 with u = xi - C, which keeps
     it small; otherwise shifts[j] u + ts[j] |xi|^m. The one phase formula
-    of all three kernels. Returns the (columns, nodes) rows, written into
+    of both kernels. Returns the (columns, nodes) rows, written into
     out if given.
     """
 
-    offsets = rule.offsets
-    a, b = offsets[k0], offsets[k1]
     u, s, t = rule.u[a:b], shifts[:, None], ts[:, None]
     if m == 2.0:
-        sizes = [hi - lo for lo, hi in zip(offsets[k0:k1], offsets[k0 + 1 : k1 + 1])]
-        phase = np.repeat(s + 2.0 * t * rule.mids[k0:k1], sizes, axis=1)  # s + 2 t C at each node
+        k0, k1 = bisect_right(rule.offsets, a) - 1, bisect_left(rule.offsets, b)  # the segments the nodes meet
+        cuts = [a, *rule.offsets[k0 + 1 : k1], b]
+        # s + 2 t C at each node, C its segment's midpoint
+        phase = np.repeat(s + 2.0 * t * rule.mids[k0:k1], [hi - lo for lo, hi in zip(cuts, cuts[1:])], axis=1)
         phase *= u
         square = t * u
         square *= u
@@ -372,83 +379,83 @@ def _segment_scalars(mids, m: float, shifts, ts):
     return np.exp(1j * (C * shifts + C * ts * C)) if m == 2.0 else np.exp(1j * shifts * C)
 
 
-def _runs(offsets, limit: int):
-    """Consecutive segments in runs of at most limit nodes, a longer segment a run of its own: [(k0, k1)]."""
-    runs, k0 = [], 0
-    for k in range(1, len(offsets) - 1):
-        if offsets[k + 1] - offsets[k0] > limit:
-            runs.append((k0, k))
+def _runs(offsets, window: bool):
+    """The block rule of _gl_quadrature: [(k0, k1, a, b, step)], in node order.
+
+    Each run is the nodes a .. b - 1 of segments k0 .. k1 - 1, taken step
+    columns at a time, so that a block's rows hold at most
+    X_CHUNK * NODE_BLOCK column-nodes. Pairs run whole segments, as many
+    as fit, a longer segment alone and one column at a time; a window runs
+    each segment in slices of NODE_BLOCK nodes. Plain Python integers: a
+    one-pair call pays for this on every evaluation.
+    """
+    limit, runs, k0 = X_CHUNK * NODE_BLOCK, [], 0
+    for k in range(1, len(offsets)):
+        if window or k == len(offsets) - 1 or offsets[k + 1] - offsets[k0] > limit:  # segments k0 .. k - 1
+            size = NODE_BLOCK if window else offsets[k] - offsets[k0]
+            for a in range(offsets[k0], offsets[k], size):
+                b = min(a + size, offsets[k])
+                runs.append((k0, k, a, b, max(1, limit // (b - a))))
             k0 = k
-    return runs + [(k0, len(offsets) - 1)]
+    return runs
 
 
-def _pair_quadrature(rule: WeightedRule, m: float, shifts, ts):
-    """Every pass of the x = 0 row on rule, its segments' phases formed in one vectorised sequence.
+def _gl_quadrature(rule: WeightedRule, m: float, shifts, ts, xs=None):
+    """The Gauss-Legendre kernel: every pass of rule on pairs (xs=None) or on a window xs.
 
     Pass p's column j is the sum over pass p's segments of w f^(xi)
-    e^{i(shifts[j] xi + ts[j] |xi|^m)}; shifts and ts are equal-length
-    1-d arrays. The record runs in runs of whole segments (_runs), each
-    on blocks of columns, so a call's (columns, nodes) temporaries stay
-    within X_CHUNK * NODE_BLOCK column-nodes, or one column of one
-    segment where a segment alone is longer; a cached record is one run.
-    Each segment's slice is summed and its scalar applied, and each
-    pass's segments are added in order, so no value depends on its run
-    or block. Returns one (columns,) array per pass.
+    e^{i((x + shifts[j]) xi + ts[j] |xi|^m)}, at x = 0 for pairs and at
+    each window point x; shifts and ts are equal-length 1-d arrays. The
+    rows are made in the blocks of _runs, so no call holds more than
+    X_CHUNK * NODE_BLOCK column-nodes of them, or one column of one
+    segment where a pair's segment alone is longer. A pair block sums
+    each segment's slice; the segment's scalar is applied and each pass's
+    segments are added in order. A window block multiplies its rows by
+    the table e^{i x u}, u = xi - C about the segment midpoint C, X_CHUNK
+    points at a time, and once a segment's last slice is in, its sum is
+    multiplied by e^{i x C} and its scalars. That product puts the columns
+    on the rows, padding a lone column to two, so on two points or more
+    BLAS rounds a column alike in any block: no value depends on its run
+    or block. (On one point numpy multiplies matrix by vector, whose
+    rounding can depend on the columns beside it.) Returns one
+    (columns,) array per pass for pairs, one time-major (columns, len(xs))
+    array per pass on a window.
     """
 
-    limit, offsets = X_CHUNK * NODE_BLOCK, rule.offsets
-    sums = np.empty((len(offsets) - 1, len(ts)), dtype=np.complex128)  # one row per segment
-    for k0, k1 in _runs(offsets, limit):
-        a = offsets[k0]
-        step = max(1, limit // (offsets[k1] - a))
+    offsets, window = rule.offsets, xs is not None
+    per_pass = (len(offsets) - 1) // len(rule.mass)
+    if window:
+        passes = [np.zeros((len(ts), len(xs)), dtype=np.complex128) for _ in rule.mass]  # time-major
+        acc = np.zeros((len(ts), len(xs)), dtype=np.complex128)  # the segment's sum so far
+    else:
+        sums = np.empty((len(offsets) - 1, len(ts)), dtype=np.complex128)  # one row per segment
+    for k0, k1, a, b, step in _runs(offsets, window):
         for c0 in range(0, len(ts), step):
             cols = slice(c0, c0 + step)
-            rows = _weighted_rows(rule, m, shifts[cols], ts[cols], k0, k1)
-            for k in range(k0, k1):
-                np.add.reduce(rows[:, offsets[k] - a : offsets[k + 1] - a], axis=-1, out=sums[k, cols])
+            rows = _weighted_rows(rule, m, shifts[cols], ts[cols], a, b)
+            if window:  # a lone column is padded to two, which keeps it off the matrix-vector product
+                lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
+                for x0 in range(0, len(xs), X_CHUNK):
+                    block = slice(x0, x0 + X_CHUNK)
+                    # the table is built in place: its temporaries would otherwise set the memory peak
+                    table = 1j * np.multiply.outer(xs[block], rule.u[a:b])
+                    np.exp(table, out=table)
+                    acc[cols, block] += (lhs @ table.T)[: len(rows)]
+                del lhs
+            else:
+                for k in range(k0, k1):
+                    np.add.reduce(rows[:, offsets[k] - a : offsets[k + 1] - a], axis=-1, out=sums[k, cols])
             del rows  # released before the next block's are made
+        if window and b == offsets[k1]:  # the segment is in: e^{i x C} times its scalars
+            scalars = _segment_scalars(rule.mids[k0:k1], m, shifts, ts).T
+            passes[k0 // per_pass] += np.exp(1j * xs * rule.mids[k0]) * scalars * acc
+            acc[:] = 0.0
+    if window:
+        return passes
     # scalar first, into a new array: numpy's complex multiply rounds by
     # operand order, and on one element in place unlike in its lanes
     sums = _segment_scalars(rule.mids, m, shifts, ts) * sums
-    per_pass = len(sums) // len(rule.mass)
     return tuple(sum(sums[p * per_pass : (p + 1) * per_pass], 0j) for p in range(len(rule.mass)))
-
-
-def _quadrature(rule: WeightedRule, m: float, shifts, ts, xs):
-    """The Gauss-Legendre window table: every pass of rule on a window.
-
-    Pass p's column j is the sum over pass p's segments of w f^(xi)
-    e^{i((x + shifts[j]) xi + ts[j] |xi|^m)} at each window point x;
-    shifts and ts are equal-length 1-d arrays. Each segment's table is
-    e^{i x u}, u = xi - C about its midpoint C, run in blocks of X_CHUNK
-    points and NODE_BLOCK nodes. Returns one time-major (ncols, len(xs))
-    array per pass.
-    """
-
-    per_pass = (len(rule.offsets) - 1) // len(rule.mass)
-    passes = []
-    for p in range(len(rule.mass)):
-        out = np.zeros((len(shifts), len(xs)), dtype=np.complex128)  # time-major
-        for k in range(p * per_pass, (p + 1) * per_pass):
-            rows = _weighted_rows(rule, m, shifts, ts, k, k + 1)
-            scalars = _segment_scalars(rule.mids[k : k + 1], m, shifts, ts)[0]
-            u = rule.u[rule.offsets[k] : rule.offsets[k + 1]]
-            # columns are the product's rows, so BLAS rounds each column alike
-            # whatever its group; a lone column is padded to two, which keeps
-            # it off the matrix-vector product
-            lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
-            acc = np.zeros((len(lhs), len(xs)), dtype=np.complex128)
-            for b0 in range(0, len(u), NODE_BLOCK):
-                sl = slice(b0, b0 + NODE_BLOCK)
-                for a0 in range(0, len(xs), X_CHUNK):
-                    block = slice(a0, a0 + X_CHUNK)
-                    # the table is built in place: its temporaries would otherwise set the memory peak
-                    table = 1j * np.multiply.outer(xs[block], u[sl])
-                    np.exp(table, out=table)
-                    acc[:, block] += lhs[:, sl] @ table.T
-            out += np.exp(1j * xs * rule.mids[k]) * scalars[:, None] * acc[: len(rows)]
-        passes.append(out)
-    return passes
 
 
 def _fft_length(n: int) -> int:
@@ -519,7 +526,7 @@ class ChirpPlan:
         """
         n, nx = self.rule.offsets[1], len(self.post)
         rows[:, n:] = 0.0
-        _weighted_rows(self.rule, 2.0, shifts + self.centre, ts, 0, 1, rows[:, :n])
+        _weighted_rows(self.rule, 2.0, shifts + self.centre, ts, 0, n, rows[:, :n])
         np.fft.fft(rows, out=rows)
         rows *= self.kernel
         np.fft.ifft(rows, out=rows)
@@ -531,7 +538,7 @@ class ChirpPlan:
 
 
 def _chirp_window(factor, n: int, xs) -> ChirpPlan:
-    """The plan of _quadrature's m = 2 window values by chirp-z transform, on n midpoint nodes.
+    """The plan of _gl_quadrature's m = 2 window values by chirp-z transform, on n midpoint nodes.
 
     For a smooth factor on a uniform window x_k = x_c + p_k h. The nodes
     are the midpoints u_q = q h_xi of n equal cells tiling the hull
@@ -541,7 +548,7 @@ def _chirp_window(factor, n: int, xs) -> ChirpPlan:
     linear convolution with the chirp e^{-i beta r^2 / 2}: one FFT
     convolution per column, which ChirpPlan.apply runs in place on a block
     of columns. Centring p and q halves the largest |r|, and _chirp keeps
-    every chirp phase exact to rounding. A column's values, _quadrature's
+    every chirp phase exact to rounding. A column's values, _gl_quadrature's
     transposed, do not depend on the block it runs in.
     """
 
@@ -619,9 +626,10 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
     (nx, block) views, with the mass and the block's column indices,
     before the next block is made. On the chirp-z kernel (chirp) the
     group builds its two plans once and runs both passes of every block
-    in one FFT buffer; otherwise each block runs the direct table,
-    _quadrature, through _each_pass, and its values do not depend on the
-    block. All of it is freed when the group's last block is done.
+    in one FFT buffer; otherwise each block runs the direct table of
+    _gl_quadrature, through _each_pass, whose own blocks bound its rows,
+    and on two points or more its values do not depend on the block. All
+    of it is freed when the group's last block is done.
     """
 
     if chirp:
@@ -638,7 +646,7 @@ def _window_blocks(factor, m: float, n: int, cols, shifts, ts, xs, chirp: bool, 
             coarse = plans[0].apply(shifts[block], ts[block], rows[0]) / TWO_PI
             fine = plans[1].apply(shifts[block], ts[block], rows[1])
         else:
-            (coarse, _), (fine, mass) = _each_pass(factor, n, m != int(m), _quadrature, m, shifts[block], ts[block], xs)
+            (coarse, _), (fine, mass) = _each_pass(factor, n, m != int(m), m, shifts[block], ts[block], xs)
             coarse /= TWO_PI
             mass /= TWO_PI
         fine /= TWO_PI
@@ -658,7 +666,7 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     certified pass, twice its budgets' sum, is past MAX_NODES raises
     AccuracyError, named by cap_label(i) and with no estimates, before
     either kernel runs. Pairs run as one block: each coordinate's columns
-    of one budget run both passes through _each_pass, one _pair_quadrature
+    of one budget run both passes through _each_pass, one _gl_quadrature
     call on the budget's cached record or one per pass past the cache,
     whose runs and column blocks move no bit; the first coordinate's integrals
     are assigned, and later ones multiplied in from real and imaginary
@@ -694,7 +702,7 @@ def _columns(profile, m: float, disp, ts, label, cap_label, xs=None, chirp: bool
     for j, factor in enumerate(factors):
         for n in np.unique(budgets[:, j]):
             group = np.flatnonzero(budgets[:, j] == n)
-            both = _each_pass(factor, int(n), m != int(m), _pair_quadrature, m, disp[group, j], ts[group])
+            both = _each_pass(factor, int(n), m != int(m), m, disp[group, j], ts[group])
             for values, (integral, _) in zip(passes, both):
                 if j == 0:
                     values[group] = integral

@@ -1,6 +1,8 @@
 """Maximal module: time grids, critical times, suprema, local bounds."""
 
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +86,15 @@ def test_time_grid_rejects_a_time_that_rounds_to_zero(j_min, j_max):
     # past j = 1074, 2^-j rounds to 0.0, a time no rate can divide by
     with pytest.raises(DomainValidationError, match=r"must be <= 1074, so that every time is > 0$"):
         TimeGrid(j_min, j_max, points_per_octave=1)
+
+
+@pytest.mark.parametrize("points", [math.inf, math.nan, 2.5, 8.0, True, np.int64(8), 0, -3])
+def test_time_grid_needs_an_integer_points_per_octave(points):
+    # as an experiment plan's: a float, even a whole one, a bool or a numpy integer is no count
+    for octaves in ((16, 18), ()):
+        message = f"points_per_octave={points} must be an integer >= 1"
+        with pytest.raises(DomainValidationError, match=f"^{re.escape(message)}$"):
+            TimeGrid(*octaves, points_per_octave=points)
 
 
 def test_time_grid_times_are_positive_out_to_1074():
@@ -569,7 +580,7 @@ def test_injection_off_the_window_path_fails_before_any_work(monkeypatch, profil
 ])
 def test_a_window_field_on_a_curve_of_another_dimension_fails_before_any_work(monkeypatch, grid, critical):
     calls = []
-    for stage in ("_pair_quadrature", "_quadrature", "_chirp_window"):
+    for stage in ("_gl_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     xs = np.linspace(0.1, 0.2, 5)
     tc = np.full(len(xs), 0.01) if critical else None
@@ -773,6 +784,25 @@ def test_rate_ceiling_demo():
         rate_ceiling_demo(gaussian_like(), CurveSpec("straight"))
     with pytest.raises(DomainValidationError, match="j_lo <= j_hi"):
         rate_ceiling_demo(gaussian_like(), curve, j_lo=5, j_hi=4)
+
+
+@pytest.mark.parametrize("j_lo,j_hi", [
+    (4, 1080), (4, math.inf), (math.nan, 12), (4, math.nan), (-1, 4), (4, 10 ** 9),
+])
+def test_rate_ceiling_demo_checks_its_octaves_before_any_array(monkeypatch, j_lo, j_hi):
+    # past j = 1074 a time rounds to 0 (a NaN ratio), inf and NaN break np.arange,
+    # and 10^9 octaves would be a billion-entry time array
+    monkeypatch.setattr(np, "arange", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainValidationError, match=re.escape(
+                f"need finite 0 <= j_lo <= j_hi <= 1074, not j_lo={j_lo}, j_hi={j_hi}")):
+            rate_ceiling_demo(gaussian_like(), MINUS_HALF, j_lo=j_lo, j_hi=j_hi)
+
+
+def test_rate_ceiling_demo_reaches_the_smallest_positive_time():
+    pairs, _ = rate_ceiling_demo(gaussian_like(), MINUS_HALF, j_lo=1070, j_hi=1074)
+    assert [t for t, _ in pairs][-1] == 2.0 ** -1074 and all(math.isfinite(r) for _, r in pairs)
 
 
 def test_lemma_profile_rejects_an_empty_list_of_js():

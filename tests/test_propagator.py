@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curverate.curves import CUSTOM, CurveSpec, MINUS_SHIFT, PLUS_SHIFT, STRAIGHT, gamma as curve_gamma, gamma_pairs
 from curverate.errors import AccuracyError, DomainValidationError
@@ -39,8 +39,7 @@ from curverate.propagator import (
     _cached_weighted_rule,
     _chirp,
     _chirp_phase_error,
-    _pair_quadrature,
-    _quadrature,
+    _gl_quadrature,
     _weighted_rule,
     batch_initial,
     batch_values,
@@ -394,10 +393,22 @@ def test_window_initial_is_the_shared_time_zero_column(ends, t, m):
 
 @contextmanager
 def kernel_paths():
-    """Collects the kernel of every window pass run inside the block: "chirp" or "gl", in order."""
-    seen, real = [], {name: getattr(propagator, name) for name in ("_chirp_window", "_quadrature")}
-    for name, tag in (("_chirp_window", "chirp"), ("_quadrature", "gl")):
-        setattr(propagator, name, lambda *a, _run=real[name], _tag=tag: seen.append(_tag) or _run(*a))
+    """Collects the kernel of every window pass run inside the block: "chirp" or "gl", in order.
+
+    A _gl_quadrature call is a window pass when it is given a window xs.
+    """
+    seen, real = [], {name: getattr(propagator, name) for name in ("_chirp_window", "_gl_quadrature")}
+
+    def chirp_window(*args):
+        seen.append("chirp")
+        return real["_chirp_window"](*args)
+
+    def gl_quadrature(rule, m, shifts, ts, xs=None):
+        if xs is not None:
+            seen.append("gl")
+        return real["_gl_quadrature"](rule, m, shifts, ts, xs)
+
+    propagator._chirp_window, propagator._gl_quadrature = chirp_window, gl_quadrature
     try:
         yield seen
     finally:
@@ -876,7 +887,7 @@ def direct_table(profile, curve, xs, ts):
     out = np.empty((len(xs), len(ts)), dtype=np.complex128)
     for n in set(budgets.tolist()):  # the times of one budget share a table
         cols = budgets == n
-        (fine,) = _quadrature(_weighted_rule(factor, n, False, (2,)), 2.0, shifts[cols], ts[cols], xs)
+        (fine,) = _gl_quadrature(_weighted_rule(factor, n, False, (2,)), 2.0, shifts[cols], ts[cols], xs)
         out[:, cols] = fine.T / TWO_PI
     return out
 
@@ -1186,7 +1197,7 @@ def floor_budget(factor):
 def data_certify(factor, n):
     """f^ alone (x = 0, t = 0): do its integral and L^1 mass pass node doubling on n nodes?"""
     rule = _weighted_rule(factor, n, False)
-    coarse, fine = (complex(v[0]) for v in _pair_quadrature(rule, 2.0, np.zeros(1), np.zeros(1)))
+    coarse, fine = (complex(v[0]) for v in _gl_quadrature(rule, 2.0, np.zeros(1), np.zeros(1)))
     coarse_mass, fine_mass = rule.mass
     return (abs(fine - coarse) <= SELF_CHECK_TOL * max(abs(coarse), abs(fine), fine_mass)
             and abs(fine_mass - coarse_mass) <= SELF_CHECK_TOL * fine_mass)
@@ -1413,13 +1424,18 @@ def test_paired_call_does_not_depend_on_chunking():
     assert np.concatenate([head_counts, tail_counts]).tolist() == counts.tolist()
 
 
+def segments_met(rule, a, b):
+    """How many of rule's segments the nodes a .. b - 1 meet."""
+    return sum(lo < b and a < hi for lo, hi in zip(rule.offsets[:-1], rule.offsets[1:]))
+
+
 def test_the_pair_row_runs_in_blocks_without_moving_a_bit(monkeypatch):
     # memory: the pair kernel's (columns, nodes) temporaries stay within
     # X_CHUNK * NODE_BLOCK column-nodes, or one column of one segment
     profile, curve, m, xs, ts = PAIRED_CASES["d=2"]
     calls, real = [], propagator._weighted_rows
-    monkeypatch.setattr(propagator, "_weighted_rows", lambda rule, m, s, t, k0, k1: calls.append(
-        (len(s), rule.offsets[k1] - rule.offsets[k0], k1 - k0)) or real(rule, m, s, t, k0, k1))
+    monkeypatch.setattr(propagator, "_weighted_rows", lambda rule, m, s, t, a, b: calls.append(
+        (len(s), b - a, segments_met(rule, a, b))) or real(rule, m, s, t, a, b))
     whole, total, _ = certified_value(profile, curve, m, xs, ts)
     assert max(c for c, _, _ in calls) > 1  # a group of several pairs is one block
     assert max(k for _, _, k in calls) >= 2  # both passes are one run
@@ -1431,28 +1447,62 @@ def test_the_pair_row_runs_in_blocks_without_moving_a_bit(monkeypatch):
     assert any(k == 1 and nodes > propagator.X_CHUNK for _, nodes, k in calls)
 
 
+def segment_rows(rule, k, m, shifts, ts):
+    """Segment k's midpoint scalars and weighted rows, formed, exponentiated and weighted on their own."""
+    s_col, t_col = shifts[:, None], ts[:, None]
+    a, b = rule.offsets[k : k + 2]
+    C, nodes, wf = float(rule.mids[k]), rule.nodes[a:b], rule.wf[a:b]
+    u = nodes - C
+    if m == 2.0:
+        scalars = np.exp(1j * (shifts * C + ts * C * C))
+        phase = (s_col + 2.0 * t_col * C) * u + t_col * u * u
+    else:
+        scalars = np.exp(1j * shifts * C)
+        phase = s_col * u + t_col * np.abs(nodes) ** m
+    rows = 1j * phase
+    np.multiply(wf, np.exp(rows, out=rows), out=rows)
+    return scalars, rows
+
+
+def pass_segments(rule, p):
+    """The segment indices of rule's pass p."""
+    per_pass = (len(rule.offsets) - 1) // len(rule.mass)
+    return range(p * per_pass, (p + 1) * per_pass)
+
+
 def pass_row(rule, p, m, shifts, ts):
     """Pass p of rule's x = 0 row, segment by segment: the fused kernel's reference.
 
-    Each segment's phases are formed, exponentiated, weighted and summed on
-    their own, and its midpoint scalar applied, in segment order.
+    Each segment's rows are summed on their own and its midpoint scalar
+    applied, in segment order.
     """
     out = 0j
-    s_col, t_col = shifts[:, None], ts[:, None]
-    per_pass = (len(rule.offsets) - 1) // len(rule.mass)
-    for k in range(p * per_pass, (p + 1) * per_pass):
-        a, b = rule.offsets[k : k + 2]
-        C, nodes, wf = float(rule.mids[k]), rule.nodes[a:b], rule.wf[a:b]
-        u = nodes - C
-        if m == 2.0:
-            scalars = np.exp(1j * (shifts * C + ts * C * C))
-            phase = (s_col + 2.0 * t_col * C) * u + t_col * u * u
-        else:
-            scalars = np.exp(1j * shifts * C)
-            phase = s_col * u + t_col * np.abs(nodes) ** m
-        rows = 1j * phase
-        np.multiply(wf, np.exp(rows, out=rows), out=rows)
+    for k in pass_segments(rule, p):
+        scalars, rows = segment_rows(rule, k, m, shifts, ts)
         out = out + scalars * rows.sum(axis=-1)
+    return out
+
+
+def pass_table(rule, p, m, shifts, ts, xs):
+    """Pass p of rule on the window xs, segment by segment, as time-major (columns, points).
+
+    The window kernel's reference: each segment's rows for every column
+    at once, times the table e^{i x u} in blocks of NODE_BLOCK nodes and
+    X_CHUNK points, a lone column padded to two, then e^{i x C} and the
+    segment's scalars.
+    """
+    out = np.zeros((len(shifts), len(xs)), dtype=np.complex128)
+    for k in pass_segments(rule, p):
+        scalars, rows = segment_rows(rule, k, m, shifts, ts)
+        u = rule.u[rule.offsets[k] : rule.offsets[k + 1]]
+        lhs = rows if len(rows) > 1 else np.concatenate([rows, np.zeros_like(rows)])
+        acc = np.zeros((len(lhs), len(xs)), dtype=np.complex128)
+        for b0 in range(0, len(u), propagator.NODE_BLOCK):
+            nodes = slice(b0, b0 + propagator.NODE_BLOCK)
+            for a0 in range(0, len(xs), propagator.X_CHUNK):
+                block = slice(a0, a0 + propagator.X_CHUNK)
+                acc[:, block] += lhs[:, nodes] @ np.exp(1j * np.multiply.outer(xs[block], u[nodes])).T
+        out += np.exp(1j * xs * rule.mids[k]) * scalars[:, None] * acc[: len(rows)]
     return out
 
 
@@ -1482,12 +1532,77 @@ def test_fused_pair_kernel_is_the_per_pass_per_segment_row(case, n, doublings, c
     shifts, ts = (np.array(v, dtype=float) for v in zip(*columns))
     want = [pass_row(rule, p, m, shifts, ts) for p in range(len(doublings))]
     with mock.patch.object(propagator, "NODE_BLOCK", node_block):
-        got = _pair_quadrature(rule, m, shifts, ts)
+        got = _gl_quadrature(rule, m, shifts, ts)
         k = int(cut * len(ts))  # split into two calls: no value moves
-        head, tail = _pair_quadrature(rule, m, shifts[:k], ts[:k]), _pair_quadrature(rule, m, shifts[k:], ts[k:])
+        head, tail = _gl_quadrature(rule, m, shifts[:k], ts[:k]), _gl_quadrature(rule, m, shifts[k:], ts[k:])
     assert len(got) == len(doublings)
     for values, fused, a, b in zip(want, got, head, tail):
         assert fused.tobytes() == values.tobytes() == np.concatenate([a, b]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(FUSED_CASES)),
+    n=st.sampled_from([64, 128, 512, 4096]),
+    doublings=st.sampled_from([(1, 2), (1,), (2,)]),
+    columns=st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(0.0, 1.0)), min_size=1, max_size=24),
+    xs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=12),
+    cut=st.floats(0.0, 1.0),
+    node_block=st.sampled_from([propagator.NODE_BLOCK, 4, 1]),
+    x_chunk=st.sampled_from([propagator.X_CHUNK, 5]),
+)
+def test_window_kernel_is_the_per_pass_per_segment_table(case, n, doublings, columns, xs, cut, node_block, x_chunk):
+    # node_block 4 and 1 slice every segment, and x_chunk 5 splits the columns and the points into blocks;
+    # on one point numpy's product is matrix-vector, whose rounding can depend on the columns beside it
+    assume(n <= 512 or node_block == propagator.NODE_BLOCK)
+    factor, m = FUSED_CASES[case]
+    rule = _weighted_rule(factor, n, m != int(m), doublings)
+    shifts, ts = (np.array(v, dtype=float) for v in zip(*columns))
+    xs = np.array(xs)
+    with mock.patch.multiple(propagator, NODE_BLOCK=node_block, X_CHUNK=x_chunk):
+        want = [pass_table(rule, p, m, shifts, ts, xs) for p in range(len(doublings))]
+        got = _gl_quadrature(rule, m, shifts, ts, xs)
+        k = int(cut * len(ts))  # split into two calls: no value moves
+        head, tail = (_gl_quadrature(rule, m, shifts[c], ts[c], xs) for c in (slice(None, k), slice(k, None)))
+    assert len(got) == len(doublings)
+    for values, table, a, b in zip(want, got, head, tail):
+        assert table.tobytes() == values.tobytes() == np.concatenate([a, b]).tobytes()
+
+
+def long_band_window():
+    """200 times on two points of an indicator band: budgets 8192 and 16384, fine passes of 2 and 4 NODE_BLOCKs."""
+    return indicator_band(4096.0), STRAIGHT_1D, np.array([-0.01, 0.01]), list(np.linspace(0.5, 1.0, 200))
+
+
+def test_the_window_table_runs_in_blocks_without_moving_a_bit(monkeypatch):
+    # memory: every block's rows stay within X_CHUNK * NODE_BLOCK column-nodes
+    profile, curve, xs, ts = long_band_window()
+    calls, real = [], propagator._weighted_rows
+    monkeypatch.setattr(propagator, "_weighted_rows", lambda rule, m, s, t, a, b: calls.append(
+        (len(s), b - a, segments_met(rule, a, b))) or real(rule, m, s, t, a, b))
+    whole = batch_values(profile, curve, 2.0, xs, ts)
+    limit = propagator.X_CHUNK * propagator.NODE_BLOCK
+    assert all(c * nodes <= limit and k == 1 for c, nodes, k in calls)
+    assert (propagator.X_CHUNK, propagator.NODE_BLOCK, 1) in calls  # segments are sliced, columns split
+    # the blocks fall elsewhere when the times are split over two calls; no bit moves
+    head, tail = batch_values(profile, curve, 2.0, xs, ts[:50]), batch_values(profile, curve, 2.0, xs, ts[50:])
+    assert np.concatenate([head[0], tail[0]], axis=1).tobytes() == whole[0].tobytes()
+    assert head[1].tobytes() == tail[1].tobytes() == whole[1].tobytes()
+
+
+def test_a_long_window_holds_one_block_of_rows():
+    # a segment's rows for every column of a block at once took this window to 112.2 MiB
+    import tracemalloc
+
+    profile, curve, xs, ts = long_band_window()
+    batch_values(profile, curve, 2.0, xs, ts)  # profile caches filled
+    tracemalloc.start()
+    try:
+        batch_values(profile, curve, 2.0, xs, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * propagator.X_CHUNK * propagator.NODE_BLOCK * 16  # 24 MiB: one block's rows and phases
 
 
 def test_a_budget_past_the_cache_holds_one_pass_at_a_time(monkeypatch):
@@ -1599,7 +1714,7 @@ def test_paired_call_validates_its_pairs():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
     calls = []
-    for stage in ("_columns", "_pair_quadrature", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_gl_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, shifted = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5)
     with pytest.raises(DomainValidationError, match=f"x coordinate {bad} is not finite"):
@@ -1617,7 +1732,7 @@ def test_non_finite_x_fails_before_any_work(monkeypatch, bad):
 @pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
 def test_both_kernels_reject_a_bad_m_before_any_work(monkeypatch, m):
     calls = []
-    for stage in ("_columns", "_pair_quadrature", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_gl_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, message = gaussian_like(), re.escape(f"dispersion power m={m} must be positive")
     with pytest.raises(DomainValidationError, match=message):
@@ -1640,7 +1755,7 @@ def test_both_kernels_reject_a_time_outside_the_unit_interval(t):
 
 def test_both_kernels_reject_a_curve_of_another_dimension_before_any_work(monkeypatch):
     calls = []
-    for stage in ("_columns", "_pair_quadrature", "_quadrature", "_chirp_window"):
+    for stage in ("_columns", "_gl_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, stage, lambda *a, **k: calls.append(a))
     g, plane = gaussian_like(), CurveSpec(MINUS_SHIFT, alpha=0.5, d=2)
     with pytest.raises(DomainValidationError, match="curve and profile dimensions disagree"):
@@ -1672,7 +1787,7 @@ def test_over_cap_raises_before_either_kernel_runs(tight_cap, monkeypatch, kerne
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel ran past the node cap")
 
-    for name in ("_pair_quadrature", "_quadrature", "_chirp_window"):
+    for name in ("_gl_quadrature", "_chirp_window"):
         monkeypatch.setattr(propagator, name, refuse)
     with pytest.raises(AccuracyError) as err:
         if kernel == "pointwise":  # (0, 0) fits the cap, (40, 1) does not
